@@ -17,14 +17,13 @@ double uniform(Xoshiro256StarStar& g, double lo, double hi) {
 
 std::size_t uniformIndex(Xoshiro256StarStar& g, std::size_t lo, std::size_t hi) {
   if (lo > hi) throw std::invalid_argument("rng::uniformIndex: lo > hi");
-  const std::size_t span = hi - lo + 1;
+  return lo + static_cast<std::size_t>(IndexSampler(hi - lo + 1)(g));
+}
+
+IndexSampler::IndexSampler(std::uint64_t span) : span_(span) {
+  if (span == 0) throw std::invalid_argument("rng::IndexSampler: empty span");
   // Rejection sampling to avoid modulo bias.
-  const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % span);
-  std::uint64_t v;
-  do {
-    v = g();
-  } while (v >= limit);
-  return lo + static_cast<std::size_t>(v % span);
+  limit_ = ~std::uint64_t{0} - (~std::uint64_t{0} % span);
 }
 
 double standardNormal(Xoshiro256StarStar& g) noexcept {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "rng/xoshiro.hpp"
@@ -22,6 +23,37 @@ namespace fepia::rng {
 /// Uniform integer in [lo, hi] inclusive; throws when lo > hi.
 [[nodiscard]] std::size_t uniformIndex(Xoshiro256StarStar& g, std::size_t lo,
                                        std::size_t hi);
+
+/// Uniform integer in [0, span) for a fixed span: uniformIndex(g, 0,
+/// span - 1) with the rejection limit computed once instead of per draw,
+/// bit for bit the same sequence. Draws at or above the limit are
+/// rejected (to avoid modulo bias) and redrawn; accepts()/index() expose
+/// the two halves of one draw for callers that must notice a rejection.
+class IndexSampler {
+ public:
+  /// Throws std::invalid_argument when span is 0.
+  explicit IndexSampler(std::uint64_t span);
+
+  [[nodiscard]] bool accepts(std::uint64_t v) const noexcept {
+    return v < limit_;
+  }
+  /// The index of an accepted raw draw v.
+  [[nodiscard]] std::uint64_t index(std::uint64_t v) const noexcept {
+    return v % span_;
+  }
+
+  [[nodiscard]] std::uint64_t operator()(Xoshiro256StarStar& g) const noexcept {
+    std::uint64_t v;
+    do {
+      v = g();
+    } while (!accepts(v));
+    return index(v);
+  }
+
+ private:
+  std::uint64_t span_;
+  std::uint64_t limit_ = 0;
+};
 
 /// Standard normal via the polar (Marsaglia) method.
 [[nodiscard]] double standardNormal(Xoshiro256StarStar& g) noexcept;

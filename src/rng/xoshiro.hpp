@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 
 namespace fepia::rng {
@@ -36,17 +37,41 @@ class Xoshiro256StarStar {
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept { return ~result_type{0}; }
 
-  /// Next 64-bit value.
-  result_type operator()() noexcept;
+  /// Next 64-bit value. Inline: it is the inner step of every sampler.
+  result_type operator()() noexcept {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Jump function: advances the stream by 2^128 steps; used to carve
   /// independent substreams out of one seed.
   void jump() noexcept;
 
+  /// Advances the stream by count * 2^shift steps — exactly where that
+  /// many calls of operator() would leave it — in tens of microseconds:
+  /// the state transition is linear over GF(2), so the jump is x^k
+  /// modulo its characteristic polynomial, applied like jump(). Lets a
+  /// caller start a block of draws at its exact offset in one stream.
+  void discard(std::uint64_t count, unsigned shift = 0) noexcept;
+
   /// A generator `k` jumps ahead of this one (substream `k`).
   [[nodiscard]] Xoshiro256StarStar substream(unsigned k) const noexcept;
 
+  friend bool operator==(const Xoshiro256StarStar&,
+                         const Xoshiro256StarStar&) = default;
+
  private:
+  /// Replaces the state by sum_i c_i T^i(state), c_i the bits of `poly`
+  /// (bit i of word w is c_{64w+i}) and T one step of the generator.
+  void applyPolynomial(const std::array<std::uint64_t, 4>& poly) noexcept;
+
   std::array<std::uint64_t, 4> s_{};
 };
 

@@ -11,6 +11,7 @@
 #include "obs/span.hpp"
 #include "rng/distributions.hpp"
 #include "stats/ecdf.hpp"
+#include "validate/bootstrap.hpp"
 
 namespace fepia::validate {
 
@@ -195,7 +196,8 @@ double boundaryDistanceAlong(SingleLaneProbe& safe, std::size_t direction,
 ///    minimum's bias (which grows with dimension), so this reaches below
 ///    the sample where the bootstrap cannot.
 stats::Interval minimumCI(const std::vector<double>& finite, double m,
-                          const EstimatorOptions& opts) {
+                          const EstimatorOptions& opts,
+                          parallel::ThreadPool* pool) {
   if (finite.size() < 2) {
     return stats::Interval{m, m};
   }
@@ -213,17 +215,12 @@ stats::Interval minimumCI(const std::vector<double>& finite, double m,
 
   double spread = 0.0;
   if (opts.bootstrapResamples > 0) {
-    rng::Xoshiro256StarStar g(
-        rng::SplitMix64(opts.seed ^ 0xB007B007ull).next());
     std::vector<double> mins(opts.bootstrapResamples);
-    for (std::size_t b = 0; b < opts.bootstrapResamples; ++b) {
-      double best = std::numeric_limits<double>::infinity();
-      for (std::size_t i = 0; i < finite.size(); ++i) {
-        best = std::min(best,
-                        finite[rng::uniformIndex(g, 0, finite.size() - 1)]);
-      }
-      mins[b] = best;
-    }
+    bootstrapMinima(
+        rng::Xoshiro256StarStar(
+            rng::SplitMix64(opts.seed ^ 0xB007B007ull).next()),
+        finite.size(), finite.size(),
+        [&finite](std::uint64_t i) { return finite[i]; }, mins, pool);
     std::sort(mins.begin(), mins.end());
     spread = stats::quantile(mins, 1.0 - tail) - m;
   }
@@ -273,7 +270,8 @@ double polishDirection(SingleLaneProbe& safe, std::size_t direction,
 /// The estimator core, shared by every public overload. Builds one
 /// block predicate per chunk (plus a serial one), runs the chunks'
 /// lockstep march/bisection — in parallel when a pool is given — and
-/// reduces in direction order.
+/// reduces in direction order. The bootstrap runs on the pool too, in
+/// blocks; the polish stays serial.
 EmpiricalEstimate runEstimator(const BlockPredicateFactory& factory,
                                const la::Vector& origin,
                                const EstimatorOptions& opts,
@@ -410,7 +408,7 @@ EmpiricalEstimate runEstimator(const BlockPredicateFactory& factory,
           opts, probe, evals);
       est.classifications += evals;
     }
-    est.ci = minimumCI(finite, est.radius, opts);
+    est.ci = minimumCI(finite, est.radius, opts, pool);
   }
 
   if (opts.metrics != nullptr) {

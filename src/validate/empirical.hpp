@@ -15,7 +15,11 @@
 // chunks; chunk c draws from substream c of the seed generator
 // (xoshiro256** jump-ahead), every direction's result lands in a
 // preallocated slot indexed by direction id, and all reductions run over
-// those slots in index order after the parallel phase.
+// those slots in index order after the parallel phase. The bootstrap
+// runs on the pool too, with the serial bits: its resamples go in blocks
+// that each start at their exact offset of the one bootstrap stream
+// (validate/bootstrap.hpp). The polish runs serially after the
+// parallel phase.
 //
 // Within a chunk the rays advance in lockstep: each round gathers every
 // unfinished ray's next probe point into one SoA block (la::PointBlock)

@@ -12,11 +12,11 @@
 #include <sstream>
 #include <string>
 
+#include "support/temp_path.hpp"
+
 namespace {
 
-std::string tmpPath(const std::string& leaf) {
-  return ::testing::TempDir() + leaf;
-}
+using fepia::testing::tmpPath;
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path);

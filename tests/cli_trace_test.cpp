@@ -11,6 +11,7 @@
 #include <string>
 
 #include "obs/json.hpp"
+#include "support/temp_path.hpp"
 
 namespace obs = fepia::obs;
 
@@ -28,9 +29,7 @@ int runCli(const std::string& args) {
   return std::system(cmd.c_str());
 }
 
-std::string tmpPath(const std::string& leaf) {
-  return ::testing::TempDir() + leaf;
-}
+using fepia::testing::tmpPath;
 
 /// Extracts the value of a top-level-ish JSON key as raw text, from the
 /// key to the next key at the same nesting (good enough to compare the

@@ -98,8 +98,10 @@ TEST(FaultDeterminism, DegradedRadiusIsThreadCountInvariant) {
   const auto ref = hiperd::makeReferenceSystem();
   const std::vector<fault::FaultPlan> scenarios{mildPlan(ref)};
   const auto opts = smallEstimator();
-  const auto dopts = smallDegraded();
+  auto dopts = smallDegraded();
 
+  fault::LiveFaultStats serialLive;
+  dopts.live = &serialLive;
   const fault::DegradedEstimate serial =
       fault::estimateDegradedRadius(ref, scenarios, opts, dopts);
   ASSERT_TRUE(serial.nominalSatisfies);
@@ -108,16 +110,21 @@ TEST(FaultDeterminism, DegradedRadiusIsThreadCountInvariant) {
   EXPECT_GT(serial.analyticRho, 0.0);
 
   // Rerunning serially is trivially identical; any thread count must be
-  // identical too, bit for bit.
+  // identical too, bit for bit. The live counter sees every DES run, so
+  // it must equal the serial count as well: a pool runs no extra rays.
+  dopts.live = nullptr;
   const fault::DegradedEstimate again =
       fault::estimateDegradedRadius(ref, scenarios, opts, dopts);
   expectIdentical(serial, again);
   for (const std::size_t threads : {1u, 2u, 8u}) {
+    fault::LiveFaultStats live;
+    dopts.live = &live;
     parallel::ThreadPool pool(threads);
     const fault::DegradedEstimate est =
         fault::estimateDegradedRadius(ref, scenarios, opts, dopts, &pool);
     SCOPED_TRACE("threads=" + std::to_string(threads));
     expectIdentical(serial, est);
+    EXPECT_EQ(live.classifications.load(), serialLive.classifications.load());
   }
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <stdexcept>
 #include <vector>
 
@@ -147,4 +149,68 @@ TEST(RngDistributions, NonnegativeSphereIsNonnegative) {
     const auto x = rng::unitSphereNonnegative(g, 4);
     for (double v : x) EXPECT_GE(v, 0.0);
   }
+}
+
+TEST(RngXoshiro, DiscardEqualsRepeatedSteps) {
+  for (const std::uint64_t k :
+       {0ull, 1ull, 2ull, 63ull, 64ull, 255ull, 256ull, 257ull, 1000003ull}) {
+    rng::Xoshiro256StarStar stepped(0xD15CA4Dull);
+    for (std::uint64_t i = 0; i < k; ++i) (void)stepped();
+    rng::Xoshiro256StarStar jumped(0xD15CA4Dull);
+    jumped.discard(k);
+    SCOPED_TRACE("k=" + std::to_string(k));
+    EXPECT_TRUE(jumped == stepped);
+    EXPECT_EQ(jumped(), stepped());
+  }
+}
+
+TEST(RngXoshiro, DiscardComposesAndScales) {
+  // discard(a) then discard(b) is discard(a + b); the shift argument
+  // multiplies by 2^shift.
+  rng::Xoshiro256StarStar a(41);
+  a.discard(123456789);
+  a.discard(987654321);
+  rng::Xoshiro256StarStar b(41);
+  b.discard(123456789ull + 987654321ull);
+  EXPECT_TRUE(a == b);
+
+  rng::Xoshiro256StarStar c(42);
+  c.discard(3, 20);
+  rng::Xoshiro256StarStar d(42);
+  d.discard(3ull << 20);
+  EXPECT_TRUE(c == d);
+}
+
+TEST(RngXoshiro, DiscardByTwoTo128IsJump) {
+  // The characteristic polynomial behind discard() reproduces the
+  // published jump polynomial x^(2^128).
+  for (const std::uint64_t seed : {1ull, 99ull, 0xFEEDull}) {
+    rng::Xoshiro256StarStar jumped(seed);
+    jumped.jump();
+    rng::Xoshiro256StarStar discarded(seed);
+    discarded.discard(1, 128);
+    EXPECT_TRUE(discarded == jumped);
+  }
+  rng::Xoshiro256StarStar twice(7);
+  twice.jump();
+  twice.jump();
+  rng::Xoshiro256StarStar viaShift(7);
+  viaShift.discard(2, 128);
+  EXPECT_TRUE(viaShift == twice);
+}
+
+TEST(RngDistributions, IndexSamplerMatchesUniformIndex) {
+  for (const std::uint64_t span :
+       {1ull, 2ull, 3ull, 7ull, 1000ull, 16001ull, 32768ull, (1ull << 40) + 3,
+        (1ull << 63) + 1}) {
+    const rng::IndexSampler pick(span);
+    rng::Xoshiro256StarStar a(span);
+    rng::Xoshiro256StarStar b(span);
+    SCOPED_TRACE("span=" + std::to_string(span));
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(pick(a), rng::uniformIndex(b, 0, span - 1));
+    }
+    EXPECT_TRUE(a == b);
+  }
+  EXPECT_THROW((void)rng::IndexSampler(0), std::invalid_argument);
 }

@@ -24,15 +24,14 @@
 #include "obs/json.hpp"
 #include "server/server.hpp"
 #include "server/wire.hpp"
+#include "support/temp_path.hpp"
 
 namespace server = fepia::server;
 namespace obs = fepia::obs;
 
 namespace {
 
-std::string tmpPath(const std::string& leaf) {
-  return ::testing::TempDir() + leaf;
-}
+using fepia::testing::tmpPath;
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path);

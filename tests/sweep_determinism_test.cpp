@@ -16,14 +16,13 @@
 #include "sweep/engine.hpp"
 #include "sweep/output.hpp"
 #include "sweep/spec.hpp"
+#include "support/temp_path.hpp"
 
 namespace {
 
 using namespace fepia;
 
-std::string tmpPath(const std::string& leaf) {
-  return ::testing::TempDir() + leaf;
-}
+using fepia::testing::tmpPath;
 
 /// A grid touching every dedup path of the linear family, with the
 /// empirical estimator on so Monte-Carlo substreams are exercised too.

@@ -27,14 +27,13 @@
 #include "sweep/output.hpp"
 #include "sweep/pcache.hpp"
 #include "sweep/spec.hpp"
+#include "support/temp_path.hpp"
 
 namespace {
 
 using namespace fepia;
 
-std::string tmpPath(const std::string& leaf) {
-  return ::testing::TempDir() + leaf;
-}
+using fepia::testing::tmpPath;
 
 /// TempDir persists across runs; cache tests need a clean slate.
 std::string freshDir(const std::string& leaf) {

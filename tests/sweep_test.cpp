@@ -21,15 +21,14 @@
 #include "sweep/journal.hpp"
 #include "sweep/output.hpp"
 #include "sweep/spec.hpp"
+#include "support/temp_path.hpp"
 #include "support/tolerances.hpp"
 
 namespace {
 
 using namespace fepia;
 
-std::string tmpPath(const std::string& leaf) {
-  return ::testing::TempDir() + leaf;
-}
+using fepia::testing::tmpPath;
 
 /// Asserts that parsing `text` throws io::ParseError on `line` with a
 /// message containing `expect`.

@@ -4,14 +4,20 @@
 // scheduling, index-ordered reductions).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "feature/linear.hpp"
 #include "feature/quadratic.hpp"
 #include "la/matrix.hpp"
 #include "radius/parallel_rho.hpp"
 #include "radius/rho.hpp"
+#include "rng/distributions.hpp"
+#include "validate/bootstrap.hpp"
 #include "validate/empirical.hpp"
 #include "validate/scheme.hpp"
 
@@ -22,6 +28,7 @@ namespace perturb = fepia::perturb;
 namespace parallel = fepia::parallel;
 namespace la = fepia::la;
 namespace units = fepia::units;
+namespace rng = fepia::rng;
 
 namespace {
 
@@ -84,7 +91,7 @@ TEST(ValidateDeterminism, EstimateIsThreadCountInvariant) {
 
   const auto serial = validate::estimateEmpiricalRadius(phi, orig, opts);
   ASSERT_TRUE(serial.finite());
-  for (const std::size_t threads : {1u, 2u, 8u}) {
+  for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
     parallel::ThreadPool pool(threads);
     const auto est = validate::estimateEmpiricalRadius(phi, orig, opts, &pool);
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -102,7 +109,7 @@ TEST(ValidateDeterminism, SchemeValidationIsThreadCountInvariant) {
 
   const auto serial = validate::validateMergedScheme(
       problem, radius::MergeScheme::NormalizedByOriginal, opts);
-  for (const std::size_t threads : {1u, 2u, 8u}) {
+  for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
     parallel::ThreadPool pool(threads);
     const auto v = validate::validateMergedScheme(
         problem, radius::MergeScheme::NormalizedByOriginal, opts, &pool);
@@ -141,5 +148,145 @@ TEST(ValidateDeterminism, ParallelRhoIsThreadCountInvariant) {
                              serial.perFeature[i].boundaryPoint[d]));
       }
     }
+  }
+}
+
+namespace {
+
+/// Exact membership of the feature set above, as a per-point predicate.
+validate::IndexedSafePredicate pointPredicate(const feature::FeatureSet& phi) {
+  return [&phi](const la::Vector& pi, std::size_t) {
+    return phi.allWithinBounds(pi);
+  };
+}
+
+validate::EstimatorOptions tailOptions() {
+  validate::EstimatorOptions opts;
+  opts.directions = 300;  // 5 chunks of 64, the last one short
+  opts.chunkSize = 64;
+  opts.seed = 0x7A11ull;
+  opts.horizon = 32.0;
+  return opts;
+}
+
+}  // namespace
+
+TEST(ValidateDeterminism, TailIsThreadCountInvariantAndPinned) {
+  // The tail on pools of 1, 2, 3 and 8 threads: bootstrap blocks, for
+  // the per-point and the kernel overloads. Every run must equal the
+  // serial one, and the serial one must equal pinned bits of the
+  // polish and the single-stream bootstrap loop: comparing pools with
+  // no pool cannot catch a change both paths share.
+  struct Pinned {
+    bool nonnegative;
+    double radius, lo;
+    std::size_t classifications, critical;
+  };
+  const feature::FeatureSet phi = makeFeatureSet();
+  const la::Vector orig{0.5, 0.5, 0.5};
+  const auto safe = pointPredicate(phi);
+  for (const Pinned& pin :
+       {Pinned{false, 0x1.b5dfee40e7312p+1, 0x1.7d705505b5c07p+1, 53199, 286},
+        Pinned{true, 0x1.c2e7be66e84a4p+1, 0x1.1224f37179043p+1, 50468, 26}}) {
+    SCOPED_TRACE(pin.nonnegative ? "nonnegative" : "sphere");
+    validate::EstimatorOptions opts = tailOptions();
+    opts.nonnegativeDirections = pin.nonnegative;
+    const auto serial = validate::estimateEmpiricalRadius(safe, orig, opts);
+    EXPECT_TRUE(sameBits(serial.radius, pin.radius));
+    EXPECT_TRUE(sameBits(serial.ci.lo, pin.lo));
+    EXPECT_TRUE(sameBits(serial.ci.hi, pin.radius));
+    EXPECT_EQ(serial.classifications, pin.classifications);
+    EXPECT_EQ(serial.criticalDirection, pin.critical);
+    // The polish moved the radius, so the pinned bits cover it.
+    EXPECT_LT(serial.radius, serial.distanceSummary.min);
+
+    expectIdentical(serial, validate::estimateEmpiricalRadius(phi, orig, opts));
+    for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
+      parallel::ThreadPool pool(threads);
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      expectIdentical(
+          serial, validate::estimateEmpiricalRadius(safe, orig, opts, &pool));
+      expectIdentical(
+          serial, validate::estimateEmpiricalRadius(phi, orig, opts, &pool));
+    }
+  }
+}
+
+namespace {
+
+/// bootstrapMinima with a synthetic value per index, serially and on a
+/// pool; also returns the position of the first rejected raw draw in
+/// the stream (none when every draw is accepted).
+struct BootstrapRun {
+  std::vector<double> serial;
+  std::vector<double> pooled;
+  std::optional<std::size_t> firstRejection;
+};
+
+BootstrapRun runBootstrap(std::uint64_t span, std::size_t draws,
+                          std::size_t resamples, std::size_t threads) {
+  const rng::Xoshiro256StarStar start(0xB007ull);
+  const auto valueAt = [](std::uint64_t i) {
+    return static_cast<double>(i % 1000003u);
+  };
+  BootstrapRun run;
+  run.serial.assign(resamples, -1.0);
+  run.pooled.assign(resamples, -1.0);
+  validate::bootstrapMinima(start, draws, span, valueAt, run.serial, nullptr);
+  parallel::ThreadPool pool(threads);
+  validate::bootstrapMinima(start, draws, span, valueAt, run.pooled, &pool);
+
+  const rng::IndexSampler pick(span);
+  rng::Xoshiro256StarStar g = start;
+  for (std::size_t i = 0; i < resamples * draws; ++i) {
+    if (!pick.accepts(g())) {
+      run.firstRejection = i;
+      break;
+    }
+  }
+  return run;
+}
+
+}  // namespace
+
+TEST(ValidateDeterminism, BootstrapBlocksMatchSerialLoop) {
+  // Realistic spans: no rejection, every block at its jump-ahead offset.
+  for (const std::size_t n : {2u, 37u, 16000u}) {
+    for (const std::size_t threads : {2u, 3u, 8u}) {
+      const BootstrapRun run = runBootstrap(n, n, 1000, threads);
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " threads=" + std::to_string(threads));
+      EXPECT_FALSE(run.firstRejection.has_value());
+      EXPECT_EQ(std::memcmp(run.serial.data(), run.pooled.data(),
+                            run.serial.size() * sizeof(double)),
+                0);
+    }
+  }
+}
+
+TEST(ValidateDeterminism, BootstrapRejectionFallsBackToSerialLoop) {
+  // Index bounds near 2^63 make rejected draws common: with span
+  // 2^63 + 1 nearly half the draws are rejected, so the very first
+  // block falls back; with span (2^64 - 1) / 3 - 2^52 about one draw in
+  // 1400 is, so several blocks finish before the first rejection shifts
+  // the offsets of the rest.
+  const std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  struct Case {
+    std::uint64_t span;
+    bool midStream;
+  };
+  for (const Case c : {Case{(std::uint64_t{1} << 63) + 1, false},
+                       Case{kMax / 3 - (std::uint64_t{1} << 52), true}}) {
+    const std::size_t draws = 8;
+    const BootstrapRun run = runBootstrap(c.span, draws, 1000, 3);
+    SCOPED_TRACE("span=" + std::to_string(c.span));
+    ASSERT_TRUE(run.firstRejection.has_value());
+    if (c.midStream) {
+      EXPECT_GE(*run.firstRejection, validate::kBootstrapBlock * draws);
+    }
+    EXPECT_EQ(std::memcmp(run.serial.data(), run.pooled.data(),
+                          run.serial.size() * sizeof(double)),
+              0);
+    for (const double m : run.pooled) EXPECT_GE(m, 0.0);  // all written
   }
 }

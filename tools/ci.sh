@@ -63,8 +63,13 @@ for cfg in "${configs[@]}"; do
   cmake --build --preset "$cfg" -j "$jobs"
   echo "=== [$cfg] ctest --preset $test_preset ==="
   # --stop-on-failure: fail fast so a broken suite surfaces immediately
-  # instead of after every remaining row has run.
-  ctest --preset "$test_preset" -j "$jobs" --stop-on-failure
+  # instead of after every remaining row has run. The tier1 suites run
+  # three times at full parallelism (--repeat until-fail:3): every test
+  # case is its own process and they all share the temp dir, so a race
+  # between cases must fail CI rather than pass on a lucky schedule.
+  repeat=()
+  [ "$test_preset" = registry-tsan ] || repeat=(--repeat until-fail:3)
+  ctest --preset "$test_preset" -j "$jobs" --stop-on-failure "${repeat[@]}"
 
   if [ "$cfg" = release ]; then
     # Quick smoke of the search bench: must run, emit JSON matching the
