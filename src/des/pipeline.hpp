@@ -18,9 +18,11 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
+#include "des/event_heap.hpp"
 #include "hiperd/system.hpp"
 #include "la/vector.hpp"
 
@@ -132,9 +134,11 @@ struct PipelineResult {
 /// Simulation parameters.
 struct PipelineOptions {
   std::size_t generations = 400;   ///< data-set generations to emit
-  double warmupFraction = 0.25;    ///< fraction excluded from statistics
+  /// Fraction of the generations excluded from statistics; in [0, 1).
+  double warmupFraction = 0.25;
   /// Stability threshold: sustained iff total post-warmup drift
-  /// (slope x generations) is below this fraction of one period.
+  /// (slope x generations) is below this fraction of one period. Finite
+  /// and nonnegative.
   double driftTolerance = 0.01;
   /// Multiplicative gamma noise on every service time (compute and
   /// transfer): each job's time is scaled by Gamma(mean 1, CoV = this).
@@ -147,10 +151,110 @@ struct PipelineOptions {
   const FaultInjector* faults = nullptr;
 };
 
+/// Result of a verdict-only run (PipelineKernel::verdict).
+struct PipelineVerdict {
+  /// Equal to simulate(...).satisfies(maxLatencySeconds) on the same
+  /// inputs.
+  bool satisfies = false;
+  /// True when a post-warmup end-to-end latency above the bound ended
+  /// the run before its queue drained. Such a latency already decides
+  /// satisfies() == false, since maxObservedLatency only grows.
+  bool stoppedEarly = false;
+  /// Degradation counters of the simulated part of the run: the prefix
+  /// up to the stop when stoppedEarly, the whole run otherwise.
+  FaultCounters faults{};
+};
+
+/// A pipeline compiled for repeated simulation. Construction derives
+/// the static wiring once (in-degrees, outgoing messages, path
+/// terminals) and rejects a cyclic message graph with
+/// std::invalid_argument. Copies share the wiring and each own their
+/// event queue and per-run buffers, which are reused from run to run:
+/// one copy per thread runs without synchronisation.
+///
+/// The event loop is a typed-event kernel. Each event is a small POD
+/// (time, seq, kind, app or message, generation, machine or attempt)
+/// in a reused (time, seq) heap, dispatched by a switch. Emission g+1
+/// is queued when emission g fires, under the seq reserved for it, so
+/// the queue holds only in-flight work. Seqs and event times are those
+/// of a scheduler that queued all emissions first (seqs 0..gens-1) and
+/// numbered every later event in scheduling order, so every result is
+/// deterministic and fixed by its inputs.
+class PipelineKernel {
+ public:
+  explicit PipelineKernel(const hiperd::System& sys);
+
+  /// Simulates the pipeline with explicit per-app execution seconds
+  /// and per-message sizes at the given arrival rate; see
+  /// simulatePipeline.
+  [[nodiscard]] PipelineResult simulate(const la::Vector& execSeconds,
+                                        const la::Vector& messageBytes,
+                                        double arrivalRate,
+                                        const PipelineOptions& opts = {});
+
+  /// The QoS verdict of simulate(...) alone. The run stops at the first
+  /// post-warmup end-to-end latency above `maxLatencySeconds`; every
+  /// other run is simulated in full, because the throughput-drift test
+  /// needs all observations.
+  [[nodiscard]] PipelineVerdict verdict(const la::Vector& execSeconds,
+                                        const la::Vector& messageBytes,
+                                        double arrivalRate,
+                                        double maxLatencySeconds,
+                                        const PipelineOptions& opts = {});
+
+ private:
+  struct Wiring;
+  enum class Kind : std::uint8_t;
+  struct Event {
+    double time;
+    std::uint64_t seq;
+    std::uint32_t id;   ///< app (compute, failover) or message (transfer)
+    std::uint32_t gen;  ///< generation
+    std::uint32_t aux;  ///< backup machine (failover) or attempt (transfer)
+    std::uint16_t hops; ///< failovers so far (failover)
+    Kind kind;
+  };
+  /// A single-server FIFO queue: a machine or a link.
+  struct Server {
+    double busyUntil = 0.0;
+    double busy = 0.0;
+  };
+
+  void check(const la::Vector& execSeconds, const la::Vector& messageBytes,
+             double arrivalRate, const PipelineOptions& opts) const;
+  /// Runs the event loop; returns true when it stopped on a post-warmup
+  /// latency above `stopAbove`.
+  bool run(const la::Vector& execSeconds, const la::Vector& messageBytes,
+           double period, const PipelineOptions& opts, double stopAbove);
+  /// Fills the observation statistics of `res` (generations, simulated
+  /// seconds, latencies, incompleteness, drift) from the last run;
+  /// keeps each path's latencies when `keepLatencies`.
+  void observe(const PipelineOptions& opts, double period, bool keepLatencies,
+               PipelineResult& res);
+  /// Adds the machine downtime within the last run's horizon to the
+  /// fault counters.
+  void addDowntime(const FaultInjector* faults);
+
+  std::shared_ptr<const Wiring> wiring_;
+  // Per-run state, reused by the next run.
+  EventHeap<Event> queue_;
+  std::vector<Server> machines_;
+  std::vector<Server> links_;
+  std::vector<std::uint32_t> arrived_; ///< [app * gens + g] inputs in
+  std::vector<double> finish_;         ///< [terminal * gens + g], -1 = never
+  std::vector<double> latencies_;      ///< observe() scratch
+  FaultCounters faults_;
+  double now_ = 0.0;
+  std::uint64_t events_ = 0;
+  std::size_t highWater_ = 0;
+};
+
 /// Simulates the pipeline with explicit per-app execution seconds and
 /// per-message sizes (the (e ⋆ m) perturbation realisation) at the given
 /// arrival rate (data sets per second per sensor generation).
-/// Throws std::invalid_argument on dimension mismatch or bad rate.
+/// Throws std::invalid_argument on dimension mismatch, bad rate or bad
+/// options (a warmupFraction outside [0, 1), a driftTolerance that is
+/// negative or not finite).
 [[nodiscard]] PipelineResult simulatePipeline(const hiperd::System& sys,
                                               const la::Vector& execSeconds,
                                               const la::Vector& messageBytes,

@@ -15,8 +15,7 @@ EventId Simulator::schedule(double delay, Action action) {
     throw std::invalid_argument("des::Simulator::schedule: null action");
   }
   const EventId id = nextSeq_++;
-  queue_.push_back(Event{now_ + delay, id, std::move(action)});
-  std::push_heap(queue_.begin(), queue_.end(), Later{});
+  queue_.push(Event{now_ + delay, id, std::move(action)});
   const std::size_t live = queue_.size() - cancelled_.size();
   if (live > queueHighWater_) queueHighWater_ = live;
   return id;
@@ -28,8 +27,8 @@ bool Simulator::cancel(EventId id) {
   // already-fired id would poison a future id otherwise — but ids are
   // never reused, so membership in the queue is the only question.
   const bool pending =
-      std::any_of(queue_.begin(), queue_.end(),
-                  [id](const Event& e) { return e.seq == id; });
+      std::ranges::any_of(queue_.items(),
+                          [id](const Event& e) { return e.seq == id; });
   if (!pending) return false;
   if (!cancelled_.insert(id).second) return false;  // cancelled twice
   ++eventsCancelled_;
@@ -39,9 +38,7 @@ bool Simulator::cancel(EventId id) {
 std::size_t Simulator::run(std::size_t maxEvents) {
   std::size_t processed = 0;
   while (!queue_.empty() && processed < maxEvents) {
-    std::pop_heap(queue_.begin(), queue_.end(), Later{});
-    Event ev = std::move(queue_.back());
-    queue_.pop_back();
+    Event ev = queue_.pop();
     if (!cancelled_.empty() && cancelled_.erase(ev.seq) > 0) {
       continue;  // tombstoned: drop without advancing the clock
     }

@@ -1,19 +1,17 @@
 // Minimal discrete-event simulation kernel: a time-ordered event queue
-// and single-server FIFO resources.
+// of closures, with cancellation, and single-server FIFO resources.
 //
-// The VAL experiment uses this to check the analytic robust region
-// empirically: the HiPer-D pipeline is executed as a real queueing
-// system, and QoS violations observed in simulation are compared with
-// the radius-based prediction. The fault-injection layer (src/fault)
-// additionally cancels in-flight events when a machine crashes.
+// The HiPer-D pipeline simulation (des/pipeline.hpp) does not schedule
+// closures: it runs its own typed-event loop over the same (time, seq)
+// heap (des/event_heap.hpp), so both order events identically.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <unordered_set>
-#include <vector>
 
+#include "des/event_heap.hpp"
 #include "obs/metrics.hpp"
 
 namespace fepia::des {
@@ -79,25 +77,15 @@ class Simulator {
     EventId seq;
     Action action;
   };
-  /// Min-heap order: earliest time first, lowest sequence number (FIFO)
-  /// on equal times. Written as the std::push_heap "less" comparator,
-  /// i.e. true when `a` should surface *after* `b`.
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      return a.time > b.time || (a.time == b.time && a.seq > b.seq);
-    }
-  };
 
   double now_ = 0.0;
   EventId nextSeq_ = 0;
   std::uint64_t eventsProcessed_ = 0;
   std::uint64_t eventsCancelled_ = 0;
   std::size_t queueHighWater_ = 0;
-  // Manual heap (std::push_heap/pop_heap over a vector) instead of
-  // std::priority_queue: the top element can be moved out before pop —
-  // no copy of the stored std::function per event — and cancelled
-  // entries can be dropped as they surface.
-  std::vector<Event> queue_;
+  // The top event is moved out on pop (no copy of its std::function),
+  // and cancelled entries are dropped as they surface.
+  EventHeap<Event> queue_;
   std::unordered_set<EventId> cancelled_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 
 #include "radius/fepia.hpp"
 #include "radius/merge.hpp"
@@ -50,56 +51,66 @@ DegradedEstimate estimateDegradedRadius(const hiperd::ReferenceSystem& ref,
     return injectors[direction % injectors.size()].get();
   };
 
-  // Joint-space membership: map the P-space probe back to an
-  // (execution times ⋆ message sizes) operating point and simulate it
-  // with the probe direction's fault scenario active.
-  const validate::IndexedSafePredicate safe = [&](const la::Vector& P,
-                                                  std::size_t direction) {
-    const la::Vector pi = map.fromP(P);
-    for (const double x : pi) {
-      if (x < 0.0) return false;  // unphysical operating point
-    }
-    const auto parts = mixed.space().split(pi);
-    des::PipelineOptions desOpts;
-    desOpts.generations = opts.generations;
-    desOpts.serviceJitterCov = opts.serviceJitterCov;
-    desOpts.faults = injectorFor(direction);
-    const des::PipelineResult run = des::simulatePipeline(
-        ref.system, parts[0], parts[1], ref.qos.minThroughput, desOpts);
-    if (opts.live != nullptr) {
-      opts.live->classifications.fetch_add(1, std::memory_order_relaxed);
-      opts.live->retries.fetch_add(run.faults.retries,
-                                   std::memory_order_relaxed);
-      opts.live->droppedMessages.fetch_add(run.faults.droppedMessages,
-                                           std::memory_order_relaxed);
-    }
-    return run.satisfies(ref.qos.maxLatencySeconds);
-  };
+  des::PipelineOptions desOpts;
+  desOpts.generations = opts.generations;
+  desOpts.serviceJitterCov = opts.serviceJitterCov;
+  des::PipelineKernel kernel(ref.system);
 
-  // Nominal run: scenario 0 at the unperturbed operating point. This is
-  // the same evaluation the estimator's origin check performs, so when
-  // it fails the degraded radius is zero by definition — report that
-  // instead of tripping the estimator's domain_error.
+  // Nominal run: scenario 0 at the unperturbed operating point, with
+  // full statistics. This is the same evaluation the estimator's origin
+  // check performs, so when it fails the degraded radius is zero by
+  // definition — report that instead of tripping the estimator's
+  // domain_error.
+  const la::Vector pOrig = map.toP(mixed.space().concatenatedOriginal());
   {
-    const la::Vector pOrig = map.toP(mixed.space().concatenatedOriginal());
-    const la::Vector pi0 = map.fromP(pOrig);
-    const auto parts = mixed.space().split(pi0);
-    des::PipelineOptions desOpts;
-    desOpts.generations = opts.generations;
-    desOpts.serviceJitterCov = opts.serviceJitterCov;
+    const auto parts = mixed.space().split(map.fromP(pOrig));
     desOpts.faults = injectorFor(0);
-    out.nominal = des::simulatePipeline(ref.system, parts[0], parts[1],
-                                        ref.qos.minThroughput, desOpts);
+    out.nominal = kernel.simulate(parts[0], parts[1], ref.qos.minThroughput,
+                                  desOpts);
     out.nominalSatisfies = out.nominal.satisfies(ref.qos.maxLatencySeconds);
     if (!out.nominalSatisfies) {
       out.degraded.radius = 0.0;
       out.degraded.ci = stats::Interval{0.0, 0.0};
       return out;
     }
-    const validate::EstimatorOptions est =
-        desEstimatorOptions(estimator, opts.explicitDirections);
-    out.degraded = validate::estimateEmpiricalRadius(safe, pOrig, est, pool);
   }
+
+  // Joint-space membership: map each P-space probe back to an
+  // (execution times ⋆ message sizes) operating point and simulate it
+  // with the probe direction's fault scenario active. Only the verdict
+  // matters, so a run stops at its first certain QoS violation. The
+  // estimator copies the predicate once per chunk, so every chunk owns
+  // its kernel's event queue and buffers.
+  const validate::BlockSafePredicate safe =
+      [&, kernel, desOpts, P = la::Vector(pOrig.size())](
+          const la::PointBlock& block, std::span<const std::size_t> directions,
+          std::span<std::uint8_t> safeOut) mutable {
+        for (std::size_t l = 0; l < block.lanes(); ++l) {
+          block.gatherPoint(l, P.span());
+          safeOut[l] = 0;
+          const la::Vector pi = map.fromP(P);
+          if (std::any_of(pi.begin(), pi.end(),
+                          [](double x) { return x < 0.0; })) {
+            continue;  // unphysical operating point
+          }
+          const auto parts = mixed.space().split(pi);
+          desOpts.faults = injectorFor(directions[l]);
+          const des::PipelineVerdict v =
+              kernel.verdict(parts[0], parts[1], ref.qos.minThroughput,
+                             ref.qos.maxLatencySeconds, desOpts);
+          if (opts.live != nullptr) {
+            opts.live->classifications.fetch_add(1, std::memory_order_relaxed);
+            opts.live->retries.fetch_add(v.faults.retries,
+                                         std::memory_order_relaxed);
+            opts.live->droppedMessages.fetch_add(v.faults.droppedMessages,
+                                                 std::memory_order_relaxed);
+          }
+          safeOut[l] = v.satisfies ? 1 : 0;
+        }
+      };
+  out.degraded = validate::estimateEmpiricalRadius(
+      safe, pOrig, desEstimatorOptions(estimator, opts.explicitDirections),
+      pool);
   return out;
 }
 

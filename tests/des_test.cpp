@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
 #include "des/pipeline.hpp"
 #include "des/simulator.hpp"
+#include "fault/plan.hpp"
 #include "hiperd/factory.hpp"
 
 namespace des = fepia::des;
+namespace fault = fepia::fault;
 namespace hiperd = fepia::hiperd;
 namespace la = fepia::la;
 
@@ -217,6 +221,131 @@ TEST(DesPipeline, ValidatesArguments) {
   opts.generations = 0;
   EXPECT_THROW((void)des::simulatePipeline(ref.system, exec, bytes, 10.0, opts),
                std::invalid_argument);
+
+  // warmupFraction must leave at least one observed generation (at 1.0
+  // a 50x overloaded pipeline would pass with no observations at all),
+  // and the drift tolerance must be a usable threshold.
+  la::Vector heavy = exec;
+  for (double& e : heavy) e *= 50.0;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  des::PipelineKernel kernel(ref.system);
+  for (const double warmup : {1.0, 1.5, -0.25, nan}) {
+    des::PipelineOptions bad;
+    bad.warmupFraction = warmup;
+    EXPECT_THROW(
+        (void)des::simulatePipeline(ref.system, heavy, bytes, 10.0, bad),
+        std::invalid_argument)
+        << "warmupFraction " << warmup;
+    EXPECT_THROW((void)kernel.verdict(heavy, bytes, 10.0, 1.0, bad),
+                 std::invalid_argument);
+  }
+  for (const double drift : {-0.01, inf, nan}) {
+    des::PipelineOptions bad;
+    bad.driftTolerance = drift;
+    EXPECT_THROW(
+        (void)des::simulatePipeline(ref.system, exec, bytes, 10.0, bad),
+        std::invalid_argument)
+        << "driftTolerance " << drift;
+    EXPECT_THROW((void)kernel.verdict(exec, bytes, 10.0, 1.0, bad),
+                 std::invalid_argument);
+  }
+  des::PipelineOptions edge;
+  edge.warmupFraction = 0.0;
+  edge.driftTolerance = 0.0;
+  EXPECT_NO_THROW(
+      (void)des::simulatePipeline(ref.system, exec, bytes, 10.0, edge));
+  edge.warmupFraction = 0.99;
+  EXPECT_FALSE(
+      des::simulatePipeline(ref.system, heavy, bytes, 10.0, edge).satisfies(
+          ref.qos.maxLatencySeconds));
+}
+
+TEST(DesPipeline, VerdictEqualsFullRunAcrossTheQosBoundary) {
+  // The verdict-only run stops at the first post-warmup latency above
+  // the bound. Over load scales straddling the QoS boundary, with and
+  // without jitter and faults, its verdict must equal the full run's,
+  // the stop must fire on some violating points, and never on a
+  // satisfying one. One kernel serves every run, interleaving full and
+  // verdict-only runs, so its reused buffers are exercised as well.
+  const auto ref = hiperd::makeReferenceSystem();
+  const double bound = ref.qos.maxLatencySeconds;
+  std::vector<std::optional<fault::FaultPlan>> plans(1);  // none
+  {
+    fault::FaultPlan crash;
+    crash.crashes.push_back({1, 0.5, 0});
+    crash.policy.detectionTimeoutSeconds = 0.01;
+    plans.emplace_back(crash);
+    fault::FaultPlan lossy;
+    lossy.losses.push_back({ref.system.message(0).link, 0.2});
+    plans.emplace_back(lossy);
+    fault::FaultPlan lost;
+    lost.crashes.push_back({2, 1.0, std::nullopt});
+    plans.emplace_back(lost);
+    fault::FaultPlan slow;
+    slow.slowdowns.push_back(
+        {fault::Slowdown::Target::Machine, 0, 1.0, 2.0, 2.0});
+    plans.emplace_back(slow);
+  }
+
+  des::PipelineKernel kernel(ref.system);
+  std::size_t satisfying = 0, violating = 0, stopped = 0;
+  for (const auto& plan : plans) {
+    std::optional<fault::PlanInjector> inj;
+    if (plan) inj.emplace(*plan, ref.system);
+    for (const double cov : {0.0, 0.3}) {
+      for (int step = 0; step <= 30; ++step) {
+        const double scale = 0.2 + 0.1 * step;
+        la::Vector loads = ref.system.originalLoads();
+        for (double& v : loads) v *= scale;
+        la::Vector exec(ref.system.applicationCount());
+        for (std::size_t a = 0; a < exec.size(); ++a) {
+          exec[a] = ref.system.appComputeSeconds(a, loads);
+        }
+        la::Vector bytes(ref.system.messageCount());
+        for (std::size_t k = 0; k < bytes.size(); ++k) {
+          bytes[k] = ref.system.messageBytes(k, loads);
+        }
+        des::PipelineOptions opts;
+        opts.generations = 50;
+        opts.serviceJitterCov = cov;
+        opts.jitterSeed = 0xB0D0ull + static_cast<std::uint64_t>(step);
+        opts.faults = inj ? &*inj : nullptr;
+
+        const des::PipelineResult full = des::simulatePipeline(
+            ref.system, exec, bytes, ref.qos.minThroughput, opts);
+        const des::PipelineVerdict v =
+            kernel.verdict(exec, bytes, ref.qos.minThroughput, bound, opts);
+        const bool ok = full.satisfies(bound);
+        SCOPED_TRACE("scale " + std::to_string(scale) + " cov " +
+                     std::to_string(cov));
+        EXPECT_EQ(v.satisfies, ok);
+        if (ok) {
+          EXPECT_FALSE(v.stoppedEarly);
+        }
+        if (!v.stoppedEarly) {
+          EXPECT_EQ(v.faults.retries, full.faults.retries);
+          EXPECT_EQ(v.faults.droppedMessages, full.faults.droppedMessages);
+          EXPECT_EQ(v.faults.downtimeSeconds, full.faults.downtimeSeconds);
+        }
+        satisfying += ok;
+        violating += !ok;
+        stopped += v.stoppedEarly;
+
+        // The same kernel's full run reproduces the fresh one.
+        const des::PipelineResult again =
+            kernel.simulate(exec, bytes, ref.qos.minThroughput, opts);
+        EXPECT_EQ(again.pathLatencies, full.pathLatencies);
+        EXPECT_EQ(again.machineUtilization, full.machineUtilization);
+        EXPECT_EQ(again.eventsProcessed, full.eventsProcessed);
+        EXPECT_EQ(again.faults.failovers, full.faults.failovers);
+      }
+    }
+  }
+  EXPECT_GT(satisfying, 0u);
+  EXPECT_GT(violating, 0u);
+  EXPECT_GT(stopped, 0u);
+  EXPECT_LT(stopped, violating);  // some violations only show at the end
 }
 
 TEST(DesPipeline, HigherLoadRaisesLatency) {
