@@ -88,6 +88,44 @@ void ThreadPool::exportMetrics(obs::Registry& out) {
   }
 }
 
+namespace {
+
+/// Rethrows `first`; when other tasks failed too, as a runtime_error
+/// whose message names `caller` and counts the suppressed failures.
+[[noreturn]] void rethrowAggregated(const std::exception_ptr& first,
+                                    std::size_t suppressed,
+                                    const char* caller) {
+  if (suppressed == 0) std::rethrow_exception(first);
+  const std::string suffix = std::string(" [") + caller + ": " +
+                             std::to_string(suppressed) +
+                             " additional task failure(s) suppressed]";
+  try {
+    std::rethrow_exception(first);
+  } catch (const std::exception& e) {
+    throw std::runtime_error(e.what() + suffix);
+  } catch (...) {
+    throw std::runtime_error("non-standard exception" + suffix);
+  }
+}
+
+/// Waits for every future, folding its failure into (first, suppressed).
+void drain(std::vector<std::future<void>>& futures, std::exception_ptr& first,
+           std::size_t& suppressed) {
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first) {
+        first = std::current_exception();
+      } else {
+        ++suppressed;
+      }
+    }
+  }
+}
+
+}  // namespace
+
 void parallelFor(ThreadPool& pool, std::size_t count,
                  const std::function<void(std::size_t)>& body) {
   if (!body) throw std::invalid_argument("parallel::parallelFor: null body");
@@ -122,18 +160,8 @@ void parallelFor(ThreadPool& pool, std::size_t count,
         }
       }
     }
-    if (!first) return;
-    if (suppressedInline == 0) std::rethrow_exception(first);
-    const std::string suffix =
-        " [parallelFor: " + std::to_string(suppressedInline) +
-        " additional task failure(s) suppressed]";
-    try {
-      std::rethrow_exception(first);
-    } catch (const std::exception& e) {
-      throw std::runtime_error(e.what() + suffix);
-    } catch (...) {
-      throw std::runtime_error("non-standard exception" + suffix);
-    }
+    if (first) rethrowAggregated(first, suppressedInline, "parallelFor");
+    return;
   }
 
   // Submission can itself fail (submit throws once shutdown started).
@@ -167,17 +195,7 @@ void parallelFor(ThreadPool& pool, std::size_t count,
   // rethrown message instead of vanishing silently.
   std::exception_ptr first;
   std::size_t suppressed = 0;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first) {
-        first = std::current_exception();
-      } else {
-        ++suppressed;
-      }
-    }
-  }
+  drain(futures, first, suppressed);
   if (submitFailure) {
     if (!first) {
       first = submitFailure;
@@ -185,17 +203,29 @@ void parallelFor(ThreadPool& pool, std::size_t count,
       ++suppressed;
     }
   }
-  if (!first) return;
-  if (suppressed == 0) std::rethrow_exception(first);
-  const std::string suffix = " [parallelFor: " + std::to_string(suppressed) +
-                             " additional task failure(s) suppressed]";
+  if (first) rethrowAggregated(first, suppressed, "parallelFor");
+}
+
+void forkJoin(ThreadPool& pool, std::size_t count,
+              const std::function<void(std::size_t)>& body) {
+  if (!body) throw std::invalid_argument("parallel::forkJoin: null body");
+  if (count == 0) return;
+  // Same audit contract as parallelFor: queued tasks reference `body`,
+  // so they are always drained before any failure propagates.
+  std::vector<std::future<void>> futures;
+  futures.reserve(count - 1);
+  std::exception_ptr first;
+  std::size_t suppressed = 0;
   try {
-    std::rethrow_exception(first);
-  } catch (const std::exception& e) {
-    throw std::runtime_error(e.what() + suffix);
+    for (std::size_t i = 1; i < count; ++i) {
+      futures.push_back(pool.submit([&body, i] { body(i); }));
+    }
+    body(0);
   } catch (...) {
-    throw std::runtime_error("non-standard exception" + suffix);
+    first = std::current_exception();
   }
+  drain(futures, first, suppressed);
+  if (first) rethrowAggregated(first, suppressed, "forkJoin");
 }
 
 }  // namespace fepia::parallel

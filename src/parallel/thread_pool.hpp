@@ -145,4 +145,12 @@ class ThreadPool {
 void parallelFor(ThreadPool& pool, std::size_t count,
                  const std::function<void(std::size_t)>& body);
 
+/// Runs body(0) on the calling thread and body(1) .. body(count-1) as
+/// one pool task each, and blocks until all complete. For a few
+/// equal-sized pieces of short work, where the caller would otherwise
+/// sit idle for one wake-up per fork-join. Failures are aggregated as
+/// in parallelFor. Throws std::invalid_argument on a null body.
+void forkJoin(ThreadPool& pool, std::size_t count,
+              const std::function<void(std::size_t)>& body);
+
 }  // namespace fepia::parallel

@@ -16,7 +16,9 @@ namespace fepia::sweep {
 namespace fs = std::filesystem;
 
 namespace {
-constexpr const char* kHeader = "fepia-sweep-pcache v1";
+// v2: the estimator's classification count became the pruned polish's
+// probe count, so a v1 entry's count is not what a recomputation gives.
+constexpr const char* kHeader = "fepia-sweep-pcache v2";
 }  // namespace
 
 PersistentCache::PersistentCache(const std::string& dir) : dir_(dir) {

@@ -14,10 +14,12 @@
 // process (`seg-<pid>-<rand>.seg`), so concurrent workers never
 // interleave writes in one file. Each segment is line-oriented:
 //
-//   fepia-sweep-pcache v1
+//   fepia-sweep-pcache v2
 //   entry <hexfloat-radius> <classifications> <content key ...>
 //
-// and every append is flushed. Crash debris is tolerated the same way
+// and every append is flushed. The version changes whenever a stored
+// value would no longer equal a recomputed one, so segments of another
+// version are skipped whole. Crash debris is tolerated the same way
 // the sweep journal tolerates it: a torn or malformed line (including a
 // newline-less tail from a killed writer) is quarantined — skipped and
 // counted — on open, valid lines before and after it still load, and a

@@ -34,17 +34,21 @@ void checkOptions(const EstimatorOptions& opts) {
 
 /// Builds the chunk predicates: called once per chunk id (0..chunks-1)
 /// before the parallel phase, plus once with id == chunks for the
-/// serial predicate used by the origin check and the polish. Lets the
-/// FeatureSet overload give every chunk its own BlockClassifier without
-/// the estimator knowing about classifiers.
+/// serial predicate used by the origin check and the polish (which also
+/// hands the pieces of a split ladder block to the chunk predicates).
+/// Lets the FeatureSet overload give every chunk its own BlockClassifier
+/// without the estimator knowing about classifiers.
 using BlockPredicateFactory =
     std::function<BlockSafePredicate(std::size_t chunkId)>;
 
 /// One ray's march/bisection state machine. advance() consumes exactly
-/// one safe/unsafe verdict per round, replicating the scalar loop of
-/// boundaryDistanceAlong (same probe sequence, same exit conditions,
-/// same final 0.5*(lo+hi)), so lockstep execution is bit-identical to
-/// per-ray execution.
+/// one safe/unsafe verdict per round, replicating the per-ray scalar
+/// loop: a geometric march from horizon * 2^-40 doubling up to the
+/// horizon, then bisection of the bracketing interval, finishing at
+/// 0.5*(lo+hi) (+inf when the whole ray stays safe). Rays that leave and
+/// re-enter the safe region below the march resolution are attributed
+/// to the first crossing the march sees (the same caveat as any sampling
+/// method on a non-convex region).
 struct RayState {
   enum class Phase { March, Bisect, Done };
 
@@ -133,54 +137,6 @@ class SingleLaneProbe {
   std::uint8_t verdict_ = 0;
 };
 
-/// First safe->unsafe transition distance along `u` from `origin`:
-/// geometric march from horizon * 2^-40 doubling up to the horizon, then
-/// bisection of the bracketing interval. Returns +inf when the whole ray
-/// stays safe. Rays that leave and re-enter the safe region below the
-/// march resolution are attributed to the first crossing the march sees
-/// (the same caveat as any sampling method on a non-convex region).
-/// Serial reference used by the polish; the chunk phase runs the same
-/// probe sequence through RayState in lockstep.
-double boundaryDistanceAlong(SingleLaneProbe& safe, std::size_t direction,
-                             const la::Vector& origin,
-                             const std::vector<double>& u,
-                             const EstimatorOptions& opts, la::Vector& probe,
-                             std::size_t& evals) {
-  const std::size_t n = origin.size();
-  const auto isSafeAt = [&](double t) {
-    for (std::size_t i = 0; i < n; ++i) probe[i] = origin[i] + t * u[i];
-    ++evals;
-    return safe(probe, direction);
-  };
-
-  double lo = 0.0;  // known safe (origin checked by the caller)
-  double hi = 0.0;
-  bool hit = false;
-  double t = std::ldexp(opts.horizon, -40);
-  for (;;) {
-    if (!isSafeAt(t)) {
-      hi = t;
-      hit = true;
-      break;
-    }
-    lo = t;
-    if (t >= opts.horizon) break;
-    t = std::min(2.0 * t, opts.horizon);
-  }
-  if (!hit) return std::numeric_limits<double>::infinity();
-
-  for (std::size_t it = 0; it < opts.bisectIterations; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    if (mid <= lo || mid >= hi) break;  // bracket at double resolution
-    if (isSafeAt(mid)) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return 0.5 * (lo + hi);
-}
-
 /// Confidence interval for the region radius from the directional
 /// sample. Every directional distance is >= the true radius, so the
 /// sample minimum m is a hard upper bound; the question is how far below
@@ -227,55 +183,214 @@ stats::Interval minimumCI(const std::vector<double>& finite, double m,
   return stats::Interval{std::max(0.0, m - std::max(spread, spacing)), m};
 }
 
-/// Deterministic pattern search on the direction sphere, started from
-/// the best sampled direction: perturb one coordinate at a time,
-/// renormalise, keep strict improvements, halve the step on a full
-/// sweep without one. Serial by design — runs after the parallel phase,
-/// so it cannot affect the thread-count invariance.
-double polishDirection(SingleLaneProbe& safe, std::size_t direction,
-                       const la::Vector& origin, std::vector<double> u,
-                       double d0, const EstimatorOptions& opts,
-                       la::Vector& probe, std::size_t& evals) {
-  const std::size_t n = u.size();
-  double best = d0;
-  double step = 0.25;
-  std::vector<double> v(n);
-  for (std::size_t sweep = 0; sweep < opts.polishSweeps && step > 1e-9;
-       ++sweep) {
-    bool improved = false;
-    for (std::size_t j = 0; j < n; ++j) {
-      for (const double sgn : {1.0, -1.0}) {
-        v = u;
-        v[j] += sgn * step;
-        if (opts.nonnegativeDirections && v[j] < 0.0) v[j] = 0.0;
-        double norm2 = 0.0;
-        for (const double x : v) norm2 += x * x;
-        if (!(norm2 > 0.0)) continue;
-        const double inv = 1.0 / std::sqrt(norm2);
-        for (double& x : v) x *= inv;
-        const double d = boundaryDistanceAlong(safe, direction, origin, v,
-                                               opts, probe, evals);
-        if (d < best) {
-          best = d;
-          u = v;
-          improved = true;
+/// How the polish classifies a candidate's ladder block.
+enum class LadderDispatch {
+  /// One call to the serial predicate: for a cheap kernel (the
+  /// FeatureSet overload's BlockClassifier), where a fork-join would
+  /// cost more than the whole block.
+  Serial,
+  /// Split by lane across the pool: the caller classifies the first
+  /// piece with the serial predicate and workers the others with the
+  /// chunk predicates, idle since the chunk phase ended. For opaque
+  /// predicates, where one lane can be a whole DES run.
+  Pool,
+};
+
+/// The polish: a deterministic pattern search on the direction sphere,
+/// started from the best sampled direction. It perturbs one coordinate
+/// at a time, renormalises, keeps strict improvements and halves the
+/// step after a sweep without one. The search itself is serial, so it
+/// cannot affect the thread-count invariance.
+///
+/// A candidate ray only matters if its boundary distance beats `best`,
+/// and it cannot once its known-safe distance lo reaches `best`, since
+/// the ray's distance 0.5*(lo+hi) is at least lo. So a candidate stops
+/// there, and its doubling ladder ends at the first rung >= best. All
+/// rungs of that ladder are known before the ray starts, so they are
+/// classified as one block; the bisection from the first unsafe rung
+/// stays serial. Every accept, and so every bit of the result, is that
+/// of the unpruned serial search.
+class Polish {
+ public:
+  /// `preds` are the estimator's chunk predicates with the serial one
+  /// last; `direction` is the id every probe passes.
+  Polish(const std::vector<BlockSafePredicate>& preds,
+         const la::Vector& origin, std::size_t direction,
+         const EstimatorOptions& opts, parallel::ThreadPool* pool,
+         LadderDispatch dispatch)
+      : serial_(preds.back(), origin.size()),
+        origin_(origin),
+        direction_(direction),
+        opts_(opts),
+        probe_(origin.size()) {
+    // Rung counts only shrink as `best` falls; the sampled radius is at
+    // most the horizon, so no ladder is longer than the full march.
+    const std::size_t maxRungs = rungsBelow(opts.horizon).size();
+    std::size_t pieces = 1;
+    if (dispatch == LadderDispatch::Pool && pool != nullptr &&
+        pool->threadCount() > 1) {
+      pieces = std::min({pool->threadCount(), preds.size(), maxRungs});
+      pool_ = pool;
+    }
+    const std::size_t capacity = (maxRungs + pieces - 1) / pieces;
+    pieces_.resize(pieces);
+    for (std::size_t p = 0; p < pieces; ++p) {
+      Piece& piece = pieces_[p];
+      piece.pred = p == 0 ? &preds.back() : &preds[p - 1];
+      piece.block = la::PointBlock(origin.size(), capacity);
+      piece.directions.assign(capacity, direction);
+      piece.verdicts.assign(capacity, 0);
+    }
+  }
+
+  /// Pattern search from direction `u` at sampled distance `d0`;
+  /// returns the polished radius.
+  double run(std::vector<double> u, double d0) {
+    const std::size_t n = u.size();
+    double best = d0;
+    std::vector<double> rungs = rungsBelow(best);
+    double step = 0.25;
+    std::vector<double> v(n);
+    for (std::size_t sweep = 0; sweep < opts_.polishSweeps && step > 1e-9;
+         ++sweep) {
+      bool improved = false;
+      for (std::size_t j = 0; j < n; ++j) {
+        for (const double sgn : {1.0, -1.0}) {
+          v = u;
+          v[j] += sgn * step;
+          if (opts_.nonnegativeDirections && v[j] < 0.0) v[j] = 0.0;
+          double norm2 = 0.0;
+          for (const double x : v) norm2 += x * x;
+          if (!(norm2 > 0.0)) continue;
+          const double inv = 1.0 / std::sqrt(norm2);
+          for (double& x : v) x *= inv;
+          const double d = distanceBelow(v, rungs, best);
+          if (d < best) {
+            best = d;
+            u = v;
+            improved = true;
+            rungs = rungsBelow(best);
+          }
         }
       }
+      if (!improved) step *= 0.5;
     }
-    if (!improved) step *= 0.5;
+    return best;
   }
-  return best;
-}
+
+  /// Probes the pruned serial search makes: the ladder up to its first
+  /// unsafe rung, then the bisection.
+  [[nodiscard]] std::size_t probes() const noexcept { return probes_; }
+  /// Ladder rungs classified past the first unsafe one.
+  [[nodiscard]] std::size_t speculative() const noexcept {
+    return speculative_;
+  }
+
+ private:
+  struct Piece {
+    const BlockSafePredicate* pred = nullptr;
+    la::PointBlock block;
+    std::vector<std::size_t> directions;
+    std::vector<std::uint8_t> verdicts;
+  };
+
+  /// The march's rungs horizon * 2^(k-40), doubling up to the horizon,
+  /// through the first one >= best.
+  [[nodiscard]] std::vector<double> rungsBelow(double best) const {
+    std::vector<double> rungs;
+    for (double t = std::ldexp(opts_.horizon, -40);;
+         t = std::min(2.0 * t, opts_.horizon)) {
+      rungs.push_back(t);
+      if (t >= best || t >= opts_.horizon) return rungs;
+    }
+  }
+
+  /// Index of the first unsafe rung along `v`, or rungs.size() when all
+  /// are safe. The ladder is split into equal lane ranges, one per
+  /// piece.
+  std::size_t firstUnsafe(const std::vector<double>& v,
+                          const std::vector<double>& rungs) {
+    const std::size_t count = rungs.size();
+    const std::size_t per = (count + pieces_.size() - 1) / pieces_.size();
+    const std::size_t used = (count + per - 1) / per;
+    const auto classify = [&](std::size_t p) {
+      Piece& piece = pieces_[p];
+      const std::size_t first = p * per;
+      const std::size_t lanes = std::min(per, count - first);
+      piece.block.setLanes(lanes);
+      for (std::size_t j = 0; j < v.size(); ++j) {
+        const std::span<double> row = piece.block.coordinate(j);
+        for (std::size_t l = 0; l < lanes; ++l) {
+          row[l] = origin_[j] + rungs[first + l] * v[j];
+        }
+      }
+      (*piece.pred)(
+          piece.block,
+          std::span<const std::size_t>(piece.directions.data(), lanes),
+          std::span<std::uint8_t>(piece.verdicts.data(), lanes));
+    };
+    if (used == 1) {
+      classify(0);
+    } else {
+      parallel::forkJoin(*pool_, used, classify);
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+      if (pieces_[i / per].verdicts[i % per] == 0) return i;
+    }
+    return count;
+  }
+
+  /// Boundary distance along `v`, or +inf once the ray can no longer
+  /// beat `best` (`rungs` is the ladder for `best`).
+  double distanceBelow(const std::vector<double>& v,
+                       const std::vector<double>& rungs, double best) {
+    const std::size_t k = firstUnsafe(v, rungs);
+    const std::size_t probed = std::min(k + 1, rungs.size());
+    probes_ += probed;
+    speculative_ += rungs.size() - probed;
+    if (k == rungs.size()) return std::numeric_limits<double>::infinity();
+    double lo = k == 0 ? 0.0 : rungs[k - 1];
+    double hi = rungs[k];
+    for (std::size_t it = 0; it < opts_.bisectIterations; ++it) {
+      const double mid = 0.5 * (lo + hi);
+      if (mid <= lo || mid >= hi) break;  // bracket at double resolution
+      for (std::size_t i = 0; i < v.size(); ++i) {
+        probe_[i] = origin_[i] + mid * v[i];
+      }
+      ++probes_;
+      if (!serial_(probe_, direction_)) {
+        hi = mid;
+      } else if (mid >= best) {
+        return std::numeric_limits<double>::infinity();
+      } else {
+        lo = mid;
+      }
+    }
+    return 0.5 * (lo + hi);
+  }
+
+  SingleLaneProbe serial_;
+  const la::Vector& origin_;
+  std::size_t direction_;
+  const EstimatorOptions& opts_;
+  la::Vector probe_;
+  parallel::ThreadPool* pool_ = nullptr;
+  std::vector<Piece> pieces_;
+  std::size_t probes_ = 0;
+  std::size_t speculative_ = 0;
+};
 
 /// The estimator core, shared by every public overload. Builds one
 /// block predicate per chunk (plus a serial one), runs the chunks'
 /// lockstep march/bisection — in parallel when a pool is given — and
 /// reduces in direction order. The bootstrap runs on the pool too, in
-/// blocks; the polish stays serial.
+/// blocks; the polish search is serial, its ladder blocks classified as
+/// `dispatch` says.
 EmpiricalEstimate runEstimator(const BlockPredicateFactory& factory,
                                const la::Vector& origin,
                                const EstimatorOptions& opts,
-                               parallel::ThreadPool* pool) {
+                               parallel::ThreadPool* pool,
+                               LadderDispatch dispatch) {
   checkOptions(opts);
   if (origin.empty()) {
     throw std::invalid_argument("validate: empty origin");
@@ -400,13 +515,13 @@ EmpiricalEstimate runEstimator(const BlockPredicateFactory& factory,
   if (!finite.empty()) {
     est.distanceSummary = stats::summarize(finite);
     if (opts.polishSweeps > 0) {
-      la::Vector probe(n);
-      std::size_t evals = 0;
-      est.radius = polishDirection(
-          serialProbe, est.criticalDirection, origin,
-          bestDirPerChunk[est.criticalDirection / opts.chunkSize], est.radius,
-          opts, probe, evals);
-      est.classifications += evals;
+      Polish polish(preds, origin, est.criticalDirection, opts, pool,
+                    dispatch);
+      est.radius = polish.run(
+          std::move(bestDirPerChunk[est.criticalDirection / opts.chunkSize]),
+          est.radius);
+      est.classifications += polish.probes();
+      est.speculativeProbes = polish.speculative();
     }
     est.ci = minimumCI(finite, est.radius, opts, pool);
   }
@@ -416,6 +531,7 @@ EmpiricalEstimate runEstimator(const BlockPredicateFactory& factory,
     reg.counters().bump("validate.directions", est.directions);
     reg.counters().bump("validate.classifications", est.classifications);
     reg.counters().bump("validate.boundary_hits", est.boundaryHits);
+    reg.counters().bump("validate.speculative_probes", est.speculativeProbes);
     obs::Histogram& chunkHist = reg.histogram(
         "validate.chunk_classifications",
         obs::Histogram::exponential(64.0, 4.0, 10).upperBounds());
@@ -463,7 +579,7 @@ EmpiricalEstimate estimateEmpiricalRadius(const IndexedSafePredicate& safe,
       }
     };
   };
-  return runEstimator(factory, origin, opts, pool);
+  return runEstimator(factory, origin, opts, pool, LadderDispatch::Pool);
 }
 
 EmpiricalEstimate estimateEmpiricalRadius(const BlockSafePredicate& safe,
@@ -476,7 +592,7 @@ EmpiricalEstimate estimateEmpiricalRadius(const BlockSafePredicate& safe,
   // One copy of the callable per chunk: value-captured scratch inside
   // the caller's predicate becomes per-chunk state automatically.
   return runEstimator([&safe](std::size_t) { return safe; }, origin, opts,
-                      pool);
+                      pool, LadderDispatch::Pool);
 }
 
 EmpiricalEstimate estimateEmpiricalRadius(const feature::FeatureSet& phi,
@@ -507,7 +623,8 @@ EmpiricalEstimate estimateEmpiricalRadius(const feature::FeatureSet& phi,
     };
   };
 
-  EmpiricalEstimate est = runEstimator(factory, origin, opts, pool);
+  EmpiricalEstimate est =
+      runEstimator(factory, origin, opts, pool, LadderDispatch::Serial);
   for (const auto& cls : classifiers) {
     if (cls) est.classifyStats.merge(cls->stats());
   }

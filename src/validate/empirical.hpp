@@ -18,8 +18,13 @@
 // those slots in index order after the parallel phase. The bootstrap
 // runs on the pool too, with the serial bits: its resamples go in blocks
 // that each start at their exact offset of the one bootstrap stream
-// (validate/bootstrap.hpp). The polish runs serially after the
-// parallel phase.
+// (validate/bootstrap.hpp). The polish's pattern search runs serially
+// after the parallel phase. It stops a candidate ray as soon as the ray
+// can no longer beat the best distance so far, and classifies each
+// candidate's doubling ladder as one block: in one call for the
+// FeatureSet overload, split across the pool for the predicate
+// overloads. Every verdict of a rung is the one the serial loop would
+// see, so the search takes the same path at any thread count.
 //
 // Within a chunk the rays advance in lockstep: each round gathers every
 // unfinished ray's next probe point into one SoA block (la::PointBlock)
@@ -73,7 +78,8 @@ using IndexedSafePredicate =
 /// points from many rays at different march/bisection depths. Must be
 /// deterministic per lane; the estimator copies the callable once per
 /// chunk, so scratch captured by value is per-chunk (not shared across
-/// threads).
+/// threads). The polish reuses those copies for the pieces of a ladder
+/// block, at most one piece per copy at a time.
 using BlockSafePredicate = std::function<void(
     const la::PointBlock& block, std::span<const std::size_t> directions,
     std::span<std::uint8_t> safeOut)>;
@@ -101,8 +107,10 @@ struct EstimatorOptions {
   /// Monte-Carlo phase. A directional minimum is biased upward — badly
   /// so in high dimension, where no ray lands near the optimal
   /// direction; the polish walks the best direction downhill and removes
-  /// most of that bias. Deterministic and serial (does not affect the
-  /// thread-count invariance). 0 disables.
+  /// most of that bias. Deterministic; the search is serial, and only
+  /// the classification of each candidate's ladder block may run on the
+  /// pool, so it does not affect the thread-count invariance. 0
+  /// disables.
   std::size_t polishSweeps = 48;
   /// Bootstrap confidence level for the radius interval.
   double confidence = 0.95;
@@ -117,7 +125,8 @@ struct EstimatorOptions {
   classify::Mode classifyMode = classify::Mode::Batched;
   /// Optional metrics sink. When set, the estimator records
   /// "validate.directions" / "validate.classifications" /
-  /// "validate.boundary_hits" counters and the per-chunk classification
+  /// "validate.boundary_hits" / "validate.speculative_probes" counters
+  /// and the per-chunk classification
   /// histogram "validate.chunk_classifications", all written serially
   /// after the parallel phase (never touched by worker threads, so the
   /// determinism contract is unaffected).
@@ -150,8 +159,17 @@ struct EmpiricalEstimate {
   /// Directions sampled / directions whose ray hit the boundary.
   std::size_t directions = 0;
   std::size_t boundaryHits = 0;
-  /// Total safe-predicate evaluations across all rays.
+  /// Safe-predicate evaluations the serial search makes: every probe of
+  /// the sampled rays, plus the polish's probes up to the point where a
+  /// candidate ray can no longer beat the best distance. The origin
+  /// check is not counted.
   std::size_t classifications = 0;
+  /// Polish ladder rungs classified past a candidate's first unsafe
+  /// rung: the ladder goes to the predicate as one block, so its later
+  /// rungs are classified although the search never reads them. The
+  /// predicate sees classifications + speculativeProbes + 1 lanes in
+  /// all.
+  std::size_t speculativeProbes = 0;
   /// Kernel work counters of the FeatureSet overload (blocks, lanes,
   /// f32 hits, double fallbacks), merged over all chunk classifiers in
   /// chunk order. Zero for the predicate overloads.

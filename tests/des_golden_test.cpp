@@ -264,7 +264,7 @@ TEST(DesGolden, FaultSimQueryMatchesPinnedReport) {
   EXPECT_EQ(between(json, "\"degraded\":", "}"),
             "\"degraded\": {\"radius\": 0.086529660733802027, \"ci_lo\": 0, "
             "\"ci_hi\": 0.086529660733802027, \"directions\": 32, "
-            "\"boundary_hits\": 31, \"classifications\": 21862}");
+            "\"boundary_hits\": 31, \"classifications\": 13395}");
 }
 
 TEST(DesGolden, ValidateDesRowMatchesPinnedReport) {
@@ -278,5 +278,5 @@ TEST(DesGolden, ValidateDesRowMatchesPinnedReport) {
             "1.3712053155421366, \"empirical\": 1.0002140116808333, "
             "\"relative_error\": -0.27055853682613795, \"ci\": [0, "
             "1.0002140116808333], \"within_ci\": false, \"directions\": 4, "
-            "\"boundary_hits\": 4, \"classifications\": 20241}");
+            "\"boundary_hits\": 4, \"classifications\": 10999}");
 }

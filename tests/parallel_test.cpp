@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "hiperd/factory.hpp"
 #include "radius/parallel_rho.hpp"
@@ -141,6 +143,43 @@ TEST(ParallelFor, SingleWorkerPoolRunsInlineWithSameSemantics) {
     EXPECT_NE(what.find("3 additional task failure"), std::string::npos)
         << what;
   }
+}
+
+TEST(ForkJoin, CallerRunsTheFirstPieceAndWorkersTheRest) {
+  parallel::ThreadPool pool(3);
+  const auto caller = std::this_thread::get_id();
+  std::vector<int> hits(5, 0);
+  std::vector<std::thread::id> ran(5);
+  parallel::forkJoin(pool, hits.size(), [&](std::size_t i) {
+    ++hits[i];
+    ran[i] = std::this_thread::get_id();
+  });
+  for (const int h : hits) EXPECT_EQ(h, 1);
+  EXPECT_EQ(ran[0], caller);
+  for (std::size_t i = 1; i < ran.size(); ++i) EXPECT_NE(ran[i], caller);
+  parallel::forkJoin(pool, 0, [](std::size_t) { FAIL(); });
+}
+
+TEST(ForkJoin, WaitsForEveryPieceAndAggregatesFailures) {
+  parallel::ThreadPool pool(2);
+  std::atomic<int> finished{0};
+  try {
+    // The caller's piece fails at once; the others must still finish
+    // before the failure propagates (they use the caller's frame).
+    parallel::forkJoin(pool, 4, [&](std::size_t i) {
+      if (i == 0) throw std::domain_error("caller piece");
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      finished.fetch_add(1);
+      if (i == 3) throw std::domain_error("worker piece");
+    });
+    FAIL() << "forkJoin should have thrown";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("caller piece"), std::string::npos) << what;
+    EXPECT_NE(what.find("1 additional task failure"), std::string::npos)
+        << what;
+  }
+  EXPECT_EQ(finished.load(), 3);
 }
 
 TEST(ParallelPool, SubmitAfterShutdownThrows) {

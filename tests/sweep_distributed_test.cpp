@@ -268,7 +268,7 @@ TEST(PersistentCache, TornSegmentLinesAreQuarantinedOnOpen) {
   }
   {
     std::ofstream torn(dir + "/seg-zz-torn.seg");
-    torn << "fepia-sweep-pcache v1\n"
+    torn << "fepia-sweep-pcache v2\n"
          << "entry 0x1.8p+0 7 survivor\n"
          << "entry 0x1.8p+0 7\n"        // missing key
          << "entry notadouble 7 key\n"  // bad radius
@@ -284,6 +284,20 @@ TEST(PersistentCache, TornSegmentLinesAreQuarantinedOnOpen) {
   EXPECT_TRUE(cache.lookup("good-key").has_value());
   EXPECT_TRUE(cache.lookup("survivor").has_value());
   EXPECT_FALSE(cache.lookup("orphan").has_value());
+}
+
+TEST(PersistentCache, OlderVersionSegmentIsSkippedWhole) {
+  const std::string dir = freshDir("pcache_v1");
+  std::filesystem::create_directories(dir);
+  {
+    std::ofstream old(dir + "/seg-zz-v1.seg");
+    old << "fepia-sweep-pcache v1\n"
+        << "entry 0x1.8p+0 7 stale\n";
+  }
+  sweep::PersistentCache cache(dir);
+  EXPECT_EQ(cache.loadedEntries(), 0u);
+  EXPECT_EQ(cache.quarantinedLines(), 1u);
+  EXPECT_FALSE(cache.lookup("stale").has_value());
 }
 
 // ---------------------------------------------------------------------
@@ -348,6 +362,46 @@ TEST(SweepDistributed, WarmPersistentCacheChangesNoByte) {
   }
   EXPECT_GT(warmHits, 0u);
   EXPECT_EQ(warmMisses, 0u);
+}
+
+TEST(SweepDistributed, OlderVersionCacheIsRecomputed) {
+  // A warm cache whose segments carry the previous version header and
+  // wrong values: every point must be recomputed, not served stale.
+  const sweep::SweepSpec spec = referenceSpec();
+  const std::string dir = freshDir("pcache_dist_v1");
+  const sweep::SweepSurface serial = sweep::runSweep(spec);
+  (void)runDistributed(spec, 2, {}, dir);
+  std::size_t segments = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path());
+    std::string line;
+    std::getline(in, line);
+    ASSERT_EQ(line, "fepia-sweep-pcache v2");
+    std::string entries;
+    while (std::getline(in, line)) {
+      std::istringstream ls(line);
+      std::string tag, radius, cls, key;
+      ls >> tag >> radius >> cls;
+      std::getline(ls >> std::ws, key);
+      entries += "entry 0x1p+0 1 " + key + "\n";
+    }
+    in.close();
+    std::ofstream(entry.path(), std::ios::trunc)
+        << "fepia-sweep-pcache v1\n" << entries;
+    ++segments;
+  }
+  ASSERT_GT(segments, 0u);
+
+  const DistRun rerun = runDistributed(spec, 2, {}, dir);
+  expectSameSurface(serial, rerun.surface, "older-version cache");
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  for (const auto& r : rerun.reports) {
+    hits += r.persistentHits;
+    misses += r.persistentMisses;
+  }
+  EXPECT_EQ(hits, 0u);
+  EXPECT_GT(misses, 0u);
 }
 
 TEST(SweepDistributed, ResumesAnInProcessJournal) {

@@ -63,6 +63,7 @@ void expectBitIdentical(const validate::EmpiricalEstimate& a,
   EXPECT_EQ(a.criticalDirection, b.criticalDirection) << what;
   EXPECT_EQ(a.boundaryHits, b.boundaryHits) << what;
   EXPECT_EQ(a.classifications, b.classifications) << what;
+  EXPECT_EQ(a.speculativeProbes, b.speculativeProbes) << what;
   ASSERT_EQ(a.distances.size(), b.distances.size()) << what;
   for (std::size_t i = 0; i < a.distances.size(); ++i) {
     EXPECT_EQ(bits(a.distances[i]), bits(b.distances[i]))
@@ -100,10 +101,12 @@ TEST(BatchedClassify, AllModesMatchScalarPredicateAcrossThreadsAndChunks) {
           const validate::EmpiricalEstimate serial =
               validate::estimateEmpiricalRadius(phi, origin, opts);
           expectBitIdentical(serial, ref, tag + " serial");
-          // The estimator does exactly one lane of work per scalar
-          // classification — batching reshapes the calls, not the work.
+          // One lane per counted classification, plus the polish ladder
+          // rungs classified past a candidate's first unsafe rung, plus
+          // the uncounted origin check. Batching reshapes the calls; the
+          // only extra work is the speculative rungs.
           EXPECT_EQ(serial.classifyStats.lanes,
-                    serial.classifications + 1)  // +1: uncounted origin check
+                    serial.classifications + serial.speculativeProbes + 1)
               << tag;
           for (const std::size_t threads :
                {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {

@@ -72,6 +72,7 @@ void expectIdentical(const validate::EmpiricalEstimate& a,
   EXPECT_EQ(a.criticalDirection, b.criticalDirection);
   EXPECT_EQ(a.boundaryHits, b.boundaryHits);
   EXPECT_EQ(a.classifications, b.classifications);
+  EXPECT_EQ(a.speculativeProbes, b.speculativeProbes);
   ASSERT_EQ(a.distances.size(), b.distances.size());
   EXPECT_EQ(std::memcmp(a.distances.data(), b.distances.data(),
                         a.distances.size() * sizeof(double)),
@@ -186,8 +187,8 @@ TEST(ValidateDeterminism, TailIsThreadCountInvariantAndPinned) {
   const la::Vector orig{0.5, 0.5, 0.5};
   const auto safe = pointPredicate(phi);
   for (const Pinned& pin :
-       {Pinned{false, 0x1.b5dfee40e7312p+1, 0x1.7d705505b5c07p+1, 53199, 286},
-        Pinned{true, 0x1.c2e7be66e84a4p+1, 0x1.1224f37179043p+1, 50468, 26}}) {
+       {Pinned{false, 0x1.b5dfee40e7312p+1, 0x1.7d705505b5c07p+1, 46256, 286},
+        Pinned{true, 0x1.c2e7be66e84a4p+1, 0x1.1224f37179043p+1, 45220, 26}}) {
     SCOPED_TRACE(pin.nonnegative ? "nonnegative" : "sphere");
     validate::EstimatorOptions opts = tailOptions();
     opts.nonnegativeDirections = pin.nonnegative;
