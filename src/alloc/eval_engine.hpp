@@ -38,7 +38,6 @@
 #include "la/matrix.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
-#include "trace/counters.hpp"
 
 namespace fepia::alloc {
 
@@ -164,10 +163,10 @@ class EvalEngine {
 
   /// The registry's counters (the pre-registry accessor; kept so
   /// existing call sites and tests read the same object).
-  [[nodiscard]] const trace::CounterSet& counters() const noexcept {
+  [[nodiscard]] const obs::CounterSet& counters() const noexcept {
     return metrics_.counters();
   }
-  [[nodiscard]] trace::CounterSet& counters() noexcept {
+  [[nodiscard]] obs::CounterSet& counters() noexcept {
     return metrics_.counters();
   }
 

@@ -45,6 +45,7 @@
 #include "la/matrix.hpp"
 #include "la/qr.hpp"
 #include "la/vector.hpp"
+#include "obs/metrics.hpp"
 #include "opt/boundary.hpp"
 #include "opt/nelder_mead.hpp"
 #include "opt/penalty.hpp"
@@ -70,7 +71,6 @@
 #include "sweep/journal.hpp"
 #include "sweep/output.hpp"
 #include "sweep/spec.hpp"
-#include "trace/counters.hpp"
 #include "trace/trace.hpp"
 #include "stats/histogram.hpp"
 #include "units/unit.hpp"

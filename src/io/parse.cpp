@@ -94,9 +94,14 @@ std::optional<std::uint64_t> parseUint64(const std::string& token) noexcept {
   if (token.front() == '-' || token.front() == '+' || std::isspace(first)) {
     return std::nullopt;
   }
+  // Base 10 unless 0x-prefixed: base 0 would read a leading zero as
+  // octal ("010" -> 8, "08" rejected).
+  const bool hex = token.size() > 1 && token[0] == '0' &&
+                   (token[1] == 'x' || token[1] == 'X');
   errno = 0;
   char* end = nullptr;
-  const unsigned long long v = std::strtoull(token.c_str(), &end, 0);
+  const unsigned long long v =
+      std::strtoull(token.c_str(), &end, hex ? 16 : 10);
   if (end != token.c_str() + token.size()) return std::nullopt;
   if (errno == ERANGE) return std::nullopt;
   return static_cast<std::uint64_t>(v);

@@ -15,11 +15,8 @@
 
 namespace fepia::io {
 
-namespace {
-
-/// Splits a line into tokens; double-quoted tokens may contain spaces.
-/// Throws std::invalid_argument on an unterminated quote.
-std::vector<std::string> tokenize(const std::string& line) {
+std::vector<std::string> tokenizeLine(const std::string& line,
+                                      std::size_t lineNo) {
   std::vector<std::string> out;
   std::size_t i = 0;
   while (i < line.size()) {
@@ -30,7 +27,7 @@ std::vector<std::string> tokenize(const std::string& line) {
     if (line[i] == '"') {
       const std::size_t end = line.find('"', i + 1);
       if (end == std::string::npos) {
-        throw std::invalid_argument("unterminated quote");
+        throw ParseError(lineNo, "unterminated quote");
       }
       out.push_back(line.substr(i + 1, end - i - 1));
       i = end + 1;
@@ -48,8 +45,9 @@ std::vector<std::string> tokenize(const std::string& line) {
 }
 
 // Full-token finite parse via the shared io/parse helper: "1.5x" and
-// "nan"/"inf" are rejected (unbounded sides are spelled with the
-// upper/lower directives, never with a literal inf).
+// "nan"/"inf" are rejected — unbounded sides are spelled with the
+// upper/lower directives, and no system-file quantity is legitimately
+// non-finite.
 double parseNumber(const std::string& token, std::size_t lineNo) {
   const std::optional<double> v = parseFiniteDouble(token);
   if (!v.has_value()) {
@@ -57,8 +55,6 @@ double parseNumber(const std::string& token, std::size_t lineNo) {
   }
   return *v;
 }
-
-}  // namespace
 
 std::string unitToken(const units::Unit& unit) {
   if (unit == units::Unit::dimensionless()) return "1";
@@ -108,12 +104,7 @@ radius::FepiaProblem parseProblem(std::istream& in) {
   std::size_t totalDim = 0;
   while (std::getline(in, line)) {
     ++lineNo;
-    std::vector<std::string> tokens;
-    try {
-      tokens = tokenize(line);
-    } catch (const std::invalid_argument& e) {
-      throw ParseError(lineNo, e.what());
-    }
+    const std::vector<std::string> tokens = tokenizeLine(line, lineNo);
     if (tokens.empty()) continue;
 
     if (tokens[0] == "kind") {

@@ -29,6 +29,7 @@
 #include <iosfwd>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "radius/fepia.hpp"
 
@@ -46,6 +47,15 @@ class ParseError : public std::runtime_error {
  private:
   std::size_t line_;
 };
+
+/// One line of a problem or system file as tokens: whitespace-separated,
+/// a double-quoted token may contain spaces, `#` starts a comment.
+/// Throws ParseError on an unterminated quote.
+[[nodiscard]] std::vector<std::string> tokenizeLine(const std::string& line,
+                                                    std::size_t lineNo);
+
+/// A finite number token (io::parseFiniteDouble); ParseError otherwise.
+[[nodiscard]] double parseNumber(const std::string& token, std::size_t lineNo);
 
 /// Parses a problem from a stream. Throws ParseError on malformed input
 /// and the usual library exceptions on semantically invalid problems

@@ -3,56 +3,12 @@
 #include <cmath>
 #include <fstream>
 #include <map>
-#include <optional>
 #include <sstream>
 #include <vector>
-
-#include "io/parse.hpp"
 
 namespace fepia::io {
 
 namespace {
-
-/// Shared with problem_io: whitespace tokenizer with quoted strings.
-std::vector<std::string> tokenizeLine(const std::string& line,
-                                      std::size_t lineNo) {
-  std::vector<std::string> out;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && std::isspace(static_cast<unsigned char>(line[i]))) {
-      ++i;
-    }
-    if (i >= line.size() || line[i] == '#') break;
-    if (line[i] == '"') {
-      const std::size_t end = line.find('"', i + 1);
-      if (end == std::string::npos) {
-        throw ParseError(lineNo, "unterminated quote");
-      }
-      out.push_back(line.substr(i + 1, end - i - 1));
-      i = end + 1;
-    } else {
-      std::size_t end = i;
-      while (end < line.size() &&
-             !std::isspace(static_cast<unsigned char>(line[end]))) {
-        ++end;
-      }
-      out.push_back(line.substr(i, end - i));
-      i = end;
-    }
-  }
-  return out;
-}
-
-// Full-token finite parse via the shared io/parse helper: "1.0abc" and
-// "nan"/"inf" are rejected — no load, bandwidth, time or size in a
-// system file is legitimately non-finite or junk-suffixed.
-double number(const std::string& token, std::size_t lineNo) {
-  const std::optional<double> v = parseFiniteDouble(token);
-  if (!v.has_value()) {
-    throw ParseError(lineNo, "expected a finite number, got '" + token + "'");
-  }
-  return *v;
-}
 
 /// Inserts name -> index, rejecting redefinitions: silently overwriting
 /// an entity would make later references resolve to the wrong object.
@@ -94,7 +50,8 @@ hiperd::ReferenceSystem parseSystem(std::istream& in) {
     try {
       if (kw == "sensor") {
         if (t.size() != 3) throw ParseError(lineNo, "sensor <name> <load>");
-        define(sensors, t[1], ref.system.addSensor({t[1], number(t[2], lineNo)}),
+        define(sensors, t[1],
+               ref.system.addSensor({t[1], parseNumber(t[2], lineNo)}),
                "sensor", lineNo);
       } else if (kw == "machine") {
         if (t.size() != 2) throw ParseError(lineNo, "machine <name>");
@@ -102,8 +59,9 @@ hiperd::ReferenceSystem parseSystem(std::istream& in) {
                lineNo);
       } else if (kw == "link") {
         if (t.size() != 3) throw ParseError(lineNo, "link <name> <bandwidth>");
-        define(links, t[1], ref.system.addLink({t[1], number(t[2], lineNo)}),
-               "link", lineNo);
+        define(links, t[1],
+               ref.system.addLink({t[1], parseNumber(t[2], lineNo)}), "link",
+               lineNo);
       } else if (kw == "app") {
         // app <name> <machine> <base> coeff <...>
         if (t.size() < 5 || t[4] != "coeff") {
@@ -113,9 +71,9 @@ hiperd::ReferenceSystem parseSystem(std::istream& in) {
         hiperd::Application a;
         a.name = t[1];
         a.machine = lookup(machines, t[2], "machine", lineNo);
-        a.baseComputeSeconds = number(t[3], lineNo);
+        a.baseComputeSeconds = parseNumber(t[3], lineNo);
         for (std::size_t i = 5; i < t.size(); ++i) {
-          a.loadCoeffSeconds.push_back(number(t[i], lineNo));
+          a.loadCoeffSeconds.push_back(parseNumber(t[i], lineNo));
         }
         const std::string appName = t[1];
         define(apps, appName, ref.system.addApplication(std::move(a)), "app",
@@ -132,9 +90,9 @@ hiperd::ReferenceSystem parseSystem(std::istream& in) {
         m.srcApp = lookup(apps, t[2], "app", lineNo);
         m.dstApp = lookup(apps, t[3], "app", lineNo);
         m.link = lookup(links, t[4], "link", lineNo);
-        m.baseBytes = number(t[5], lineNo);
+        m.baseBytes = parseNumber(t[5], lineNo);
         for (std::size_t i = 7; i < t.size(); ++i) {
-          m.loadCoeffBytes.push_back(number(t[i], lineNo));
+          m.loadCoeffBytes.push_back(parseNumber(t[i], lineNo));
         }
         const std::string msgName = t[1];
         define(messages, msgName, ref.system.addMessage(std::move(m)),
@@ -166,8 +124,8 @@ hiperd::ReferenceSystem parseSystem(std::istream& in) {
           throw ParseError(lineNo, "qos <min-throughput> <max-latency>");
         }
         if (haveQos) throw ParseError(lineNo, "duplicate 'qos' line");
-        ref.qos.minThroughput = number(t[1], lineNo);
-        ref.qos.maxLatencySeconds = number(t[2], lineNo);
+        ref.qos.minThroughput = parseNumber(t[1], lineNo);
+        ref.qos.maxLatencySeconds = parseNumber(t[2], lineNo);
         if (ref.qos.minThroughput <= 0.0 || ref.qos.maxLatencySeconds <= 0.0) {
           throw ParseError(lineNo, "qos values must be positive");
         }

@@ -219,4 +219,19 @@ class TelemetryHub {
   std::vector<std::string> records_;
 };
 
+/// Registers a live-gauge source on `hub` (nullptr: none) and unhooks it
+/// before the frame that feeds it dies — the sampler thread must never
+/// call into dead locals, including on early returns and exceptions.
+struct SourceGuard {
+  TelemetryHub* hub = nullptr;
+  std::size_t id = 0;
+  SourceGuard(TelemetryHub* h, TelemetryHub::SourceFn fn)
+      : hub(h), id(h != nullptr ? h->addSource(std::move(fn)) : 0) {}
+  SourceGuard(const SourceGuard&) = delete;
+  SourceGuard& operator=(const SourceGuard&) = delete;
+  ~SourceGuard() {
+    if (hub != nullptr) hub->removeSource(id);
+  }
+};
+
 }  // namespace fepia::obs

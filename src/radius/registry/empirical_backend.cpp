@@ -5,6 +5,12 @@
 // is one-sided: [ci.lo, rho] — the CI's lower end is engineered to
 // contain the true radius even in high dimension, the answer itself
 // cannot undershoot it.
+//
+// Classification goes through request.estimator.classifyMode (default
+// the SoA block kernels of src/classify). Every mode yields the same
+// probe sequences, evaluation counts and radius bits; Mode::Scalar is
+// kept as the reference the classify and validate_batched differentials
+// compare against.
 #include <algorithm>
 #include <cmath>
 #include <memory>
@@ -33,10 +39,11 @@ class EmpiricalBackend final : public Backend {
 
   double cost(const RadiusProblem& problem,
               const RadiusRequest& request) const override {
-    // Per feature: directions rays, each a march + ~60-step bisection of
-    // feature evaluations (~80 classifications per ray in practice).
+    // Per feature: directions rays, each a march + bisection; one SoA
+    // block call classifies a whole chunk front per round, so the
+    // per-classification constant is ~8 (see BENCH_validation.json).
     return static_cast<double>(problem.featureCount()) *
-           static_cast<double>(request.estimator.directions) * 80.0;
+           static_cast<double>(request.estimator.directions) * 8.0;
   }
 
   double unitsPerSecond() const noexcept override { return 1.0e6; }
@@ -54,16 +61,9 @@ class EmpiricalBackend final : public Backend {
 
   RadiusOutcome solve(const RadiusProblem& problem, const RadiusRequest& request,
                       parallel::ThreadPool* pool) const override {
-    // This kernel is the point-at-a-time reference: it pins the scalar
-    // classification path so "empirical" vs "empirical-batched" is a
-    // genuine scalar-vs-SoA differential (the two must still produce
-    // bit-identical radii; tests/backend_agreement_test.cpp and the
-    // validate_batched tests hold them to it).
-    validate::EstimatorOptions estimator = request.estimator;
-    estimator.classifyMode = classify::Mode::Scalar;
     auto v = std::make_shared<validate::SchemeValidation>(
         validate::validateMergedScheme(*problem.problem, problem.scheme,
-                                       estimator, pool));
+                                       request.estimator, pool));
     RadiusOutcome out;
     out.rho = v->rho.empirical.radius;
     if (out.finite()) {

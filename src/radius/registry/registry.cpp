@@ -11,8 +11,7 @@ BackendRegistry& BackendRegistry::instance() {
   // so the sum cannot be folded away together with the calls.
   [[maybe_unused]] static volatile int anchors =
       detail::anchorAnalyticBackend() + detail::anchorNumericBackend() +
-      detail::anchorEmpiricalBackend() +
-      detail::anchorEmpiricalBatchedBackend() + detail::anchorDegradedBackend();
+      detail::anchorEmpiricalBackend() + detail::anchorDegradedBackend();
   static BackendRegistry registry;
   return registry;
 }

@@ -59,7 +59,6 @@ namespace detail {
 int anchorAnalyticBackend();
 int anchorNumericBackend();
 int anchorEmpiricalBackend();
-int anchorEmpiricalBatchedBackend();
 int anchorDegradedBackend();
 }  // namespace detail
 

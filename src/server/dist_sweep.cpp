@@ -1,18 +1,11 @@
 #include "server/dist_sweep.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -23,7 +16,9 @@
 #include <utility>
 #include <vector>
 
+#include "io/parse.hpp"
 #include "obs/clock.hpp"
+#include "server/listener.hpp"
 #include "sweep/cache.hpp"
 #include "sweep/journal.hpp"
 #include "sweep/lease.hpp"
@@ -32,18 +27,10 @@
 namespace fepia::server {
 namespace {
 
-constexpr int kAcceptPollMillis = 100;
 constexpr int kWaitRetryMillis = 100;
 /// After the last shard commits, how long the coordinator keeps serving
 /// so connected workers can hear "drained" and leave cleanly.
 constexpr double kDrainGraceSeconds = 10.0;
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return std::string(buf);
-}
 
 // JSON builders over the wire value type — requests and replies are
 // assembled as JsonValue trees and serialized, never hand-concatenated,
@@ -92,24 +79,10 @@ std::string errorReply(const std::string& code, const std::string& message) {
                                              {"message", jStr(message)}})}}));
 }
 
-/// Decimal-string round trip for std::size_t / uint64 — JSON numbers
-/// are doubles and could silently round a large classification count.
-bool parseU64(const std::string& s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return false;
-    if (v > (UINT64_MAX - static_cast<std::uint64_t>(c - '0')) / 10u) {
-      return false;
-    }
-    v = v * 10u + static_cast<std::uint64_t>(c - '0');
-  }
-  out = v;
-  return true;
-}
-
 /// One commit row: [id, analytic, closed, empirical, degraded, makespan,
-/// classifications], doubles in the journal's exact hexfloat form.
+/// classifications], doubles in the journal's exact hexfloat form and
+/// counts as decimal strings (a JSON number is a double and could round
+/// a large classification count).
 JsonValue encodePointRow(std::size_t id, const sweep::PointResult& r) {
   JsonArray row;
   row.push_back(jStr(std::to_string(id)));
@@ -130,8 +103,8 @@ bool decodePointRow(const JsonValue& row, std::size_t expectId,
   for (const JsonValue& cell : row.array) {
     if (!cell.isString()) return false;
   }
-  std::uint64_t id = 0;
-  if (!parseU64(row.array[0].string, id) || id != expectId) return false;
+  const std::optional<std::uint64_t> id = io::parseUint64(row.array[0].string);
+  if (!id.has_value() || *id != expectId) return false;
   if (!sweep::parseJournalDouble(row.array[1].string, out.analyticRho) ||
       !sweep::parseJournalDouble(row.array[2].string, out.closedForm) ||
       !sweep::parseJournalDouble(row.array[3].string, out.empirical) ||
@@ -139,7 +112,10 @@ bool decodePointRow(const JsonValue& row, std::size_t expectId,
       !sweep::parseJournalDouble(row.array[5].string, out.makespan)) {
     return false;
   }
-  return parseU64(row.array[6].string, out.classifications);
+  const std::optional<std::uint64_t> cls = io::parseUint64(row.array[6].string);
+  if (!cls.has_value()) return false;
+  out.classifications = *cls;
+  return true;
 }
 
 const JsonValue* findString(const JsonValue& req, const char* key) {
@@ -191,22 +167,7 @@ struct SweepCoordinator::Impl {
   std::uint64_t steals = 0;
   std::uint64_t pointsDone = 0;
 
-  // Listener plumbing (mirrors server.cpp: poll-based acceptor woken
-  // by shutdown(2), reader thread per connection, fds closed only
-  // after their reader joined).
-  int listenFd = -1;
-  std::atomic<bool> stopping{false};
-  std::thread acceptor;
-  struct Conn {
-    int fd = -1;
-    std::thread reader;
-    std::atomic<bool> done{false};
-  };
-  std::mutex connsMutex;
-  std::vector<std::unique_ptr<Conn>> conns;
-  std::size_t sourceId = 0;
-  bool sourceAdded = false;
-  bool torndown = false;
+  std::optional<obs::SourceGuard> telemetrySource;
 
   void logLine(const std::string& line) {
     if (cfg.log == nullptr) return;
@@ -233,10 +194,13 @@ struct SweepCoordinator::Impl {
   std::string handleCommit(const JsonValue& req, const std::string& helloName);
   std::string handleHeartbeat(const JsonValue& req);
   std::string handle(const JsonValue& req, std::string& helloName);
-  void readerLoop(Conn* conn);
-  void acceptorLoop();
-  void reapDone(bool all);
+  /// The per-connection frame loop the listener runs on each reader.
+  void readerLoop(const std::shared_ptr<Connection>& conn);
   void teardown();
+
+  // Last: its readers use every member above.
+  Listener listener{
+      [this](const std::shared_ptr<Connection>& conn) { readerLoop(conn); }};
 };
 
 std::string SweepCoordinator::Impl::handleHello(const JsonValue& req,
@@ -429,7 +393,8 @@ std::string SweepCoordinator::Impl::handle(const JsonValue& req,
   return errorReply("bad_request", "unknown kind '" + kind->string + "'");
 }
 
-void SweepCoordinator::Impl::readerLoop(Conn* conn) {
+void SweepCoordinator::Impl::readerLoop(
+    const std::shared_ptr<Connection>& conn) {
   std::string helloName;
   for (;;) {
     const Frame frame = readFrame(conn->fd, cfg.maxFrameBytes);
@@ -439,7 +404,7 @@ void SweepCoordinator::Impl::readerLoop(Conn* conn) {
     const std::string reply = req.has_value()
                                   ? handle(*req, helloName)
                                   : errorReply("bad_frame", parseError);
-    if (!writeFrame(conn->fd, reply)) break;
+    if (!conn->write(reply)) break;
   }
   if (!helloName.empty()) {
     std::vector<std::size_t> reissued;
@@ -467,73 +432,11 @@ void SweepCoordinator::Impl::readerLoop(Conn* conn) {
     }
     cv.notify_all();
   }
-  conn->done.store(true, std::memory_order_release);
-}
-
-void SweepCoordinator::Impl::reapDone(bool all) {
-  const std::lock_guard<std::mutex> lock(connsMutex);
-  auto it = conns.begin();
-  while (it != conns.end()) {
-    Conn& c = **it;
-    if (!all && !c.done.load(std::memory_order_acquire)) {
-      ++it;
-      continue;
-    }
-    if (c.reader.joinable()) c.reader.join();
-    if (c.fd >= 0) ::close(c.fd);
-    it = conns.erase(it);
-  }
-}
-
-void SweepCoordinator::Impl::acceptorLoop() {
-  while (!stopping.load(std::memory_order_acquire)) {
-    pollfd pfd{};
-    pfd.fd = listenFd;
-    pfd.events = POLLIN;
-    const int ready = ::poll(&pfd, 1, kAcceptPollMillis);
-    reapDone(false);
-    if (ready <= 0) continue;
-    const int fd = ::accept(listenFd, nullptr, nullptr);
-    if (fd < 0) continue;
-    // Register under connsMutex *before* spawning the reader, and
-    // re-check stopping under the same lock: teardown's conn-shutdown
-    // sweep also holds it, so a connection either lands in the list in
-    // time to be shut down or observes stopping and is dropped here.
-    const std::lock_guard<std::mutex> lock(connsMutex);
-    if (stopping.load(std::memory_order_acquire)) {
-      ::close(fd);
-      break;
-    }
-    auto conn = std::make_unique<Conn>();
-    conn->fd = fd;
-    Conn* raw = conn.get();
-    conns.push_back(std::move(conn));
-    raw->reader = std::thread([this, raw] { readerLoop(raw); });
-  }
 }
 
 void SweepCoordinator::Impl::teardown() {
-  if (!torndown) {
-    torndown = true;
-    {
-      const std::lock_guard<std::mutex> lock(connsMutex);
-      stopping.store(true, std::memory_order_release);
-      for (const std::unique_ptr<Conn>& c : conns) {
-        if (c->fd >= 0) ::shutdown(c->fd, SHUT_RDWR);
-      }
-    }
-    if (listenFd >= 0) ::shutdown(listenFd, SHUT_RDWR);
-  }
-  if (acceptor.joinable()) acceptor.join();
-  reapDone(true);
-  if (listenFd >= 0) {
-    ::close(listenFd);
-    listenFd = -1;
-  }
-  if (sourceAdded && cfg.telemetry != nullptr) {
-    cfg.telemetry->removeSource(sourceId);
-    sourceAdded = false;
-  }
+  listener.stop();
+  telemetrySource.reset();
 }
 
 SweepCoordinator::SweepCoordinator(sweep::SweepSpec spec, DistSweepConfig cfg)
@@ -548,43 +451,21 @@ SweepCoordinator::~SweepCoordinator() {
 
 bool SweepCoordinator::start(std::string* error) {
   Impl& im = *impl_;
-  im.points = im.spec.pointCount();
-  im.chunk = im.cfg.chunkOverride != 0 ? im.cfg.chunkOverride : im.spec.chunk;
-  if (im.chunk == 0) im.chunk = 1;
-  im.shards = im.points == 0 ? 0 : (im.points + im.chunk - 1) / im.chunk;
-  im.specHashHex = hex16(im.spec.hash());
-
-  sweep::SweepSurface& surface = im.surface;
-  surface.points = im.points;
-  surface.chunk = im.chunk;
-  surface.shards = im.shards;
-  surface.results.assign(im.points, sweep::PointResult{});
-  surface.computed.assign(im.points, 0);
-
-  std::vector<bool> shardDone(im.shards, false);
-  if (im.cfg.resume) {
-    if (im.cfg.journalPath.empty()) {
-      throw std::invalid_argument(
-          "sweep coordinator: --resume requires a journal path");
-    }
-    const sweep::JournalContents replay =
-        sweep::readJournal(im.cfg.journalPath, im.spec.hash(), im.points,
-                           im.chunk, im.shards);
-    shardDone = replay.shardDone;
-    for (std::size_t s = 0; s < im.shards; ++s) {
-      if (!shardDone[s]) continue;
-      const std::size_t first = s * im.chunk;
-      const std::size_t count = im.shardCount(s);
-      for (std::size_t i = 0; i < count; ++i) {
-        surface.results[first + i] = replay.results[first + i];
-        surface.computed[first + i] = 1;
-      }
-      ++surface.resumedShards;
-    }
+  if (im.cfg.resume && im.cfg.journalPath.empty()) {
+    throw std::invalid_argument(
+        "sweep coordinator: --resume requires a journal path");
   }
+  im.surface = sweep::initialSurface(im.spec, im.cfg.chunkOverride,
+                                     im.cfg.resume, im.cfg.journalPath);
+  const sweep::SweepSurface& surface = im.surface;
+  im.points = surface.points;
+  im.chunk = surface.chunk;
+  im.shards = surface.shards;
+  im.specHashHex = sweep::formatSpecHash(im.spec.hash());
+
   std::vector<std::size_t> pending;
   for (std::size_t s = 0; s < im.shards; ++s) {
-    if (!shardDone[s]) {
+    if (!surface.computed[s * im.chunk]) {
       pending.push_back(s);
       im.pendingPoints += im.shardCount(s);
     }
@@ -596,69 +477,32 @@ bool SweepCoordinator::start(std::string* error) {
                     im.points, im.chunk);
   }
 
-  // Socket setup, same recipe as Server::start.
-  im.listenFd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (im.listenFd < 0) {
-    if (error != nullptr) *error = "socket: " + std::string(strerror(errno));
-    return false;
-  }
-  const int one = 1;
-  ::setsockopt(im.listenFd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(im.cfg.port);
-  if (::inet_pton(AF_INET, im.cfg.bindAddress.c_str(), &addr.sin_addr) != 1) {
-    if (error != nullptr) {
-      *error = "bad bind address '" + im.cfg.bindAddress + "'";
-    }
-    ::close(im.listenFd);
-    im.listenFd = -1;
-    return false;
-  }
-  if (::bind(im.listenFd, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0 ||
-      ::listen(im.listenFd, SOMAXCONN) != 0) {
-    if (error != nullptr) {
-      *error = "bind/listen " + im.cfg.bindAddress + ":" +
-               std::to_string(im.cfg.port) + ": " + strerror(errno);
-    }
-    ::close(im.listenFd);
-    im.listenFd = -1;
-    return false;
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(im.listenFd, reinterpret_cast<sockaddr*>(&bound), &len) ==
-      0) {
-    port_ = ntohs(bound.sin_port);
-  }
-
   im.lastProgressAt = im.clock.elapsedSeconds();
-  if (im.cfg.telemetry != nullptr) {
-    Impl* imp = impl_.get();
-    im.sourceId = im.cfg.telemetry->addSource([imp](obs::Registry& reg) {
-      const std::lock_guard<std::mutex> lock(imp->statsMutex);
-      reg.setGauge("sweep.dist_live_workers",
-                   static_cast<double>(imp->liveWorkers));
-      reg.setGauge("sweep.dist_points_done",
-                   static_cast<double>(imp->pointsDone));
-      reg.setGauge("sweep.dist_points_total",
-                   static_cast<double>(imp->pendingPoints));
-      reg.setGauge("sweep.dist_shards_committed",
-                   static_cast<double>(imp->commits));
-      reg.setGauge("sweep.dist_reissues", static_cast<double>(imp->reissues));
-      reg.setGauge("sweep.dist_steals", static_cast<double>(imp->steals));
-      reg.setGauge("sweep.dist_duplicate_commits",
-                   static_cast<double>(imp->duplicateCommits));
-      for (const auto& [name, count] : imp->workerCommits) {
-        reg.setGauge("sweep.dist_worker_commits." + name,
-                     static_cast<double>(count));
-      }
-    });
-    im.sourceAdded = true;
+  if (!im.listener.start(im.cfg.bindAddress, im.cfg.port, error)) {
+    return false;
   }
+  port_ = im.listener.port();
+  Impl* imp = impl_.get();
+  im.telemetrySource.emplace(im.cfg.telemetry, [imp](obs::Registry& reg) {
+    const std::lock_guard<std::mutex> lock(imp->statsMutex);
+    reg.setGauge("sweep.dist_live_workers",
+                 static_cast<double>(imp->liveWorkers));
+    reg.setGauge("sweep.dist_points_done",
+                 static_cast<double>(imp->pointsDone));
+    reg.setGauge("sweep.dist_points_total",
+                 static_cast<double>(imp->pendingPoints));
+    reg.setGauge("sweep.dist_shards_committed",
+                 static_cast<double>(imp->commits));
+    reg.setGauge("sweep.dist_reissues", static_cast<double>(imp->reissues));
+    reg.setGauge("sweep.dist_steals", static_cast<double>(imp->steals));
+    reg.setGauge("sweep.dist_duplicate_commits",
+                 static_cast<double>(imp->duplicateCommits));
+    for (const auto& [name, count] : imp->workerCommits) {
+      reg.setGauge("sweep.dist_worker_commits." + name,
+                   static_cast<double>(count));
+    }
+  });
 
-  im.acceptor = std::thread([imp = impl_.get()] { imp->acceptorLoop(); });
   im.logLine("coordinator: serving " + std::to_string(im.shards -
              surface.resumedShards) + " shard(s) of " +
              std::to_string(im.shards) + " (" + std::to_string(im.points) +
@@ -866,7 +710,7 @@ SweepWorkerReport runSweepWorker(const sweep::SweepSpec& spec,
 
   const JsonValue hello =
       jObj({{"kind", jStr("hello")},
-            {"spec_hash", jStr(hex16(spec.hash()))},
+            {"spec_hash", jStr(sweep::formatSpecHash(spec.hash()))},
             {"points", jNum(static_cast<double>(spec.pointCount()))},
             {"worker", jStr(name)}});
   const std::optional<JsonValue> welcome = rpc(fd, hello, cfg.maxFrameBytes);
@@ -891,32 +735,22 @@ SweepWorkerReport runSweepWorker(const sweep::SweepSpec& spec,
   // Live gauges for the worker process's own telemetry hub.
   std::atomic<std::uint64_t> pointsDoneA{0};
   std::atomic<std::uint64_t> shardsDoneA{0};
-  std::size_t sourceId = 0;
-  if (cfg.telemetry != nullptr) {
-    sourceId = cfg.telemetry->addSource(
-        [&pointsDoneA, &shardsDoneA, pc = persistent.get()](
-            obs::Registry& reg) {
-          reg.setGauge("sweep.worker_points_computed",
-                       static_cast<double>(
-                           pointsDoneA.load(std::memory_order_relaxed)));
-          reg.setGauge("sweep.worker_shards_computed",
-                       static_cast<double>(
-                           shardsDoneA.load(std::memory_order_relaxed)));
-          if (pc != nullptr) {
-            reg.setGauge("sweep.live_persistent_hits",
-                         static_cast<double>(pc->hits()));
-            reg.setGauge("sweep.live_persistent_misses",
-                         static_cast<double>(pc->misses()));
-          }
-        });
-  }
-  struct SourceGuard {
-    obs::TelemetryHub* hub;
-    std::size_t id;
-    ~SourceGuard() {
-      if (hub != nullptr) hub->removeSource(id);
-    }
-  } sourceGuard{cfg.telemetry, sourceId};
+  const obs::SourceGuard sourceGuard(
+      cfg.telemetry,
+      [&pointsDoneA, &shardsDoneA, pc = persistent.get()](obs::Registry& reg) {
+        reg.setGauge("sweep.worker_points_computed",
+                     static_cast<double>(
+                         pointsDoneA.load(std::memory_order_relaxed)));
+        reg.setGauge("sweep.worker_shards_computed",
+                     static_cast<double>(
+                         shardsDoneA.load(std::memory_order_relaxed)));
+        if (pc != nullptr) {
+          reg.setGauge("sweep.live_persistent_hits",
+                       static_cast<double>(pc->hits()));
+          reg.setGauge("sweep.live_persistent_misses",
+                       static_cast<double>(pc->misses()));
+        }
+      });
 
   HeartbeatThread heartbeat(cfg, name, leaseMs);
 

@@ -10,7 +10,6 @@
 #include "server/query.hpp"
 
 #include <atomic>
-#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -25,6 +24,7 @@
 #include "io/problem_io.hpp"
 #include "io/system_io.hpp"
 #include "obs/clock.hpp"
+#include "obs/json.hpp"
 #include "radius/registry/scheduler.hpp"
 #include "server/dist_sweep.hpp"
 #include "server/session_cache.hpp"
@@ -176,15 +176,6 @@ void emitTable(std::ostream& out, const report::Table& table, bool csv) {
     table.print(out);
   }
   out << '\n';
-}
-
-std::string jsonNum(double x) {
-  if (!std::isfinite(x)) return "null";
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os.precision(17);
-  os << x;
-  return os.str();
 }
 
 void printMerged(std::ostream& out, const radius::FepiaProblem& problem,
@@ -368,13 +359,13 @@ QueryResult runValidateQuery(const std::vector<std::string>& args,
   // plus pool occupancy when a pool exists.
   std::atomic<std::uint64_t> liveClassifications{0};
   opts.liveClassifications = &liveClassifications;
-  const SourceGuard probeGauge(
+  const obs::SourceGuard probeGauge(
       ctx.hub, [&liveClassifications](obs::Registry& reg) {
         reg.setGauge("validate.live_classifications",
                      static_cast<double>(liveClassifications.load(
                          std::memory_order_relaxed)));
       });
-  const SourceGuard poolGauges(
+  const obs::SourceGuard poolGauges(
       pool.pool != nullptr ? ctx.hub : nullptr,
       [p = pool.pool](obs::Registry& reg) { p->liveGauges(reg); });
 
@@ -614,7 +605,7 @@ QueryResult runFaultSimQuery(const std::vector<std::string>& args,
   fault::LiveFaultStats liveFaults;
   est.liveClassifications = &liveClassifications;
   dopts.live = &liveFaults;
-  const SourceGuard faultGauges(
+  const obs::SourceGuard faultGauges(
       ctx.hub, [&liveClassifications, &liveFaults](obs::Registry& reg) {
         reg.setGauge("validate.live_classifications",
                      static_cast<double>(liveClassifications.load(
@@ -629,7 +620,7 @@ QueryResult runFaultSimQuery(const std::vector<std::string>& args,
                      static_cast<double>(liveFaults.droppedMessages.load(
                          std::memory_order_relaxed)));
       });
-  const SourceGuard poolGauges(
+  const obs::SourceGuard poolGauges(
       pool.pool != nullptr ? ctx.hub : nullptr,
       [p = pool.pool](obs::Registry& reg) { p->liveGauges(reg); });
 
@@ -713,7 +704,9 @@ QueryResult runFaultSimQuery(const std::vector<std::string>& args,
       for (std::size_t i = 0; i < p0->crashes.size(); ++i) {
         const fault::MachineCrash& c = p0->crashes[i];
         js << (i ? ", " : "") << "{\"machine\": " << c.machine
-           << ", \"at_seconds\": " << jsonNum(c.atSeconds) << ", \"backup\": "
+           << ", \"at_seconds\": ";
+        obs::writeJsonNumber(js, c.atSeconds);
+        js << ", \"backup\": "
            << (c.backup.has_value() ? std::to_string(*c.backup) : "null")
            << "}";
       }
@@ -725,40 +718,51 @@ QueryResult runFaultSimQuery(const std::vector<std::string>& args,
         js << (i ? ", " : "") << "{\"target\": \""
            << (s.target == fault::Slowdown::Target::Machine ? "machine"
                                                             : "link")
-           << "\", \"index\": " << s.index << ", \"from_seconds\": "
-           << jsonNum(s.fromSeconds) << ", \"to_seconds\": "
-           << jsonNum(s.toSeconds) << ", \"factor\": " << jsonNum(s.factor)
-           << "}";
+           << "\", \"index\": " << s.index << ", \"from_seconds\": ";
+        obs::writeJsonNumber(js, s.fromSeconds);
+        js << ", \"to_seconds\": ";
+        obs::writeJsonNumber(js, s.toSeconds);
+        js << ", \"factor\": ";
+        obs::writeJsonNumber(js, s.factor);
+        js << "}";
       }
     }
     js << "],\n    \"losses\": [";
     if (p0 != nullptr) {
       for (std::size_t i = 0; i < p0->losses.size(); ++i) {
         js << (i ? ", " : "") << "{\"link\": " << p0->losses[i].link
-           << ", \"probability\": " << jsonNum(p0->losses[i].probability)
-           << "}";
+           << ", \"probability\": ";
+        obs::writeJsonNumber(js, p0->losses[i].probability);
+        js << "}";
       }
     }
     js << "]\n  },\n  \"nominal\": {\"satisfies\": "
        << (d.nominalSatisfies ? "true" : "false")
-       << ", \"max_observed_latency\": " << jsonNum(d.nominal.maxObservedLatency)
-       << ", \"throughput_sustained\": "
+       << ", \"max_observed_latency\": ";
+    obs::writeJsonNumber(js, d.nominal.maxObservedLatency);
+    js << ", \"throughput_sustained\": "
        << (d.nominal.throughputSustained ? "true" : "false")
        << ", \"incomplete_observations\": " << d.nominal.incompleteObservations
        << ",\n    \"counters\": {\"failovers\": " << fc.failovers
        << ", \"lost_messages\": " << fc.lostMessages << ", \"retries\": "
        << fc.retries << ", \"dropped_messages\": " << fc.droppedMessages
        << ", \"unrecovered_jobs\": " << fc.unrecoveredJobs
-       << ", \"downtime_seconds\": " << jsonNum(fc.downtimeSeconds)
-       << ", \"backoff_wait_seconds\": " << jsonNum(fc.backoffWaitSeconds)
-       << "}},\n  \"degraded\": {\"radius\": " << jsonNum(d.degraded.radius)
-       << ", \"ci_lo\": " << jsonNum(d.degraded.ci.lo) << ", \"ci_hi\": "
-       << jsonNum(d.degraded.ci.hi) << ", \"directions\": "
-       << d.degraded.directions << ", \"boundary_hits\": "
-       << d.degraded.boundaryHits << ", \"classifications\": "
-       << d.degraded.classifications << "},\n  \"analytic\": {\"rho\": "
-       << jsonNum(d.analyticRho) << ", \"critical_feature\": \""
-       << d.criticalFeature << "\"}\n}\n";
+       << ", \"downtime_seconds\": ";
+    obs::writeJsonNumber(js, fc.downtimeSeconds);
+    js << ", \"backoff_wait_seconds\": ";
+    obs::writeJsonNumber(js, fc.backoffWaitSeconds);
+    js << "}},\n  \"degraded\": {\"radius\": ";
+    obs::writeJsonNumber(js, d.degraded.radius);
+    js << ", \"ci_lo\": ";
+    obs::writeJsonNumber(js, d.degraded.ci.lo);
+    js << ", \"ci_hi\": ";
+    obs::writeJsonNumber(js, d.degraded.ci.hi);
+    js << ", \"directions\": " << d.degraded.directions
+       << ", \"boundary_hits\": " << d.degraded.boundaryHits
+       << ", \"classifications\": " << d.degraded.classifications
+       << "},\n  \"analytic\": {\"rho\": ";
+    obs::writeJsonNumber(js, d.analyticRho);
+    js << ", \"critical_feature\": \"" << d.criticalFeature << "\"}\n}\n";
     finishJson(result, jsonPath, js.str());
   }
   result.exitCode = d.nominalSatisfies ? 0 : 2;
@@ -997,7 +1001,7 @@ QueryResult runSweepQuery(const std::vector<std::string>& args,
   if (ctx.cache != nullptr) opts.sharedCache = &ctx.cache->sweepCache();
 
   const PoolHandle pool = makePool(ctx, threads);
-  const SourceGuard poolGauges(
+  const obs::SourceGuard poolGauges(
       pool.pool != nullptr ? ctx.hub : nullptr,
       [p = pool.pool](obs::Registry& reg) { p->liveGauges(reg); });
 

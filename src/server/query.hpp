@@ -102,29 +102,10 @@ std::size_t argSize(const char* flag, const std::string& value);
 /// Prints `table` (plain or CSV) followed by a blank line.
 void emitTable(std::ostream& out, const report::Table& table, bool csv);
 
-/// JSON scalar for a possibly non-finite double (JSON has no Infinity).
-std::string jsonNum(double x);
-
 /// Solves and prints one merged-scheme radius block through the backend
 /// registry (used by the radius runner and the CLI's --hiperd mode).
 void printMerged(std::ostream& out, const radius::FepiaProblem& problem,
                  radius::MergeScheme scheme, bool csv, obs::Registry* metrics,
                  const std::string& backendOverride = {});
-
-/// Unhooks a live-gauge source before the frame that feeds it dies —
-/// the sampler thread must never call into dead locals, including on
-/// early returns and exceptions.
-struct SourceGuard {
-  obs::TelemetryHub* hub = nullptr;
-  std::size_t id = 0;
-  SourceGuard() = default;
-  SourceGuard(obs::TelemetryHub* h, obs::TelemetryHub::SourceFn fn)
-      : hub(h), id(h != nullptr ? h->addSource(std::move(fn)) : 0) {}
-  SourceGuard(const SourceGuard&) = delete;
-  SourceGuard& operator=(const SourceGuard&) = delete;
-  ~SourceGuard() {
-    if (hub != nullptr) hub->removeSource(id);
-  }
-};
 
 }  // namespace fepia::server

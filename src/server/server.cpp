@@ -1,14 +1,6 @@
 #include "server/server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -22,10 +14,6 @@
 
 namespace fepia::server {
 namespace {
-
-/// How often the acceptor wakes to check for shutdown and reap finished
-/// reader threads even when no client connects.
-constexpr int kAcceptPollMillis = 200;
 
 /// Upper bound on the ping sleep_ms test hook — a typo must not park a
 /// worker for an hour.
@@ -56,12 +44,8 @@ std::uint64_t configUint(const std::string& key, const std::string& value) {
 /// already serialized by the emitting hub's mutex.
 class ProgressBuf : public std::streambuf {
  public:
-  ProgressBuf(std::shared_ptr<std::atomic<bool>> connOpen,
-              std::function<bool(const std::string&)> send,
-              std::string idRaw)
-      : connOpen_(std::move(connOpen)),
-        send_(std::move(send)),
-        idRaw_(std::move(idRaw)) {}
+  ProgressBuf(std::function<bool(const std::string&)> send, std::string idRaw)
+      : send_(std::move(send)), idRaw_(std::move(idRaw)) {}
 
  protected:
   int overflow(int ch) override {
@@ -79,7 +63,6 @@ class ProgressBuf : public std::streambuf {
   }
 
  private:
-  std::shared_ptr<std::atomic<bool>> connOpen_;
   std::function<bool(const std::string&)> send_;
   std::string idRaw_;
   std::string line_;
@@ -149,20 +132,6 @@ void parseServeConfigFile(const std::string& path, ServeConfig& cfg) {
 
 // ---------------------------------------------------------------------
 
-Server::Connection::~Connection() {
-  if (fd >= 0) ::close(fd);
-}
-
-bool Server::Connection::write(const std::string& payload) {
-  const std::lock_guard<std::mutex> lock(writeMutex);
-  if (!open.load(std::memory_order_relaxed)) return false;
-  if (!writeFrame(fd, payload)) {
-    open.store(false, std::memory_order_relaxed);
-    return false;
-  }
-  return true;
-}
-
 Server::Server(ServeConfig cfg, obs::TelemetryHub* hub)
     : cfg_(std::move(cfg)),
       hub_(hub),
@@ -174,67 +143,25 @@ Server::Server(ServeConfig cfg, obs::TelemetryHub* hub)
 Server::~Server() { stop(); }
 
 bool Server::start(std::string* error) {
-  const auto fail = [&](const std::string& what) {
-    if (error != nullptr) *error = what + ": " + std::strerror(errno);
-    if (listenFd_ >= 0) {
-      ::close(listenFd_);
-      listenFd_ = -1;
+  if (!listener_.start(cfg_.bindAddress, cfg_.port, error)) return false;
+
+  hubSource_.emplace(hub_, [this](obs::Registry& reg) {
+    reg.setGauge("fepiad.open_connections",
+                 static_cast<double>(
+                     openConnections_.load(std::memory_order_relaxed)));
+    std::size_t depth = 0;
+    {
+      const std::lock_guard<std::mutex> lock(queueMutex_);
+      depth = queue_.size();
     }
-    return false;
-  };
+    reg.setGauge("fepiad.queue_depth", static_cast<double>(depth));
+    reg.setGauge("fepiad.in_flight",
+                 static_cast<double>(
+                     inFlight_.load(std::memory_order_relaxed)));
+    reg.setGauge("fepiad.requests_served",
+                 static_cast<double>(served_.load(std::memory_order_relaxed)));
+  });
 
-  listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listenFd_ < 0) return fail("socket");
-  const int one = 1;
-  ::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(cfg_.port);
-  if (::inet_pton(AF_INET, cfg_.bindAddress.c_str(), &addr.sin_addr) != 1) {
-    if (error != nullptr) {
-      *error = "bad bind address '" + cfg_.bindAddress + "'";
-    }
-    ::close(listenFd_);
-    listenFd_ = -1;
-    return false;
-  }
-  if (::bind(listenFd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    return fail("bind " + cfg_.bindAddress + ":" + std::to_string(cfg_.port));
-  }
-  if (::listen(listenFd_, SOMAXCONN) != 0) return fail("listen");
-
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(listenFd_, reinterpret_cast<sockaddr*>(&bound), &len) !=
-      0) {
-    return fail("getsockname");
-  }
-  port_ = ntohs(bound.sin_port);
-
-  if (hub_ != nullptr) {
-    hubSourceId_ = hub_->addSource([this](obs::Registry& reg) {
-      reg.setGauge("fepiad.open_connections",
-                   static_cast<double>(
-                       openConnections_.load(std::memory_order_relaxed)));
-      std::size_t depth = 0;
-      {
-        const std::lock_guard<std::mutex> lock(queueMutex_);
-        depth = queue_.size();
-      }
-      reg.setGauge("fepiad.queue_depth", static_cast<double>(depth));
-      reg.setGauge("fepiad.in_flight",
-                   static_cast<double>(
-                       inFlight_.load(std::memory_order_relaxed)));
-      reg.setGauge("fepiad.requests_served",
-                   static_cast<double>(
-                       served_.load(std::memory_order_relaxed)));
-    });
-    hubSourceAdded_ = true;
-  }
-
-  acceptor_ = std::thread([this] { acceptorLoop(); });
   const std::size_t workers = cfg_.workers == 0 ? 1 : cfg_.workers;
   workers_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
@@ -244,40 +171,26 @@ bool Server::start(std::string* error) {
 }
 
 void Server::requestStop() {
-  if (stopping_.exchange(true)) return;
-  // Wake the acceptor (its poll also times out on its own) and unblock
-  // every reader mid-read; write sides stay open so in-flight and
-  // queued requests still get their responses.
-  if (listenFd_ >= 0) ::shutdown(listenFd_, SHUT_RDWR);
   {
-    const std::lock_guard<std::mutex> lock(connsMutex_);
-    for (const std::shared_ptr<Connection>& conn : conns_) {
-      ::shutdown(conn->fd, SHUT_RD);
-    }
+    // Under the queue lock, so a worker between its predicate check and
+    // its wait cannot miss the notify below.
+    const std::lock_guard<std::mutex> lock(queueMutex_);
+    if (stopping_.exchange(true)) return;
   }
+  // Stop accepting and unblock every reader mid-read; write sides stay
+  // open so in-flight and queued requests still get their responses.
+  listener_.requestStop();
   queueCv_.notify_all();
 }
 
 void Server::stop() {
   requestStop();
-  if (acceptor_.joinable()) acceptor_.join();
-  reapReaders(true);
+  listener_.stop();
   for (std::thread& w : workers_) {
     if (w.joinable()) w.join();
   }
   workers_.clear();
-  {
-    const std::lock_guard<std::mutex> lock(connsMutex_);
-    conns_.clear();
-  }
-  if (hubSourceAdded_) {
-    hub_->removeSource(hubSourceId_);
-    hubSourceAdded_ = false;
-  }
-  if (listenFd_ >= 0) {
-    ::close(listenFd_);
-    listenFd_ = -1;
-  }
+  hubSource_.reset();
 }
 
 void Server::reload(const ServeConfig& cfg) {
@@ -296,54 +209,9 @@ Server::Stats Server::stats() const {
   return s;
 }
 
-void Server::reapReaders(bool joinAll) {
-  std::vector<ReaderSlot> finished;
-  {
-    const std::lock_guard<std::mutex> lock(readersMutex_);
-    for (std::size_t i = 0; i < readers_.size();) {
-      if (joinAll || readers_[i].done->load(std::memory_order_acquire)) {
-        finished.push_back(std::move(readers_[i]));
-        readers_.erase(readers_.begin() + static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;
-      }
-    }
-  }
-  for (ReaderSlot& slot : finished) {
-    if (slot.thread.joinable()) slot.thread.join();
-  }
-}
-
-void Server::acceptorLoop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    pollfd pfd{};
-    pfd.fd = listenFd_;
-    pfd.events = POLLIN;
-    const int ready = ::poll(&pfd, 1, kAcceptPollMillis);
-    reapReaders(false);
-    if (ready <= 0) continue;
-    const int fd = ::accept(listenFd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    if (stopping_.load(std::memory_order_relaxed)) {
-      ::close(fd);
-      break;
-    }
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    openConnections_.fetch_add(1, std::memory_order_relaxed);
-    auto conn = std::make_shared<Connection>(fd);
-    {
-      const std::lock_guard<std::mutex> lock(connsMutex_);
-      conns_.push_back(conn);
-    }
-    auto done = std::make_shared<std::atomic<bool>>(false);
-    std::thread reader([this, conn, done] { readerLoop(conn, done); });
-    const std::lock_guard<std::mutex> lock(readersMutex_);
-    readers_.push_back(ReaderSlot{std::move(reader), done});
-  }
-}
-
-void Server::readerLoop(std::shared_ptr<Connection> conn,
-                        std::shared_ptr<std::atomic<bool>> done) {
+void Server::readerLoop(const std::shared_ptr<Connection>& conn) {
+  accepted_.fetch_add(1, std::memory_order_relaxed);
+  openConnections_.fetch_add(1, std::memory_order_relaxed);
   for (;;) {
     const Frame frame =
         readFrame(conn->fd, maxFrameBytes_.load(std::memory_order_relaxed));
@@ -363,17 +231,7 @@ void Server::readerLoop(std::shared_ptr<Connection> conn,
   }
   // Queued requests keep their own reference; the fd closes (and any
   // pending response write turns into a no-op) once the last one drops.
-  {
-    const std::lock_guard<std::mutex> lock(connsMutex_);
-    for (std::size_t i = 0; i < conns_.size(); ++i) {
-      if (conns_[i] == conn) {
-        conns_.erase(conns_.begin() + static_cast<std::ptrdiff_t>(i));
-        break;
-      }
-    }
-  }
   openConnections_.fetch_sub(1, std::memory_order_relaxed);
-  done->store(true, std::memory_order_release);
 }
 
 bool Server::routePayload(const std::shared_ptr<Connection>& conn,
@@ -558,7 +416,6 @@ void Server::handle(const Request& req) {
   if (req.stream) {
     const std::shared_ptr<Connection> conn = req.conn;
     progressBuf = std::make_unique<ProgressBuf>(
-        nullptr,
         [conn](const std::string& payload) { return conn->write(payload); },
         req.idRaw);
     progressStream = std::make_unique<std::ostream>(progressBuf.get());

@@ -5,14 +5,14 @@
 // CLI answers, byte-identically (the runners in server/query.hpp are
 // the CLI's own mode bodies).
 //
-// Architecture: one acceptor thread (poll + accept on the listen
-// socket), one reader thread per connection (frame decode + admission),
-// and a fixed worker pool draining a bounded request queue. Admission
-// control is typed: a full queue answers `overloaded` immediately, a
-// request older than its deadline when a worker finally picks it up
-// answers `deadline`, and requests arriving during shutdown answer
-// `shutting_down` — the client can always tell "server busy" from
-// "request broken". Shutdown never drops in-flight work: readers stop
+// Architecture: a server::Listener (the acceptor shared with the sweep
+// coordinator) runs one reader thread per connection (frame decode +
+// admission), and a fixed worker pool drains a bounded request queue.
+// Admission control is typed: a full queue answers `overloaded`
+// immediately, a request older than its deadline when a worker finally
+// picks it up answers `deadline`, and requests arriving during shutdown
+// answer `shutting_down` — the client can always tell "server busy"
+// from "request broken". Shutdown never drops in-flight work: readers stop
 // accepting, workers drain the queue, every accepted request gets its
 // response before the socket closes.
 //
@@ -26,12 +26,14 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/telemetry.hpp"
 #include "parallel/thread_pool.hpp"
+#include "server/listener.hpp"
 #include "server/session_cache.hpp"
 #include "server/wire.hpp"
 
@@ -85,7 +87,9 @@ class Server {
   [[nodiscard]] bool start(std::string* error);
 
   /// The actually-bound port (resolves port 0 after start()).
-  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
+  [[nodiscard]] std::uint16_t port() const noexcept {
+    return listener_.port();
+  }
 
   /// Begins a graceful shutdown and returns immediately: stop
   /// accepting connections and requests, let workers drain the queue.
@@ -110,24 +114,6 @@ class Server {
   [[nodiscard]] SessionCache& cache() noexcept { return cache_; }
 
  private:
-  /// One client connection. Writers serialize on writeMutex so a
-  /// progress frame from a streaming sweep can never interleave with
-  /// the final response frame. The last shared_ptr owner closes the fd.
-  struct Connection {
-    explicit Connection(int fileDescriptor) : fd(fileDescriptor) {}
-    ~Connection();
-    Connection(const Connection&) = delete;
-    Connection& operator=(const Connection&) = delete;
-
-    /// Frames and writes `payload`; marks the connection dead on any
-    /// write failure (EPIPE shows up here, not as SIGPIPE).
-    bool write(const std::string& payload);
-
-    int fd;
-    std::mutex writeMutex;
-    std::atomic<bool> open{true};
-  };
-
   struct Request {
     std::shared_ptr<Connection> conn;
     std::string idRaw = "null";  ///< request id re-serialized verbatim
@@ -139,14 +125,8 @@ class Server {
     std::uint64_t enqueuedNs = 0;
   };
 
-  struct ReaderSlot {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
-
-  void acceptorLoop();
-  void readerLoop(std::shared_ptr<Connection> conn,
-                  std::shared_ptr<std::atomic<bool>> done);
+  /// The per-connection frame loop the listener runs on each reader.
+  void readerLoop(const std::shared_ptr<Connection>& conn);
   void workerLoop();
   /// Decodes one request payload and either enqueues it or answers it
   /// inline (stats) / triggers shutdown. Returns false when the
@@ -158,12 +138,10 @@ class Server {
                  const std::string& idRaw, const char* code,
                  const std::string& message);
   [[nodiscard]] std::string statsJson();
-  void reapReaders(bool joinAll);
 
   const ServeConfig cfg_;
   obs::TelemetryHub* hub_;
-  std::size_t hubSourceId_ = 0;
-  bool hubSourceAdded_ = false;
+  std::optional<obs::SourceGuard> hubSource_;
 
   // Runtime knobs, hot-reloadable.
   std::atomic<std::size_t> maxQueue_;
@@ -173,16 +151,8 @@ class Server {
   parallel::ThreadPool pool_;
   SessionCache cache_;
 
-  int listenFd_ = -1;
-  std::uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};
-  std::thread acceptor_;
   std::vector<std::thread> workers_;
-
-  std::mutex readersMutex_;
-  std::vector<ReaderSlot> readers_;
-  std::mutex connsMutex_;
-  std::vector<std::shared_ptr<Connection>> conns_;
 
   std::mutex queueMutex_;
   std::condition_variable queueCv_;
@@ -195,6 +165,11 @@ class Server {
   std::atomic<std::uint64_t> deadlineExpired_{0};
   std::atomic<std::size_t> openConnections_{0};
   std::atomic<std::size_t> inFlight_{0};
+
+  // Last: its readers use every member above.
+  Listener listener_{[this](const std::shared_ptr<Connection>& conn) {
+    readerLoop(conn);
+  }};
 };
 
 }  // namespace fepia::server

@@ -199,11 +199,10 @@ class Evaluator {
     rp.problem = &problem;
     rp.scheme = scheme;
     rbackend::RadiusRequest req;
-    // The batched kernel produces radii and classification counts
-    // bit-identical to "empirical" (same estimator, SoA classification),
-    // so routing the sweep through it changes throughput only — the S3.1
-    // surface guard (tools/baselines/s31_surface.json) holds it to that.
-    req.backendOverride = "empirical-batched";
+    // Radii and classification counts are bit-identical in every
+    // classify mode; the S3.1 surface guard
+    // (tools/baselines/s31_surface.json) holds the sweep to that.
+    req.backendOverride = "empirical";
     req.estimator = eo;
     if (live_ != nullptr) {
       req.estimator.liveClassifications = &live_->classifications;
@@ -420,6 +419,31 @@ class Evaluator {
 
 }  // namespace
 
+SweepSurface initialSurface(const SweepSpec& spec, std::size_t chunkOverride,
+                            bool resume, const std::string& journalPath) {
+  SweepSurface surface;
+  surface.points = spec.pointCount();
+  surface.chunk = std::max<std::size_t>(
+      chunkOverride > 0 ? chunkOverride : spec.chunk, 1);
+  surface.shards = (surface.points + surface.chunk - 1) / surface.chunk;
+  surface.results.assign(surface.points, PointResult{});
+  surface.computed.assign(surface.points, 0);
+  if (!resume) return surface;
+  const JournalContents replay = readJournal(
+      journalPath, spec.hash(), surface.points, surface.chunk, surface.shards);
+  for (std::size_t s = 0; s < surface.shards; ++s) {
+    if (!replay.shardDone[s]) continue;
+    const std::size_t first = s * surface.chunk;
+    const std::size_t last = std::min(first + surface.chunk, surface.points);
+    for (std::size_t id = first; id < last; ++id) {
+      surface.results[id] = replay.results[id];
+      surface.computed[id] = 1;
+    }
+  }
+  surface.resumedShards = replay.doneShards;
+  return surface;
+}
+
 SweepSurface runSweep(const SweepSpec& spec, const SweepOptions& opts,
                       parallel::ThreadPool* pool) {
   if (opts.resume && opts.journalPath.empty()) {
@@ -431,31 +455,8 @@ SweepSurface runSweep(const SweepSpec& spec, const SweepOptions& opts,
         "be lost)");
   }
 
-  SweepSurface surface;
-  surface.points = spec.pointCount();
-  surface.chunk = opts.chunkOverride > 0 ? opts.chunkOverride : spec.chunk;
-  surface.shards = (surface.points + surface.chunk - 1) / surface.chunk;
-  surface.results.assign(surface.points, PointResult{});
-  surface.computed.assign(surface.points, 0);
-
-  std::vector<bool> shardDone(surface.shards, false);
-  if (opts.resume) {
-    const JournalContents replay =
-        readJournal(opts.journalPath, spec.hash(), surface.points,
-                    surface.chunk, surface.shards);
-    for (std::size_t s = 0; s < surface.shards; ++s) {
-      if (!replay.shardDone[s]) continue;
-      shardDone[s] = true;
-      const std::size_t first = s * surface.chunk;
-      const std::size_t last =
-          std::min(first + surface.chunk, surface.points);
-      for (std::size_t id = first; id < last; ++id) {
-        surface.results[id] = replay.results[id];
-        surface.computed[id] = 1;
-      }
-    }
-    surface.resumedShards = replay.doneShards;
-  }
+  SweepSurface surface =
+      initialSurface(spec, opts.chunkOverride, opts.resume, opts.journalPath);
 
   JournalWriter writer;
   std::mutex journalMutex;
@@ -466,7 +467,7 @@ SweepSurface runSweep(const SweepSpec& spec, const SweepOptions& opts,
 
   std::vector<std::size_t> pending;
   for (std::size_t s = 0; s < surface.shards; ++s) {
-    if (!shardDone[s]) pending.push_back(s);
+    if (!surface.computed[s * surface.chunk]) pending.push_back(s);
   }
   const std::size_t totalPending = pending.size();
   if (opts.stopAfterShards > 0 && pending.size() > opts.stopAfterShards) {
@@ -506,51 +507,46 @@ SweepSurface runSweep(const SweepSpec& spec, const SweepOptions& opts,
   // thread and reads only relaxed atomics; heartbeats/stragglers are
   // emitted under journalMutex, which already serialises shard commits.
   obs::TelemetryHub* const hub = opts.telemetry;
-  std::size_t sourceId = 0;
-  std::size_t watchdogId = 0;
   const bool watchdogOn = hub != nullptr && opts.stallDeadlineSeconds > 0.0;
-  if (hub != nullptr) {
-    sourceId = hub->addSource([&live, &cache, cacheHits0, cacheMisses0,
-                               pendingPoints, pc = persistent.get(),
-                               totalShards = pending.size()](
-                                  obs::Registry& reg) {
-      reg.setGauge("sweep.live_points_done",
-                   static_cast<double>(
-                       live.pointsDone.load(std::memory_order_relaxed)));
-      reg.setGauge("sweep.live_points_total",
-                   static_cast<double>(pendingPoints));
-      reg.setGauge("sweep.live_shards_done",
-                   static_cast<double>(
-                       live.shardsDone.load(std::memory_order_relaxed)));
-      reg.setGauge("sweep.live_shards_total",
-                   static_cast<double>(totalShards));
-      reg.setGauge("sweep.live_classifications",
-                   static_cast<double>(live.classifications.load(
-                       std::memory_order_relaxed)));
-      reg.setGauge("sweep.live_cache_hits",
-                   static_cast<double>(cache.hits() - cacheHits0));
-      reg.setGauge("sweep.live_cache_misses",
-                   static_cast<double>(cache.misses() - cacheMisses0));
-      if (pc != nullptr) {
-        reg.setGauge("sweep.live_persistent_hits",
-                     static_cast<double>(pc->hits()));
-        reg.setGauge("sweep.live_persistent_misses",
-                     static_cast<double>(pc->misses()));
-      }
-      reg.setGauge("fault.live_classifications",
-                   static_cast<double>(live.faults.classifications.load(
-                       std::memory_order_relaxed)));
-      reg.setGauge("fault.live_retries",
-                   static_cast<double>(live.faults.retries.load(
-                       std::memory_order_relaxed)));
-      reg.setGauge("fault.live_dropped",
-                   static_cast<double>(live.faults.droppedMessages.load(
-                       std::memory_order_relaxed)));
-    });
-    if (watchdogOn) {
-      watchdogId = hub->addWatchdog("sweep", opts.stallDeadlineSeconds);
-    }
-  }
+  const obs::SourceGuard liveGauges(
+      hub, [&live, &cache, cacheHits0, cacheMisses0, pendingPoints,
+            pc = persistent.get(),
+            totalShards = pending.size()](obs::Registry& reg) {
+        reg.setGauge("sweep.live_points_done",
+                     static_cast<double>(
+                         live.pointsDone.load(std::memory_order_relaxed)));
+        reg.setGauge("sweep.live_points_total",
+                     static_cast<double>(pendingPoints));
+        reg.setGauge("sweep.live_shards_done",
+                     static_cast<double>(
+                         live.shardsDone.load(std::memory_order_relaxed)));
+        reg.setGauge("sweep.live_shards_total",
+                     static_cast<double>(totalShards));
+        reg.setGauge("sweep.live_classifications",
+                     static_cast<double>(live.classifications.load(
+                         std::memory_order_relaxed)));
+        reg.setGauge("sweep.live_cache_hits",
+                     static_cast<double>(cache.hits() - cacheHits0));
+        reg.setGauge("sweep.live_cache_misses",
+                     static_cast<double>(cache.misses() - cacheMisses0));
+        if (pc != nullptr) {
+          reg.setGauge("sweep.live_persistent_hits",
+                       static_cast<double>(pc->hits()));
+          reg.setGauge("sweep.live_persistent_misses",
+                       static_cast<double>(pc->misses()));
+        }
+        reg.setGauge("fault.live_classifications",
+                     static_cast<double>(live.faults.classifications.load(
+                         std::memory_order_relaxed)));
+        reg.setGauge("fault.live_retries",
+                     static_cast<double>(live.faults.retries.load(
+                         std::memory_order_relaxed)));
+        reg.setGauge("fault.live_dropped",
+                     static_cast<double>(live.faults.droppedMessages.load(
+                         std::memory_order_relaxed)));
+      });
+  const std::size_t watchdogId =
+      watchdogOn ? hub->addWatchdog("sweep", opts.stallDeadlineSeconds) : 0;
   std::vector<double> shardSeconds;  // completed shards, under journalMutex
   shardSeconds.reserve(pending.size());
 
@@ -634,12 +630,7 @@ SweepSurface runSweep(const SweepSpec& spec, const SweepOptions& opts,
     std::fprintf(stderr, "\n");
     std::fflush(stderr);
   }
-  if (hub != nullptr) {
-    // The sampler must not call into this frame's locals past this
-    // point; unhook before the surface (and `live`) go away.
-    hub->removeSource(sourceId);
-    if (watchdogOn) hub->removeWatchdog(watchdogId);
-  }
+  if (watchdogOn) hub->removeWatchdog(watchdogId);
 
   surface.wallSeconds = sw.elapsedSeconds();
   surface.computedShards = pending.size();

@@ -129,6 +129,16 @@ struct SweepSurface {
   double pointsPerSec = 0.0;         ///< computed points / wall
 };
 
+/// The starting surface of `spec` in shards of `chunkOverride` points
+/// (0: the spec's chunk): every slot empty, except that with `resume`
+/// the shards committed in the journal at `journalPath` are replayed in
+/// (readJournal's header checks apply). A shard is done exactly when
+/// its first point is computed.
+[[nodiscard]] SweepSurface initialSurface(const SweepSpec& spec,
+                                          std::size_t chunkOverride,
+                                          bool resume,
+                                          const std::string& journalPath);
+
 /// Evaluates `spec` under `opts`. Deterministic: for a fixed spec the
 /// surface is bit-identical at any thread count, with or without the
 /// cache, and whether computed cold or across checkpoint/resume cycles.

@@ -1,8 +1,8 @@
 #include "sweep/journal.hpp"
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
-#include <iomanip>
 #include <limits>
 #include <locale>
 #include <optional>
@@ -14,16 +14,19 @@
 namespace fepia::sweep {
 namespace {
 
-constexpr const char* kMagic = "fepia-sweep-journal v1";
-
-std::string hex16(std::uint64_t v) {
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os << std::hex << std::setw(16) << std::setfill('0') << v;
-  return os.str();
-}
+// v2: `classifications` counts the probes of the pruned polish; a v1
+// journal holds the older counts and must not be mixed into a resume.
+constexpr const char* kMagic = "fepia-sweep-journal v2";
+constexpr const char* kMagicV1 = "fepia-sweep-journal v1";
 
 }  // namespace
+
+std::string formatSpecHash(std::uint64_t hash) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(hash));
+  return std::string(buf);
+}
 
 std::string formatJournalDouble(double v) {
   if (std::isnan(v)) return "nan";
@@ -70,7 +73,13 @@ JournalContents readJournal(const std::string& path, std::uint64_t specHash,
     throw std::runtime_error("cannot open sweep journal '" + path + "'");
   }
   std::string line;
-  if (!std::getline(in, line) || line != kMagic) {
+  if (!std::getline(in, line)) line.clear();
+  if (line == kMagicV1) {
+    throw JournalVersionError("sweep journal '" + path + "' is " + kMagicV1 +
+                              "; this build reads only " + kMagic +
+                              " (its classification counts differ)");
+  }
+  if (line != kMagic) {
     throw std::runtime_error("'" + path + "' is not a fepia sweep journal");
   }
   if (!std::getline(in, line)) {
@@ -84,11 +93,11 @@ JournalContents readJournal(const std::string& path, std::uint64_t specHash,
         kwSpec != "spec" || kwPoints != "points" || kwChunk != "chunk") {
       throw std::runtime_error("sweep journal '" + path + "': bad header");
     }
-    if (hash != hex16(specHash)) {
+    if (hash != formatSpecHash(specHash)) {
       throw std::runtime_error(
           "sweep journal '" + path +
           "' was written for a different sweep spec (hash " + hash +
-          ", expected " + hex16(specHash) + ")");
+          ", expected " + formatSpecHash(specHash) + ")");
     }
     if (pointsTok != std::to_string(points) ||
         chunkTok != std::to_string(chunk)) {
@@ -179,8 +188,8 @@ void JournalWriter::open(const std::string& path, bool append,
   if (repairTail) out_ << '\n';
   if (writeHeader) {
     out_ << kMagic << "\n"
-         << "spec " << hex16(specHash) << " points " << points << " chunk "
-         << chunk << "\n";
+         << "spec " << formatSpecHash(specHash) << " points " << points
+         << " chunk " << chunk << "\n";
     out_.flush();
   }
 }

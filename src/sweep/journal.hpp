@@ -4,7 +4,7 @@
 // flushes; `--resume` replays the journal and recomputes only the shards
 // without a commit marker. Format:
 //
-//   fepia-sweep-journal v1
+//   fepia-sweep-journal v2
 //   spec <hex16-hash> points <P> chunk <C>
 //   point <id> <analytic> <closed> <empirical> <degraded> <makespan> <cls>
 //   ...
@@ -21,17 +21,24 @@
 // JournalWriter quarantines a newline-less tail behind a fresh newline
 // before appending. The spec hash in the header refuses resuming a
 // journal against a different sweep, and the recorded chunk refuses a
-// mismatched shard layout.
+// mismatched shard layout. v2 journals count classifications as the
+// pruned polish does; a v1 journal is refused (JournalVersionError)
+// rather than mixing the two counts in one resumed surface.
 #pragma once
 
 #include <cstdint>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "sweep/result.hpp"
 
 namespace fepia::sweep {
+
+/// The spec hash as it appears in journal headers and on the wire:
+/// 16 lower-case hex digits, zero-padded.
+[[nodiscard]] std::string formatSpecHash(std::uint64_t hash);
 
 /// Exact-round-trip textual form of a double (hexfloat / nan / inf / -inf).
 [[nodiscard]] std::string formatJournalDouble(double v);
@@ -46,10 +53,17 @@ struct JournalContents {
   std::size_t doneShards = 0;
 };
 
-/// Replays `path`. Throws std::runtime_error when the file cannot be
-/// opened, the header does not parse, or the header disagrees with
-/// (specHash, points, chunk). Torn or malformed record lines are
-/// skipped, not errors; shards committed after them still count.
+/// A journal written in an older format version; the message names
+/// both versions.
+struct JournalVersionError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Replays `path`. Throws JournalVersionError on a v1 journal, and
+/// std::runtime_error when the file cannot be opened, the header does
+/// not parse, or the header disagrees with (specHash, points, chunk).
+/// Torn or malformed record lines are skipped, not errors; shards
+/// committed after them still count.
 [[nodiscard]] JournalContents readJournal(const std::string& path,
                                           std::uint64_t specHash,
                                           std::size_t points,

@@ -33,8 +33,7 @@ struct Job {
 std::vector<Job> makeJobs() {
   std::vector<Job> jobs;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    for (const char* backend :
-         {"", "analytic", "numeric", "empirical", "empirical-batched"}) {
+    for (const char* backend : {"", "analytic", "numeric", "empirical"}) {
       Job j;
       j.problem = ft::makeLinearInstance(seed, 3);
       j.scheme = seed % 2 == 0 ? radius::MergeScheme::Sensitivity
@@ -97,7 +96,7 @@ TEST(BackendRegistryThread, StaticRegistrationIsOneTimeAndStable) {
   for (std::thread& w : workers) w.join();
   for (std::size_t t = 0; t < kThreads; ++t) {
     EXPECT_EQ(seen[t], &rb::BackendRegistry::instance());
-    EXPECT_EQ(sizes[t], 5u);
+    EXPECT_EQ(sizes[t], 4u);
   }
 }
 
@@ -107,7 +106,7 @@ TEST(BackendRegistryThread, ConcurrentLookupsDuringSolves) {
   std::thread reader([] {
     for (int i = 0; i < 2000; ++i) {
       EXPECT_NE(rb::BackendRegistry::instance().find("analytic"), nullptr);
-      EXPECT_EQ(rb::BackendRegistry::instance().all().size(), 5u);
+      EXPECT_EQ(rb::BackendRegistry::instance().all().size(), 4u);
     }
   });
   (void)solveAll(jobs, 4);

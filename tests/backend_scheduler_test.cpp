@@ -293,12 +293,12 @@ TEST(BackendScheduler, RegistryRejectsDuplicatesAndNulls) {
   EXPECT_EQ(registry.size(), 1u);
 }
 
-TEST(BackendScheduler, GlobalRegistryHoldsExactlyTheFiveKernels) {
+TEST(BackendScheduler, GlobalRegistryHoldsExactlyTheFourKernels) {
   std::vector<std::string> names;
   for (const rb::Backend* b : rb::BackendRegistry::instance().all()) {
     names.push_back(b->name());
   }
-  const std::vector<std::string> expected{
-      "analytic", "degraded", "empirical", "empirical-batched", "numeric"};
+  const std::vector<std::string> expected{"analytic", "degraded", "empirical",
+                                          "numeric"};
   EXPECT_EQ(names, expected);
 }

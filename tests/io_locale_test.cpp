@@ -113,6 +113,9 @@ TEST(IoLocale, ParseUint64IgnoresCommaLocale) {
   const ScopedCommaLocale guard;
   EXPECT_EQ(io::parseUint64("12345"), 12345u);
   EXPECT_EQ(io::parseUint64("0x10"), 16u);
+  // A leading zero is decimal, not octal.
+  EXPECT_EQ(io::parseUint64("010"), 10u);
+  EXPECT_EQ(io::parseUint64("08"), 8u);
   EXPECT_FALSE(io::parseUint64("1.000").has_value());
   EXPECT_FALSE(io::parseUint64("-1").has_value());
 }

@@ -19,7 +19,6 @@
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "trace/counters.hpp"
 
 namespace {
 
@@ -185,7 +184,7 @@ TEST(ObsJson, ValidatorNumberAndDepthEdgeCases) {
 // ----- counters (the escaping fix shared with src/trace) ---------------
 
 TEST(ObsCounters, WriteJsonEscapesHostileNames) {
-  trace::CounterSet counters;  // the forwarded alias — same object
+  obs::CounterSet counters;
   counters.bump("cache \"hot\" path\n", 3);
   counters.bump("plain", 1);
   std::ostringstream os;

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "server/wire.hpp"
+#include "support/connect_storm.hpp"
 
 namespace server = fepia::server;
 
@@ -568,4 +569,17 @@ TEST(ServerWire, ShutdownDrainsEveryAcceptedRequest) {
   EXPECT_TRUE(srv.stopping());
   srv.stop();
   EXPECT_EQ(srv.stats().served, 3u);
+}
+
+TEST(ServerWire, StopIsPromptWhileIdleConnectionsKeepArriving) {
+  // A connection accepted while stop() runs must be shut down by it too;
+  // one that slips through parks its reader until the client hangs up.
+  for (int round = 0; round < 100; ++round) {
+    server::Server srv(testConfig(/*workers=*/1));
+    std::string error;
+    ASSERT_TRUE(srv.start(&error)) << error;
+    const auto took = fepia::testing::stopDuringConnectStorm(
+        srv.port(), round, [&srv] { srv.stop(); });
+    ASSERT_LT(took, fepia::testing::kStopBound) << "round " << round;
+  }
 }

@@ -27,6 +27,7 @@
 #include "sweep/output.hpp"
 #include "sweep/pcache.hpp"
 #include "sweep/spec.hpp"
+#include "support/connect_storm.hpp"
 #include "support/temp_path.hpp"
 
 namespace {
@@ -433,6 +434,20 @@ TEST(SweepDistributed, DrainTimeoutAbortsAWorkerlessSweep) {
   std::string error;
   ASSERT_TRUE(coordinator.start(&error)) << error;
   EXPECT_THROW((void)coordinator.wait(), std::runtime_error);
+}
+
+TEST(SweepDistributed, TeardownIsPromptWhileIdleConnectionsKeepArriving) {
+  // The coordinator's teardown (its destructor) shares fepiad's listener:
+  // a connection accepted mid-teardown must not park a reader.
+  for (int round = 0; round < 100; ++round) {
+    auto coordinator = std::make_unique<server::SweepCoordinator>(
+        referenceSpec(), server::DistSweepConfig{});
+    std::string error;
+    ASSERT_TRUE(coordinator->start(&error)) << error;
+    const auto took = fepia::testing::stopDuringConnectStorm(
+        coordinator->port(), round, [&coordinator] { coordinator.reset(); });
+    ASSERT_LT(took, fepia::testing::kStopBound) << "round " << round;
+  }
 }
 
 }  // namespace

@@ -208,6 +208,18 @@ TEST(SweepJournal, HeaderMismatchesAreRefused) {
   std::ofstream(path) << "not a journal\n";
   EXPECT_THROW((void)sweep::readJournal(path, 0x1111ull, 4, 2, 2),
                std::runtime_error);
+  // A v1 journal counts classifications differently: refused, by type,
+  // with both versions named.
+  std::ofstream(path) << "fepia-sweep-journal v1\n"
+                      << "spec 0000000000001111 points 4 chunk 2\n";
+  try {
+    (void)sweep::readJournal(path, 0x1111ull, 4, 2, 2);
+    ADD_FAILURE() << "v1 journal was accepted";
+  } catch (const sweep::JournalVersionError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("v1"), std::string::npos) << what;
+    EXPECT_NE(what.find("v2"), std::string::npos) << what;
+  }
 }
 
 TEST(SweepJournal, TornTailIsToleratedNotCommitted) {

@@ -564,12 +564,12 @@ EOF
       --threads 2 >/dev/null
     echo "fepia_cli fault-sim asan smoke OK"
 
-    # The batched classification path (SoA kernels, f32 pre-pass inside
-    # the empirical-batched backend) under the sanitizers.
-    echo "=== [$cfg] fepia_cli validate --backend empirical-batched (asan-ubsan) ==="
+    # The batched classification path (SoA kernels inside the empirical
+    # backend) under the sanitizers.
+    echo "=== [$cfg] fepia_cli validate --backend empirical (asan-ubsan) ==="
     ./build-asan/tools/fepia_cli validate examples/data/streaming_stage.fepia \
-      --samples 32 --seed 7 --threads 2 --backend empirical-batched >/dev/null
-    echo "fepia_cli validate empirical-batched asan smoke OK"
+      --samples 32 --seed 7 --threads 2 --backend empirical >/dev/null
+    echo "fepia_cli validate empirical asan smoke OK"
   fi
 
   if [ "$cfg" = tsan ]; then

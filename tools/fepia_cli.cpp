@@ -27,9 +27,9 @@
 //   --echo                                 re-serialize the parsed problem
 //   --backend NAME                         force one radius backend
 //                                          (analytic|numeric|empirical|
-//                                          empirical-batched|degraded — see
-//                                          docs/backends.md); also accepted
-//                                          by validate, fault-sim and sweep
+//                                          degraded — see docs/backends.md);
+//                                          also accepted by validate,
+//                                          fault-sim and sweep
 //
 // --hiperd mode loads a HiPer-D topology (see src/io/system_io.hpp and
 // examples/data/fusion_pipeline.hiperd) and runs the load-space analysis
@@ -139,7 +139,6 @@
 #include "sweep/engine.hpp"
 #include "sweep/output.hpp"
 #include "sweep/spec.hpp"
-#include "trace/counters.hpp"
 #include "validate/empirical.hpp"
 #include "validate/scheme.hpp"
 
@@ -178,7 +177,6 @@ ObsCli g_obs;
 using server::argDouble;
 using server::argSize;
 using server::argUint;
-using server::jsonNum;
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
@@ -412,15 +410,17 @@ int runSearchMode(int argc, char** argv) {
     g_obs.manifest.writeJson(out);
     out << ",\n  \"config\": {\"tasks\": " << tasks << ", \"machines\": "
         << machines << ", \"heterogeneity\": \""
-        << etc::heterogeneityName(het) << "\", \"tau\": " << jsonNum(tau)
-        << ", \"seed\": " << seed << ", \"threads\": "
+        << etc::heterogeneityName(het) << "\", \"tau\": ";
+    obs::writeJsonNumber(out, tau);
+    out << ", \"seed\": " << seed << ", \"threads\": "
         << (threads.has_value() ? std::to_string(*threads) : "null")
         << "},\n  \"allocations\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      out << "    {\"name\": \"" << rows[i].name << "\", \"makespan\": "
-          << jsonNum(alloc::makespan(rows[i].mu, e)) << ", \"rho\": "
-          << jsonNum(rows[i].rho) << "}" << (i + 1 < rows.size() ? "," : "")
-          << "\n";
+      out << "    {\"name\": \"" << rows[i].name << "\", \"makespan\": ";
+      obs::writeJsonNumber(out, alloc::makespan(rows[i].mu, e));
+      out << ", \"rho\": ";
+      obs::writeJsonNumber(out, rows[i].rho);
+      out << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     out << "  ],\n  \"best\": \"" << rows[bestIdx].name
         << "\",\n  \"ga\": {\"evaluations\": " << ga.evaluations
