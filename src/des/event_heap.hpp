@@ -1,9 +1,8 @@
-// The event queue shared by des::Simulator and the pipeline kernel: a
-// binary min-heap ordered by (time, seq).
+// The pipeline kernel's event queue: a binary min-heap ordered by
+// (time, seq).
 #pragma once
 
 #include <algorithm>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -33,8 +32,6 @@ class EventHeap {
 
   [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
-  /// The queued events, in heap (not firing) order.
-  [[nodiscard]] std::span<const Event> items() const noexcept { return heap_; }
   /// Drops every event and keeps the storage for the next run.
   void clear() noexcept { heap_.clear(); }
 

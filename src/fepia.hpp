@@ -25,7 +25,6 @@
 #include "alloc/search.hpp"
 #include "classify/block_classifier.hpp"
 #include "des/pipeline.hpp"
-#include "des/simulator.hpp"
 #include "etc/etc.hpp"
 #include "fault/degraded.hpp"
 #include "fault/plan.hpp"

@@ -1,6 +1,5 @@
 #include "obs/json.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <locale>
@@ -60,184 +59,5 @@ void writeJsonNumber(std::ostream& os, double x) {
   tmp << x;
   os << tmp.str();
 }
-
-namespace {
-
-/// Recursive-descent JSON syntax checker over [pos, text.size()).
-class JsonChecker {
- public:
-  explicit JsonChecker(std::string_view text) : text_(text) {}
-
-  bool run() {
-    skipWs();
-    if (!value()) return false;
-    skipWs();
-    return pos_ == text_.size();
-  }
-
- private:
-  [[nodiscard]] bool eof() const noexcept { return pos_ >= text_.size(); }
-  [[nodiscard]] char peek() const noexcept { return text_[pos_]; }
-
-  void skipWs() {
-    while (!eof()) {
-      const char c = peek();
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-  }
-
-  bool literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  bool string() {
-    if (eof() || peek() != '"') return false;
-    ++pos_;
-    while (!eof()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (static_cast<unsigned char>(c) < 0x20) return false;  // raw control
-      if (c == '\\') {
-        if (eof()) return false;
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"':
-          case '\\':
-          case '/':
-          case 'b':
-          case 'f':
-          case 'n':
-          case 'r':
-          case 't':
-            break;
-          case 'u': {
-            for (int k = 0; k < 4; ++k) {
-              if (eof() || std::isxdigit(static_cast<unsigned char>(peek())) == 0) {
-                return false;
-              }
-              ++pos_;
-            }
-            break;
-          }
-          default:
-            return false;
-        }
-      }
-    }
-    return false;  // unterminated
-  }
-
-  bool number() {
-    const std::size_t start = pos_;
-    if (!eof() && peek() == '-') ++pos_;
-    if (eof() || std::isdigit(static_cast<unsigned char>(peek())) == 0) {
-      return false;
-    }
-    if (peek() == '0') {
-      ++pos_;
-    } else {
-      while (!eof() && std::isdigit(static_cast<unsigned char>(peek())) != 0) {
-        ++pos_;
-      }
-    }
-    if (!eof() && peek() == '.') {
-      ++pos_;
-      if (eof() || std::isdigit(static_cast<unsigned char>(peek())) == 0) {
-        return false;
-      }
-      while (!eof() && std::isdigit(static_cast<unsigned char>(peek())) != 0) {
-        ++pos_;
-      }
-    }
-    if (!eof() && (peek() == 'e' || peek() == 'E')) {
-      ++pos_;
-      if (!eof() && (peek() == '+' || peek() == '-')) ++pos_;
-      if (eof() || std::isdigit(static_cast<unsigned char>(peek())) == 0) {
-        return false;
-      }
-      while (!eof() && std::isdigit(static_cast<unsigned char>(peek())) != 0) {
-        ++pos_;
-      }
-    }
-    return pos_ > start;
-  }
-
-  bool members(char close, bool keyed) {
-    ++pos_;  // consume the opener
-    skipWs();
-    if (!eof() && peek() == close) {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      if (depth_ > kMaxDepth) return false;
-      if (keyed) {
-        skipWs();
-        if (!string()) return false;
-        skipWs();
-        if (eof() || peek() != ':') return false;
-        ++pos_;
-      }
-      skipWs();
-      if (!value()) return false;
-      skipWs();
-      if (eof()) return false;
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == close) {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool value() {
-    if (eof()) return false;
-    ++depth_;
-    bool ok = false;
-    switch (peek()) {
-      case '{':
-        ok = members('}', /*keyed=*/true);
-        break;
-      case '[':
-        ok = members(']', /*keyed=*/false);
-        break;
-      case '"':
-        ok = string();
-        break;
-      case 't':
-        ok = literal("true");
-        break;
-      case 'f':
-        ok = literal("false");
-        break;
-      case 'n':
-        ok = literal("null");
-        break;
-      default:
-        ok = number();
-    }
-    --depth_;
-    return ok;
-  }
-
-  static constexpr int kMaxDepth = 256;
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-};
-
-}  // namespace
-
-bool isValidJson(std::string_view text) { return JsonChecker(text).run(); }
 
 }  // namespace fepia::obs

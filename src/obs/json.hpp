@@ -3,9 +3,8 @@
 // Every JSON document the repo emits (counter sets, metric registries,
 // Chrome trace files, run manifests, bench results) goes through the one
 // escaper here, so a counter named `cache "hot" path\n` can never again
-// produce an unparseable file. A minimal syntax validator rides along:
-// the trace/CLI tests use it to assert emitted documents actually parse,
-// without pulling a JSON library into the build.
+// produce an unparseable file. Reading JSON is server/wire.hpp's job:
+// server::parseJson is the tree's one parser.
 #pragma once
 
 #include <ostream>
@@ -20,11 +19,5 @@ void writeJsonString(std::ostream& os, std::string_view s);
 /// JSON number for a possibly non-finite double (JSON has no Infinity or
 /// NaN; both map to `null`). 17 significant digits — round-trip exact.
 void writeJsonNumber(std::ostream& os, double x);
-
-/// True when `text` is one syntactically valid JSON value (object,
-/// array, string, number, true/false/null) with nothing but whitespace
-/// around it. A syntax checker, not a data model: it does not reject
-/// duplicate keys.
-[[nodiscard]] bool isValidJson(std::string_view text);
 
 }  // namespace fepia::obs

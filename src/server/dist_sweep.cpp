@@ -6,18 +6,23 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <set>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "io/parse.hpp"
 #include "obs/clock.hpp"
+#include "obs/json.hpp"
 #include "server/listener.hpp"
 #include "sweep/cache.hpp"
 #include "sweep/journal.hpp"
@@ -27,72 +32,31 @@
 namespace fepia::server {
 namespace {
 
-constexpr int kWaitRetryMillis = 100;
+constexpr std::uint64_t kWaitRetryMillis = 100;
+/// The longest lease or wait a worker accepts from a coordinator: far
+/// beyond any sweep's, and far from overflowing the chrono arithmetic
+/// the worker's sleeps and heartbeats do with it.
+constexpr std::uint64_t kMaxWireMillis = 24ull * 3600 * 1000;
 /// After the last shard commits, how long the coordinator keeps serving
 /// so connected workers can hear "drained" and leave cleanly.
 constexpr double kDrainGraceSeconds = 10.0;
-
-// JSON builders over the wire value type — requests and replies are
-// assembled as JsonValue trees and serialized, never hand-concatenated,
-// so worker names with quotes or backslashes cannot corrupt a frame.
-JsonValue jStr(std::string s) {
-  JsonValue v;
-  v.kind = JsonValue::Kind::String;
-  v.string = std::move(s);
-  return v;
-}
-JsonValue jNum(double d) {
-  JsonValue v;
-  v.kind = JsonValue::Kind::Number;
-  v.number = d;
-  return v;
-}
-JsonValue jBool(bool b) {
-  JsonValue v;
-  v.kind = JsonValue::Kind::Bool;
-  v.boolean = b;
-  return v;
-}
-JsonValue jArr(JsonArray a) {
-  JsonValue v;
-  v.kind = JsonValue::Kind::Array;
-  v.array = std::move(a);
-  return v;
-}
-JsonValue jObj(JsonObject o) {
-  JsonValue v;
-  v.kind = JsonValue::Kind::Object;
-  v.object = std::move(o);
-  return v;
-}
-
-std::string okReply(JsonObject fields) {
-  JsonObject o;
-  o.emplace_back("ok", jBool(true));
-  for (auto& f : fields) o.push_back(std::move(f));
-  return serializeJson(jObj(std::move(o)));
-}
-
-std::string errorReply(const std::string& code, const std::string& message) {
-  return serializeJson(jObj({{"ok", jBool(false)},
-                             {"error", jObj({{"code", jStr(code)},
-                                             {"message", jStr(message)}})}}));
-}
 
 /// One commit row: [id, analytic, closed, empirical, degraded, makespan,
 /// classifications], doubles in the journal's exact hexfloat form and
 /// counts as decimal strings (a JSON number is a double and could round
 /// a large classification count).
-JsonValue encodePointRow(std::size_t id, const sweep::PointResult& r) {
-  JsonArray row;
-  row.push_back(jStr(std::to_string(id)));
-  row.push_back(jStr(sweep::formatJournalDouble(r.analyticRho)));
-  row.push_back(jStr(sweep::formatJournalDouble(r.closedForm)));
-  row.push_back(jStr(sweep::formatJournalDouble(r.empirical)));
-  row.push_back(jStr(sweep::formatJournalDouble(r.degraded)));
-  row.push_back(jStr(sweep::formatJournalDouble(r.makespan)));
-  row.push_back(jStr(std::to_string(r.classifications)));
-  return jArr(std::move(row));
+void writePointRow(std::ostream& os, std::size_t id,
+                   const sweep::PointResult& r) {
+  os << '[';
+  obs::writeJsonString(os, std::to_string(id));
+  for (const double x :
+       {r.analyticRho, r.closedForm, r.empirical, r.degraded, r.makespan}) {
+    os << ',';
+    obs::writeJsonString(os, sweep::formatJournalDouble(x));
+  }
+  os << ',';
+  obs::writeJsonString(os, std::to_string(r.classifications));
+  os << ']';
 }
 
 bool decodePointRow(const JsonValue& row, std::size_t expectId,
@@ -116,16 +80,6 @@ bool decodePointRow(const JsonValue& row, std::size_t expectId,
   if (!cls.has_value()) return false;
   out.classifications = *cls;
   return true;
-}
-
-const JsonValue* findString(const JsonValue& req, const char* key) {
-  const JsonValue* v = req.find(key);
-  return (v != nullptr && v->isString()) ? v : nullptr;
-}
-
-const JsonValue* findNumber(const JsonValue& req, const char* key) {
-  const JsonValue* v = req.find(key);
-  return (v != nullptr && v->isNumber()) ? v : nullptr;
 }
 
 }  // namespace
@@ -189,11 +143,17 @@ struct SweepCoordinator::Impl {
     duplicateCommits = lease->duplicateCommits();
   }
 
-  std::string handleHello(const JsonValue& req, std::string& helloName);
-  std::string handleLease(const std::string& helloName);
-  std::string handleCommit(const JsonValue& req, const std::string& helloName);
-  std::string handleHeartbeat(const JsonValue& req);
-  std::string handle(const JsonValue& req, std::string& helloName);
+  // Each handler answers its request on `conn`; `helloName` is the
+  // connection's worker name, empty until its hello.
+  void handleHello(Connection& conn, const WireRequest& req,
+                   std::string& helloName);
+  void handleLease(Connection& conn, const WireRequest& req,
+                   const std::string& helloName);
+  void handleCommit(Connection& conn, const WireRequest& req,
+                    const std::string& helloName);
+  void handleHeartbeat(Connection& conn, const WireRequest& req);
+  void handle(Connection& conn, const WireRequest& req,
+              std::string& helloName);
   /// The per-connection frame loop the listener runs on each reader.
   void readerLoop(const std::shared_ptr<Connection>& conn);
   void teardown();
@@ -203,21 +163,24 @@ struct SweepCoordinator::Impl {
       [this](const std::shared_ptr<Connection>& conn) { readerLoop(conn); }};
 };
 
-std::string SweepCoordinator::Impl::handleHello(const JsonValue& req,
-                                                std::string& helloName) {
-  const JsonValue* hash = findString(req, "spec_hash");
-  const JsonValue* pts = findNumber(req, "points");
-  const JsonValue* worker = findString(req, "worker");
-  if (hash == nullptr || pts == nullptr || worker == nullptr ||
+void SweepCoordinator::Impl::handleHello(Connection& conn,
+                                         const WireRequest& req,
+                                         std::string& helloName) {
+  const JsonValue* hash = req.doc.find("spec_hash");
+  const JsonValue* pts = req.doc.find("points");
+  const JsonValue* worker = req.doc.find("worker");
+  if (hash == nullptr || !hash->isString() || pts == nullptr ||
+      !pts->isNumber() || worker == nullptr || !worker->isString() ||
       worker->string.empty()) {
-    return errorReply("bad_request", "hello needs spec_hash, points, worker");
+    return writeError(conn, req.id, "bad_request",
+                      "hello needs spec_hash, points, worker");
   }
   if (hash->string != specHashHex ||
       pts->number != static_cast<double>(points)) {
     logLine("coordinator: refused worker '" + worker->string +
             "': spec mismatch (got " + hash->string + ", want " + specHashHex +
             ")");
-    return errorReply("spec_mismatch",
+    return writeError(conn, req.id, "spec_mismatch",
                       "worker spec hash " + hash->string + " / " +
                           "coordinator " + specHashHex +
                           " — refusing to lease against a different sweep");
@@ -233,16 +196,20 @@ std::string SweepCoordinator::Impl::handleHello(const JsonValue& req,
   }
   helloName = worker->string;
   logLine("coordinator: worker '" + helloName + "' connected");
-  return okReply({{"kind", jStr("welcome")},
-                  {"lease_ms", jNum(cfg.leaseSeconds * 1000.0)},
-                  {"points", jNum(static_cast<double>(points))},
-                  {"chunk", jNum(static_cast<double>(chunk))},
-                  {"shards", jNum(static_cast<double>(shards))}});
+  writeOk(conn, req.id,
+          JsonFields()
+              .str("kind", "welcome")
+              .num("lease_ms", cfg.leaseSeconds * 1000.0)
+              .num("points", static_cast<double>(points))
+              .num("chunk", static_cast<double>(chunk))
+              .num("shards", static_cast<double>(shards)));
 }
 
-std::string SweepCoordinator::Impl::handleLease(const std::string& helloName) {
+void SweepCoordinator::Impl::handleLease(Connection& conn,
+                                         const WireRequest& req,
+                                         const std::string& helloName) {
   if (helloName.empty()) {
-    return errorReply("bad_request", "lease before hello");
+    return writeError(conn, req.id, "bad_request", "lease before hello");
   }
   std::optional<sweep::LeaseTable::Grant> grant;
   bool drained = false;
@@ -252,10 +219,15 @@ std::string SweepCoordinator::Impl::handleLease(const std::string& helloName) {
     drained = !grant.has_value() && lease->allCommitted();
     mirrorLeaseCounters();
   }
+  if (drained) {
+    writeOk(conn, req.id, JsonFields().str("kind", "drained"));
+    return;
+  }
   if (!grant.has_value()) {
-    if (drained) return okReply({{"kind", jStr("drained")}});
-    return okReply({{"kind", jStr("wait")},
-                    {"retry_ms", jNum(static_cast<double>(kWaitRetryMillis))}});
+    writeOk(conn, req.id,
+            JsonFields().str("kind", "wait").num(
+                "retry_ms", static_cast<double>(kWaitRetryMillis)));
+    return;
   }
   const std::size_t s = grant->shard;
   std::string line = "coordinator: leased shard " + std::to_string(s) +
@@ -275,35 +247,36 @@ std::string SweepCoordinator::Impl::handleLease(const std::string& helloName) {
         .str("worker", helloName);
     cfg.telemetry->emit(warn);
   }
-  return okReply(
-      {{"kind", jStr("lease")},
-       {"shard", jNum(static_cast<double>(s))},
-       {"first", jNum(static_cast<double>(s * chunk))},
-       {"count", jNum(static_cast<double>(shardCount(s)))},
-       {"generation", jNum(static_cast<double>(grant->generation))},
-       {"stolen", jBool(grant->stolen)}});
+  writeOk(conn, req.id,
+          JsonFields()
+              .str("kind", "lease")
+              .num("shard", static_cast<double>(s))
+              .num("first", static_cast<double>(s * chunk))
+              .num("count", static_cast<double>(shardCount(s)))
+              .num("generation", static_cast<double>(grant->generation))
+              .boolean("stolen", grant->stolen));
 }
 
-std::string SweepCoordinator::Impl::handleCommit(
-    const JsonValue& req, const std::string& helloName) {
+void SweepCoordinator::Impl::handleCommit(Connection& conn,
+                                          const WireRequest& req,
+                                          const std::string& helloName) {
   if (helloName.empty()) {
-    return errorReply("bad_request", "commit before hello");
+    return writeError(conn, req.id, "bad_request", "commit before hello");
   }
-  const JsonValue* shardV = findNumber(req, "shard");
-  const JsonValue* rows = req.find("results");
-  if (shardV == nullptr || rows == nullptr ||
+  const std::optional<std::uint64_t> shard =
+      toCount(req.doc.find("shard"), shards - 1);
+  const JsonValue* rows = req.doc.find("results");
+  if (!shard.has_value() || rows == nullptr ||
       rows->kind != JsonValue::Kind::Array) {
-    return errorReply("bad_request", "commit needs shard and results");
+    return writeError(conn, req.id, "bad_request",
+                      "commit needs a shard below " + std::to_string(shards) +
+                          " and a results array");
   }
-  const std::size_t s = static_cast<std::size_t>(shardV->number);
-  if (shardV->number < 0 || s >= shards) {
-    return errorReply("bad_request",
-                      "shard " + std::to_string(s) + " out of range");
-  }
+  const std::size_t s = *shard;
   const std::size_t first = s * chunk;
   const std::size_t count = shardCount(s);
   if (rows->array.size() != count) {
-    return errorReply("bad_request",
+    return writeError(conn, req.id, "bad_request",
                       "shard " + std::to_string(s) + " expects " +
                           std::to_string(count) + " points, got " +
                           std::to_string(rows->array.size()));
@@ -312,8 +285,8 @@ std::string SweepCoordinator::Impl::handleCommit(
   std::vector<sweep::PointResult> decoded(count);
   for (std::size_t i = 0; i < count; ++i) {
     if (!decodePointRow(rows->array[i], first + i, decoded[i])) {
-      return errorReply("bad_request", "malformed result row in shard " +
-                                           std::to_string(s));
+      return writeError(conn, req.id, "bad_request",
+                        "malformed result row in shard " + std::to_string(s));
     }
   }
   bool fresh = false;
@@ -362,49 +335,53 @@ std::string SweepCoordinator::Impl::handleCommit(
     logLine("coordinator: duplicate commit of shard " + std::to_string(s) +
             " from '" + helloName + "' (discarded)");
   }
-  return okReply({{"committed", jBool(fresh)}});
+  writeOk(conn, req.id, JsonFields().boolean("committed", fresh));
 }
 
-std::string SweepCoordinator::Impl::handleHeartbeat(const JsonValue& req) {
-  const JsonValue* worker = findString(req, "worker");
-  const JsonValue* shardV = findNumber(req, "shard");
-  if (worker == nullptr || shardV == nullptr) {
-    return errorReply("bad_request", "heartbeat needs worker and shard");
+void SweepCoordinator::Impl::handleHeartbeat(Connection& conn,
+                                             const WireRequest& req) {
+  const JsonValue* worker = req.doc.find("worker");
+  const std::optional<std::uint64_t> shard =
+      toCount(req.doc.find("shard"), shards - 1);
+  if (worker == nullptr || !worker->isString() || !shard.has_value()) {
+    return writeError(conn, req.id, "bad_request",
+                      "heartbeat needs worker and a shard below " +
+                          std::to_string(shards));
   }
-  const std::lock_guard<std::mutex> lock(mutex);
-  lease->heartbeat(static_cast<std::size_t>(shardV->number), worker->string,
-                   clock.elapsedSeconds());
-  return okReply({});
+  {
+    const std::lock_guard<std::mutex> lock(mutex);
+    lease->heartbeat(*shard, worker->string, clock.elapsedSeconds());
+  }
+  writeOk(conn, req.id, JsonFields());
 }
 
-std::string SweepCoordinator::Impl::handle(const JsonValue& req,
-                                           std::string& helloName) {
-  const JsonValue* kind = findString(req, "kind");
-  if (kind == nullptr) return errorReply("bad_request", "missing kind");
-  if (kind->string == "hello") return handleHello(req, helloName);
-  if (kind->string == "lease") return handleLease(helloName);
-  if (kind->string == "commit") return handleCommit(req, helloName);
-  if (kind->string == "heartbeat") return handleHeartbeat(req);
-  if (kind->string == "done") {
+void SweepCoordinator::Impl::handle(Connection& conn, const WireRequest& req,
+                                    std::string& helloName) {
+  if (req.kind == "hello") {
+    handleHello(conn, req, helloName);
+  } else if (req.kind == "lease") {
+    handleLease(conn, req, helloName);
+  } else if (req.kind == "commit") {
+    handleCommit(conn, req, helloName);
+  } else if (req.kind == "heartbeat") {
+    handleHeartbeat(conn, req);
+  } else if (req.kind == "done") {
     logLine("coordinator: worker '" +
             (helloName.empty() ? std::string("?") : helloName) + "' done");
-    return okReply({});
+    writeOk(conn, req.id, JsonFields());
+  } else {
+    writeError(conn, req.id, "bad_request", "unknown kind '" + req.kind + "'");
   }
-  return errorReply("bad_request", "unknown kind '" + kind->string + "'");
 }
 
 void SweepCoordinator::Impl::readerLoop(
     const std::shared_ptr<Connection>& conn) {
   std::string helloName;
+  WireRequest req;
   for (;;) {
-    const Frame frame = readFrame(conn->fd, cfg.maxFrameBytes);
-    if (frame.status != FrameStatus::Ok) break;
-    std::string parseError;
-    const std::optional<JsonValue> req = parseJson(frame.payload, &parseError);
-    const std::string reply = req.has_value()
-                                  ? handle(*req, helloName)
-                                  : errorReply("bad_frame", parseError);
-    if (!conn->write(reply)) break;
+    const ReadStatus status = readRequest(*conn, cfg.maxFrameBytes, req);
+    if (status == ReadStatus::Closed) break;
+    if (status == ReadStatus::Request) handle(*conn, req, helloName);
   }
   if (!helloName.empty()) {
     std::vector<std::size_t> reissued;
@@ -597,9 +574,9 @@ namespace {
 /// One request/reply round trip. Returns nullopt on a lost connection
 /// (the caller decides whether that is fatal); throws on a coordinator
 /// refusal ({"ok": false}).
-std::optional<JsonValue> rpc(int fd, const JsonValue& request,
+std::optional<JsonValue> rpc(int fd, const std::string& request,
                              std::size_t maxBytes) {
-  if (!writeFrame(fd, serializeJson(request))) return std::nullopt;
+  if (!writeFrame(fd, request)) return std::nullopt;
   const Frame frame = readFrame(fd, maxBytes);
   if (frame.status != FrameStatus::Ok) return std::nullopt;
   std::string parseError;
@@ -621,14 +598,28 @@ std::optional<JsonValue> rpc(int fd, const JsonValue& request,
   return reply;
 }
 
+/// A numeric member of a coordinator reply, through the one checked
+/// conversion: missing, negative, non-finite or above `max` makes the
+/// reply malformed.
+std::uint64_t replyCount(const JsonValue& reply, const char* key,
+                         std::uint64_t max) {
+  const std::optional<std::uint64_t> v = toCount(reply.find(key), max);
+  if (!v.has_value()) {
+    throw std::runtime_error(
+        std::string("sweep worker: malformed coordinator reply: \"") + key +
+        "\" must be a count no larger than " + std::to_string(max));
+  }
+  return *v;
+}
+
 /// Background lease renewal on its own connection, so heartbeats never
 /// interleave with the compute connection's request/reply frames.
 class HeartbeatThread {
  public:
   HeartbeatThread(const SweepWorkerConfig& cfg, const std::string& worker,
-                  double leaseMs)
+                  std::uint64_t leaseMs)
       : cfg_(cfg), worker_(worker) {
-    intervalMs_ = std::max(50.0, leaseMs / 3.0);
+    intervalMs_ = std::max<std::uint64_t>(50, leaseMs / 3);
     fd_ = connectHost(cfg.host, cfg.port);
     if (fd_ >= 0) thread_ = std::thread([this] { loop(); });
   }
@@ -650,17 +641,17 @@ class HeartbeatThread {
   void loop() {
     std::unique_lock<std::mutex> lk(mutex_);
     while (!stop_) {
-      cv_.wait_for(lk, std::chrono::milliseconds(
-                           static_cast<long>(intervalMs_)));
+      cv_.wait_for(lk, std::chrono::milliseconds(intervalMs_));
       if (stop_) break;
       const long shard = current_.load(std::memory_order_relaxed);
       if (shard < 0) continue;
       lk.unlock();
-      const JsonValue beat =
-          jObj({{"kind", jStr("heartbeat")},
-                {"worker", jStr(worker_)},
-                {"shard", jNum(static_cast<double>(shard))}});
-      bool alive = writeFrame(fd_, serializeJson(beat));
+      const std::string beat = JsonFields()
+                                   .str("kind", "heartbeat")
+                                   .str("worker", worker_)
+                                   .num("shard", static_cast<double>(shard))
+                                   .object();
+      bool alive = writeFrame(fd_, beat);
       if (alive) {
         alive = readFrame(fd_, cfg_.maxFrameBytes).status == FrameStatus::Ok;
       }
@@ -671,7 +662,7 @@ class HeartbeatThread {
 
   const SweepWorkerConfig& cfg_;
   std::string worker_;
-  double intervalMs_ = 3000.0;
+  std::uint64_t intervalMs_ = 3000;
   int fd_ = -1;
   std::thread thread_;
   std::mutex mutex_;
@@ -708,23 +699,25 @@ SweepWorkerReport runSweepWorker(const sweep::SweepSpec& spec,
     ~FdGuard() { ::close(fd); }
   } fdGuard{fd};
 
-  const JsonValue hello =
-      jObj({{"kind", jStr("hello")},
-            {"spec_hash", jStr(sweep::formatSpecHash(spec.hash()))},
-            {"points", jNum(static_cast<double>(spec.pointCount()))},
-            {"worker", jStr(name)}});
-  const std::optional<JsonValue> welcome = rpc(fd, hello, cfg.maxFrameBytes);
+  const std::size_t points = spec.pointCount();
+  const std::optional<JsonValue> welcome =
+      rpc(fd,
+          JsonFields()
+              .str("kind", "hello")
+              .str("spec_hash", sweep::formatSpecHash(spec.hash()))
+              .num("points", static_cast<double>(points))
+              .str("worker", name)
+              .object(),
+          cfg.maxFrameBytes);
   if (!welcome.has_value()) {
     throw std::runtime_error(
         "sweep worker: connection lost during handshake");
   }
-  double leaseMs = 10000.0;
-  if (const JsonValue* v = findNumber(*welcome, "lease_ms")) {
-    leaseMs = v->number;
-  }
+  const std::uint64_t leaseMs =
+      replyCount(*welcome, "lease_ms", kMaxWireMillis);
   logLine("worker '" + name + "': connected to " + cfg.host + ":" +
-          std::to_string(cfg.port) + " (lease " +
-          std::to_string(static_cast<long>(leaseMs)) + " ms)");
+          std::to_string(cfg.port) + " (lease " + std::to_string(leaseMs) +
+          " ms)");
 
   sweep::ResultCache cache(cfg.cacheEnabled);
   std::unique_ptr<sweep::PersistentCache> persistent;
@@ -757,45 +750,35 @@ SweepWorkerReport runSweepWorker(const sweep::SweepSpec& spec,
   SweepWorkerReport report;
   std::vector<sweep::PointResult> buffer;
   bool lostConnection = false;
+  const std::string leaseRequest =
+      JsonFields().str("kind", "lease").str("worker", name).object();
   for (;;) {
     const std::optional<JsonValue> reply =
-        rpc(fd, jObj({{"kind", jStr("lease")}, {"worker", jStr(name)}}),
-            cfg.maxFrameBytes);
+        rpc(fd, leaseRequest, cfg.maxFrameBytes);
     if (!reply.has_value()) {
       lostConnection = true;
       break;
     }
-    const JsonValue* kind = findString(*reply, "kind");
-    if (kind == nullptr) {
+    const JsonValue* kind = reply->find("kind");
+    if (kind == nullptr || !kind->isString()) {
       throw std::runtime_error("sweep worker: lease reply without kind");
     }
     if (kind->string == "drained") break;
     if (kind->string == "wait") {
-      double retryMs = kWaitRetryMillis;
-      if (const JsonValue* v = findNumber(*reply, "retry_ms")) {
-        retryMs = v->number;
-      }
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(static_cast<long>(retryMs)));
+      std::this_thread::sleep_for(std::chrono::milliseconds(
+          replyCount(*reply, "retry_ms", kMaxWireMillis)));
       continue;
     }
     if (kind->string != "lease") {
       throw std::runtime_error("sweep worker: unexpected lease reply kind '" +
                                kind->string + "'");
     }
-    const JsonValue* shardV = findNumber(*reply, "shard");
-    const JsonValue* firstV = findNumber(*reply, "first");
-    const JsonValue* countV = findNumber(*reply, "count");
-    if (shardV == nullptr || firstV == nullptr || countV == nullptr) {
-      throw std::runtime_error("sweep worker: malformed lease reply");
-    }
-    const std::size_t shard = static_cast<std::size_t>(shardV->number);
-    const std::size_t first = static_cast<std::size_t>(firstV->number);
-    const std::size_t count = static_cast<std::size_t>(countV->number);
-    std::uint64_t generation = 0;
-    if (const JsonValue* v = findNumber(*reply, "generation")) {
-      generation = static_cast<std::uint64_t>(v->number);
-    }
+    // A shard never outnumbers the points, and its range lies in the grid.
+    const std::size_t shard = replyCount(*reply, "shard", points);
+    const std::size_t first = replyCount(*reply, "first", points);
+    const std::size_t count = replyCount(*reply, "count", points - first);
+    const std::uint64_t generation = replyCount(
+        *reply, "generation", std::numeric_limits<std::uint64_t>::max());
     logLine("worker '" + name + "': leased shard " + std::to_string(shard) +
             " (" + std::to_string(count) + " points, generation " +
             std::to_string(generation) + ")");
@@ -811,17 +794,21 @@ SweepWorkerReport runSweepWorker(const sweep::SweepSpec& spec,
     shardsDoneA.fetch_add(1, std::memory_order_relaxed);
     pointsDoneA.fetch_add(count, std::memory_order_relaxed);
 
-    JsonArray rows;
-    rows.reserve(count);
+    std::ostringstream rows;
+    rows << '[';
     for (std::size_t i = 0; i < count; ++i) {
-      rows.push_back(encodePointRow(first + i, buffer[i]));
+      if (i > 0) rows << ',';
+      writePointRow(rows, first + i, buffer[i]);
     }
+    rows << ']';
     const std::optional<JsonValue> commitReply =
         rpc(fd,
-            jObj({{"kind", jStr("commit")},
-                  {"worker", jStr(name)},
-                  {"shard", jNum(static_cast<double>(shard))},
-                  {"results", jArr(std::move(rows))}}),
+            JsonFields()
+                .str("kind", "commit")
+                .str("worker", name)
+                .num("shard", static_cast<double>(shard))
+                .raw("results", rows.str())
+                .object(),
             cfg.maxFrameBytes);
     if (!commitReply.has_value()) {
       lostConnection = true;
@@ -845,7 +832,8 @@ SweepWorkerReport runSweepWorker(const sweep::SweepSpec& spec,
     logLine("worker '" + name +
             "': connection closed by coordinator; assuming drained");
   } else {
-    (void)rpc(fd, jObj({{"kind", jStr("done")}, {"worker", jStr(name)}}),
+    (void)rpc(fd,
+              JsonFields().str("kind", "done").str("worker", name).object(),
               cfg.maxFrameBytes);
   }
 

@@ -11,11 +11,16 @@
 // (sweep::evaluatePointRange) and stream the results back until the
 // coordinator reports the sweep drained.
 //
-// Wire kinds (all requests carry {"kind": ...}; replies carry
-// {"ok": true, ...} or {"ok": false, "error": {"code", "message"}}):
+// Wire kinds, read and answered with fepiad's codec (server/wire.hpp):
+// replies echo the request's id as {"id", "ok": true, ...} or
+// {"id", "ok": false, "error": {"code", "message"}}, and an oversized
+// frame, a non-JSON payload or a request without a string kind gets
+// the typed bad_frame / bad_request errors. Numeric fields go through
+// server::toCount: a negative, non-finite or out-of-range shard is a
+// bad_request, and a worker refuses such a number in a reply.
 //
 //   hello      {spec_hash, points, worker}  -> {kind:"welcome",
-//              lease_ms} — refused with code "spec_mismatch" when the
+//              lease_ms, points, chunk, shards} — refused with code "spec_mismatch" when the
 //              worker's spec (or grid size) differs from the
 //              coordinator's: a lease must never be computed against a
 //              different sweep.

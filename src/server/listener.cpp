@@ -9,8 +9,6 @@
 #include <cerrno>
 #include <cstring>
 
-#include "server/wire.hpp"
-
 namespace fepia::server {
 namespace {
 
@@ -19,20 +17,6 @@ namespace {
 constexpr int kAcceptPollMillis = 100;
 
 }  // namespace
-
-Connection::~Connection() {
-  if (fd >= 0) ::close(fd);
-}
-
-bool Connection::write(const std::string& payload) {
-  const std::lock_guard<std::mutex> lock(writeMutex);
-  if (!open.load(std::memory_order_relaxed)) return false;
-  if (!writeFrame(fd, payload)) {
-    open.store(false, std::memory_order_relaxed);
-    return false;
-  }
-  return true;
-}
 
 bool Listener::start(const std::string& bindAddress, std::uint16_t port,
                      std::string* error) {

@@ -22,25 +22,9 @@
 #include <thread>
 #include <vector>
 
+#include "server/wire.hpp"
+
 namespace fepia::server {
-
-/// One accepted client connection. Writers serialize on writeMutex so a
-/// progress frame from a streaming sweep can never interleave with the
-/// final response frame. The last shared_ptr owner closes the fd.
-struct Connection {
-  explicit Connection(int fileDescriptor) : fd(fileDescriptor) {}
-  ~Connection();
-  Connection(const Connection&) = delete;
-  Connection& operator=(const Connection&) = delete;
-
-  /// Frames and writes `payload`; marks the connection dead on any
-  /// write failure (EPIPE shows up here, not as SIGPIPE).
-  bool write(const std::string& payload);
-
-  int fd;
-  std::mutex writeMutex;
-  std::atomic<bool> open{true};
-};
 
 class Listener {
  public:

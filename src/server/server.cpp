@@ -1,5 +1,6 @@
 #include "server/server.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <sstream>
@@ -8,7 +9,6 @@
 
 #include "io/parse.hpp"
 #include "obs/clock.hpp"
-#include "obs/json.hpp"
 #include "obs/manifest.hpp"
 #include "server/query.hpp"
 
@@ -18,6 +18,20 @@ namespace {
 /// Upper bound on the ping sleep_ms test hook — a typo must not park a
 /// worker for an hour.
 constexpr std::uint64_t kMaxPingSleepMillis = 10'000;
+
+/// The members of every fepiad success reply: the exit code, the
+/// captured stdout, and the --json document (null when `json` is).
+JsonFields queryFields(int exitCode, std::string_view output,
+                       const std::string* json) {
+  JsonFields fields;
+  fields.num("exit", exitCode).str("output", output);
+  if (json != nullptr) {
+    fields.str("json", *json);
+  } else {
+    fields.raw("json", "null");
+  }
+  return fields;
+}
 
 std::string trim(const std::string& s) {
   std::size_t b = 0;
@@ -212,122 +226,93 @@ Server::Stats Server::stats() const {
 void Server::readerLoop(const std::shared_ptr<Connection>& conn) {
   accepted_.fetch_add(1, std::memory_order_relaxed);
   openConnections_.fetch_add(1, std::memory_order_relaxed);
+  WireRequest wire;
   for (;;) {
-    const Frame frame =
-        readFrame(conn->fd, maxFrameBytes_.load(std::memory_order_relaxed));
-    if (frame.status == FrameStatus::Oversized) {
-      // The payload bytes were never read, so the stream cannot be
-      // re-synchronized — reject and close.
-      sendError(conn, "null", "bad_frame",
-                "frame of " + std::to_string(frame.declaredBytes) +
-                    " bytes exceeds the " +
-                    std::to_string(
-                        maxFrameBytes_.load(std::memory_order_relaxed)) +
-                    "-byte cap");
-      break;
-    }
-    if (frame.status != FrameStatus::Ok) break;  // Eof/Truncated/IoError
-    if (!routePayload(conn, frame.payload)) break;
+    const ReadStatus status = readRequest(
+        *conn, maxFrameBytes_.load(std::memory_order_relaxed), wire, &errors_);
+    if (status == ReadStatus::Closed) break;
+    if (status == ReadStatus::Request && !route(conn, wire)) break;
   }
   // Queued requests keep their own reference; the fd closes (and any
   // pending response write turns into a no-op) once the last one drops.
   openConnections_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-bool Server::routePayload(const std::shared_ptr<Connection>& conn,
-                          const std::string& payload) {
-  std::string parseError;
-  const std::optional<JsonValue> doc = parseJson(payload, &parseError);
-  if (!doc.has_value()) {
-    // Framing is still intact (the payload was length-delimited), so
-    // the connection survives a garbage request body.
-    sendError(conn, "null", "bad_frame", "invalid JSON: " + parseError);
-    return true;
-  }
-  std::string idRaw = "null";
-  if (const JsonValue* id = doc->find("id")) idRaw = serializeJson(*id);
-  const JsonValue* kindValue = doc->find("kind");
-  if (!doc->isObject() || kindValue == nullptr || !kindValue->isString()) {
-    sendError(conn, idRaw, "bad_request",
-              "request must be a JSON object with a string \"kind\"");
-    return true;
-  }
-  const std::string& kind = kindValue->string;
+bool Server::route(const std::shared_ptr<Connection>& conn,
+                   const WireRequest& wire) {
+  const auto reject = [&](const char* code, const std::string& message) {
+    writeError(*conn, wire.id, code, message, &errors_);
+  };
+  const std::string& kind = wire.kind;
 
   if (kind == "stats") {
-    std::ostringstream os;
-    os << "{\"id\":" << idRaw << ",\"ok\":true,\"exit\":0,\"output\":\"\","
-       << "\"json\":";
-    obs::writeJsonString(os, statsJson());
-    os << "}";
-    conn->write(os.str());
+    const std::string stats = statsJson();
+    writeOk(*conn, wire.id, queryFields(0, "", &stats));
     served_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
   if (kind == "shutdown") {
-    conn->write("{\"id\":" + idRaw +
-                ",\"ok\":true,\"exit\":0,\"output\":\"shutting down\\n\","
-                "\"json\":null}");
+    writeOk(*conn, wire.id, queryFields(0, "shutting down\n", nullptr));
     served_.fetch_add(1, std::memory_order_relaxed);
     requestStop();
     return false;
   }
   if (kind != "radius" && kind != "validate" && kind != "fault-sim" &&
       kind != "sweep" && kind != "ping") {
-    sendError(conn, idRaw, "bad_request", "unknown kind '" + kind + "'");
+    reject("bad_request", "unknown kind '" + kind + "'");
     return true;
   }
 
   Request req;
   req.conn = conn;
-  req.idRaw = idRaw;
+  req.idRaw = wire.id;
   req.kind = kind;
-  if (const JsonValue* args = doc->find("args")) {
+  if (const JsonValue* args = wire.doc.find("args")) {
     if (args->kind != JsonValue::Kind::Array) {
-      sendError(conn, idRaw, "bad_request", "\"args\" must be an array");
+      reject("bad_request", "\"args\" must be an array");
       return true;
     }
     for (const JsonValue& arg : args->array) {
       if (!arg.isString()) {
-        sendError(conn, idRaw, "bad_request",
-                  "\"args\" must contain only strings");
+        reject("bad_request", "\"args\" must contain only strings");
         return true;
       }
       req.args.push_back(arg.string);
     }
   }
-  if (const JsonValue* stream = doc->find("stream")) {
+  if (const JsonValue* stream = wire.doc.find("stream")) {
     req.stream = stream->kind == JsonValue::Kind::Bool && stream->boolean;
   }
-  if (const JsonValue* deadline = doc->find("deadline_ms")) {
-    if (!deadline->isNumber() || deadline->number < 0) {
-      sendError(conn, idRaw, "bad_request",
-                "\"deadline_ms\" must be a non-negative number");
+  if (const JsonValue* deadline = wire.doc.find("deadline_ms")) {
+    const std::optional<std::uint64_t> ms = toCount(deadline);
+    if (!ms.has_value()) {
+      reject("bad_request", "\"deadline_ms\" must be a non-negative number");
       return true;
     }
-    req.deadlineMs = static_cast<std::uint64_t>(deadline->number);
+    req.deadlineMs = *ms;
   }
-  if (const JsonValue* sleepMs = doc->find("sleep_ms")) {
-    if (sleepMs->isNumber() && sleepMs->number > 0) {
-      req.sleepMs = static_cast<std::uint64_t>(sleepMs->number);
-      if (req.sleepMs > kMaxPingSleepMillis) req.sleepMs = kMaxPingSleepMillis;
+  if (const JsonValue* sleepMs = wire.doc.find("sleep_ms")) {
+    const std::optional<std::uint64_t> ms = toCount(sleepMs);
+    if (!ms.has_value()) {
+      reject("bad_request", "\"sleep_ms\" must be a non-negative number");
+      return true;
     }
+    req.sleepMs = std::min(*ms, kMaxPingSleepMillis);
   }
   req.enqueuedNs = obs::nowNanos();
 
   {
     const std::lock_guard<std::mutex> lock(queueMutex_);
     if (stopping_.load(std::memory_order_relaxed)) {
-      sendError(conn, idRaw, "shutting_down", "server is shutting down");
+      reject("shutting_down", "server is shutting down");
       return false;
     }
     if (queue_.size() >= maxQueue_.load(std::memory_order_relaxed)) {
       overloaded_.fetch_add(1, std::memory_order_relaxed);
-      sendError(conn, idRaw, "overloaded",
-                "request queue is full (" +
-                    std::to_string(
-                        maxQueue_.load(std::memory_order_relaxed)) +
-                    " requests)");
+      reject("overloaded",
+             "request queue is full (" +
+                 std::to_string(maxQueue_.load(std::memory_order_relaxed)) +
+                 " requests)");
       return true;
     }
     queue_.push_back(std::move(req));
@@ -361,10 +346,11 @@ void Server::workerLoop() {
           (obs::nowNanos() - req.enqueuedNs) / 1'000'000ull;
       if (waitedMs > deadline) {
         deadlineExpired_.fetch_add(1, std::memory_order_relaxed);
-        sendError(req.conn, req.idRaw, "deadline",
-                  "request waited " + std::to_string(waitedMs) +
-                      " ms in queue (deadline " + std::to_string(deadline) +
-                      " ms)");
+        writeError(*req.conn, req.idRaw, "deadline",
+                   "request waited " + std::to_string(waitedMs) +
+                       " ms in queue (deadline " + std::to_string(deadline) +
+                       " ms)",
+                   &errors_);
         continue;
       }
     }
@@ -383,9 +369,7 @@ void Server::handle(const Request& req) {
     if (req.sleepMs != 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(req.sleepMs));
     }
-    if (req.conn->write("{\"id\":" + req.idRaw +
-                        ",\"ok\":true,\"exit\":0,\"output\":\"pong\\n\","
-                        "\"json\":null}")) {
+    if (writeOk(*req.conn, req.idRaw, queryFields(0, "pong\n", nullptr))) {
       served_.fetch_add(1, std::memory_order_relaxed);
     }
     return;
@@ -445,39 +429,17 @@ void Server::handle(const Request& req) {
       result = runSweepQuery(req.args, out, ctx);
     }
   } catch (const UsageError& e) {
-    sendError(req.conn, req.idRaw, "bad_request", e.what());
-    return;
+    return writeError(*req.conn, req.idRaw, "bad_request", e.what(),
+                      &errors_);
   } catch (const std::exception& e) {
-    sendError(req.conn, req.idRaw, "failed", e.what());
-    return;
+    return writeError(*req.conn, req.idRaw, "failed", e.what(), &errors_);
   }
 
-  std::ostringstream response;
-  response << "{\"id\":" << req.idRaw << ",\"ok\":true,\"exit\":"
-           << result.exitCode << ",\"output\":";
-  obs::writeJsonString(response, out.str());
-  response << ",\"json\":";
-  if (result.hasJson) {
-    obs::writeJsonString(response, result.json);
-  } else {
-    response << "null";
-  }
-  response << "}";
-  if (req.conn->write(response.str())) {
+  if (writeOk(*req.conn, req.idRaw,
+              queryFields(result.exitCode, out.str(),
+                          result.hasJson ? &result.json : nullptr))) {
     served_.fetch_add(1, std::memory_order_relaxed);
   }
-}
-
-void Server::sendError(const std::shared_ptr<Connection>& conn,
-                       const std::string& idRaw, const char* code,
-                       const std::string& message) {
-  errors_.fetch_add(1, std::memory_order_relaxed);
-  std::ostringstream os;
-  os << "{\"id\":" << idRaw << ",\"ok\":false,\"error\":{\"code\":\"" << code
-     << "\",\"message\":";
-  obs::writeJsonString(os, message);
-  os << "}}";
-  conn->write(os.str());
 }
 
 std::string Server::statsJson() {

@@ -16,8 +16,18 @@
 // accepting, workers drain the queue, every accepted request gets its
 // response before the socket closes.
 //
-// Protocol: see server/wire.hpp. docs/server.md is the user-facing
-// description.
+// Protocol: the frames and shared rules of server/wire.hpp, with these
+// kinds and members (docs/server.md is the user-facing description):
+//
+// Requests:  {"id": <any>, "kind": "radius|validate|fault-sim|sweep|
+//             ping|stats|shutdown", "args": ["--samples","64",...],
+//             "deadline_ms": N?, "stream": bool?, "sleep_ms": N?}
+// Success:   {"id": <echo>, "ok": true, "exit": N,
+//             "output": "<stdout bytes>", "json": "<--json bytes>"|null}
+// Error:     codes bad_frame, bad_request, overloaded, deadline, failed,
+//            shutting_down
+// Progress:  {"id": <echo>, "type": "progress", "event": {<one
+//             telemetry JSONL record, embedded verbatim>}}
 #pragma once
 
 #include <atomic>
@@ -128,15 +138,12 @@ class Server {
   /// The per-connection frame loop the listener runs on each reader.
   void readerLoop(const std::shared_ptr<Connection>& conn);
   void workerLoop();
-  /// Decodes one request payload and either enqueues it or answers it
-  /// inline (stats) / triggers shutdown. Returns false when the
-  /// connection should close.
-  bool routePayload(const std::shared_ptr<Connection>& conn,
-                    const std::string& payload);
+  /// Either enqueues a decoded request or answers it inline (stats,
+  /// shutdown, a typed error). Returns false when the connection should
+  /// close.
+  bool route(const std::shared_ptr<Connection>& conn,
+             const WireRequest& wire);
   void handle(const Request& req);
-  void sendError(const std::shared_ptr<Connection>& conn,
-                 const std::string& idRaw, const char* code,
-                 const std::string& message);
   [[nodiscard]] std::string statsJson();
 
   const ServeConfig cfg_;

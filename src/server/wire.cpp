@@ -20,9 +20,8 @@
 namespace fepia::server {
 namespace {
 
-/// Matches obs::isValidJson's depth cap: deeper documents are rejected,
-/// never recursed into (requests are flat; this only bounds adversarial
-/// input).
+/// Deeper documents are rejected, never recursed into (requests are
+/// flat; this only bounds adversarial input).
 constexpr int kMaxDepth = 64;
 
 /// from_chars reports overflow and underflow identically
@@ -505,6 +504,123 @@ int connectHost(const std::string& host, std::uint16_t port) {
   }
   ::freeaddrinfo(res);
   return fd;
+}
+
+// ---------------------------------------------------------------------
+
+Connection::~Connection() {
+  if (fd >= 0) ::close(fd);
+}
+
+bool Connection::write(const std::string& payload) {
+  const std::lock_guard<std::mutex> lock(writeMutex);
+  if (!open.load(std::memory_order_relaxed)) return false;
+  if (!writeFrame(fd, payload)) {
+    open.store(false, std::memory_order_relaxed);
+    return false;
+  }
+  return true;
+}
+
+ReadStatus readRequest(Connection& conn, std::size_t maxBytes,
+                       WireRequest& request,
+                       std::atomic<std::uint64_t>* errors) {
+  const Frame frame = readFrame(conn.fd, maxBytes);
+  if (frame.status == FrameStatus::Oversized) {
+    // The payload bytes were never read, so the stream cannot be
+    // re-synchronized — reject and close.
+    writeError(conn, "null", "bad_frame",
+               "frame of " + std::to_string(frame.declaredBytes) +
+                   " bytes exceeds the " + std::to_string(maxBytes) +
+                   "-byte cap",
+               errors);
+    return ReadStatus::Closed;
+  }
+  if (frame.status != FrameStatus::Ok) return ReadStatus::Closed;
+
+  std::string parseError;
+  std::optional<JsonValue> doc = parseJson(frame.payload, &parseError);
+  if (!doc.has_value()) {
+    writeError(conn, "null", "bad_frame", "invalid JSON: " + parseError,
+               errors);
+    return ReadStatus::Answered;
+  }
+  request.id = "null";
+  if (const JsonValue* id = doc->find("id")) request.id = serializeJson(*id);
+  const JsonValue* kind = doc->find("kind");
+  if (kind == nullptr || !kind->isString()) {
+    writeError(conn, request.id, "bad_request",
+               "request must be a JSON object with a string \"kind\"",
+               errors);
+    return ReadStatus::Answered;
+  }
+  request.kind = kind->string;
+  request.doc = std::move(*doc);
+  return ReadStatus::Request;
+}
+
+std::ostream& JsonFields::key(std::string_view name) {
+  os_ << ',';
+  obs::writeJsonString(os_, name);
+  return os_ << ':';
+}
+
+JsonFields& JsonFields::str(std::string_view name, std::string_view value) {
+  obs::writeJsonString(key(name), value);
+  return *this;
+}
+
+JsonFields& JsonFields::num(std::string_view name, double value) {
+  obs::writeJsonNumber(key(name), value);
+  return *this;
+}
+
+JsonFields& JsonFields::boolean(std::string_view name, bool value) {
+  key(name) << (value ? "true" : "false");
+  return *this;
+}
+
+JsonFields& JsonFields::raw(std::string_view name, std::string_view json) {
+  key(name) << json;
+  return *this;
+}
+
+std::string JsonFields::object() const {
+  std::string text = os_.str();
+  if (text.empty()) return "{}";
+  text[0] = '{';  // the first member's leading comma
+  return text + '}';
+}
+
+bool writeOk(Connection& conn, const std::string& id,
+             const JsonFields& fields) {
+  return conn.write("{\"id\":" + id + ",\"ok\":true" + fields.members() +
+                    "}");
+}
+
+void writeError(Connection& conn, const std::string& id, const char* code,
+                const std::string& message,
+                std::atomic<std::uint64_t>* errors) {
+  if (errors != nullptr) errors->fetch_add(1, std::memory_order_relaxed);
+  std::ostringstream os;
+  os << "{\"id\":" << id << ",\"ok\":false,\"error\":{\"code\":";
+  obs::writeJsonString(os, code);
+  os << ",\"message\":";
+  obs::writeJsonString(os, message);
+  os << "}}";
+  conn.write(os.str());
+}
+
+std::optional<std::uint64_t> toCount(const JsonValue* value,
+                                     std::uint64_t max) {
+  if (value == nullptr || !value->isNumber()) return std::nullopt;
+  const double x = value->number;
+  // 2^64 is the first double past the uint64 range; the negated
+  // comparisons also reject NaN.
+  if (!(x >= 0.0) || !(x < 0x1p64)) return std::nullopt;
+  const auto n = static_cast<std::uint64_t>(x);
+  if (n > max) return std::nullopt;
+  return n;
 }
 
 }  // namespace fepia::server

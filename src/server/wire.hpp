@@ -1,7 +1,8 @@
-// fepiad wire protocol: length-prefixed JSON frames over a stream
-// socket, plus the small hand-rolled JSON reader the server uses to
-// decode requests (the repo's obs/json.hpp only *writes* and
-// syntax-checks JSON; nothing else in the tree parses it).
+// The wire protocol fepiad and the distributed sweep coordinator both
+// speak: length-prefixed JSON frames over a stream socket, the small
+// hand-rolled JSON reader that decodes them (the tree's one JSON
+// parser; obs/json.hpp only writes JSON), and the request/reply codec
+// the two services share.
 //
 // Framing: every message is a 4-byte big-endian payload length followed
 // by exactly that many bytes of UTF-8 JSON. The prefix makes message
@@ -10,16 +11,18 @@
 // whose declared length exceeds the configured cap is rejected before a
 // single payload byte is read.
 //
-// Requests:  {"id": <any>, "kind": "radius|validate|fault-sim|sweep|
-//             ping|stats|shutdown", "args": ["--samples","64",...],
-//             "deadline_ms": N?, "stream": bool?, "sleep_ms": N?}
-// Success:   {"id": <echo>, "ok": true, "exit": N,
-//             "output": "<stdout bytes>", "json": "<--json bytes>"|null}
+// Requests:  {"id": <any>, "kind": "<service-defined>", ...}
+// Success:   {"id": <echo>, "ok": true, <kind-specific members>}
 // Error:     {"id": <echo>, "ok": false, "error": {"code":
-//             "bad_frame|bad_request|overloaded|deadline|failed|
-//              shutting_down", "message": "..."}}
-// Progress:  {"id": <echo>, "type": "progress", "event": {<one
-//             telemetry JSONL record, embedded verbatim>}}
+//             "bad_frame|bad_request|<service-defined>", "message": "..."}}
+//
+// readRequest applies the rules both services share: an oversized frame
+// is answered `bad_frame` and the connection closes (its unread payload
+// leaves the stream unusable); a payload that is not JSON is answered
+// `bad_frame` and the connection stays open (the frame was
+// length-delimited); a document that is not an object with a string
+// "kind" is answered `bad_request`. fepiad's kinds and members are in
+// server/server.hpp, the coordinator's in server/dist_sweep.hpp.
 //
 // The JSON reader is deliberately small: UTF-8 passthrough, \uXXXX
 // decoded to UTF-8 (surrogate pairs included), numbers via
@@ -27,9 +30,14 @@
 // insertion-ordered key/value vectors, recursion capped at kMaxDepth.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <limits>
+#include <mutex>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -115,5 +123,87 @@ struct Frame {
 /// Connects to host:port (numeric IPv4 or a resolvable name); returns
 /// the fd or -1. The distributed sweep worker's client side.
 [[nodiscard]] int connectHost(const std::string& host, std::uint16_t port);
+
+// ---------------------------------------------------------------------
+// Connections and the request/reply codec.
+
+/// One accepted client connection. Writers serialize on writeMutex so a
+/// progress frame from a streaming sweep can never interleave with the
+/// final response frame. The last shared_ptr owner closes the fd.
+struct Connection {
+  explicit Connection(int fileDescriptor) : fd(fileDescriptor) {}
+  ~Connection();
+  Connection(const Connection&) = delete;
+  Connection& operator=(const Connection&) = delete;
+
+  /// Frames and writes `payload`; marks the connection dead on any
+  /// write failure (EPIPE shows up here, not as SIGPIPE).
+  bool write(const std::string& payload);
+
+  int fd;
+  std::mutex writeMutex;
+  std::atomic<bool> open{true};
+};
+
+/// One decoded request.
+struct WireRequest {
+  JsonValue doc;            ///< the request object
+  std::string kind;         ///< its string "kind"
+  std::string id = "null";  ///< its "id" re-serialized, echoed in replies
+};
+
+enum class ReadStatus {
+  Request,   ///< a request is ready to dispatch
+  Answered,  ///< the frame got a typed error; the connection stays open
+  Closed,    ///< end of stream, or an oversized frame got bad_frame
+};
+
+/// Reads one frame from `conn` and applies the shared rules above,
+/// answering what they reject. On Request, `request` holds the frame.
+/// `errors`, when non-null, counts every typed error written.
+[[nodiscard]] ReadStatus readRequest(Connection& conn, std::size_t maxBytes,
+                                     WireRequest& request,
+                                     std::atomic<std::uint64_t>* errors =
+                                         nullptr);
+
+/// The members of one frame object, each led by a comma and written
+/// with obs::writeJsonString / obs::writeJsonNumber (strings escaped,
+/// numbers round-trip exact, non-finite numbers as null).
+class JsonFields {
+ public:
+  JsonFields& str(std::string_view key, std::string_view value);
+  JsonFields& num(std::string_view key, double value);
+  JsonFields& boolean(std::string_view key, bool value);
+  /// A member whose value is already JSON text.
+  JsonFields& raw(std::string_view key, std::string_view json);
+
+  /// The members alone: what a reply carries after its envelope.
+  [[nodiscard]] std::string members() const { return os_.str(); }
+  /// The members as one object: a request frame.
+  [[nodiscard]] std::string object() const;
+
+ private:
+  std::ostream& key(std::string_view name);
+  std::ostringstream os_;
+};
+
+/// Answers `id` with {"id":<id>,"ok":true<fields>}. False when the
+/// connection is gone.
+bool writeOk(Connection& conn, const std::string& id,
+             const JsonFields& fields);
+
+/// Answers `id` with {"id":<id>,"ok":false,"error":{"code":<code>,
+/// "message":<message>}}, counting it in `errors` when non-null.
+void writeError(Connection& conn, const std::string& id, const char* code,
+                const std::string& message,
+                std::atomic<std::uint64_t>* errors = nullptr);
+
+/// The one checked conversion for numeric fields: `value` as an
+/// unsigned integer no larger than `max`, truncating a fraction as a
+/// cast would. nullopt when `value` is null (absent), not a number,
+/// negative, not finite or out of range — never an undefined cast.
+[[nodiscard]] std::optional<std::uint64_t> toCount(
+    const JsonValue* value,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 }  // namespace fepia::server

@@ -19,7 +19,10 @@ std::string cell(double v) {
   return report::num(v, 9);
 }
 
-report::Table buildTable(const SweepSpec& spec, const SweepSurface& surface) {
+}  // namespace
+
+report::Table surfaceTable(const SweepSpec& spec,
+                           const SweepSurface& surface) {
   std::vector<std::string> headers{"id"};
   for (const Axis& a : spec.axes) headers.push_back(a.name);
   for (const char* h : {"analytic rho", "closed form", "empirical",
@@ -44,13 +47,6 @@ report::Table buildTable(const SweepSpec& spec, const SweepSurface& surface) {
     table.addRow(std::move(row));
   }
   return table;
-}
-
-}  // namespace
-
-report::Table surfaceTable(const SweepSpec& spec,
-                           const SweepSurface& surface) {
-  return buildTable(spec, surface);
 }
 
 report::Table axisResponseTable(const SweepSpec& spec,
@@ -151,11 +147,6 @@ void writeSurfaceJson(std::ostream& os, const SweepSpec& spec,
     firstRow = false;
   }
   os << "\n  ]\n}\n";
-}
-
-void writeSurfaceCsv(std::ostream& os, const SweepSpec& spec,
-                     const SweepSurface& surface) {
-  buildTable(spec, surface).printCsv(os);
 }
 
 SurfaceSummary summarize(const SweepSurface& surface) {

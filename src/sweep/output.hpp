@@ -35,10 +35,6 @@ void writeSurfaceJson(std::ostream& os, const SweepSpec& spec,
                       const SweepSurface& surface,
                       const obs::RunManifest* manifest = nullptr);
 
-/// CSV form of surfaceTable (one header row, RFC-4180 quoting).
-void writeSurfaceCsv(std::ostream& os, const SweepSpec& spec,
-                     const SweepSurface& surface);
-
 /// min/max of the finite analytic rho over computed points, and (linear
 /// workload) the largest |analytic - closed form| — the acceptance
 /// numbers the CLI prints after a sweep.

@@ -1,7 +1,6 @@
 // Coverage for public API paths not exercised elsewhere: multi-RHS LU
-// solves, resource accessors, writer error paths, and the umbrella
-// header itself (this file includes fepia.hpp, so it breaks if the
-// umbrella ever goes stale).
+// solves, writer error paths, and the umbrella header itself (this file
+// includes fepia.hpp, so it breaks if the umbrella ever goes stale).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -17,16 +16,6 @@ TEST(ApiCoverage, LuMatrixSolve) {
   const la::Matrix x = lu.solve(b);
   EXPECT_TRUE(la::approxEqual(la::matmul(a, x), b, 1e-12));
   EXPECT_THROW((void)lu.solve(la::Matrix(3, 2)), std::invalid_argument);
-}
-
-TEST(ApiCoverage, FifoResourceBusyUntil) {
-  des::Simulator sim;
-  des::FifoResource server(sim, "cpu");
-  EXPECT_DOUBLE_EQ(server.busyUntil(), 0.0);
-  sim.schedule(0.0, [&] { server.submit(3.0, [] {}); });
-  sim.run();
-  EXPECT_DOUBLE_EQ(server.busyUntil(), 3.0);
-  EXPECT_EQ(server.name(), "cpu");
 }
 
 TEST(ApiCoverage, WriteProblemRejectsNonLinearFeatures) {

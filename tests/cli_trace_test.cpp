@@ -10,10 +10,10 @@
 #include <sstream>
 #include <string>
 
-#include "obs/json.hpp"
+#include "server/wire.hpp"
 #include "support/temp_path.hpp"
 
-namespace obs = fepia::obs;
+namespace server = fepia::server;
 
 namespace {
 
@@ -60,7 +60,7 @@ TEST(CliTrace, SearchEmitsParseableChromeTrace) {
 
   const std::string doc = slurp(trace);
   ASSERT_FALSE(doc.empty()) << "trace file not written: " << trace;
-  EXPECT_TRUE(obs::isValidJson(doc));
+  EXPECT_TRUE(server::parseJson(doc).has_value());
   for (const char* name :
        {"search.heuristics", "search.local_search", "search.ga",
         "ga.generation", "\"ph\": \"X\""}) {
@@ -74,7 +74,7 @@ TEST(CliTrace, JsonOutputCarriesManifest) {
                         " > /dev/null");
   ASSERT_EQ(rc, 0);
   const std::string doc = slurp(out);
-  EXPECT_TRUE(obs::isValidJson(doc));
+  EXPECT_TRUE(server::parseJson(doc).has_value());
   for (const char* key :
        {"\"manifest\"", "\"git_sha\"", "\"compiler\"", "\"wall_seconds\"",
         "\"allocations\""}) {

@@ -1,12 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <stdexcept>
 #include <vector>
 
+#include "des/event_heap.hpp"
 #include "des/pipeline.hpp"
-#include "des/simulator.hpp"
 #include "fault/plan.hpp"
 #include "hiperd/factory.hpp"
 
@@ -15,24 +16,48 @@ namespace fault = fepia::fault;
 namespace hiperd = fepia::hiperd;
 namespace la = fepia::la;
 
+// The DES's event-ordering contract, held by des::EventHeap: events
+// surface in nondecreasing time, and events at equal times in the order
+// they were scheduled (their seq), so the pipeline kernel's same-instant
+// bursts around a crash are deterministic by construction.
+namespace {
+
+struct TestEvent {
+  double time;
+  std::uint64_t seq;
+  int id;
+};
+
+/// Schedules events the way the pipeline kernel does: each takes the
+/// next seq.
+struct Schedule {
+  des::EventHeap<TestEvent> heap;
+  std::uint64_t nextSeq = 0;
+
+  void at(double time, int id) { heap.push({time, nextSeq++, id}); }
+  std::vector<int> drain() {
+    std::vector<int> ids;
+    while (!heap.empty()) ids.push_back(heap.pop().id);
+    return ids;
+  }
+};
+
+}  // namespace
+
 TEST(DesSimulator, EventsFireInTimeOrder) {
-  des::Simulator sim;
-  std::vector<int> order;
-  sim.schedule(2.0, [&] { order.push_back(2); });
-  sim.schedule(1.0, [&] { order.push_back(1); });
-  sim.schedule(3.0, [&] { order.push_back(3); });
-  EXPECT_EQ(sim.run(), 3u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_DOUBLE_EQ(sim.now(), 3.0);
+  Schedule s;
+  s.at(2.0, 2);
+  s.at(1.0, 1);
+  s.at(3.0, 3);
+  EXPECT_EQ(s.heap.size(), 3u);
+  EXPECT_EQ(s.drain(), (std::vector<int>{1, 2, 3}));
 }
 
 TEST(DesSimulator, EqualTimesFifoBySchedulingOrder) {
-  des::Simulator sim;
-  std::vector<int> order;
-  sim.schedule(1.0, [&] { order.push_back(1); });
-  sim.schedule(1.0, [&] { order.push_back(2); });
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  Schedule s;
+  s.at(1.0, 1);
+  s.at(1.0, 2);
+  EXPECT_EQ(s.drain(), (std::vector<int>{1, 2}));
 }
 
 TEST(DesSimulator, ManySameTimeEventsExecuteInSchedulingOrder) {
@@ -41,15 +66,17 @@ TEST(DesSimulator, ManySameTimeEventsExecuteInSchedulingOrder) {
   // crash) must fire exactly in scheduling order, not in any
   // heap-internal order. Interleaved earlier/later events must not
   // disturb the FIFO ordering of the tied group.
-  des::Simulator sim;
-  std::vector<int> order;
+  Schedule s;
   constexpr int kN = 64;
   for (int i = 0; i < kN; ++i) {
-    sim.schedule(5.0, [&order, i] { order.push_back(i); });
-    if (i % 7 == 0) sim.schedule(1.0, [] {});
-    if (i % 5 == 0) sim.schedule(9.0, [] {});
+    s.at(5.0, i);
+    if (i % 7 == 0) s.at(1.0, -1);
+    if (i % 5 == 0) s.at(9.0, -1);
   }
-  sim.run();
+  std::vector<int> order;
+  for (const int id : s.drain()) {
+    if (id >= 0) order.push_back(id);
+  }
   std::vector<int> expected(kN);
   for (int i = 0; i < kN; ++i) expected[i] = i;
   EXPECT_EQ(order, expected);
@@ -58,94 +85,28 @@ TEST(DesSimulator, ManySameTimeEventsExecuteInSchedulingOrder) {
 TEST(DesSimulator, SameTimeEventsScheduledFromHandlersFifoToo) {
   // Events scheduled *during* a same-instant cascade join the back of
   // the FIFO for that instant.
-  des::Simulator sim;
-  std::vector<int> order;
-  sim.schedule(1.0, [&] {
-    order.push_back(0);
-    sim.schedule(0.0, [&] { order.push_back(2); });
-  });
-  sim.schedule(1.0, [&] { order.push_back(1); });
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-}
-
-TEST(DesSimulator, CancelPendingEventSkipsIt) {
-  des::Simulator sim;
-  std::vector<int> order;
-  sim.schedule(1.0, [&] { order.push_back(1); });
-  const des::EventId doomed = sim.schedule(2.0, [&] { order.push_back(2); });
-  sim.schedule(3.0, [&] { order.push_back(3); });
-  EXPECT_TRUE(sim.cancel(doomed));
-  EXPECT_FALSE(sim.cancel(doomed));  // double cancel
-  EXPECT_EQ(sim.run(), 2u);          // cancelled events do not count
-  EXPECT_EQ(order, (std::vector<int>{1, 3}));
-  EXPECT_EQ(sim.eventsCancelled(), 1u);
-  EXPECT_TRUE(sim.empty());
-}
-
-TEST(DesSimulator, CancelFiredOrUnknownEventReturnsFalse) {
-  des::Simulator sim;
-  const des::EventId fired = sim.schedule(1.0, [] {});
-  sim.run();
-  EXPECT_FALSE(sim.cancel(fired));       // already fired
-  EXPECT_FALSE(sim.cancel(fired + 10));  // never scheduled
-  EXPECT_EQ(sim.eventsCancelled(), 0u);
+  Schedule s;
+  s.at(1.0, 0);
+  s.at(1.0, 1);
+  const TestEvent first = s.heap.pop();
+  EXPECT_EQ(first.id, 0);
+  s.at(first.time, 2);
+  EXPECT_EQ(s.drain(), (std::vector<int>{1, 2}));
 }
 
 TEST(DesSimulator, NestedScheduling) {
-  des::Simulator sim;
-  double innerTime = -1.0;
-  sim.schedule(1.0, [&] {
-    sim.schedule(0.5, [&] { innerTime = sim.now(); });
-  });
-  sim.run();
-  EXPECT_DOUBLE_EQ(innerTime, 1.5);
-}
-
-TEST(DesSimulator, ValidatesInputs) {
-  des::Simulator sim;
-  EXPECT_THROW(sim.schedule(-1.0, [] {}), std::invalid_argument);
-  EXPECT_THROW(sim.schedule(1.0, des::Simulator::Action{}),
-               std::invalid_argument);
-}
-
-TEST(DesSimulator, MaxEventsBudget) {
-  des::Simulator sim;
-  for (int i = 0; i < 10; ++i) sim.schedule(static_cast<double>(i), [] {});
-  EXPECT_EQ(sim.run(4), 4u);
-  EXPECT_FALSE(sim.empty());
-}
-
-TEST(DesFifoResource, QueuesJobsSequentially) {
-  des::Simulator sim;
-  des::FifoResource server(sim, "cpu");
-  std::vector<double> completions;
-  sim.schedule(0.0, [&] {
-    server.submit(2.0, [&] { completions.push_back(sim.now()); });
-    server.submit(3.0, [&] { completions.push_back(sim.now()); });
-  });
-  sim.run();
-  ASSERT_EQ(completions.size(), 2u);
-  EXPECT_DOUBLE_EQ(completions[0], 2.0);
-  EXPECT_DOUBLE_EQ(completions[1], 5.0);  // waits for the first job
-  EXPECT_DOUBLE_EQ(server.busyTime(), 5.0);
-  EXPECT_EQ(server.jobsServed(), 2u);
-}
-
-TEST(DesFifoResource, IdleGapsDoNotAccumulateBusyTime) {
-  des::Simulator sim;
-  des::FifoResource server(sim, "cpu");
-  sim.schedule(0.0, [&] { server.submit(1.0, [] {}); });
-  sim.schedule(10.0, [&] { server.submit(1.0, [] {}); });
-  sim.run();
-  EXPECT_DOUBLE_EQ(server.busyTime(), 2.0);
-  EXPECT_DOUBLE_EQ(sim.now(), 11.0);
-}
-
-TEST(DesFifoResource, RejectsNegativeService) {
-  des::Simulator sim;
-  des::FifoResource server(sim, "cpu");
-  EXPECT_THROW(server.submit(-1.0, [] {}), std::invalid_argument);
+  // An event scheduled while draining surfaces at its own time, between
+  // the events already queued around it.
+  Schedule s;
+  s.at(1.0, 1);
+  s.at(2.0, 3);
+  const TestEvent first = s.heap.pop();
+  s.at(first.time + 0.5, 2);
+  const TestEvent nested = s.heap.pop();
+  EXPECT_EQ(nested.id, 2);
+  EXPECT_DOUBLE_EQ(nested.time, 1.5);
+  EXPECT_EQ(s.drain(), (std::vector<int>{3}));
+  EXPECT_TRUE(s.heap.empty());
 }
 
 TEST(DesPipeline, ReferenceSystemAtAssumedLoadsIsStable) {

@@ -19,6 +19,7 @@
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "server/wire.hpp"
 
 namespace {
 
@@ -109,16 +110,19 @@ TEST(ObsJson, NumbersRoundTripAndNonFiniteIsNull) {
   EXPECT_EQ(nan.str(), "null");
 }
 
+// The tests below check emitted documents with server::parseJson, the
+// tree's one JSON parser; these two pin that it is strict enough to.
 TEST(ObsJson, ValidatorAcceptsAndRejects) {
-  EXPECT_TRUE(obs::isValidJson("{}"));
-  EXPECT_TRUE(obs::isValidJson(R"({"a": [1, 2.5, -3e4], "b": "x\ny"})"));
-  EXPECT_TRUE(obs::isValidJson(" [true, false, null] "));
-  EXPECT_FALSE(obs::isValidJson(""));
-  EXPECT_FALSE(obs::isValidJson("{"));
-  EXPECT_FALSE(obs::isValidJson("{\"a\": 1,}"));
-  EXPECT_FALSE(obs::isValidJson("[1] [2]"));
-  EXPECT_FALSE(obs::isValidJson("{'a': 1}"));
-  EXPECT_FALSE(obs::isValidJson("[01]"));
+  EXPECT_TRUE(server::parseJson("{}").has_value());
+  EXPECT_TRUE(
+      server::parseJson(R"({"a": [1, 2.5, -3e4], "b": "x\ny"})").has_value());
+  EXPECT_TRUE(server::parseJson(" [true, false, null] ").has_value());
+  EXPECT_FALSE(server::parseJson("").has_value());
+  EXPECT_FALSE(server::parseJson("{").has_value());
+  EXPECT_FALSE(server::parseJson("{\"a\": 1,}").has_value());
+  EXPECT_FALSE(server::parseJson("[1] [2]").has_value());
+  EXPECT_FALSE(server::parseJson("{'a': 1}").has_value());
+  EXPECT_FALSE(server::parseJson("[01]").has_value());
 }
 
 /// The 17-significant-digit contract at the edges of the double grid:
@@ -139,7 +143,7 @@ TEST(ObsJson, NumberRoundTripsExtremeDoubles) {
     obs::writeJsonNumber(os, x);
     const std::string text = os.str();
     SCOPED_TRACE(text);
-    EXPECT_TRUE(obs::isValidJson(text));
+    EXPECT_TRUE(server::parseJson(text).has_value());
     char* end = nullptr;
     const double back = std::strtod(text.c_str(), &end);
     EXPECT_EQ(end, text.c_str() + text.size());
@@ -155,30 +159,30 @@ TEST(ObsJson, NumberRoundTripsExtremeDoubles) {
 
 TEST(ObsJson, ValidatorNumberAndDepthEdgeCases) {
   // Number torture: a lone minus, bare dots, dangling exponents.
-  EXPECT_FALSE(obs::isValidJson("-"));
-  EXPECT_FALSE(obs::isValidJson("[-]"));
-  EXPECT_FALSE(obs::isValidJson("-."));
-  EXPECT_FALSE(obs::isValidJson("1."));
-  EXPECT_FALSE(obs::isValidJson(".5"));
-  EXPECT_FALSE(obs::isValidJson("1e"));
-  EXPECT_FALSE(obs::isValidJson("1e+"));
-  EXPECT_TRUE(obs::isValidJson("-0"));
-  EXPECT_TRUE(obs::isValidJson("1e+9"));
-  EXPECT_TRUE(obs::isValidJson("-0.5E-3"));
+  EXPECT_FALSE(server::parseJson("-").has_value());
+  EXPECT_FALSE(server::parseJson("[-]").has_value());
+  EXPECT_FALSE(server::parseJson("-.").has_value());
+  EXPECT_FALSE(server::parseJson("1.").has_value());
+  EXPECT_FALSE(server::parseJson(".5").has_value());
+  EXPECT_FALSE(server::parseJson("1e").has_value());
+  EXPECT_FALSE(server::parseJson("1e+").has_value());
+  EXPECT_TRUE(server::parseJson("-0").has_value());
+  EXPECT_TRUE(server::parseJson("1e+9").has_value());
+  EXPECT_TRUE(server::parseJson("-0.5E-3").has_value());
 
   // Trailing garbage after a complete value.
-  EXPECT_FALSE(obs::isValidJson("123x"));
-  EXPECT_FALSE(obs::isValidJson("{} extra"));
-  EXPECT_FALSE(obs::isValidJson("truee"));
-  EXPECT_FALSE(obs::isValidJson("\"unterminated"));
+  EXPECT_FALSE(server::parseJson("123x").has_value());
+  EXPECT_FALSE(server::parseJson("{} extra").has_value());
+  EXPECT_FALSE(server::parseJson("truee").has_value());
+  EXPECT_FALSE(server::parseJson("\"unterminated").has_value());
 
-  // Nesting depth: comfortably deep parses, the recursion bomb is
-  // rejected instead of overflowing the checker's stack.
+  // Nesting depth: the parser's cap parses, the recursion bomb is
+  // rejected instead of overflowing the parser's stack.
   const auto nested = [](std::size_t depth) {
     return std::string(depth, '[') + std::string(depth, ']');
   };
-  EXPECT_TRUE(obs::isValidJson(nested(100)));
-  EXPECT_FALSE(obs::isValidJson(nested(100'000)));
+  EXPECT_TRUE(server::parseJson(nested(64)).has_value());
+  EXPECT_FALSE(server::parseJson(nested(100'000)).has_value());
 }
 
 // ----- counters (the escaping fix shared with src/trace) ---------------
@@ -189,7 +193,7 @@ TEST(ObsCounters, WriteJsonEscapesHostileNames) {
   counters.bump("plain", 1);
   std::ostringstream os;
   counters.writeJson(os);
-  EXPECT_TRUE(obs::isValidJson(os.str())) << os.str();
+  EXPECT_TRUE(server::parseJson(os.str()).has_value()) << os.str();
   EXPECT_NE(os.str().find("\\\"hot\\\""), std::string::npos);
 }
 
@@ -272,7 +276,7 @@ TEST(ObsHistogram, WriteJsonMarksOverflowAsNullBound) {
   h.record(7.0);
   std::ostringstream os;
   h.writeJson(os);
-  EXPECT_TRUE(obs::isValidJson(os.str())) << os.str();
+  EXPECT_TRUE(server::parseJson(os.str()).has_value()) << os.str();
   EXPECT_NE(os.str().find("\"le\": null"), std::string::npos);
 }
 
@@ -349,7 +353,7 @@ TEST(ObsRegistry, WriteJsonIsValidAndInsertionOrdered) {
   std::ostringstream os;
   r.writeJson(os);
   const std::string doc = os.str();
-  EXPECT_TRUE(obs::isValidJson(doc)) << doc;
+  EXPECT_TRUE(server::parseJson(doc).has_value()) << doc;
   EXPECT_LT(doc.find("b_first"), doc.find("a_second"));
 }
 
@@ -368,7 +372,7 @@ TEST(ObsManifest, CollectFillsProvenanceAndWriteJsonParses) {
   m.wallSeconds = 1.25;
   std::ostringstream os;
   m.writeJson(os);
-  EXPECT_TRUE(obs::isValidJson(os.str())) << os.str();
+  EXPECT_TRUE(server::parseJson(os.str()).has_value()) << os.str();
   EXPECT_NE(os.str().find("\"git_sha\""), std::string::npos);
   EXPECT_NE(os.str().find("\"wall_seconds\""), std::string::npos);
 }
@@ -425,7 +429,7 @@ TEST(ObsSpan, ChromeTraceExportIsValidJson) {
   const std::vector<obs::SpanRecord> recs = tc.collect();
   std::ostringstream os;
   obs::writeChromeTrace(os, recs, tc.baseNanos());
-  EXPECT_TRUE(obs::isValidJson(os.str())) << os.str();
+  EXPECT_TRUE(server::parseJson(os.str()).has_value()) << os.str();
   EXPECT_NE(os.str().find("\\\"quoted\\\""), std::string::npos);
   EXPECT_NE(os.str().find("\"ph\": \"X\""), std::string::npos);
 }

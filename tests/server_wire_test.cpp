@@ -390,6 +390,15 @@ TEST(ServerWire, BadRequestsKeepTheConnection) {
       {"{\"id\":4,\"kind\":\"radius\",\"args\":[1,2]}", "only strings"},
       {"{\"id\":5,\"kind\":\"ping\",\"deadline_ms\":-10}", "non-negative"},
       {"[\"not\",\"an\",\"object\"]", "JSON object"},
+      // Numeric fields go through one checked conversion: a value no
+      // integer type holds is a typed error, never an undefined cast.
+      {"{\"id\":6,\"kind\":\"ping\",\"deadline_ms\":1e999}", "non-negative"},
+      {"{\"id\":7,\"kind\":\"ping\",\"deadline_ms\":1e300}", "non-negative"},
+      {"{\"id\":8,\"kind\":\"ping\",\"deadline_ms\":\"soon\"}",
+       "non-negative"},
+      {"{\"id\":9,\"kind\":\"ping\",\"sleep_ms\":-5}", "\"sleep_ms\""},
+      {"{\"id\":10,\"kind\":\"ping\",\"sleep_ms\":1e999}", "\"sleep_ms\""},
+      {"{\"id\":11,\"kind\":\"ping\",\"sleep_ms\":-1e999}", "\"sleep_ms\""},
   };
   for (const auto& c : cases) {
     ASSERT_TRUE(client.send(c.payload));
@@ -399,11 +408,11 @@ TEST(ServerWire, BadRequestsKeepTheConnection) {
     EXPECT_NE(r.message.find(c.expect), std::string::npos)
         << "message for " << c.payload << " was: " << r.message;
   }
-  // Six typed rejections later the connection still answers.
+  // Twelve typed rejections later the connection still answers.
   ASSERT_TRUE(client.send(pingRequest("alive")));
   EXPECT_TRUE(readReply(client).ok);
   srv.stop();
-  EXPECT_EQ(srv.stats().errors, 6u);
+  EXPECT_EQ(srv.stats().errors, 12u);
 }
 
 TEST(ServerWire, TruncatedPrefixNeverWedgesTheServer) {

@@ -8,12 +8,16 @@
 // between the two engines.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -21,6 +25,8 @@
 #include <vector>
 
 #include "server/dist_sweep.hpp"
+#include "server/listener.hpp"
+#include "server/wire.hpp"
 #include "sweep/engine.hpp"
 #include "sweep/journal.hpp"
 #include "sweep/lease.hpp"
@@ -127,6 +133,41 @@ DistRun runDistributed(const sweep::SweepSpec& spec, std::size_t workers,
   EXPECT_EQ(failures.load(), 0) << "a worker thread threw";
   run.stats = coordinator.stats();
   return run;
+}
+
+/// A raw loopback client speaking the wire protocol to a coordinator,
+/// with a receive timeout so a wedged peer fails the test, never hangs it.
+struct WireClient {
+  int fd = -1;
+
+  explicit WireClient(std::uint16_t port) : fd(server::connectLoopback(port)) {
+    if (fd >= 0) {
+      timeval tv{};
+      tv.tv_sec = 30;
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    }
+  }
+  ~WireClient() {
+    if (fd >= 0) ::close(fd);
+  }
+  WireClient(const WireClient&) = delete;
+  WireClient& operator=(const WireClient&) = delete;
+
+  /// Sends `request` and returns the parsed reply (a Null value when
+  /// the connection or the reply is broken).
+  server::JsonValue call(const std::string& request) const {
+    if (!server::writeFrame(fd, request)) return {};
+    const server::Frame frame =
+        server::readFrame(fd, server::kDefaultMaxFrameBytes);
+    if (frame.status != server::FrameStatus::Ok) return {};
+    return server::parseJson(frame.payload).value_or(server::JsonValue{});
+  }
+};
+
+std::string errorCode(const server::JsonValue& reply) {
+  const server::JsonValue* err = reply.find("error");
+  const server::JsonValue* code = err != nullptr ? err->find("code") : nullptr;
+  return code != nullptr ? code->string : std::string();
 }
 
 // ---------------------------------------------------------------------
@@ -448,6 +489,151 @@ TEST(SweepDistributed, TeardownIsPromptWhileIdleConnectionsKeepArriving) {
         coordinator->port(), round, [&coordinator] { coordinator.reset(); });
     ASSERT_LT(took, fepia::testing::kStopBound) << "round " << round;
   }
+}
+
+TEST(SweepDistributed, HostileNumericFieldsGetBadRequest) {
+  // A shard no integer type holds (negative, 1e999, past the grid) is a
+  // typed bad_request with the request's id echoed, never an undefined
+  // float-to-integer cast, and the connection keeps answering.
+  const sweep::SweepSpec spec = referenceSpec();
+  server::SweepCoordinator coordinator(spec, {});
+  std::string error;
+  ASSERT_TRUE(coordinator.start(&error)) << error;
+  WireClient client(coordinator.port());
+  ASSERT_GE(client.fd, 0);
+  const server::JsonValue welcome = client.call(
+      "{\"id\":0,\"kind\":\"hello\",\"spec_hash\":\"" +
+      sweep::formatSpecHash(spec.hash()) + "\",\"points\":" +
+      std::to_string(spec.pointCount()) + ",\"worker\":\"hostile\"}");
+  ASSERT_NE(welcome.find("ok"), nullptr);
+  ASSERT_TRUE(welcome.find("ok")->boolean);
+  const server::JsonValue* welcomeId = welcome.find("id");
+  EXPECT_TRUE(welcomeId != nullptr && welcomeId->number == 0.0);
+
+  ASSERT_NE(welcome.find("shards"), nullptr);
+  const std::string pastTheGrid =
+      std::to_string(static_cast<long>(welcome.find("shards")->number));
+
+  const std::string hostile[] = {
+      R"({"id":1,"kind":"commit","worker":"hostile","shard":-1,"results":[]})",
+      R"({"id":2,"kind":"commit","worker":"hostile","shard":1e999,"results":[]})",
+      R"({"id":3,"kind":"commit","worker":"hostile","shard":)" + pastTheGrid +
+          R"(,"results":[]})",
+      R"({"id":4,"kind":"commit","worker":"hostile","shard":"0","results":[]})",
+      R"({"id":5,"kind":"heartbeat","worker":"hostile","shard":1e999})",
+      R"({"id":6,"kind":"heartbeat","worker":"hostile","shard":-1})",
+      R"({"id":7,"kind":"heartbeat","worker":"hostile","shard":-1e999})",
+      R"({"id":8,"kind":"heartbeat","worker":"hostile","shard":)" +
+          pastTheGrid + "}",
+  };
+  double id = 1.0;
+  for (const std::string& request : hostile) {
+    const server::JsonValue reply = client.call(request);
+    ASSERT_NE(reply.find("ok"), nullptr) << request;
+    EXPECT_FALSE(reply.find("ok")->boolean) << request;
+    EXPECT_EQ(errorCode(reply), "bad_request") << request;
+    const server::JsonValue* echoed = reply.find("id");
+    EXPECT_TRUE(echoed != nullptr && echoed->number == id) << request;
+    id += 1.0;
+  }
+  const server::JsonValue lease =
+      client.call(R"({"id":"after","kind":"lease"})");
+  ASSERT_NE(lease.find("ok"), nullptr);
+  EXPECT_TRUE(lease.find("ok")->boolean);
+  const server::JsonValue* echoed = lease.find("id");
+  EXPECT_TRUE(echoed != nullptr && echoed->string == "after");
+}
+
+TEST(SweepDistributed, WorkerRefusesHostileReplyNumbers) {
+  // The worker reads every number a coordinator sends through the same
+  // checked conversion: a lease whose range leaves the grid, or a
+  // duration no integer holds, makes runSweepWorker throw naming the
+  // field.
+  const sweep::SweepSpec spec = referenceSpec();
+  const struct {
+    const char* welcome;
+    const char* lease;
+    const char* field;
+  } cases[] = {
+      {R"("lease_ms":1e999)", R"("kind":"drained")", "lease_ms"},
+      {R"("lease_ms":-5)", R"("kind":"drained")", "lease_ms"},
+      {R"("lease_ms":1000)",
+       R"("kind":"lease","shard":1e999,"first":0,"count":2,"generation":0)",
+       "shard"},
+      {R"("lease_ms":1000)",
+       R"("kind":"lease","shard":0,"first":-2,"count":2,"generation":0)",
+       "first"},
+      {R"("lease_ms":1000)",
+       R"("kind":"lease","shard":0,"first":6,"count":1e19,"generation":0)",
+       "count"},
+      {R"("lease_ms":1000)",
+       R"("kind":"lease","shard":0,"first":0,"count":2,"generation":-1)",
+       "generation"},
+      {R"("lease_ms":1000)", R"("kind":"wait","retry_ms":1e999)",
+       "retry_ms"},
+  };
+  for (const auto& c : cases) {
+    // A stand-in coordinator that answers hello and the first lease with
+    // the case's members, and every later lease with "drained".
+    server::Listener fake([&c](const std::shared_ptr<server::Connection>& conn) {
+      bool leased = false;
+      for (;;) {
+        const server::Frame frame =
+            server::readFrame(conn->fd, server::kDefaultMaxFrameBytes);
+        if (frame.status != server::FrameStatus::Ok) return;
+        const std::optional<server::JsonValue> req =
+            server::parseJson(frame.payload);
+        const server::JsonValue* kind =
+            req.has_value() ? req->find("kind") : nullptr;
+        const std::string name = kind != nullptr ? kind->string : "";
+        std::string members;
+        if (name == "hello") {
+          members = c.welcome;
+        } else if (name == "lease") {
+          members = leased ? R"("kind":"drained")" : c.lease;
+          leased = true;
+        }
+        (void)conn->write("{\"ok\":true" +
+                          (members.empty() ? "" : "," + members) + "}");
+      }
+    });
+    std::string error;
+    ASSERT_TRUE(fake.start("127.0.0.1", 0, &error)) << error;
+    server::SweepWorkerConfig wc;
+    wc.port = fake.port();
+    wc.name = "victim";
+    try {
+      (void)server::runSweepWorker(spec, wc);
+      ADD_FAILURE() << "worker accepted " << c.welcome << " / " << c.lease;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("\"") + c.field + "\""),
+                std::string::npos)
+          << e.what();
+    }
+    fake.stop();
+  }
+}
+
+TEST(SweepDistributed, OversizedCommitIsRefusedNotSwallowed) {
+  // A commit frame over the coordinator's cap is answered bad_frame
+  // before the connection closes, and the worker fails loudly naming
+  // it instead of taking the close for a drained sweep.
+  server::DistSweepConfig dc;
+  dc.maxFrameBytes = 200;  // a hello or lease fits; a commit does not
+  server::SweepCoordinator coordinator(referenceSpec(), dc);
+  std::string error;
+  ASSERT_TRUE(coordinator.start(&error)) << error;
+  server::SweepWorkerConfig wc;
+  wc.port = coordinator.port();
+  wc.name = "oversized";
+  try {
+    (void)server::runSweepWorker(referenceSpec(), wc);
+    FAIL() << "the worker took an unread commit for a drained sweep";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("bad_frame"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(coordinator.stats().commits, 0u);
 }
 
 }  // namespace

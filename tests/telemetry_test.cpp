@@ -24,6 +24,7 @@
 #include "obs/prometheus.hpp"
 #include "obs/telemetry.hpp"
 #include "parallel/thread_pool.hpp"
+#include "server/wire.hpp"
 #include "sweep/engine.hpp"
 #include "sweep/output.hpp"
 #include "sweep/spec.hpp"
@@ -90,7 +91,7 @@ TEST(Telemetry, EveryRecordIsValidJson) {
   std::string line;
   while (std::getline(in, line)) {
     ++lines;
-    EXPECT_TRUE(obs::isValidJson(line)) << line;
+    EXPECT_TRUE(server::parseJson(line).has_value()) << line;
   }
   EXPECT_EQ(lines, hub.records().size());
   EXPECT_GE(lines, 3u);  // two samples + the event
@@ -410,7 +411,7 @@ TEST(Telemetry, SweepEmitsHeartbeatsWithEta) {
     EXPECT_NE(r.find("\"points_per_sec\":"), std::string::npos) << r;
     EXPECT_NE(r.find("\"eta_seconds\":"), std::string::npos) << r;
     EXPECT_NE(r.find("\"shard\":"), std::string::npos) << r;
-    EXPECT_TRUE(obs::isValidJson(r)) << r;
+    EXPECT_TRUE(server::parseJson(r).has_value()) << r;
   }
   EXPECT_EQ(beats, surface.shards);
   EXPECT_GE(hub.sampleCount(), 2u);
