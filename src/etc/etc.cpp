@@ -1,6 +1,5 @@
 #include "etc/etc.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -74,31 +73,6 @@ la::Matrix generateCvb(std::size_t tasks, std::size_t machines,
     }
   }
   return out;
-}
-
-la::Matrix generateRange(std::size_t tasks, std::size_t machines,
-                         const RangeParams& params, rng::Xoshiro256StarStar& g) {
-  requireSizes(tasks, machines, "generateRange");
-  if (params.taskRange <= 1.0 || params.machineRange <= 1.0) {
-    throw std::invalid_argument("etc::generateRange: ranges must exceed 1");
-  }
-  la::Matrix out(tasks, machines);
-  for (std::size_t t = 0; t < tasks; ++t) {
-    const double q = rng::uniform(g, 1.0, params.taskRange);
-    for (std::size_t m = 0; m < machines; ++m) {
-      out(t, m) = q * rng::uniform(g, 1.0, params.machineRange);
-    }
-  }
-  return out;
-}
-
-void makeConsistent(la::Matrix& etcMatrix) {
-  std::vector<double> row(etcMatrix.cols());
-  for (std::size_t t = 0; t < etcMatrix.rows(); ++t) {
-    for (std::size_t m = 0; m < etcMatrix.cols(); ++m) row[m] = etcMatrix(t, m);
-    std::sort(row.begin(), row.end());
-    for (std::size_t m = 0; m < etcMatrix.cols(); ++m) etcMatrix(t, m) = row[m];
-  }
 }
 
 HeterogeneityReport measureHeterogeneity(const la::Matrix& etcMatrix) {

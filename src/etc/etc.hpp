@@ -4,11 +4,9 @@
 // execution times e(t, m) of task t on machine m. The heterogeneous-
 // computing literature (including the paper's authors) generates such
 // matrices synthetically with controlled task and machine heterogeneity.
-// Two standard generators are provided:
-//
-//  * Range-based: e(t,m) = q_t · U[1, R_mach), with q_t ~ U[1, R_task).
-//  * CVB (coefficient-of-variation-based): q_t ~ Gamma(mean = muTask,
-//    cov = vTask); e(t,m) ~ Gamma(mean = q_t, cov = vMach).
+// The generator here is CVB (coefficient-of-variation-based):
+// q_t ~ Gamma(mean = muTask, cov = vTask); e(t,m) ~ Gamma(mean = q_t,
+// cov = vMach).
 //
 // High/low heterogeneity presets match the common four regimes
 // (hi-hi, hi-lo, lo-hi, lo-lo).
@@ -43,21 +41,6 @@ struct CvbParams {
 [[nodiscard]] la::Matrix generateCvb(std::size_t tasks, std::size_t machines,
                                      const CvbParams& params,
                                      rng::Xoshiro256StarStar& g);
-
-/// Parameters of the range-based generator.
-struct RangeParams {
-  double taskRange = 1000.0;     ///< R_task: tasks span [1, R_task)
-  double machineRange = 100.0;   ///< R_mach: machine multiplier spans [1, R_mach)
-};
-
-/// Generates a tasks x machines ETC matrix with the range-based method.
-[[nodiscard]] la::Matrix generateRange(std::size_t tasks, std::size_t machines,
-                                       const RangeParams& params,
-                                       rng::Xoshiro256StarStar& g);
-
-/// Consistency post-processing: sorts each row so machine 0 is fastest
-/// for every task (a "consistent" ETC in HC terminology).
-void makeConsistent(la::Matrix& etcMatrix);
 
 /// Empirical heterogeneity report of a generated matrix.
 struct HeterogeneityReport {

@@ -31,7 +31,7 @@ DegradedEstimate estimateDegradedRadius(const hiperd::ReferenceSystem& ref,
   const radius::MergedAnalysis analysis =
       mixed.merged(radius::MergeScheme::NormalizedByOriginal);
   const auto& rep = analysis.report();
-  const radius::DiagonalMap map(rep.features[rep.criticalFeature].mapWeights);
+  const radius::DiagonalMap& map = analysis.map(rep.criticalFeature);
 
   DegradedEstimate out;
   out.analyticRho = rep.rho;

@@ -40,9 +40,7 @@
 #include "la/cholesky.hpp"
 #include "la/geometry.hpp"
 #include "la/point_block.hpp"
-#include "la/lu.hpp"
 #include "la/matrix.hpp"
-#include "la/qr.hpp"
 #include "la/vector.hpp"
 #include "obs/metrics.hpp"
 #include "opt/boundary.hpp"
@@ -55,7 +53,6 @@
 #include "radius/closed_forms.hpp"
 #include "radius/diagnostics.hpp"
 #include "radius/mahalanobis.hpp"
-#include "radius/parallel_rho.hpp"
 #include "radius/engine.hpp"
 #include "radius/fepia.hpp"
 #include "radius/merge.hpp"
@@ -71,7 +68,6 @@
 #include "sweep/output.hpp"
 #include "sweep/spec.hpp"
 #include "trace/trace.hpp"
-#include "stats/histogram.hpp"
 #include "units/unit.hpp"
 #include "validate/empirical.hpp"
 #include "validate/report.hpp"

@@ -25,18 +25,9 @@ namespace {
 //
 // from_chars reports ERANGE-style overflow/underflow as
 // errc::result_out_of_range without storing a value; for that rare case
-// alone we fall back to strtod_l with a process-independent C locale,
-// which keeps strtod's historical behavior (overflow → ±HUGE_VAL,
-// rejected by the finiteness check; gradual underflow → ±0/denormal,
-// accepted).
-double strtodCLocale(const char* nptr, char** endptr) {
-  static const locale_t cLocale = ::newlocale(LC_ALL_MASK, "C", nullptr);
-  if (cLocale != static_cast<locale_t>(nullptr)) {
-    return ::strtod_l(nptr, endptr, cLocale);
-  }
-  return std::strtod(nptr, endptr);  // out of memory: best effort
-}
-
+// alone we fall back to strtodCLocale, which keeps strtod's historical
+// behavior (overflow → ±HUGE_VAL, rejected by the finiteness check;
+// gradual underflow → ±0/denormal, accepted).
 std::optional<double> parseDoubleToken(const std::string& token) noexcept {
   std::size_t i = 0;
   while (i < token.size() &&
@@ -78,6 +69,14 @@ std::optional<double> parseDoubleToken(const std::string& token) noexcept {
 }
 
 }  // namespace
+
+double strtodCLocale(const char* nptr, char** endptr) noexcept {
+  static const locale_t cLocale = ::newlocale(LC_ALL_MASK, "C", nullptr);
+  if (cLocale != static_cast<locale_t>(nullptr)) {
+    return ::strtod_l(nptr, endptr, cLocale);
+  }
+  return std::strtod(nptr, endptr);  // out of memory: best effort
+}
 
 std::optional<double> parseFiniteDouble(const std::string& token) noexcept {
   if (token.empty()) return std::nullopt;

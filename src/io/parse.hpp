@@ -27,6 +27,12 @@ namespace fepia::io {
 [[nodiscard]] std::optional<std::uint64_t> parseUint64(
     const std::string& token) noexcept;
 
+/// strtod in a pinned C locale, never the process locale (whose decimal
+/// point may differ). For the tokens std::from_chars reports as out of
+/// range, which it cannot saturate by itself: overflow gives ±HUGE_VAL
+/// and gradual underflow ±0 or a denormal.
+[[nodiscard]] double strtodCLocale(const char* nptr, char** endptr) noexcept;
+
 /// parseUint64 additionally range-checked against `maxValue` — for size
 /// flags where a fat-fingered 1e18 would be accepted by the type but can
 /// only be a mistake.

@@ -31,16 +31,6 @@ double Hyperplane::residual(const Vector& x) const {
   return dot(normal_, x) - offset_;
 }
 
-std::optional<double> rayHyperplaneIntersection(const Hyperplane& plane,
-                                                const Vector& origin,
-                                                const Vector& direction) {
-  const double denom = dot(plane.normal(), direction);
-  if (std::abs(denom) < 1e-300) return std::nullopt;  // parallel ray
-  const double t = -plane.residual(origin) / denom;
-  if (t < 0.0) return std::nullopt;  // plane is behind the ray origin
-  return t;
-}
-
 double distanceToNonnegativeOrthantBoundary(const Vector& point) {
   // The boundary facets are {x_r = 0}; the nearest one is at distance
   // min_r |x_r| for a point inside the orthant, and the distance for an
@@ -56,15 +46,6 @@ double distanceToNonnegativeOrthantBoundary(const Vector& point) {
     inside = std::min(inside, std::abs(point[r]));
   }
   return isOutside ? std::sqrt(outsideSq) : inside;
-}
-
-Vector projectOntoSphere(const Vector& point, const Vector& center, double r) {
-  Vector d = point - center;
-  const double n = norm2(d);
-  if (n == 0.0) {
-    throw std::domain_error("la::projectOntoSphere: point equals center");
-  }
-  return center + (r / n) * d;
 }
 
 }  // namespace fepia::la

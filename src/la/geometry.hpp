@@ -6,8 +6,6 @@
 // the robustness radius of a linear feature is a hyperplane distance.
 #pragma once
 
-#include <optional>
-
 #include "la/vector.hpp"
 
 namespace fepia::la {
@@ -44,20 +42,9 @@ class Hyperplane {
   double normalNorm_;  // cached ‖normal‖₂
 };
 
-/// Intersection parameter t >= 0 of the ray `origin + t·direction` with the
-/// plane, or std::nullopt when the ray is parallel to or points away from it.
-/// Used by the ray-shooting boundary probe and the Figure 1 reproduction.
-[[nodiscard]] std::optional<double> rayHyperplaneIntersection(
-    const Hyperplane& plane, const Vector& origin, const Vector& direction);
-
 /// Distance from a point to the boundary of the axis-aligned nonnegative
 /// orthant `{x : x_r >= 0}` — the β_i^min boundary of Figure 1, where the
 /// boundary set is the union of the coordinate axes' facets.
 [[nodiscard]] double distanceToNonnegativeOrthantBoundary(const Vector& point);
-
-/// Projects `point` onto the sphere of radius `r` around `center`.
-/// Throws std::domain_error when `point == center`.
-[[nodiscard]] Vector projectOntoSphere(const Vector& point, const Vector& center,
-                                       double r);
 
 }  // namespace fepia::la

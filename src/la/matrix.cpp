@@ -39,32 +39,6 @@ double& Matrix::at(std::size_t r, std::size_t c) {
   return (*this)(r, c);
 }
 
-Vector Matrix::row(std::size_t r) const {
-  if (r >= rows_) throw std::out_of_range("la::Matrix::row");
-  Vector v(cols_);
-  for (std::size_t c = 0; c < cols_; ++c) v[c] = (*this)(r, c);
-  return v;
-}
-
-Vector Matrix::col(std::size_t c) const {
-  if (c >= cols_) throw std::out_of_range("la::Matrix::col");
-  Vector v(rows_);
-  for (std::size_t r = 0; r < rows_; ++r) v[r] = (*this)(r, c);
-  return v;
-}
-
-void Matrix::setRow(std::size_t r, const Vector& v) {
-  if (r >= rows_) throw std::out_of_range("la::Matrix::setRow");
-  if (v.size() != cols_) throw std::invalid_argument("la::Matrix::setRow: size");
-  for (std::size_t c = 0; c < cols_; ++c) (*this)(r, c) = v[c];
-}
-
-void Matrix::setCol(std::size_t c, const Vector& v) {
-  if (c >= cols_) throw std::out_of_range("la::Matrix::setCol");
-  if (v.size() != rows_) throw std::invalid_argument("la::Matrix::setCol: size");
-  for (std::size_t r = 0; r < rows_; ++r) (*this)(r, c) = v[r];
-}
-
 Matrix& Matrix::operator+=(const Matrix& rhs) {
   requireSameShape(*this, rhs, "+=");
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += rhs.data_[i];

@@ -39,18 +39,6 @@ class Matrix {
   [[nodiscard]] double at(std::size_t r, std::size_t c) const;
   [[nodiscard]] double& at(std::size_t r, std::size_t c);
 
-  /// Copy of row `r` as a Vector.
-  [[nodiscard]] Vector row(std::size_t r) const;
-
-  /// Copy of column `c` as a Vector.
-  [[nodiscard]] Vector col(std::size_t c) const;
-
-  /// Overwrites row `r`; throws std::invalid_argument on size mismatch.
-  void setRow(std::size_t r, const Vector& v);
-
-  /// Overwrites column `c`; throws std::invalid_argument on size mismatch.
-  void setCol(std::size_t c, const Vector& v);
-
   /// Underlying row-major storage.
   [[nodiscard]] const std::vector<double>& data() const noexcept { return data_; }
 

@@ -90,12 +90,6 @@ double normSq(const Vector& v) noexcept {
 
 double norm2(const Vector& v) noexcept { return std::sqrt(normSq(v)); }
 
-double norm1(const Vector& v) noexcept {
-  double acc = 0.0;
-  for (double x : v) acc += std::abs(x);
-  return acc;
-}
-
 double normInf(const Vector& v) noexcept {
   double acc = 0.0;
   for (double x : v) acc = std::max(acc, std::abs(x));
@@ -120,24 +114,6 @@ Vector normalized(const Vector& v) {
   const double n = norm2(v);
   if (n == 0.0) throw std::domain_error("la::normalized: zero vector");
   return v / n;
-}
-
-Vector concat(const Vector& a, const Vector& b) {
-  Vector out;
-  out.resize(a.size() + b.size());
-  std::copy(a.begin(), a.end(), out.begin());
-  std::copy(b.begin(), b.end(), out.begin() + static_cast<std::ptrdiff_t>(a.size()));
-  return out;
-}
-
-Vector concat(std::span<const Vector> parts) {
-  std::size_t total = 0;
-  for (const Vector& p : parts) total += p.size();
-  Vector out;
-  out.resize(total);
-  auto it = out.begin();
-  for (const Vector& p : parts) it = std::copy(p.begin(), p.end(), it);
-  return out;
 }
 
 bool approxEqual(const Vector& a, const Vector& b, double tol) {

@@ -114,9 +114,6 @@ class Vector {
 /// Squared Euclidean norm (avoids the sqrt when comparing distances).
 [[nodiscard]] double normSq(const Vector& v) noexcept;
 
-/// Manhattan norm.
-[[nodiscard]] double norm1(const Vector& v) noexcept;
-
 /// Chebyshev norm.
 [[nodiscard]] double normInf(const Vector& v) noexcept;
 
@@ -128,13 +125,6 @@ class Vector {
 
 /// Returns `v / ‖v‖₂`; throws std::domain_error when `‖v‖₂ == 0`.
 [[nodiscard]] Vector normalized(const Vector& v);
-
-/// Concatenation `a ⋆ b` — the paper's vector concatenation operator
-/// used to assemble the merged perturbation vector P (Section 3).
-[[nodiscard]] Vector concat(const Vector& a, const Vector& b);
-
-/// Concatenation of an arbitrary list of vectors.
-[[nodiscard]] Vector concat(std::span<const Vector> parts);
 
 /// True when `‖a − b‖∞ <= tol`.
 [[nodiscard]] bool approxEqual(const Vector& a, const Vector& b, double tol);

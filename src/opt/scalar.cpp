@@ -54,38 +54,6 @@ std::optional<std::pair<double, double>> bracketRoot(const ScalarFn& f,
   }
 }
 
-RootResult bisect(const ScalarFn& f, double a, double b, double xtol,
-                  int maxIter) {
-  double fa = f(a);
-  double fb = f(b);
-  if (fa == 0.0) return {a, 0.0, 0, true};
-  if (fb == 0.0) return {b, 0.0, 0, true};
-  if ((fa < 0.0) == (fb < 0.0)) {
-    throw std::invalid_argument("opt::bisect: interval does not bracket a root");
-  }
-  RootResult res;
-  for (res.iterations = 0; res.iterations < maxIter; ++res.iterations) {
-    const double mid = 0.5 * (a + b);
-    const double fm = f(mid);
-    if (fm == 0.0 || (b - a) / 2.0 < xtol) {
-      res.x = mid;
-      res.fx = fm;
-      res.converged = true;
-      return res;
-    }
-    if ((fa < 0.0) == (fm < 0.0)) {
-      a = mid;
-      fa = fm;
-    } else {
-      b = mid;
-    }
-  }
-  res.x = 0.5 * (a + b);
-  res.fx = f(res.x);
-  res.converged = false;
-  return res;
-}
-
 RootResult brent(const ScalarFn& f, double a, double b, double xtol,
                  int maxIter) {
   double fa = f(a);
@@ -166,37 +134,6 @@ RootResult brent(const ScalarFn& f, double a, double b, double xtol,
   res.x = b;
   res.fx = fb;
   res.converged = false;
-  return res;
-}
-
-MinResult goldenSection(const ScalarFn& f, double a, double b, double xtol,
-                        int maxIter) {
-  if (a > b) std::swap(a, b);
-  constexpr double kInvPhi = 0.6180339887498949;
-  double x1 = b - kInvPhi * (b - a);
-  double x2 = a + kInvPhi * (b - a);
-  double f1 = f(x1);
-  double f2 = f(x2);
-  MinResult res;
-  for (res.iterations = 0; res.iterations < maxIter; ++res.iterations) {
-    if (b - a < xtol) break;
-    if (f1 < f2) {
-      b = x2;
-      x2 = x1;
-      f2 = f1;
-      x1 = b - kInvPhi * (b - a);
-      f1 = f(x1);
-    } else {
-      a = x1;
-      x1 = x2;
-      f1 = f2;
-      x2 = a + kInvPhi * (b - a);
-      f2 = f(x2);
-    }
-  }
-  res.converged = b - a < xtol;
-  res.x = 0.5 * (a + b);
-  res.fx = f(res.x);
   return res;
 }
 

@@ -28,24 +28,10 @@ struct RootResult {
 [[nodiscard]] std::optional<std::pair<double, double>> bracketRoot(
     const ScalarFn& f, double t0, double tMax, double factor = 2.0);
 
-/// Bisection on a bracketing interval [a, b] with f(a)·f(b) <= 0.
-/// Throws std::invalid_argument when the interval does not bracket.
-[[nodiscard]] RootResult bisect(const ScalarFn& f, double a, double b,
-                                double xtol = 1e-12, int maxIter = 200);
-
 /// Brent's method (inverse quadratic interpolation + secant + bisection)
-/// on a bracketing interval. Same preconditions as `bisect`.
+/// on a bracketing interval [a, b] with f(a)·f(b) <= 0.
+/// Throws std::invalid_argument when the interval does not bracket.
 [[nodiscard]] RootResult brent(const ScalarFn& f, double a, double b,
                                double xtol = 1e-13, int maxIter = 200);
-
-/// Golden-section minimisation of a unimodal function on [a, b].
-struct MinResult {
-  double x = 0.0;
-  double fx = 0.0;
-  int iterations = 0;
-  bool converged = false;
-};
-[[nodiscard]] MinResult goldenSection(const ScalarFn& f, double a, double b,
-                                      double xtol = 1e-10, int maxIter = 500);
 
 }  // namespace fepia::opt

@@ -1,7 +1,6 @@
 #include "radius/diagnostics.hpp"
 
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace fepia::radius {
@@ -28,31 +27,6 @@ FragilityAttribution attributeFragility(const RadiusResult& r,
         out.dominantElement = i;
       }
     }
-  }
-  return out;
-}
-
-std::vector<SlackEntry> slackReport(const feature::FeatureSet& phi,
-                                    const la::Vector& orig) {
-  if (phi.empty()) {
-    throw std::invalid_argument("radius::slackReport: empty feature set");
-  }
-  if (orig.size() != phi.dimension()) {
-    throw std::invalid_argument("radius::slackReport: dimension mismatch");
-  }
-  std::vector<SlackEntry> out;
-  out.reserve(phi.size());
-  for (const feature::BoundedFeature& bf : phi) {
-    SlackEntry e;
-    e.featureName = bf.feature->name();
-    e.value = bf.feature->evaluate(orig);
-    e.slackToMax = bf.bounds.hasMax()
-                       ? bf.bounds.betaMax() - e.value
-                       : std::numeric_limits<double>::infinity();
-    e.slackToMin = bf.bounds.hasMin()
-                       ? e.value - bf.bounds.betaMin()
-                       : std::numeric_limits<double>::infinity();
-    out.push_back(std::move(e));
   }
   return out;
 }

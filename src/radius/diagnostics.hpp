@@ -3,10 +3,9 @@
 //
 // The radius says HOW far the system is from failure; these helpers say
 // WHERE the fragility lives — which perturbation elements the nearest
-// boundary point moves, and which constraints sit closest in value.
+// boundary point moves.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "feature/feature.hpp"
@@ -28,20 +27,5 @@ struct FragilityAttribution {
 /// the result has no boundary point or dimensions mismatch.
 [[nodiscard]] FragilityAttribution attributeFragility(const RadiusResult& r,
                                                       const la::Vector& orig);
-
-/// Value-space slack of one feature at the operating point.
-struct SlackEntry {
-  std::string featureName;
-  double value = 0.0;       ///< phi(orig)
-  double slackToMax = 0.0;  ///< beta_max − value (+inf when unbounded)
-  double slackToMin = 0.0;  ///< value − beta_min (+inf when unbounded)
-};
-
-/// Evaluates every feature at `orig` and reports its distance-in-value
-/// to each bound. Complements the radius: slack is in feature units and
-/// ignores how hard the perturbations push the feature; the radius folds
-/// that sensitivity in. Throws on dimension mismatch / empty set.
-[[nodiscard]] std::vector<SlackEntry> slackReport(const feature::FeatureSet& phi,
-                                                  const la::Vector& orig);
 
 }  // namespace fepia::radius

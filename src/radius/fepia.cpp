@@ -39,7 +39,7 @@ RobustnessReport FepiaProblem::robustnessSameUnits() const {
                              "radius::FepiaProblem::robustnessSameUnits");
     }
   }
-  return robustness(phi_, space_.concatenatedOriginal(), opts_);
+  return robustness(phi_, space_.concatenatedOriginal());
 }
 
 RadiusResult FepiaProblem::singleKindRadius(std::size_t featureIndex,
@@ -52,11 +52,11 @@ RadiusResult FepiaProblem::singleKindRadius(std::size_t featureIndex,
       bf.feature, space_.concatenatedOriginal(), space_.blockOffset(kindIndex),
       space_.kind(kindIndex).size());
   return featureRadius(*restricted, bf.bounds,
-                       space_.kind(kindIndex).original(), opts_);
+                       space_.kind(kindIndex).original());
 }
 
 MergedAnalysis FepiaProblem::merged(MergeScheme scheme) const {
-  return MergedAnalysis(phi_, space_, scheme, opts_);
+  return MergedAnalysis(phi_, space_, scheme);
 }
 
 double FepiaProblem::rho(MergeScheme scheme) const {

@@ -35,9 +35,6 @@ class FepiaProblem {
   std::size_t addFeature(std::shared_ptr<const feature::PerformanceFeature> phi,
                          feature::FeatureBounds bounds);
 
-  /// Sets the numeric-solver options used by all subsequent solves.
-  void setNumericOptions(NumericOptions opts) { opts_ = opts; }
-
   [[nodiscard]] const perturb::PerturbationSpace& space() const noexcept {
     return space_;
   }
@@ -71,7 +68,6 @@ class FepiaProblem {
  private:
   perturb::PerturbationSpace space_;
   feature::FeatureSet phi_;
-  NumericOptions opts_{};
 };
 
 }  // namespace fepia::radius

@@ -143,7 +143,8 @@ DiagonalMap sensitivityMap(const perturb::PerturbationSpace& space,
 
 MergedAnalysis::MergedAnalysis(feature::FeatureSet phi,
                                perturb::PerturbationSpace space,
-                               MergeScheme scheme, NumericOptions opts)
+                               MergeScheme scheme, NumericOptions opts,
+                               FeatureRadiusSolver solve)
     : phi_(std::move(phi)), space_(std::move(space)), opts_(opts) {
   if (phi_.empty()) {
     throw std::invalid_argument("radius::MergedAnalysis: empty feature set");
@@ -155,6 +156,7 @@ MergedAnalysis::MergedAnalysis(feature::FeatureSet phi,
   report_.scheme = scheme;
   report_.features.reserve(phi_.size());
   perFeatureMap_.reserve(phi_.size());
+  const la::Vector piOrig = space_.concatenatedOriginal();
 
   for (std::size_t i = 0; i < phi_.size(); ++i) {
     const feature::BoundedFeature& bf = phi_[i];
@@ -181,10 +183,9 @@ MergedAnalysis::MergedAnalysis(feature::FeatureSet phi,
     const DiagonalMap& map = perFeatureMap_.back();
     fr.mapWeights = map.weights();
 
-    // Push the feature into P-space: f_i(P) = phi(pi(P)) where
+    // Pull the feature back into P-space: f_i(P) = phi(pi(P)) where
     // pi_i = P_i / w_i for weighted coordinates and pi_i = pi_i^orig for
     // zero-weight (insensitive) ones.
-    const la::Vector piOrig = space_.concatenatedOriginal();
     la::Vector scale(map.dimension());
     la::Vector shift(map.dimension());
     for (std::size_t d = 0; d < map.dimension(); ++d) {
@@ -196,9 +197,9 @@ MergedAnalysis::MergedAnalysis(feature::FeatureSet phi,
         shift[d] = piOrig[d];
       }
     }
-    const auto fP = feature::precomposeAffineDiagonal(bf.feature, scale, shift);
-    const la::Vector pOrig = map.toP(piOrig);
-    fr.radius = featureRadius(*fP, bf.bounds, pOrig, opts_);
+    pSpace_.add(feature::precomposeAffineDiagonal(bf.feature, scale, shift),
+                bf.bounds);
+    fr.radius = solve(*pSpace_[i].feature, bf.bounds, map.toP(piOrig), opts_);
 
     if (fr.radius.radius < report_.rho) {
       report_.rho = fr.radius.radius;

@@ -132,15 +132,29 @@ struct ToleranceCheck {
   std::vector<double> radii;      ///< per-feature radii
 };
 
+/// The per-feature radius solver a MergedAnalysis runs in P-space:
+/// featureRadius (closed form where one exists) or featureRadiusNumeric.
+using FeatureRadiusSolver = RadiusResult (*)(const feature::PerformanceFeature&,
+                                             const feature::FeatureBounds&,
+                                             const la::Vector&,
+                                             const NumericOptions&);
+
 /// Full multi-kind robustness analysis: builds P-space per scheme, pushes
 /// every feature through the map, and computes per-feature radii and rho.
+/// This is the one place the P-space change of variable is built; the
+/// registry's analytic and numeric backends and the scheme validator all
+/// read it from here.
 class MergedAnalysis {
  public:
   /// Throws std::invalid_argument when `phi` is empty, dimensions do not
   /// match the space, or (normalized scheme) an original element is zero;
-  /// std::domain_error when sensitivity weighting is undefined.
+  /// std::domain_error when sensitivity weighting is undefined. `solve`
+  /// computes each feature's P-space radius; the sensitivity scheme's
+  /// per-kind alphas always come from featureRadius, so every solver
+  /// works in the same geometry.
   MergedAnalysis(feature::FeatureSet phi, perturb::PerturbationSpace space,
-                 MergeScheme scheme, NumericOptions opts = {});
+                 MergeScheme scheme, NumericOptions opts = {},
+                 FeatureRadiusSolver solve = featureRadius);
 
   [[nodiscard]] const MergedRobustnessReport& report() const noexcept {
     return report_;
@@ -148,6 +162,20 @@ class MergedAnalysis {
 
   [[nodiscard]] const perturb::PerturbationSpace& space() const noexcept {
     return space_;
+  }
+
+  /// The map that built feature i's P-space.
+  [[nodiscard]] const DiagonalMap& map(std::size_t i) const {
+    return perFeatureMap_.at(i);
+  }
+
+  /// Every feature pulled back into its own P-space, with its bounds:
+  /// f_i(P) = phi_i(pi(P)), where pi_d = P_d / w_d for weighted
+  /// coordinates and pi_d = pi_d^orig for zero-weight ones. Under the
+  /// normalized scheme all features share one map, so this set is also
+  /// the joint safe region.
+  [[nodiscard]] const feature::FeatureSet& pSpaceFeatures() const noexcept {
+    return pSpace_;
   }
 
   /// The paper's procedure for deciding whether the system can operate at
@@ -162,6 +190,7 @@ class MergedAnalysis {
   NumericOptions opts_;
   MergedRobustnessReport report_;
   std::vector<DiagonalMap> perFeatureMap_;
+  feature::FeatureSet pSpace_;
 };
 
 }  // namespace fepia::radius

@@ -54,10 +54,10 @@ class AnalyticBackend final : public Backend {
   }
 };
 
-FEPIA_REGISTER_RADIUS_BACKEND(AnalyticBackend)
-
 }  // namespace
 
-int detail::anchorAnalyticBackend() { return 0; }
+std::unique_ptr<Backend> detail::makeAnalyticBackend() {
+  return std::make_unique<AnalyticBackend>();
+}
 
 }  // namespace fepia::radius::backend

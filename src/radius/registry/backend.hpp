@@ -20,9 +20,9 @@
 //     kernels), and any two capable backends must produce overlapping
 //     intervals on the same problem (tests/backend_agreement_test.cpp).
 //
-// Backends self-register into the global BackendRegistry via static
-// registrars (see registry.hpp); solveRadius (scheduler.hpp) picks the
-// cheapest capable one meeting the requested accuracy.
+// The global BackendRegistry lists the built-in backends (see
+// registry.hpp); solveRadius (scheduler.hpp) picks the cheapest capable
+// one meeting the requested accuracy.
 #pragma once
 
 #include <cstdint>

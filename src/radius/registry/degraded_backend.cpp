@@ -81,10 +81,10 @@ class DegradedBackend final : public Backend {
   }
 };
 
-FEPIA_REGISTER_RADIUS_BACKEND(DegradedBackend)
-
 }  // namespace
 
-int detail::anchorDegradedBackend() { return 0; }
+std::unique_ptr<Backend> detail::makeDegradedBackend() {
+  return std::make_unique<DegradedBackend>();
+}
 
 }  // namespace fepia::radius::backend

@@ -84,10 +84,10 @@ class EmpiricalBackend final : public Backend {
   }
 };
 
-FEPIA_REGISTER_RADIUS_BACKEND(EmpiricalBackend)
-
 }  // namespace
 
-int detail::anchorEmpiricalBackend() { return 0; }
+std::unique_ptr<Backend> detail::makeEmpiricalBackend() {
+  return std::make_unique<EmpiricalBackend>();
+}
 
 }  // namespace fepia::radius::backend

@@ -1,12 +1,10 @@
 // The numeric kernel: the multistart nearest-boundary solver of src/opt
-// forced on every feature, through the same P-space construction as
-// MergedAnalysis (radius/merge.cpp). Capable for any differentiable
-// feature — the fallback when a feature has no closed form — at a cost
-// dominated by multistart ray probes and refinement iterations.
+// forced on every feature, through MergedAnalysis's P-space construction
+// (radius/merge.cpp). Capable for any differentiable feature — the
+// fallback when a feature has no closed form — at a cost dominated by
+// multistart ray probes and refinement iterations.
 #include <memory>
-#include <optional>
 
-#include "feature/transform.hpp"
 #include "radius/registry/registry.hpp"
 
 namespace fepia::radius::backend {
@@ -55,83 +53,22 @@ class NumericBackend final : public Backend {
 
   RadiusOutcome solve(const RadiusProblem& problem, const RadiusRequest& request,
                       parallel::ThreadPool* /*pool*/) const override {
-    // Mirrors MergedAnalysis (radius/merge.cpp) except the per-feature
-    // P-space radius is solved by featureRadiusNumeric — the closed-form
-    // dispatch is bypassed, not re-derived.
+    // MergedAnalysis builds P-space; only the per-feature solver is
+    // swapped, so the closed-form dispatch is bypassed, not re-derived.
     const FepiaProblem& fp = *problem.problem;
-    const feature::FeatureSet& phi = fp.features();
-    const perturb::PerturbationSpace& space = fp.space();
-    if (phi.empty()) {
-      throw std::invalid_argument("numeric backend: empty feature set");
-    }
-    if (phi.dimension() != space.totalDimension()) {
-      throw std::invalid_argument(
-          "numeric backend: feature set dimension does not match space");
-    }
-
-    auto report = std::make_shared<MergedRobustnessReport>();
-    report->scheme = problem.scheme;
-    report->features.reserve(phi.size());
-    const la::Vector piOrig = space.concatenatedOriginal();
-
-    for (std::size_t i = 0; i < phi.size(); ++i) {
-      const feature::BoundedFeature& bf = phi[i];
-      MergedFeatureReport fr;
-      fr.featureName = bf.feature->name();
-
-      std::optional<DiagonalMap> map;
-      if (problem.scheme == MergeScheme::NormalizedByOriginal) {
-        map.emplace(normalizedMap(space));
-      } else {
-        // The per-kind alphas stay closed-form where available: they
-        // *define* this feature's P-space, shared with the analytic
-        // kernel so both solve the same geometry.
-        const SensitivityWeights sw =
-            sensitivityWeights(*bf.feature, bf.bounds, space, request.numeric);
-        bool anySensitive = false;
-        for (double a : sw.alphas) anySensitive = anySensitive || a != 0.0;
-        if (!anySensitive) {
-          throw std::domain_error("numeric backend: feature '" +
-                                  bf.feature->name() +
-                                  "' has infinite radius against every kind");
-        }
-        fr.alphasPerKind = sw.alphas;
-        map.emplace(sensitivityMap(space, sw));
-      }
-      fr.mapWeights = map->weights();
-
-      la::Vector scale(map->dimension());
-      la::Vector shift(map->dimension());
-      for (std::size_t d = 0; d < map->dimension(); ++d) {
-        if (map->weights()[d] != 0.0) {
-          scale[d] = 1.0 / map->weights()[d];
-          shift[d] = 0.0;
-        } else {
-          scale[d] = 0.0;
-          shift[d] = piOrig[d];
-        }
-      }
-      const auto fP = feature::precomposeAffineDiagonal(bf.feature, scale, shift);
-      fr.radius =
-          featureRadiusNumeric(*fP, bf.bounds, map->toP(piOrig), request.numeric);
-
-      if (fr.radius.radius < report->rho) {
-        report->rho = fr.radius.radius;
-        report->criticalFeature = i;
-      }
-      report->features.push_back(std::move(fr));
-    }
-
-    RadiusOutcome out = outcomeFromMergedReport(std::move(report));
+    const MergedAnalysis analysis(fp.features(), fp.space(), problem.scheme,
+                                  request.numeric, featureRadiusNumeric);
+    RadiusOutcome out = outcomeFromMergedReport(
+        std::make_shared<MergedRobustnessReport>(analysis.report()));
     out.envelope = relativeEnvelope(out.rho, accuracy(problem, request));
     return out;
   }
 };
 
-FEPIA_REGISTER_RADIUS_BACKEND(NumericBackend)
-
 }  // namespace
 
-int detail::anchorNumericBackend() { return 0; }
+std::unique_ptr<Backend> detail::makeNumericBackend() {
+  return std::make_unique<NumericBackend>();
+}
 
 }  // namespace fepia::radius::backend

@@ -6,13 +6,14 @@
 namespace fepia::radius::backend {
 
 BackendRegistry& BackendRegistry::instance() {
-  // Referencing the per-TU anchors forces a static-library link to pull
-  // in the backend TUs whose registrars populate the registry. Volatile
-  // so the sum cannot be folded away together with the calls.
-  [[maybe_unused]] static volatile int anchors =
-      detail::anchorAnalyticBackend() + detail::anchorNumericBackend() +
-      detail::anchorEmpiricalBackend() + detail::anchorDegradedBackend();
   static BackendRegistry registry;
+  [[maybe_unused]] static const bool populated = [] {
+    registry.add(detail::makeAnalyticBackend());
+    registry.add(detail::makeNumericBackend());
+    registry.add(detail::makeEmpiricalBackend());
+    registry.add(detail::makeDegradedBackend());
+    return true;
+  }();
   return registry;
 }
 

@@ -1,13 +1,9 @@
-// The backend registry: self-registering radius kernels.
+// The backend registry: radius kernels addressable by name.
 //
-// Each backend translation unit registers its kernel with a static
-// registrar (FEPIA_REGISTER_RADIUS_BACKEND), the pattern of mindspore
-// lite's kernel_registry: the registrar's initializer runs before main,
-// inserting the kernel into the construct-on-first-use singleton, so
-// adding a backend is adding one TU — no central list to edit. Static
-// libraries strip unreferenced TUs, which would silently drop the
-// registrars; each backend TU therefore also defines an anchor function
-// that registry.cpp references, forcing the linker to keep it.
+// Each backend lives in its own translation unit and exposes one factory
+// (detail::make*Backend); BackendRegistry::instance() lists the four
+// built-in kernels explicitly, so the list in registry.cpp is the one
+// place that names them.
 #pragma once
 
 #include <memory>
@@ -20,23 +16,21 @@
 namespace fepia::radius::backend {
 
 /// A set of radius backends addressable by name. The process-wide
-/// instance() holds the statically registered kernels; tests build their
-/// own registries with fakes through the public constructor.
+/// instance() holds the built-in kernels; tests build their own
+/// registries with fakes through the public constructor and add().
 class BackendRegistry {
  public:
   BackendRegistry() = default;
   BackendRegistry(const BackendRegistry&) = delete;
   BackendRegistry& operator=(const BackendRegistry&) = delete;
 
-  /// The global registry. A C++ magic static: initialization is
-  /// thread-safe and happens on first use, which for the statically
-  /// registered kernels is during their registrars' dynamic
-  /// initialization (single-threaded, before main).
+  /// The global registry holding analytic, numeric, empirical and
+  /// degraded. A C++ magic static: built once, thread-safely, on first
+  /// use.
   static BackendRegistry& instance();
 
   /// Registers a kernel. Throws std::invalid_argument on a null backend
-  /// or a duplicate name. Returns the registered backend (the macro's
-  /// registrar binds a reference to it). Thread-safe.
+  /// or a duplicate name. Returns the registered backend. Thread-safe.
   const Backend& add(std::unique_ptr<Backend> backend);
 
   /// Looks up a backend by name; null when absent.
@@ -54,23 +48,11 @@ class BackendRegistry {
 };
 
 namespace detail {
-// Anchors defined one-per-backend-TU and referenced by registry.cpp so a
-// static-library link cannot discard the registrar objects.
-int anchorAnalyticBackend();
-int anchorNumericBackend();
-int anchorEmpiricalBackend();
-int anchorDegradedBackend();
+// One factory per built-in backend translation unit.
+std::unique_ptr<Backend> makeAnalyticBackend();
+std::unique_ptr<Backend> makeNumericBackend();
+std::unique_ptr<Backend> makeEmpiricalBackend();
+std::unique_ptr<Backend> makeDegradedBackend();
 }  // namespace detail
-
-/// Registers `BackendClass` (default-constructible Backend subclass)
-/// into the global registry at static-initialization time. Use at
-/// namespace scope inside the backend's own translation unit.
-#define FEPIA_REGISTER_RADIUS_BACKEND(BackendClass)                       \
-  namespace {                                                             \
-  [[maybe_unused]] const ::fepia::radius::backend::Backend&               \
-      kRegistered##BackendClass =                                         \
-          ::fepia::radius::backend::BackendRegistry::instance().add(      \
-              std::make_unique<BackendClass>());                          \
-  }
 
 }  // namespace fepia::radius::backend

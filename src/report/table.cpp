@@ -72,22 +72,6 @@ void Table::printCsv(std::ostream& os) const {
   for (const auto& row : rows_) emitRow(row);
 }
 
-void Table::printMarkdown(std::ostream& os) const {
-  const auto emitRow = [&](const std::vector<std::string>& row) {
-    os << "| ";
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c != 0) os << " | ";
-      os << row[c];
-    }
-    os << " |\n";
-  };
-  emitRow(headers_);
-  os << "|";
-  for (std::size_t c = 0; c < headers_.size(); ++c) os << "---|";
-  os << '\n';
-  for (const auto& row : rows_) emitRow(row);
-}
-
 std::string num(double v, int precision) {
   std::ostringstream os;
   os << std::setprecision(precision) << v;

@@ -1,4 +1,4 @@
-// Fixed-width/CSV/Markdown table emission for the benchmark harness, so
+// Fixed-width/CSV table emission for the benchmark harness, so
 // every experiment prints rows the way the paper's tables would.
 #pragma once
 
@@ -27,9 +27,6 @@ class Table {
 
   /// RFC-4180-ish CSV (quotes cells containing comma/quote/newline).
   void printCsv(std::ostream& os) const;
-
-  /// GitHub-flavoured Markdown.
-  void printMarkdown(std::ostream& os) const;
 
  private:
   std::vector<std::string> headers_;

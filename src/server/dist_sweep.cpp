@@ -33,6 +33,9 @@ namespace fepia::server {
 namespace {
 
 constexpr std::uint64_t kWaitRetryMillis = 100;
+/// A worker's connect retries, 100 ms apart: the coordinator may still
+/// be binding when the worker launches.
+constexpr int kConnectAttempts = 50;
 /// The longest lease or wait a worker accepts from a coordinator: far
 /// beyond any sweep's, and far from overflowing the chrono arithmetic
 /// the worker's sleeps and heartbeats do with it.
@@ -447,8 +450,10 @@ bool SweepCoordinator::start(std::string* error) {
       im.pendingPoints += im.shardCount(s);
     }
   }
-  im.lease = std::make_unique<sweep::LeaseTable>(
-      std::move(pending), im.cfg.leaseSeconds, im.cfg.stealAfterSeconds);
+  // Steals start once the oldest lease is leaseSeconds / 2 old (the
+  // LeaseTable default).
+  im.lease = std::make_unique<sweep::LeaseTable>(std::move(pending),
+                                                 im.cfg.leaseSeconds);
   if (!im.cfg.journalPath.empty()) {
     im.journal.open(im.cfg.journalPath, im.cfg.resume, im.spec.hash(),
                     im.points, im.chunk);
@@ -685,7 +690,7 @@ SweepWorkerReport runSweepWorker(const sweep::SweepSpec& spec,
   };
 
   int fd = -1;
-  for (int attempt = 0; attempt < std::max(1, cfg.connectAttempts); ++attempt) {
+  for (int attempt = 0; attempt < kConnectAttempts; ++attempt) {
     fd = connectHost(cfg.host, cfg.port);
     if (fd >= 0) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(100));

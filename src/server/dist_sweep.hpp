@@ -66,7 +66,6 @@ struct DistSweepConfig {
   std::uint16_t port = 0;           ///< 0 = ephemeral
   std::size_t chunkOverride = 0;    ///< overrides the spec's shard size
   double leaseSeconds = 10.0;       ///< lease expiry (and heartbeat renewal)
-  double stealAfterSeconds = 0.0;   ///< <= 0: leaseSeconds / 2
   std::string journalPath;          ///< durable commit log; empty disables
   bool resume = false;              ///< replay journalPath's committed shards
   /// Abort (std::runtime_error from wait()) when no shard commits for
@@ -137,9 +136,6 @@ struct SweepWorkerConfig {
   obs::TelemetryHub* telemetry = nullptr;
   std::ostream* log = nullptr;  ///< per-lease progress lines; nullptr silent
   std::size_t maxFrameBytes = kDefaultMaxFrameBytes;
-  /// Connect retries (the coordinator may still be binding when a
-  /// worker launches); 100 ms apart.
-  int connectAttempts = 50;
 };
 
 /// What a worker did.

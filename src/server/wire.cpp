@@ -9,12 +9,10 @@
 #include <cerrno>
 #include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 
-#include <locale.h>  // newlocale/strtod_l (POSIX)
-
+#include "io/parse.hpp"
 #include "obs/json.hpp"
 
 namespace fepia::server {
@@ -23,20 +21,6 @@ namespace {
 /// Deeper documents are rejected, never recursed into (requests are
 /// flat; this only bounds adversarial input).
 constexpr int kMaxDepth = 64;
-
-/// from_chars reports overflow and underflow identically
-/// (result_out_of_range, value left unmodified on GCC), so it cannot
-/// saturate by itself. strtod in a pinned C locale — never the
-/// process locale, whose decimal point may differ — supplies the
-/// behavior every JSON reader has in practice: overflow → ±HUGE_VAL,
-/// gradual underflow → ±0/denormal. Same idiom as io/parse.cpp.
-double strtodCLocale(const char* nptr, char** endptr) {
-  static const locale_t cLocale = ::newlocale(LC_ALL_MASK, "C", nullptr);
-  if (cLocale != static_cast<locale_t>(nullptr)) {
-    return ::strtod_l(nptr, endptr, cLocale);
-  }
-  return std::strtod(nptr, endptr);  // out of memory: best effort
-}
 
 class Parser {
  public:
@@ -154,7 +138,7 @@ class Parser {
     if (ec == std::errc::result_out_of_range) {
       const std::string token(first, last);
       char* end = nullptr;
-      value = strtodCLocale(token.c_str(), &end);
+      value = io::strtodCLocale(token.c_str(), &end);
       if (end != token.c_str() + token.size()) return fail("bad number");
     }
     out.kind = JsonValue::Kind::Number;

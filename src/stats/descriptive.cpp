@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "rng/distributions.hpp"
-
 namespace fepia::stats {
 
 namespace {
@@ -69,28 +67,6 @@ Summary summarize(std::span<const double> xs) {
   s.max = *std::max_element(xs.begin(), xs.end());
   s.median = median(xs);
   return s;
-}
-
-Interval bootstrapMeanCI(std::span<const double> xs, double confidence,
-                         std::size_t resamples, rng::Xoshiro256StarStar& g) {
-  requireNonEmpty(xs, "bootstrapMeanCI");
-  if (confidence <= 0.0 || confidence >= 1.0) {
-    throw std::invalid_argument("stats::bootstrapMeanCI: confidence in (0,1)");
-  }
-  if (resamples == 0) {
-    throw std::invalid_argument("stats::bootstrapMeanCI: resamples == 0");
-  }
-  std::vector<double> means;
-  means.reserve(resamples);
-  for (std::size_t r = 0; r < resamples; ++r) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      acc += xs[rng::uniformIndex(g, 0, xs.size() - 1)];
-    }
-    means.push_back(acc / static_cast<double>(xs.size()));
-  }
-  const double alpha = 1.0 - confidence;
-  return Interval{quantile(means, alpha / 2.0), quantile(means, 1.0 - alpha / 2.0)};
 }
 
 }  // namespace fepia::stats

@@ -1,12 +1,10 @@
 // Descriptive statistics used by the benchmark harness and the DES
-// validation experiment (violation-rate summaries, bootstrap CIs).
+// validation experiment (violation-rate summaries).
 #pragma once
 
 #include <cstddef>
 #include <span>
 #include <vector>
-
-#include "rng/xoshiro.hpp"
 
 namespace fepia::stats {
 
@@ -42,15 +40,10 @@ struct Summary {
 /// One-pass full summary; throws on an empty sample.
 [[nodiscard]] Summary summarize(std::span<const double> xs);
 
-/// Percentile bootstrap confidence interval for the mean.
-/// Returns {lo, hi} at the given confidence level (e.g. 0.95).
+/// A confidence interval {lo, hi}.
 struct Interval {
   double lo = 0.0;
   double hi = 0.0;
 };
-[[nodiscard]] Interval bootstrapMeanCI(std::span<const double> xs,
-                                       double confidence,
-                                       std::size_t resamples,
-                                       rng::Xoshiro256StarStar& g);
 
 }  // namespace fepia::stats

@@ -1,7 +1,6 @@
 #include "stats/ecdf.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace fepia::stats {
@@ -18,55 +17,6 @@ double Ecdf::operator()(double x) const noexcept {
   const auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);
   return static_cast<double>(it - sorted_.begin()) /
          static_cast<double>(sorted_.size());
-}
-
-double ksDistance(std::span<const double> a, std::span<const double> b) {
-  if (a.empty() || b.empty()) {
-    throw std::invalid_argument("stats::ksDistance: empty sample");
-  }
-  std::vector<double> sa(a.begin(), a.end());
-  std::vector<double> sb(b.begin(), b.end());
-  std::sort(sa.begin(), sa.end());
-  std::sort(sb.begin(), sb.end());
-
-  // Sweep the merged order, tracking both ECDF levels.
-  double maxDiff = 0.0;
-  std::size_t i = 0, j = 0;
-  const double na = static_cast<double>(sa.size());
-  const double nb = static_cast<double>(sb.size());
-  while (i < sa.size() && j < sb.size()) {
-    const double x = std::min(sa[i], sb[j]);
-    while (i < sa.size() && sa[i] <= x) ++i;
-    while (j < sb.size() && sb[j] <= x) ++j;
-    maxDiff = std::max(maxDiff, std::abs(static_cast<double>(i) / na -
-                                         static_cast<double>(j) / nb));
-  }
-  // The tail (one sample exhausted) cannot increase |F1 − F2| beyond the
-  // value at the last merged step plus the remaining jumps; account for
-  // them explicitly.
-  maxDiff = std::max(maxDiff, std::abs(1.0 - static_cast<double>(j) / nb));
-  maxDiff = std::max(maxDiff, std::abs(static_cast<double>(i) / na - 1.0));
-  return maxDiff;
-}
-
-double ksPValue(double distance, std::size_t nA, std::size_t nB) {
-  if (nA == 0 || nB == 0) {
-    throw std::invalid_argument("stats::ksPValue: empty sample");
-  }
-  if (distance <= 0.0) return 1.0;
-  const double n = static_cast<double>(nA) * static_cast<double>(nB) /
-                   static_cast<double>(nA + nB);
-  const double lambda = (std::sqrt(n) + 0.12 + 0.11 / std::sqrt(n)) * distance;
-  // Kolmogorov series: 2 sum_{k>=1} (-1)^{k-1} exp(-2 k^2 lambda^2).
-  double sum = 0.0;
-  double sign = 1.0;
-  for (int k = 1; k <= 100; ++k) {
-    const double term = std::exp(-2.0 * k * k * lambda * lambda);
-    sum += sign * term;
-    sign = -sign;
-    if (term < 1e-12) break;
-  }
-  return std::clamp(2.0 * sum, 0.0, 1.0);
 }
 
 }  // namespace fepia::stats

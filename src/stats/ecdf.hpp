@@ -1,9 +1,4 @@
-// Empirical CDF and two-sample Kolmogorov–Smirnov distance.
-//
-// Used to compare simulated latency distributions across operating
-// points and jitter levels: the KS distance quantifies how much an
-// operating-point change displaces the whole latency distribution, not
-// just its maximum.
+// Empirical CDF of a sample.
 #pragma once
 
 #include <span>
@@ -36,14 +31,5 @@ class Ecdf {
  private:
   std::vector<double> sorted_;
 };
-
-/// Two-sample Kolmogorov–Smirnov statistic sup_x |F1(x) − F2(x)|.
-/// Throws std::invalid_argument when either sample is empty.
-[[nodiscard]] double ksDistance(std::span<const double> a,
-                                std::span<const double> b);
-
-/// Asymptotic two-sample KS p-value approximation (Kolmogorov
-/// distribution): small values reject "same distribution".
-[[nodiscard]] double ksPValue(double distance, std::size_t nA, std::size_t nB);
 
 }  // namespace fepia::stats

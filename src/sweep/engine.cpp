@@ -35,6 +35,11 @@ namespace {
 
 namespace rbackend = radius::backend;
 
+/// A completed shard slower than this multiple of the median completed
+/// shard wall time triggers a straggler warning event (needs telemetry
+/// and at least 4 completed shards).
+constexpr double kStragglerFactor = 4.0;
+
 // ---- linear workload (the S3.1/S3.2 family) ---------------------------
 
 /// One generated (k, pi^orig) linear instance — shared by every (scheme,
@@ -595,11 +600,11 @@ SweepSurface runSweep(const SweepSpec& spec, const SweepOptions& opts,
       // Straggler check against the median completed shard so far. Needs
       // a few completed shards before "median" means anything.
       shardSeconds.push_back(shardWall);
-      if (opts.stragglerFactor > 0.0 && shardSeconds.size() >= 4) {
+      if (shardSeconds.size() >= 4) {
         std::vector<double> sorted = shardSeconds;
         std::sort(sorted.begin(), sorted.end());
         const double median = sorted[sorted.size() / 2];
-        if (median > 0.0 && shardWall > opts.stragglerFactor * median) {
+        if (median > 0.0 && shardWall > kStragglerFactor * median) {
           obs::TelemetryEvent warn("warning");
           warn.str("kind", "straggler")
               .count("shard", s)

@@ -81,10 +81,6 @@ struct SweepOptions {
   /// Live status line on stderr (the CLI's --progress): rewritten after
   /// every completed shard, erased by a newline when the sweep ends.
   bool progress = false;
-  /// A completed shard slower than this multiple of the median completed
-  /// shard wall time triggers a straggler warning event (needs telemetry
-  /// and at least 4 completed shards; <= 0 disables).
-  double stragglerFactor = 4.0;
   /// Stall-watchdog deadline: no point committed for this long raises a
   /// {"type":"alert","kind":"stall"} event (needs telemetry; <= 0
   /// disables the watchdog).

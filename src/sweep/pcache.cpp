@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "io/parse.hpp"
 #include "sweep/journal.hpp"
 
 namespace fepia::sweep {
@@ -71,12 +72,8 @@ void PersistentCache::loadSegment(const std::string& path) {
       ++quarantined_;
       continue;
     }
-    std::uint64_t cls = 0;
-    try {
-      std::size_t pos = 0;
-      cls = std::stoull(clsTok, &pos);
-      if (pos != clsTok.size()) throw std::invalid_argument(clsTok);
-    } catch (const std::exception&) {
+    const std::optional<std::uint64_t> cls = io::parseUint64(clsTok);
+    if (!cls.has_value()) {
       ++quarantined_;
       continue;
     }
@@ -86,7 +83,7 @@ void PersistentCache::loadSegment(const std::string& path) {
       ++quarantined_;
       continue;
     }
-    if (map_.emplace(key, Value{radius, cls}).second) ++loaded_;
+    if (map_.emplace(key, Value{radius, *cls}).second) ++loaded_;
   }
 }
 

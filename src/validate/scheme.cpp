@@ -2,30 +2,10 @@
 
 #include <limits>
 
-#include "feature/transform.hpp"
 #include "radius/merge.hpp"
 #include "rng/xoshiro.hpp"
 
 namespace fepia::validate {
-
-namespace {
-
-/// The inverse of a (possibly non-invertible) diagonal map as an affine
-/// precomposition: coordinates with zero weight are pinned at the base
-/// point, matching DiagonalMap::fromPOnto / alpha_j = 0 semantics.
-std::shared_ptr<const feature::PerformanceFeature> pSpaceFeature(
-    const std::shared_ptr<const feature::PerformanceFeature>& phi,
-    const la::Vector& weights, const la::Vector& base) {
-  la::Vector scale(weights.size());
-  la::Vector shift(weights.size());
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    scale[i] = weights[i] != 0.0 ? 1.0 / weights[i] : 0.0;
-    shift[i] = weights[i] != 0.0 ? 0.0 : base[i];
-  }
-  return feature::precomposeAffineDiagonal(phi, scale, shift);
-}
-
-}  // namespace
 
 std::vector<Comparison> SchemeValidation::allRows() const {
   std::vector<Comparison> rows = perFeature;
@@ -52,14 +32,13 @@ SchemeValidation validateMergedScheme(const radius::FepiaProblem& problem,
   std::size_t bestIndex = 0;
   for (std::size_t i = 0; i < rep.features.size(); ++i) {
     const radius::MergedFeatureReport& fr = rep.features[i];
-    const radius::DiagonalMap map(fr.mapWeights);
+    const feature::BoundedFeature& fP = analysis.pSpaceFeatures()[i];
     feature::FeatureSet single;
-    single.add(pSpaceFeature(problem.features()[i].feature, fr.mapWeights, orig),
-               problem.features()[i].bounds);
+    single.add(fP.feature, fP.bounds);
     EstimatorOptions perFeature = opts;
     perFeature.seed = seeds.next();
-    EmpiricalEstimate est =
-        estimateEmpiricalRadius(single, map.toP(orig), perFeature, pool);
+    EmpiricalEstimate est = estimateEmpiricalRadius(
+        single, analysis.map(i).toP(orig), perFeature, pool);
     if (est.radius <= bestEmpirical) {
       bestEmpirical = est.radius;
       bestIndex = i;
@@ -73,30 +52,14 @@ SchemeValidation validateMergedScheme(const radius::FepiaProblem& problem,
 
   if (scheme == radius::MergeScheme::NormalizedByOriginal) {
     // One shared map: the joint safe region is well-defined in P-space.
-    const la::Vector& weights = rep.features.front().mapWeights;
-    const radius::DiagonalMap map(weights);
-    feature::FeatureSet joint;
-    for (const feature::BoundedFeature& bf : problem.features()) {
-      joint.add(pSpaceFeature(bf.feature, weights, orig), bf.bounds);
-    }
     EstimatorOptions jointOpts = opts;
     jointOpts.seed = seeds.next();
-    out.joint = compare(
-        "rho (joint region)", rep.rho,
-        estimateEmpiricalRadius(joint, map.toP(orig), jointOpts, pool));
+    out.joint = compare("rho (joint region)", rep.rho,
+                        estimateEmpiricalRadius(analysis.pSpaceFeatures(),
+                                                analysis.map(0).toP(orig),
+                                                jointOpts, pool));
   }
   return out;
-}
-
-Comparison validateSameUnits(const radius::FepiaProblem& problem,
-                             const EstimatorOptions& opts,
-                             parallel::ThreadPool* pool) {
-  const radius::RobustnessReport rep = problem.robustnessSameUnits();
-  return compare(
-      "rho (pi-space)", rep.rho,
-      estimateEmpiricalRadius(problem.features(),
-                              problem.space().concatenatedOriginal(), opts,
-                              pool));
 }
 
 }  // namespace fepia::validate

@@ -1,10 +1,10 @@
 // Empirical validation of a full FePIA analysis.
 //
 // Bridges the Monte-Carlo estimator to the paper's merge schemes: for
-// each feature of a FepiaProblem, rebuild that feature's P-space (the
-// shared normalized map, or the feature's own sensitivity map), run the
-// directional estimator around P^orig, and compare against the analytic
-// r_mu(phi_i, P) of radius::MergedAnalysis. rho is validated as the
+// each feature of a FepiaProblem, take that feature's P-space from
+// radius::MergedAnalysis (the shared normalized map, or the feature's own
+// sensitivity map), run the directional estimator around P^orig, and
+// compare against the analytic r_mu(phi_i, P) of the same analysis. rho is validated as the
 // minimum over features; under the normalized scheme (one shared map) an
 // additional joint-region estimate samples the union of all feature
 // boundaries directly.
@@ -41,13 +41,5 @@ struct SchemeValidation {
 [[nodiscard]] SchemeValidation validateMergedScheme(
     const radius::FepiaProblem& problem, radius::MergeScheme scheme,
     const EstimatorOptions& opts = {}, parallel::ThreadPool* pool = nullptr);
-
-/// Validates the raw pi-space rho (homogeneous units only): samples the
-/// joint safe region of all features around pi^orig and compares with
-/// robustnessSameUnits().rho. Throws units::MismatchError when the kinds
-/// carry different units.
-[[nodiscard]] Comparison validateSameUnits(const radius::FepiaProblem& problem,
-                                           const EstimatorOptions& opts = {},
-                                           parallel::ThreadPool* pool = nullptr);
 
 }  // namespace fepia::validate

@@ -1,6 +1,6 @@
-// Coverage for public API paths not exercised elsewhere: multi-RHS LU
-// solves, writer error paths, and the umbrella header itself (this file
-// includes fepia.hpp, so it breaks if the umbrella ever goes stale).
+// Coverage for public API paths not exercised elsewhere: writer error
+// paths and the umbrella header itself (this file includes fepia.hpp, so
+// it breaks if the umbrella ever goes stale).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -8,15 +8,6 @@
 #include "fepia.hpp"
 
 using namespace fepia;
-
-TEST(ApiCoverage, LuMatrixSolve) {
-  const la::Matrix a{{2.0, 0.0}, {0.0, 4.0}};
-  const la::Matrix b{{2.0, 4.0}, {8.0, 12.0}};
-  const la::LU lu(a);
-  const la::Matrix x = lu.solve(b);
-  EXPECT_TRUE(la::approxEqual(la::matmul(a, x), b, 1e-12));
-  EXPECT_THROW((void)lu.solve(la::Matrix(3, 2)), std::invalid_argument);
-}
 
 TEST(ApiCoverage, WriteProblemRejectsNonLinearFeatures) {
   radius::FepiaProblem problem;

@@ -79,9 +79,9 @@ std::vector<std::uint64_t> solveAll(const std::vector<Job>& jobs,
 }  // namespace
 
 TEST(BackendRegistryThread, StaticRegistrationIsOneTimeAndStable) {
-  // The registrars ran before main; racing instance() from many threads
-  // must observe the same fully built registry (same object, same five
-  // kernels) with no re-registration.
+  // instance() builds the registry once on first use; racing it from
+  // many threads must observe the same fully built registry (same
+  // object, same four kernels) with no re-registration.
   constexpr std::size_t kThreads = 8;
   std::vector<const rb::BackendRegistry*> seen(kThreads, nullptr);
   std::vector<std::size_t> sizes(kThreads, 0);

@@ -53,32 +53,6 @@ TEST(Etc, CvbValidation) {
   EXPECT_THROW((void)etc::generateCvb(4, 4, bad, g), std::invalid_argument);
 }
 
-TEST(Etc, RangeBasedBounds) {
-  rng::Xoshiro256StarStar g(35);
-  etc::RangeParams p;
-  p.taskRange = 100.0;
-  p.machineRange = 10.0;
-  const la::Matrix m = etc::generateRange(200, 6, p, g);
-  for (double v : m.data()) {
-    EXPECT_GE(v, 1.0);
-    EXPECT_LT(v, 100.0 * 10.0);
-  }
-  etc::RangeParams bad;
-  bad.taskRange = 1.0;
-  EXPECT_THROW((void)etc::generateRange(4, 4, bad, g), std::invalid_argument);
-}
-
-TEST(Etc, MakeConsistentSortsRows) {
-  rng::Xoshiro256StarStar g(36);
-  la::Matrix m = etc::generateCvb(40, 7, etc::CvbParams{}, g);
-  etc::makeConsistent(m);
-  for (std::size_t t = 0; t < m.rows(); ++t) {
-    for (std::size_t c = 1; c < m.cols(); ++c) {
-      EXPECT_LE(m(t, c - 1), m(t, c));
-    }
-  }
-}
-
 TEST(Etc, HeterogeneityNames) {
   EXPECT_STREQ(etc::heterogeneityName(etc::Heterogeneity::HiHi), "hi-hi");
   EXPECT_STREQ(etc::heterogeneityName(etc::Heterogeneity::LoHi), "lo-hi");

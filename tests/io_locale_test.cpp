@@ -119,6 +119,7 @@ TEST(IoLocale, ParseUint64IgnoresCommaLocale) {
   EXPECT_EQ(io::parseUint64("08"), 8u);
   EXPECT_FALSE(io::parseUint64("1.000").has_value());
   EXPECT_FALSE(io::parseUint64("-1").has_value());
+  EXPECT_FALSE(io::parseUint64("+5").has_value());
 }
 
 TEST(IoLocale, ProblemFileRoundTripsUnderCommaLocale) {

@@ -49,27 +49,6 @@ TEST(LaGeometry, PointOnPlaneHasZeroDistance) {
   EXPECT_TRUE(la::approxEqual(plane.closestPoint(on), on, 1e-14));
 }
 
-TEST(LaGeometry, RayIntersectionForward) {
-  const la::Hyperplane plane(la::Vector{1.0, 0.0}, 3.0);
-  const auto t =
-      la::rayHyperplaneIntersection(plane, la::Vector{1.0, 1.0},
-                                    la::Vector{1.0, 0.0});
-  ASSERT_TRUE(t.has_value());
-  EXPECT_NEAR(*t, 2.0, 1e-15);
-}
-
-TEST(LaGeometry, RayIntersectionMissesBehindOrParallel) {
-  const la::Hyperplane plane(la::Vector{1.0, 0.0}, 3.0);
-  // Plane behind the ray.
-  EXPECT_FALSE(la::rayHyperplaneIntersection(plane, la::Vector{5.0, 0.0},
-                                             la::Vector{1.0, 0.0})
-                   .has_value());
-  // Ray parallel to the plane.
-  EXPECT_FALSE(la::rayHyperplaneIntersection(plane, la::Vector{0.0, 0.0},
-                                             la::Vector{0.0, 1.0})
-                   .has_value());
-}
-
 TEST(LaGeometry, OrthantBoundaryDistanceInside) {
   // Figure 1: the beta_min boundary set is the union of the axes; for an
   // interior point the nearest facet is the smallest coordinate.
@@ -85,11 +64,3 @@ TEST(LaGeometry, OrthantBoundaryDistanceOutside) {
       5.0, 1e-15);
 }
 
-TEST(LaGeometry, ProjectOntoSphere) {
-  const la::Vector center{1.0, 1.0};
-  const la::Vector p{4.0, 5.0};
-  const la::Vector q = la::projectOntoSphere(p, center, 2.5);
-  EXPECT_NEAR(la::distance(q, center), 2.5, 1e-14);
-  EXPECT_THROW((void)la::projectOntoSphere(center, center, 1.0),
-               std::domain_error);
-}

@@ -25,23 +25,6 @@ TEST(LaMatrix, AtBoundsChecked) {
   EXPECT_THROW((void)m.at(0, 2), std::out_of_range);
 }
 
-TEST(LaMatrix, RowColRoundTrip) {
-  const la::Matrix m{{1.0, 2.0}, {3.0, 4.0}};
-  const la::Vector r = m.row(1);
-  EXPECT_DOUBLE_EQ(r[0], 3.0);
-  const la::Vector c = m.col(1);
-  EXPECT_DOUBLE_EQ(c[0], 2.0);
-  EXPECT_DOUBLE_EQ(c[1], 4.0);
-
-  la::Matrix w(2, 2);
-  w.setRow(0, la::Vector{5.0, 6.0});
-  w.setCol(1, la::Vector{7.0, 8.0});
-  EXPECT_DOUBLE_EQ(w(0, 0), 5.0);
-  EXPECT_DOUBLE_EQ(w(0, 1), 7.0);
-  EXPECT_DOUBLE_EQ(w(1, 1), 8.0);
-  EXPECT_THROW(w.setRow(0, la::Vector{1.0}), std::invalid_argument);
-}
-
 TEST(LaMatrix, MatmulAgainstHandComputed) {
   const la::Matrix a{{1.0, 2.0}, {3.0, 4.0}};
   const la::Matrix b{{5.0, 6.0}, {7.0, 8.0}};

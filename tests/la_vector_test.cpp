@@ -77,7 +77,6 @@ TEST(LaVector, NormsMatchDefinitions) {
   const la::Vector v{3.0, -4.0};
   EXPECT_DOUBLE_EQ(la::norm2(v), 5.0);
   EXPECT_DOUBLE_EQ(la::normSq(v), 25.0);
-  EXPECT_DOUBLE_EQ(la::norm1(v), 7.0);
   EXPECT_DOUBLE_EQ(la::normInf(v), 4.0);
   EXPECT_DOUBLE_EQ(la::sum(v), -1.0);
 }
@@ -95,21 +94,6 @@ TEST(LaVector, NormalizedHasUnitNorm) {
   EXPECT_NEAR(la::norm2(n), 1.0, 1e-15);
   EXPECT_DOUBLE_EQ(n[0], 0.6);
   EXPECT_THROW((void)la::normalized(la::Vector(3, 0.0)), std::domain_error);
-}
-
-TEST(LaVector, ConcatMatchesPaperOperator) {
-  // pi_1 ⋆ pi_2 = [pi_11 .. pi_1n, pi_21 .. pi_2n]^T
-  const la::Vector pi1{1.0, 2.0};
-  const la::Vector pi2{3.0};
-  const la::Vector p = la::concat(pi1, pi2);
-  ASSERT_EQ(p.size(), 3u);
-  EXPECT_DOUBLE_EQ(p[0], 1.0);
-  EXPECT_DOUBLE_EQ(p[2], 3.0);
-
-  const std::vector<la::Vector> parts = {pi1, pi2, pi1};
-  const la::Vector all = la::concat(parts);
-  ASSERT_EQ(all.size(), 5u);
-  EXPECT_DOUBLE_EQ(all[4], 2.0);
 }
 
 TEST(LaVector, ApproxEqualRespectsTolerance) {

@@ -34,18 +34,6 @@ TEST(OptBracket, RejectsBadParameters) {
   EXPECT_THROW((void)opt::bracketRoot(f, 5.0, 1.0), std::invalid_argument);
 }
 
-TEST(OptBisect, ConvergesToRoot) {
-  const auto f = [](double x) { return std::cos(x); };  // root pi/2 in [0, 2]
-  const opt::RootResult r = opt::bisect(f, 0.0, 2.0);
-  EXPECT_TRUE(r.converged);
-  EXPECT_NEAR(r.x, M_PI / 2.0, 1e-10);
-}
-
-TEST(OptBisect, ThrowsWithoutBracket) {
-  const auto f = [](double x) { return x * x + 1.0; };
-  EXPECT_THROW((void)opt::bisect(f, 0.0, 1.0), std::invalid_argument);
-}
-
 TEST(OptBrent, ConvergesFasterThanBisection) {
   const auto f = [](double x) { return x * x * x - 2.0 * x - 5.0; };
   const opt::RootResult r = opt::brent(f, 2.0, 3.0);
@@ -79,16 +67,3 @@ TEST(OptBrent, SteepAndFlatFunctions) {
   EXPECT_NEAR(r2.x, 0.3, 1e-8);
 }
 
-TEST(OptGolden, FindsUnimodalMinimum) {
-  const auto f = [](double x) { return (x - 1.5) * (x - 1.5) + 2.0; };
-  const opt::MinResult r = opt::goldenSection(f, -10.0, 10.0);
-  EXPECT_TRUE(r.converged);
-  EXPECT_NEAR(r.x, 1.5, 1e-7);
-  EXPECT_NEAR(r.fx, 2.0, 1e-12);
-}
-
-TEST(OptGolden, SwapsReversedInterval) {
-  const auto f = [](double x) { return std::abs(x + 2.0); };
-  const opt::MinResult r = opt::goldenSection(f, 5.0, -5.0);
-  EXPECT_NEAR(r.x, -2.0, 1e-6);
-}

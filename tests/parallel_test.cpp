@@ -10,13 +10,7 @@
 #include <thread>
 #include <vector>
 
-#include "hiperd/factory.hpp"
-#include "radius/parallel_rho.hpp"
-
 namespace parallel = fepia::parallel;
-namespace radius = fepia::radius;
-namespace hiperd = fepia::hiperd;
-namespace la = fepia::la;
 
 TEST(ParallelPool, RunsSubmittedTasksAndReturnsValues) {
   parallel::ThreadPool pool(4);
@@ -271,33 +265,3 @@ TEST(ParallelFor, SubmitFailureStillDrainsSubmittedChunks) {
   EXPECT_EQ(ran.load(), 0);  // nothing was queued, nothing ran
 }
 
-TEST(ParallelRho, MatchesSerialExactly) {
-  const hiperd::ReferenceSystem ref = hiperd::makeReferenceSystem();
-  const auto phi = ref.system.loadFeatureSet(ref.qos);
-  const la::Vector lambda = ref.system.originalLoads();
-
-  const radius::RobustnessReport serial = radius::robustness(phi, lambda);
-  parallel::ThreadPool pool(4);
-  const radius::RobustnessReport par =
-      radius::robustnessParallel(phi, lambda, pool);
-
-  EXPECT_DOUBLE_EQ(par.rho, serial.rho);
-  EXPECT_EQ(par.criticalFeature, serial.criticalFeature);
-  ASSERT_EQ(par.perFeature.size(), serial.perFeature.size());
-  for (std::size_t i = 0; i < par.perFeature.size(); ++i) {
-    EXPECT_DOUBLE_EQ(par.perFeature[i].radius, serial.perFeature[i].radius);
-    EXPECT_EQ(par.featureNames[i], serial.featureNames[i]);
-  }
-}
-
-TEST(ParallelRho, Validation) {
-  parallel::ThreadPool pool(2);
-  fepia::feature::FeatureSet empty;
-  EXPECT_THROW(
-      (void)radius::robustnessParallel(empty, la::Vector{1.0}, pool),
-      std::invalid_argument);
-  const hiperd::ReferenceSystem ref = hiperd::makeReferenceSystem();
-  const auto phi = ref.system.loadFeatureSet(ref.qos);
-  EXPECT_THROW((void)radius::robustnessParallel(phi, la::Vector{1.0}, pool),
-               std::invalid_argument);
-}

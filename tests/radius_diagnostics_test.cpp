@@ -41,47 +41,3 @@ TEST(RadiusDiagnostics, AttributionValidation) {
                std::invalid_argument);
 }
 
-TEST(RadiusDiagnostics, SlackReportValuesAndInfinities) {
-  feature::FeatureSet phi;
-  phi.add(std::make_shared<feature::LinearFeature>("upper-only",
-                                                   la::Vector{1.0, 0.0}),
-          feature::FeatureBounds::upper(5.0));
-  phi.add(std::make_shared<feature::LinearFeature>("two-sided",
-                                                   la::Vector{0.0, 1.0}),
-          feature::FeatureBounds(1.0, 4.0));
-  const la::Vector orig{2.0, 3.0};
-  const auto report = radius::slackReport(phi, orig);
-  ASSERT_EQ(report.size(), 2u);
-  EXPECT_DOUBLE_EQ(report[0].value, 2.0);
-  EXPECT_DOUBLE_EQ(report[0].slackToMax, 3.0);
-  EXPECT_TRUE(std::isinf(report[0].slackToMin));
-  EXPECT_DOUBLE_EQ(report[1].slackToMax, 1.0);
-  EXPECT_DOUBLE_EQ(report[1].slackToMin, 2.0);
-}
-
-TEST(RadiusDiagnostics, SlackDiffersFromRadiusRanking) {
-  // Slack (value units) and radius (perturbation units) can rank
-  // features differently: a close bound with an insensitive feature can
-  // have a LARGER radius than a far bound with a steep feature.
-  feature::FeatureSet phi;
-  phi.add(std::make_shared<feature::LinearFeature>("steep",
-                                                   la::Vector{10.0, 0.0}),
-          feature::FeatureBounds::upper(30.0));  // value 10, slack 20
-  phi.add(std::make_shared<feature::LinearFeature>("shallow",
-                                                   la::Vector{0.1, 0.0}),
-          feature::FeatureBounds::upper(0.6));  // value 0.1, slack 0.5
-  const la::Vector orig{1.0, 0.0};
-  const auto slack = radius::slackReport(phi, orig);
-  const auto rho = radius::robustness(phi, orig);
-  // Slack says "steep" has more headroom (20 > 0.5)...
-  EXPECT_GT(slack[0].slackToMax, slack[1].slackToMax);
-  // ...but the radius says "steep" is the critical feature (20/10 = 2
-  // vs 0.5/0.1 = 5).
-  EXPECT_EQ(rho.criticalFeature, 0u);
-}
-
-TEST(RadiusDiagnostics, SlackReportValidation) {
-  feature::FeatureSet empty;
-  EXPECT_THROW((void)radius::slackReport(empty, la::Vector{1.0}),
-               std::invalid_argument);
-}

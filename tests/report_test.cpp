@@ -43,17 +43,6 @@ TEST(ReportTable, CsvEscaping) {
   EXPECT_NE(out.find("\"multi\nline\""), std::string::npos);
 }
 
-TEST(ReportTable, MarkdownLayout) {
-  report::Table t({"x", "y"});
-  t.addRow({"1", "2"});
-  std::ostringstream os;
-  t.printMarkdown(os);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("| x | y |"), std::string::npos);
-  EXPECT_NE(out.find("|---|---|"), std::string::npos);
-  EXPECT_NE(out.find("| 1 | 2 |"), std::string::npos);
-}
-
 TEST(ReportFormatting, NumAndFixed) {
   EXPECT_EQ(report::num(1.0 / 3.0, 3), "0.333");
   EXPECT_EQ(report::fixed(2.5, 2), "2.50");

@@ -5,10 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "rng/distributions.hpp"
-
 namespace stats = fepia::stats;
-namespace rng = fepia::rng;
 
 TEST(StatsEcdf, StepFunctionValues) {
   const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0};
@@ -31,53 +28,3 @@ TEST(StatsEcdf, HandlesTies) {
   EXPECT_DOUBLE_EQ(f(1.9), 0.0);
 }
 
-TEST(StatsKs, IdenticalSamplesHaveZeroDistance) {
-  const std::vector<double> xs = {1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(stats::ksDistance(xs, xs), 0.0);
-  EXPECT_DOUBLE_EQ(stats::ksPValue(0.0, 3, 3), 1.0);
-}
-
-TEST(StatsKs, DisjointSamplesHaveDistanceOne) {
-  const std::vector<double> a = {1.0, 2.0};
-  const std::vector<double> b = {10.0, 11.0};
-  EXPECT_DOUBLE_EQ(stats::ksDistance(a, b), 1.0);
-  EXPECT_LT(stats::ksPValue(1.0, 50, 50), 1e-6);
-}
-
-TEST(StatsKs, HandComputedDistance) {
-  // a = {1, 3}, b = {2}: ECDFs cross at 0.5 vs 0/1: D = 0.5.
-  const std::vector<double> a = {1.0, 3.0};
-  const std::vector<double> b = {2.0};
-  EXPECT_DOUBLE_EQ(stats::ksDistance(a, b), 0.5);
-}
-
-TEST(StatsKs, SameDistributionSmallDistance) {
-  rng::Xoshiro256StarStar g(123);
-  std::vector<double> a, b;
-  for (int i = 0; i < 3000; ++i) {
-    a.push_back(rng::normal(g, 0.0, 1.0));
-    b.push_back(rng::normal(g, 0.0, 1.0));
-  }
-  const double d = stats::ksDistance(a, b);
-  EXPECT_LT(d, 0.05);
-  EXPECT_GT(stats::ksPValue(d, a.size(), b.size()), 0.01);
-}
-
-TEST(StatsKs, ShiftedDistributionDetected) {
-  rng::Xoshiro256StarStar g(124);
-  std::vector<double> a, b;
-  for (int i = 0; i < 2000; ++i) {
-    a.push_back(rng::normal(g, 0.0, 1.0));
-    b.push_back(rng::normal(g, 0.5, 1.0));
-  }
-  const double d = stats::ksDistance(a, b);
-  EXPECT_GT(d, 0.1);
-  EXPECT_LT(stats::ksPValue(d, a.size(), b.size()), 1e-6);
-}
-
-TEST(StatsKs, ValidatesInputs) {
-  const std::vector<double> xs = {1.0};
-  EXPECT_THROW((void)stats::ksDistance(std::vector<double>{}, xs),
-               std::invalid_argument);
-  EXPECT_THROW((void)stats::ksPValue(0.5, 0, 5), std::invalid_argument);
-}

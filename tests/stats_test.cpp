@@ -1,18 +1,13 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
-#include "rng/distributions.hpp"
 #include "stats/correlation.hpp"
 #include "stats/descriptive.hpp"
-#include "stats/histogram.hpp"
 
 namespace stats = fepia::stats;
-namespace rng = fepia::rng;
 
 TEST(StatsDescriptive, MeanVarianceSd) {
   const std::vector<double> xs = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
@@ -51,18 +46,6 @@ TEST(StatsDescriptive, SummarizeAllFields) {
 TEST(StatsDescriptive, CoefficientOfVariation) {
   const std::vector<double> xs = {1.0, 3.0};
   EXPECT_NEAR(stats::coefficientOfVariation(xs), std::sqrt(2.0) / 2.0, 1e-12);
-}
-
-TEST(StatsDescriptive, BootstrapCICoversTrueMean) {
-  rng::Xoshiro256StarStar g(21);
-  std::vector<double> xs;
-  for (int i = 0; i < 500; ++i) xs.push_back(rng::uniform(g, 0.0, 10.0));
-  const stats::Interval ci = stats::bootstrapMeanCI(xs, 0.95, 2000, g);
-  EXPECT_LT(ci.lo, ci.hi);
-  EXPECT_LT(ci.lo, 5.3);
-  EXPECT_GT(ci.hi, 4.7);
-  EXPECT_THROW((void)stats::bootstrapMeanCI(xs, 1.5, 100, g),
-               std::invalid_argument);
 }
 
 TEST(StatsCorrelation, PearsonPerfectAndAnti) {
@@ -112,32 +95,3 @@ TEST(StatsCorrelation, KendallTieCorrection) {
   EXPECT_LT(tau, 1.0);  // the tie keeps it below perfect
 }
 
-TEST(StatsHistogram, BinningAndOverflow) {
-  stats::Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);
-  h.add(0.5);
-  h.add(9.9);
-  h.add(10.0);  // boundary value lands in the last bin
-  h.add(11.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(4), 2u);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_DOUBLE_EQ(h.binCenter(0), 1.0);
-  EXPECT_THROW(stats::Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(stats::Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(StatsHistogram, RenderProducesOneLinePerBin) {
-  stats::Histogram h(0.0, 4.0, 4);
-  const std::vector<double> xs = {0.5, 1.5, 1.6, 3.5};
-  h.addAll(xs);
-  std::ostringstream os;
-  h.render(os);
-  int lines = 0;
-  for (char c : os.str()) {
-    if (c == '\n') ++lines;
-  }
-  EXPECT_EQ(lines, 4);
-}

@@ -314,6 +314,7 @@ TEST(PersistentCache, TornSegmentLinesAreQuarantinedOnOpen) {
          << "entry 0x1.8p+0 7 survivor\n"
          << "entry 0x1.8p+0 7\n"        // missing key
          << "entry notadouble 7 key\n"  // bad radius
+         << "entry 0x1.8p+0 -1 negcount\n"  // signed count, not a wrap
          << "entry 0x1.8p+0";           // torn tail (crash mid-append)
   }
   {
@@ -326,6 +327,7 @@ TEST(PersistentCache, TornSegmentLinesAreQuarantinedOnOpen) {
   EXPECT_TRUE(cache.lookup("good-key").has_value());
   EXPECT_TRUE(cache.lookup("survivor").has_value());
   EXPECT_FALSE(cache.lookup("orphan").has_value());
+  EXPECT_FALSE(cache.lookup("negcount").has_value());
 }
 
 TEST(PersistentCache, OlderVersionSegmentIsSkippedWhole) {

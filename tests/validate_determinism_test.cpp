@@ -1,7 +1,7 @@
 // Determinism contract of the parallel subsystems: for a fixed seed the
-// Monte-Carlo validation engine and parallel rho must produce
-// byte-identical results for any thread count (substream-per-chunk
-// scheduling, index-ordered reductions).
+// Monte-Carlo validation engine must produce byte-identical results for
+// any thread count (substream-per-chunk scheduling, index-ordered
+// reductions).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,7 +14,7 @@
 #include "feature/linear.hpp"
 #include "feature/quadratic.hpp"
 #include "la/matrix.hpp"
-#include "radius/parallel_rho.hpp"
+#include "parallel/thread_pool.hpp"
 #include "radius/rho.hpp"
 #include "rng/distributions.hpp"
 #include "validate/bootstrap.hpp"
@@ -123,32 +123,6 @@ TEST(ValidateDeterminism, SchemeValidationIsThreadCountInvariant) {
     expectIdentical(serial.rho.empirical, v.rho.empirical);
     ASSERT_TRUE(v.joint.has_value());
     expectIdentical(serial.joint->empirical, v.joint->empirical);
-  }
-}
-
-TEST(ValidateDeterminism, ParallelRhoIsThreadCountInvariant) {
-  const feature::FeatureSet phi = makeFeatureSet();
-  const la::Vector orig{0.5, 0.5, 0.5};
-  const radius::RobustnessReport serial = radius::robustness(phi, orig);
-
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    parallel::ThreadPool pool(threads);
-    const radius::RobustnessReport par =
-        radius::robustnessParallel(phi, orig, pool);
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    EXPECT_TRUE(sameBits(par.rho, serial.rho));
-    EXPECT_EQ(par.criticalFeature, serial.criticalFeature);
-    ASSERT_EQ(par.perFeature.size(), serial.perFeature.size());
-    for (std::size_t i = 0; i < par.perFeature.size(); ++i) {
-      EXPECT_TRUE(
-          sameBits(par.perFeature[i].radius, serial.perFeature[i].radius));
-      ASSERT_EQ(par.perFeature[i].boundaryPoint.size(),
-                serial.perFeature[i].boundaryPoint.size());
-      for (std::size_t d = 0; d < par.perFeature[i].boundaryPoint.size(); ++d) {
-        EXPECT_TRUE(sameBits(par.perFeature[i].boundaryPoint[d],
-                             serial.perFeature[i].boundaryPoint[d]));
-      }
-    }
   }
 }
 

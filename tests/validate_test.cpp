@@ -221,19 +221,6 @@ TEST(SchemeValidation, QuadraticExampleAgreesWithQuadricClosedForm) {
   EXPECT_TRUE(v.joint->analyticWithinCI);
 }
 
-TEST(SchemeValidation, SameUnitsValidatesRawRho) {
-  radius::FepiaProblem problem;
-  problem.addPerturbation(perturb::PerturbationParameter(
-      "loads", units::Unit::seconds(), la::Vector{1.0, 2.0}));
-  problem.addFeature(std::make_shared<feature::LinearFeature>(
-                         "sum", la::Vector{1.0, 1.0}),
-                     feature::FeatureBounds::upper(6.0));
-  const auto c = validate::validateSameUnits(problem, fastOptions());
-  ASSERT_TRUE(c.empirical.finite());
-  EXPECT_TRUE(c.analyticWithinCI);
-  EXPECT_NEAR(c.analyticRadius, 3.0 / std::sqrt(2.0), 1e-12);
-}
-
 TEST(ValidationReport, TableAndJsonRenderRows) {
   const radius::FepiaProblem problem = linearExample();
   const auto v = validate::validateMergedScheme(
