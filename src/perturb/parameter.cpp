@@ -32,11 +32,4 @@ std::string PerturbationParameter::elementLabel(std::size_t i) const {
   return name_ + "[" + std::to_string(i) + "]";
 }
 
-bool PerturbationParameter::allOriginalsNonzero() const noexcept {
-  for (double v : original_) {
-    if (v == 0.0) return false;
-  }
-  return true;
-}
-
 }  // namespace fepia::perturb

@@ -46,10 +46,6 @@ class PerturbationParameter {
   /// Label of element `i` ("<name>[i]" when unlabelled).
   [[nodiscard]] std::string elementLabel(std::size_t i) const;
 
-  /// True when every original element is nonzero — required by the
-  /// normalized merge scheme (division by pi^orig).
-  [[nodiscard]] bool allOriginalsNonzero() const noexcept;
-
  private:
   std::string name_;
   units::Unit unit_;

@@ -32,13 +32,16 @@
 namespace fepia::server {
 namespace {
 
-constexpr std::uint64_t kWaitRetryMillis = 100;
+/// How often a held lease request re-runs the lease table when nothing
+/// wakes it: lease expiry and straggler steals come due with time, and
+/// no event announces them.
+constexpr auto kLeaseRecheckPeriod = std::chrono::milliseconds(100);
 /// A worker's connect retries, 100 ms apart: the coordinator may still
 /// be binding when the worker launches.
 constexpr int kConnectAttempts = 50;
-/// The longest lease or wait a worker accepts from a coordinator: far
-/// beyond any sweep's, and far from overflowing the chrono arithmetic
-/// the worker's sleeps and heartbeats do with it.
+/// The longest lease a worker accepts from a coordinator: far beyond
+/// any sweep's, and far from overflowing the chrono arithmetic the
+/// worker's heartbeats do with it.
 constexpr std::uint64_t kMaxWireMillis = 24ull * 3600 * 1000;
 /// After the last shard commits, how long the coordinator keeps serving
 /// so connected workers can hear "drained" and leave cleanly.
@@ -110,13 +113,16 @@ struct SweepCoordinator::Impl {
   sweep::SweepSurface surface;
   sweep::JournalWriter journal;
   double lastProgressAt = 0.0;  ///< last commit or worker arrival
+  bool stopping = false;        ///< set by teardown; held leases leave
 
   // What the telemetry sampler reads. A separate, leaf-level mutex:
   // the sampler takes only this one, and no thread holding it ever
   // emits into the hub — so hub-internal locks cannot invert with it.
+  // Taken inside `mutex` where both are held, never the other way.
   mutable std::mutex statsMutex;
   std::set<std::string> workersSeen;
   std::map<std::string, std::uint64_t> workerCommits;
+  /// Changed under `mutex` too, so wait()'s drain can sleep on `cv`.
   std::size_t liveWorkers = 0;
   std::uint64_t commits = 0;
   std::uint64_t duplicateCommits = 0;
@@ -189,13 +195,11 @@ void SweepCoordinator::Impl::handleHello(Connection& conn,
                           " — refusing to lease against a different sweep");
   }
   {
-    const std::lock_guard<std::mutex> lock(statsMutex);
-    workersSeen.insert(worker->string);
-    if (helloName.empty()) ++liveWorkers;
-  }
-  {
     const std::lock_guard<std::mutex> lock(mutex);
     lastProgressAt = clock.elapsedSeconds();
+    const std::lock_guard<std::mutex> stats(statsMutex);
+    workersSeen.insert(worker->string);
+    if (helloName.empty()) ++liveWorkers;
   }
   helloName = worker->string;
   logLine("coordinator: worker '" + helloName + "' connected");
@@ -214,22 +218,25 @@ void SweepCoordinator::Impl::handleLease(Connection& conn,
   if (helloName.empty()) {
     return writeError(conn, req.id, "bad_request", "lease before hello");
   }
+  // A request nothing can grant yet is held here, on the connection's
+  // own reader, until a shard is grantable (a commit, a release, an
+  // expiry or a steal) or the sweep drains. Commits and releases wake
+  // it at once; the re-check period catches expiries and steals.
   std::optional<sweep::LeaseTable::Grant> grant;
-  bool drained = false;
   {
-    const std::lock_guard<std::mutex> lock(mutex);
-    grant = lease->acquire(helloName, clock.elapsedSeconds());
-    drained = !grant.has_value() && lease->allCommitted();
-    mirrorLeaseCounters();
-  }
-  if (drained) {
-    writeOk(conn, req.id, JsonFields().str("kind", "drained"));
-    return;
+    std::unique_lock<std::mutex> lk(mutex);
+    for (;;) {
+      // Torn down: grant nothing (not even a shard a closing peer just
+      // released) and leave unanswered; the worker hears the close.
+      if (stopping) return;
+      grant = lease->acquire(helloName, clock.elapsedSeconds());
+      mirrorLeaseCounters();
+      if (grant.has_value() || lease->allCommitted()) break;
+      cv.wait_for(lk, kLeaseRecheckPeriod);
+    }
   }
   if (!grant.has_value()) {
-    writeOk(conn, req.id,
-            JsonFields().str("kind", "wait").num(
-                "retry_ms", static_cast<double>(kWaitRetryMillis)));
+    writeOk(conn, req.id, JsonFields().str("kind", "drained"));
     return;
   }
   const std::size_t s = grant->shard;
@@ -392,10 +399,12 @@ void SweepCoordinator::Impl::readerLoop(
       const std::lock_guard<std::mutex> lock(mutex);
       reissued = lease->releaseWorker(helloName);
       mirrorLeaseCounters();
-    }
-    {
-      const std::lock_guard<std::mutex> lock(statsMutex);
-      if (liveWorkers > 0) --liveWorkers;
+      {
+        const std::lock_guard<std::mutex> stats(statsMutex);
+        if (liveWorkers > 0) --liveWorkers;
+      }
+      // Under `mutex`: wait()'s drain and held leases cannot miss it.
+      cv.notify_all();
     }
     std::string line = "coordinator: worker '" + helloName + "' disconnected";
     if (!reissued.empty()) {
@@ -410,11 +419,15 @@ void SweepCoordinator::Impl::readerLoop(
           .count("shards", reissued.size());
       cfg.telemetry->emit(warn);
     }
-    cv.notify_all();
   }
 }
 
 void SweepCoordinator::Impl::teardown() {
+  {
+    const std::lock_guard<std::mutex> lock(mutex);
+    stopping = true;
+    cv.notify_all();
+  }
   listener.stop();
   telemetrySource.reset();
 }
@@ -512,17 +525,15 @@ sweep::SweepSurface SweepCoordinator::wait() {
         }
       }
     }
-  }
-  // Grace period: keep serving so connected workers can hear "drained"
-  // and disconnect on their own before we pull the sockets out.
-  const double drainedAt = im.clock.elapsedSeconds();
-  for (;;) {
-    {
-      const std::lock_guard<std::mutex> lock(im.statsMutex);
-      if (im.liveWorkers == 0) break;
-    }
-    if (im.clock.elapsedSeconds() - drainedAt > kDrainGraceSeconds) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    // Grace period: keep serving so connected workers can hear
+    // "drained" and disconnect on their own before we pull the sockets
+    // out. Each disconnect notifies `cv` under `mutex`.
+    (void)im.cv.wait_for(lk, std::chrono::duration<double>(kDrainGraceSeconds),
+                         [&im] {
+                           const std::lock_guard<std::mutex> lock(
+                               im.statsMutex);
+                           return im.liveWorkers == 0;
+                         });
   }
   im.teardown();
 
@@ -769,11 +780,6 @@ SweepWorkerReport runSweepWorker(const sweep::SweepSpec& spec,
       throw std::runtime_error("sweep worker: lease reply without kind");
     }
     if (kind->string == "drained") break;
-    if (kind->string == "wait") {
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          replyCount(*reply, "retry_ms", kMaxWireMillis)));
-      continue;
-    }
     if (kind->string != "lease") {
       throw std::runtime_error("sweep worker: unexpected lease reply kind '" +
                                kind->string + "'");

@@ -25,8 +25,11 @@
 //              coordinator's: a lease must never be computed against a
 //              different sweep.
 //   lease      {worker} -> {kind:"lease", shard, first, count,
-//              generation, stolen} | {kind:"wait", retry_ms} |
-//              {kind:"drained"}
+//              generation, stolen} | {kind:"drained"} — a request
+//              nothing can grant yet is held (re-checked every 100 ms
+//              for lease expiry and steals) until a shard is grantable
+//              or the last shard commits; a coordinator torn down
+//              meanwhile closes the connection without a reply.
 //   commit     {worker, shard, results: [[id, analytic, closed,
 //              empirical, degraded, makespan, classifications], ...]
 //              (doubles as exact hexfloat strings, counts as decimal

@@ -27,7 +27,6 @@ TEST(PerturbParameter, BasicProperties) {
   EXPECT_EQ(p.size(), 3u);
   EXPECT_TRUE(p.unit() == units::Unit::seconds());
   EXPECT_DOUBLE_EQ(p.original()[1], 2.0);
-  EXPECT_TRUE(p.allOriginalsNonzero());
 }
 
 TEST(PerturbParameter, RejectsEmptyAndBadLabels) {
@@ -49,12 +48,6 @@ TEST(PerturbParameter, ElementLabels) {
 
   const auto anon = execTimes();
   EXPECT_EQ(anon.elementLabel(2), "execution-times[2]");
-}
-
-TEST(PerturbParameter, DetectsZeroOriginals) {
-  const perturb::PerturbationParameter p("x", units::Unit::seconds(),
-                                         la::Vector{1.0, 0.0});
-  EXPECT_FALSE(p.allOriginalsNonzero());
 }
 
 TEST(PerturbSpace, LayoutOffsetsAndLabels) {

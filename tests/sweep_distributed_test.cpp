@@ -8,10 +8,12 @@
 // between the two engines.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -168,6 +170,63 @@ std::string errorCode(const server::JsonValue& reply) {
   const server::JsonValue* err = reply.find("error");
   const server::JsonValue* code = err != nullptr ? err->find("code") : nullptr;
   return code != nullptr ? code->string : std::string();
+}
+
+std::string stringMember(const server::JsonValue& reply, const char* key) {
+  const server::JsonValue* v = reply.find(key);
+  return v != nullptr && v->isString() ? v->string : std::string();
+}
+
+/// A coordinator serving `spec` as one shard, so one lease holds it all.
+std::unique_ptr<server::SweepCoordinator> startOneShardCoordinator(
+    const sweep::SweepSpec& spec) {
+  server::DistSweepConfig dc;
+  dc.chunkOverride = spec.pointCount();
+  auto coordinator = std::make_unique<server::SweepCoordinator>(spec, dc);
+  std::string error;
+  if (!coordinator->start(&error)) {
+    throw std::runtime_error("coordinator start failed: " + error);
+  }
+  return coordinator;
+}
+
+/// True when `client` is welcomed as worker `name`.
+bool sayHello(const WireClient& client, const sweep::SweepSpec& spec,
+              const std::string& name) {
+  const server::JsonValue welcome = client.call(
+      "{\"kind\":\"hello\",\"spec_hash\":\"" +
+      sweep::formatSpecHash(spec.hash()) + "\",\"points\":" +
+      std::to_string(spec.pointCount()) + ",\"worker\":\"" + name + "\"}");
+  return stringMember(welcome, "kind") == "welcome";
+}
+
+constexpr const char* kLeaseRequest = R"({"kind":"lease"})";
+
+/// True when a reply frame reaches `client` within `millis`.
+bool answeredWithin(const WireClient& client, int millis) {
+  pollfd pfd{};
+  pfd.fd = client.fd;
+  pfd.events = POLLIN;
+  return ::poll(&pfd, 1, millis) > 0;
+}
+
+/// How long a sent lease must stay unanswered to count as parked: long
+/// enough for the coordinator to read it, where a polling coordinator
+/// would already have replied.
+constexpr int kParkedMillis = 300;
+
+/// A commit of shard 0 covering every point of `spec`, with placeholder
+/// values: the coordinator checks the rows' shape, not their numbers.
+std::string wholeGridCommit(const sweep::SweepSpec& spec) {
+  const std::string one = "\"" + sweep::formatJournalDouble(1.0) + "\"";
+  std::string rows;
+  for (std::size_t id = 0; id < spec.pointCount(); ++id) {
+    if (id > 0) rows += ',';
+    rows += "[\"" + std::to_string(id) + "\"";
+    for (int i = 0; i < 5; ++i) rows += "," + one;
+    rows += ",\"0\"]";
+  }
+  return R"({"kind":"commit","shard":0,"results":[)" + rows + "]}";
 }
 
 // ---------------------------------------------------------------------
@@ -493,6 +552,81 @@ TEST(SweepDistributed, TeardownIsPromptWhileIdleConnectionsKeepArriving) {
   }
 }
 
+TEST(SweepDistributed, ParkedLeaseHearsDrainedAtTheLastCommit) {
+  // A lease nothing can grant is held by the coordinator: B stays
+  // unanswered while A holds the only shard, and A's commit answers B
+  // with "drained" without B asking again.
+  const sweep::SweepSpec spec = referenceSpec();
+  const auto coordinator = startOneShardCoordinator(spec);
+  WireClient a(coordinator->port());
+  WireClient b(coordinator->port());
+  ASSERT_TRUE(sayHello(a, spec, "a"));
+  ASSERT_TRUE(sayHello(b, spec, "b"));
+  ASSERT_EQ(stringMember(a.call(kLeaseRequest), "kind"), "lease");
+
+  ASSERT_TRUE(server::writeFrame(b.fd, kLeaseRequest));
+  EXPECT_FALSE(answeredWithin(b, kParkedMillis))
+      << "a lease was answered while the only shard was still held";
+  const server::JsonValue committed = a.call(wholeGridCommit(spec));
+  ASSERT_NE(committed.find("committed"), nullptr);
+  EXPECT_TRUE(committed.find("committed")->boolean);
+
+  const server::Frame reply =
+      server::readFrame(b.fd, server::kDefaultMaxFrameBytes);
+  ASSERT_EQ(reply.status, server::FrameStatus::Ok);
+  EXPECT_EQ(stringMember(server::parseJson(reply.payload).value(), "kind"),
+            "drained");
+}
+
+TEST(SweepDistributed, ParkedLeaseTakesAReleasedShard) {
+  // A disconnects holding the only shard: the release requeues it, and
+  // B's held lease is answered with it at generation 1.
+  const sweep::SweepSpec spec = referenceSpec();
+  const auto coordinator = startOneShardCoordinator(spec);
+  auto a = std::make_unique<WireClient>(coordinator->port());
+  WireClient b(coordinator->port());
+  ASSERT_TRUE(sayHello(*a, spec, "a"));
+  ASSERT_TRUE(sayHello(b, spec, "b"));
+  ASSERT_EQ(stringMember(a->call(kLeaseRequest), "kind"), "lease");
+
+  ASSERT_TRUE(server::writeFrame(b.fd, kLeaseRequest));
+  EXPECT_FALSE(answeredWithin(b, kParkedMillis))
+      << "a lease was answered while the only shard was still held";
+  a.reset();
+
+  const server::Frame frame =
+      server::readFrame(b.fd, server::kDefaultMaxFrameBytes);
+  ASSERT_EQ(frame.status, server::FrameStatus::Ok);
+  const server::JsonValue reply = server::parseJson(frame.payload).value();
+  ASSERT_EQ(stringMember(reply, "kind"), "lease");
+  ASSERT_NE(reply.find("shard"), nullptr);
+  ASSERT_NE(reply.find("generation"), nullptr);
+  EXPECT_EQ(reply.find("shard")->number, 0.0);
+  EXPECT_EQ(reply.find("generation")->number, 1.0);
+}
+
+TEST(SweepDistributed, TeardownWakesAParkedLease) {
+  // Destroying a coordinator that never drained must not wait on a
+  // reader holding a lease request. The held request is dropped
+  // unanswered, even though tearing down A's connection frees the
+  // shard, and B's connection closes.
+  const sweep::SweepSpec spec = referenceSpec();
+  auto coordinator = startOneShardCoordinator(spec);
+  WireClient a(coordinator->port());
+  WireClient b(coordinator->port());
+  ASSERT_TRUE(sayHello(a, spec, "a"));
+  ASSERT_TRUE(sayHello(b, spec, "b"));
+  ASSERT_EQ(stringMember(a.call(kLeaseRequest), "kind"), "lease");
+  ASSERT_TRUE(server::writeFrame(b.fd, kLeaseRequest));
+  ASSERT_FALSE(answeredWithin(b, kParkedMillis));
+
+  const auto begin = std::chrono::steady_clock::now();
+  coordinator.reset();
+  EXPECT_LT(std::chrono::steady_clock::now() - begin, std::chrono::seconds(2));
+  EXPECT_NE(server::readFrame(b.fd, server::kDefaultMaxFrameBytes).status,
+            server::FrameStatus::Ok);
+}
+
 TEST(SweepDistributed, HostileNumericFieldsGetBadRequest) {
   // A shard no integer type holds (negative, 1e999, past the grid) is a
   // typed bad_request with the request's id echoed, never an undefined
@@ -550,29 +684,30 @@ TEST(SweepDistributed, WorkerRefusesHostileReplyNumbers) {
   // The worker reads every number a coordinator sends through the same
   // checked conversion: a lease whose range leaves the grid, or a
   // duration no integer holds, makes runSweepWorker throw naming the
-  // field.
+  // field. A "wait" reply (no longer part of the protocol: the
+  // coordinator holds a lease it cannot grant yet) is refused by kind.
   const sweep::SweepSpec spec = referenceSpec();
   const struct {
     const char* welcome;
     const char* lease;
-    const char* field;
+    const char* expect;  ///< what the worker's error must say
   } cases[] = {
-      {R"("lease_ms":1e999)", R"("kind":"drained")", "lease_ms"},
-      {R"("lease_ms":-5)", R"("kind":"drained")", "lease_ms"},
+      {R"("lease_ms":1e999)", R"("kind":"drained")", R"("lease_ms")"},
+      {R"("lease_ms":-5)", R"("kind":"drained")", R"("lease_ms")"},
       {R"("lease_ms":1000)",
        R"("kind":"lease","shard":1e999,"first":0,"count":2,"generation":0)",
-       "shard"},
+       R"("shard")"},
       {R"("lease_ms":1000)",
        R"("kind":"lease","shard":0,"first":-2,"count":2,"generation":0)",
-       "first"},
+       R"("first")"},
       {R"("lease_ms":1000)",
        R"("kind":"lease","shard":0,"first":6,"count":1e19,"generation":0)",
-       "count"},
+       R"("count")"},
       {R"("lease_ms":1000)",
        R"("kind":"lease","shard":0,"first":0,"count":2,"generation":-1)",
-       "generation"},
-      {R"("lease_ms":1000)", R"("kind":"wait","retry_ms":1e999)",
-       "retry_ms"},
+       R"("generation")"},
+      {R"("lease_ms":1000)", R"("kind":"wait","retry_ms":100)",
+       "unexpected lease reply kind 'wait'"},
   };
   for (const auto& c : cases) {
     // A stand-in coordinator that answers hello and the first lease with
@@ -608,8 +743,7 @@ TEST(SweepDistributed, WorkerRefusesHostileReplyNumbers) {
       (void)server::runSweepWorker(spec, wc);
       ADD_FAILURE() << "worker accepted " << c.welcome << " / " << c.lease;
     } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find(std::string("\"") + c.field + "\""),
-                std::string::npos)
+      EXPECT_NE(std::string(e.what()).find(c.expect), std::string::npos)
           << e.what();
     }
     fake.stop();

@@ -492,10 +492,10 @@ EOF
     python3 tools/check_bench_regression.py "$fault_json" BENCH_fault.json \
       --max-slowdown "$max_slowdown"
     # The distributed 1-worker efficiency figure (wire-protocol overhead
-    # vs the in-process serial run) gets an absolute floor: the full
-    # baseline measures ~0.87 and smoke mode ~0.33 on the reference
-    # machine, so 0.15 only trips on a protocol-level collapse, not a
-    # slow runner; override with FEPIA_BENCH_DIST_FLOOR.
+    # vs the in-process serial run) gets an absolute floor: on a 4-vCPU
+    # host the full baseline measures ~0.88 (0.87-1.25 over three runs)
+    # and smoke mode 0.6-1.2, so 0.15 only trips on a protocol-level
+    # collapse, not a slow runner; override with FEPIA_BENCH_DIST_FLOOR.
     dist_floor="${FEPIA_BENCH_DIST_FLOOR:-0.15}"
     python3 tools/check_bench_regression.py "$sweep_json" BENCH_sweep.json \
       --max-slowdown "$max_slowdown" \
