@@ -70,13 +70,18 @@ void BlockClassifier::classify(const la::PointBlock& block,
 }
 
 bool BlockClassifier::classifyPoint(const la::Vector& pi) {
-  if (single_.dimension() != pi.size() || single_.capacity() != 1) {
-    single_.reshape(pi.size(), 1);
+  if (!phi_.empty() && pi.size() != phi_.dimension()) {
+    throw std::invalid_argument(
+        "classify::BlockClassifier: point dimension does not match the "
+        "feature set");
   }
-  single_.setPoint(0, pi.span());
-  std::uint8_t verdict = 0;
-  classify(single_, std::span<std::uint8_t>(&verdict, 1));
-  return verdict != 0;
+  // A 1-lane block is below kWideLaneCutover in every mode, so classify()
+  // would take the scalar path: FeatureSet::allWithinBounds on the
+  // gathered point. Call it directly, with the same counters.
+  static_assert(kWideLaneCutover > 1);
+  ++stats_.blocks;
+  ++stats_.lanes;
+  return phi_.allWithinBounds(pi);
 }
 
 void BlockClassifier::classifyScalar(const la::PointBlock& block,

@@ -87,7 +87,9 @@ class BlockClassifier {
   /// std::invalid_argument on shape mismatches.
   void classify(const la::PointBlock& block, std::span<std::uint8_t> safeOut);
 
-  /// One-point convenience wrapper over classify().
+  /// One-point classify(): the verdict, errors and stats a 1-lane block
+  /// holding `pi` would give (such a block is always classified
+  /// scalar-style), without building the block.
   [[nodiscard]] bool classifyPoint(const la::Vector& pi);
 
   [[nodiscard]] Mode mode() const noexcept { return mode_; }
@@ -127,7 +129,6 @@ class BlockClassifier {
 
   // Scratch (persistent across calls to avoid reallocation).
   la::Vector gather_;
-  la::PointBlock single_;
   std::vector<double> values_;
   std::vector<std::size_t> fallback_;  ///< live lanes needing double
   std::vector<float> xf_;              ///< f32 SoA copy of the block

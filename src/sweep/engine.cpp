@@ -197,9 +197,22 @@ class Evaluator {
     return rbackend::solveRadius(rp, req, nullptr).rho;
   }
 
+  /// Estimator options for the estimate cached under `key`: the spec's
+  /// sample count and a content-derived seed. The surface and both caches
+  /// keep only the polished radius and its classification count; the
+  /// bootstrap CI comes after both and moves neither, so it is skipped.
+  [[nodiscard]] validate::EstimatorOptions estimatorOptions(
+      const std::string& key) const {
+    validate::EstimatorOptions eo;
+    eo.directions = spec_.samples;
+    eo.seed = deriveSeed(spec_.seed, key);
+    eo.bootstrapResamples = 0;
+    return eo;
+  }
+
   [[nodiscard]] std::shared_ptr<EmpiricalPoint> solveEmpirical(
       const radius::FepiaProblem& problem, radius::MergeScheme scheme,
-      const validate::EstimatorOptions& eo) const {
+      const std::string& key) const {
     rbackend::RadiusProblem rp;
     rp.problem = &problem;
     rp.scheme = scheme;
@@ -208,7 +221,7 @@ class Evaluator {
     // classify mode; the S3.1 surface guard
     // (tools/baselines/s31_surface.json) holds the sweep to that.
     req.backendOverride = "empirical";
-    req.estimator = eo;
+    req.estimator = estimatorOptions(key);
     if (live_ != nullptr) {
       req.estimator.liveClassifications = &live_->classifications;
     }
@@ -221,15 +234,14 @@ class Evaluator {
 
   [[nodiscard]] std::shared_ptr<EmpiricalPoint> solveDegraded(
       const hiperd::ReferenceSystem& ref, std::vector<fault::FaultPlan> plans,
-      const validate::EstimatorOptions& eo,
-      const fault::DegradedOptions& dopts) const {
+      const std::string& key, const fault::DegradedOptions& dopts) const {
     rbackend::RadiusProblem rp;
     rp.system = &ref;
     rp.scenarios = std::move(plans);
     rp.desClassification = true;
     rbackend::RadiusRequest req;
     req.backendOverride = "degraded";
-    req.estimator = eo;
+    req.estimator = estimatorOptions(key);
     req.degraded = dopts;
     if (live_ != nullptr) {
       req.estimator.liveClassifications = &live_->classifications;
@@ -297,10 +309,7 @@ class Evaluator {
                                  ";emp;samples=" + std::to_string(spec_.samples);
       const std::shared_ptr<const EmpiricalPoint> emp =
           cachedEstimate(empKey, [&] {
-            validate::EstimatorOptions eo;
-            eo.directions = spec_.samples;
-            eo.seed = deriveSeed(spec_.seed, empKey);
-            return solveEmpirical(problem, scheme, eo);
+            return solveEmpirical(problem, scheme, empKey);
           });
       r.empirical = emp->radius;
       r.classifications += emp->classifications;
@@ -377,11 +386,8 @@ class Evaluator {
           cachedEstimate(empKey, [&] {
             const radius::FepiaProblem problem =
                 inst->ref.system.executionMessageProblem(inst->ref.qos);
-            validate::EstimatorOptions eo;
-            eo.directions = spec_.samples;
-            eo.seed = deriveSeed(spec_.seed, empKey);
             return solveEmpirical(
-                problem, radius::MergeScheme::NormalizedByOriginal, eo);
+                problem, radius::MergeScheme::NormalizedByOriginal, empKey);
           });
       r.empirical = emp->radius;
       r.classifications += emp->classifications;
@@ -400,14 +406,11 @@ class Evaluator {
                   inst->ref.system, fault::SamplerOptions{},
                   deriveSeed(spec_.seed, instKey + ";plan")));
             }
-            validate::EstimatorOptions eo;
-            eo.directions = spec_.samples;
-            eo.seed = deriveSeed(spec_.seed, degKey);
             fault::DegradedOptions dopts;
             dopts.generations = spec_.generations;
             dopts.explicitDirections = true;
             dopts.serviceJitterCov = num(id, "jitter");
-            return solveDegraded(inst->ref, std::move(plans), eo, dopts);
+            return solveDegraded(inst->ref, std::move(plans), degKey, dopts);
           });
       r.degraded = deg->radius;
       r.classifications += deg->classifications;

@@ -114,16 +114,21 @@ struct RayState {
   }
 };
 
-/// Adapts a block predicate to one-point probes (origin check, polish):
-/// a persistent 1-lane block, scattered and classified per call. The
-/// per-lane kernels are bit-identical to scalar evaluation, so this is
-/// interchangeable with a scalar predicate.
+/// Adapts the serial predicate to one-point probes (origin check, polish
+/// bisection). With a classifier — the FeatureSet overload's serial one —
+/// a probe is its classifyPoint, which skips the block round trip and
+/// gives the same verdicts and counters as a 1-lane block. Otherwise it
+/// is a persistent 1-lane block, scattered and classified per call; the
+/// per-lane kernels are bit-identical to scalar evaluation, so either
+/// path is interchangeable with a scalar predicate.
 class SingleLaneProbe {
  public:
-  SingleLaneProbe(const BlockSafePredicate& pred, std::size_t n)
-      : pred_(pred), block_(n, 1) {}
+  SingleLaneProbe(const BlockSafePredicate& pred, std::size_t n,
+                  classify::BlockClassifier* classifier)
+      : pred_(pred), classifier_(classifier), block_(n, 1) {}
 
   bool operator()(const la::Vector& pi, std::size_t direction) {
+    if (classifier_ != nullptr) return classifier_->classifyPoint(pi);
     block_.setPoint(0, pi.span());
     dir_[0] = direction;
     pred_(block_, dir_, std::span<std::uint8_t>(&verdict_, 1));
@@ -132,6 +137,7 @@ class SingleLaneProbe {
 
  private:
   const BlockSafePredicate& pred_;
+  classify::BlockClassifier* classifier_;
   la::PointBlock block_;
   std::array<std::size_t, 1> dir_{};
   std::uint8_t verdict_ = 0;
@@ -213,12 +219,13 @@ enum class LadderDispatch {
 class Polish {
  public:
   /// `preds` are the estimator's chunk predicates with the serial one
-  /// last; `direction` is the id every probe passes.
+  /// last; `direction` is the id every probe passes; `serialClassifier`
+  /// is as for SingleLaneProbe.
   Polish(const std::vector<BlockSafePredicate>& preds,
          const la::Vector& origin, std::size_t direction,
          const EstimatorOptions& opts, parallel::ThreadPool* pool,
-         LadderDispatch dispatch)
-      : serial_(preds.back(), origin.size()),
+         LadderDispatch dispatch, classify::BlockClassifier* serialClassifier)
+      : serial_(preds.back(), origin.size(), serialClassifier),
         origin_(origin),
         direction_(direction),
         opts_(opts),
@@ -385,12 +392,14 @@ class Polish {
 /// lockstep march/bisection — in parallel when a pool is given — and
 /// reduces in direction order. The bootstrap runs on the pool too, in
 /// blocks; the polish search is serial, its ladder blocks classified as
-/// `dispatch` says.
+/// `dispatch` says. One-point probes go to `serialClassifier` when it is
+/// set (the classifier behind the serial predicate).
 EmpiricalEstimate runEstimator(const BlockPredicateFactory& factory,
                                const la::Vector& origin,
                                const EstimatorOptions& opts,
                                parallel::ThreadPool* pool,
-                               LadderDispatch dispatch) {
+                               LadderDispatch dispatch,
+                               classify::BlockClassifier* serialClassifier) {
   checkOptions(opts);
   if (origin.empty()) {
     throw std::invalid_argument("validate: empty origin");
@@ -405,7 +414,7 @@ EmpiricalEstimate runEstimator(const BlockPredicateFactory& factory,
   std::vector<BlockSafePredicate> preds(chunks + 1);
   for (std::size_t c = 0; c <= chunks; ++c) preds[c] = factory(c);
 
-  SingleLaneProbe serialProbe(preds[chunks], n);
+  SingleLaneProbe serialProbe(preds[chunks], n, serialClassifier);
   // Origin membership is a precondition, not part of the sample — it is
   // deliberately excluded from est.classifications (as before).
   if (!serialProbe(origin, 0)) {
@@ -516,7 +525,7 @@ EmpiricalEstimate runEstimator(const BlockPredicateFactory& factory,
     est.distanceSummary = stats::summarize(finite);
     if (opts.polishSweeps > 0) {
       Polish polish(preds, origin, est.criticalDirection, opts, pool,
-                    dispatch);
+                    dispatch, serialClassifier);
       est.radius = polish.run(
           std::move(bestDirPerChunk[est.criticalDirection / opts.chunkSize]),
           est.radius);
@@ -579,7 +588,8 @@ EmpiricalEstimate estimateEmpiricalRadius(const IndexedSafePredicate& safe,
       }
     };
   };
-  return runEstimator(factory, origin, opts, pool, LadderDispatch::Pool);
+  return runEstimator(factory, origin, opts, pool, LadderDispatch::Pool,
+                      nullptr);
 }
 
 EmpiricalEstimate estimateEmpiricalRadius(const BlockSafePredicate& safe,
@@ -592,7 +602,7 @@ EmpiricalEstimate estimateEmpiricalRadius(const BlockSafePredicate& safe,
   // One copy of the callable per chunk: value-captured scratch inside
   // the caller's predicate becomes per-chunk state automatically.
   return runEstimator([&safe](std::size_t) { return safe; }, origin, opts,
-                      pool, LadderDispatch::Pool);
+                      pool, LadderDispatch::Pool, nullptr);
 }
 
 EmpiricalEstimate estimateEmpiricalRadius(const feature::FeatureSet& phi,
@@ -612,10 +622,11 @@ EmpiricalEstimate estimateEmpiricalRadius(const feature::FeatureSet& phi,
       (opts.directions + opts.chunkSize - 1) / opts.chunkSize;
   std::vector<std::unique_ptr<classify::BlockClassifier>> classifiers(chunks +
                                                                       1);
+  for (auto& cls : classifiers) {
+    cls = std::make_unique<classify::BlockClassifier>(phi, opts.classifyMode);
+  }
   const BlockPredicateFactory factory =
-      [&phi, &classifiers, &opts](std::size_t id) -> BlockSafePredicate {
-    classifiers[id] =
-        std::make_unique<classify::BlockClassifier>(phi, opts.classifyMode);
+      [&classifiers](std::size_t id) -> BlockSafePredicate {
     classify::BlockClassifier* cls = classifiers[id].get();
     return [cls](const la::PointBlock& block, std::span<const std::size_t>,
                  std::span<std::uint8_t> safeOut) {
@@ -623,11 +634,10 @@ EmpiricalEstimate estimateEmpiricalRadius(const feature::FeatureSet& phi,
     };
   };
 
-  EmpiricalEstimate est =
-      runEstimator(factory, origin, opts, pool, LadderDispatch::Serial);
-  for (const auto& cls : classifiers) {
-    if (cls) est.classifyStats.merge(cls->stats());
-  }
+  EmpiricalEstimate est = runEstimator(factory, origin, opts, pool,
+                                       LadderDispatch::Serial,
+                                       classifiers[chunks].get());
+  for (const auto& cls : classifiers) est.classifyStats.merge(cls->stats());
   if (opts.metrics != nullptr) {
     auto& counters = opts.metrics->counters();
     counters.bump("classify.blocks", est.classifyStats.blocks);

@@ -114,7 +114,9 @@ struct EstimatorOptions {
   std::size_t polishSweeps = 48;
   /// Bootstrap confidence level for the radius interval.
   double confidence = 0.95;
-  /// Bootstrap resamples for the interval.
+  /// Bootstrap resamples for the interval. 0 skips the bootstrap; the
+  /// interval's lower end is then the spacing term alone, and no other
+  /// field of the estimate changes.
   std::size_t bootstrapResamples = 1000;
   /// Classification kernel for the FeatureSet overload: Batched (the
   /// SoA engine, default), BatchedF32 (certified float32 pre-pass), or

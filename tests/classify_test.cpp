@@ -292,3 +292,92 @@ TEST(BlockClassifier, CountsBlocksAndLanesAndMatchesPointApi) {
   la::PointBlock wrongDim(2, 4);
   EXPECT_THROW(cls.classify(wrongDim, got), std::invalid_argument);
 }
+
+namespace {
+
+/// Every ClassifyStats field of two classifiers agrees.
+void expectSameStats(const classify::ClassifyStats& a,
+                     const classify::ClassifyStats& b) {
+  EXPECT_EQ(a.blocks, b.blocks);
+  EXPECT_EQ(a.lanes, b.lanes);
+  EXPECT_EQ(a.f32Hits, b.f32Hits);
+  EXPECT_EQ(a.doubleFallbacks, b.doubleFallbacks);
+}
+
+}  // namespace
+
+TEST(BlockClassifier, PointPathEqualsOneLaneBlockInEveryMode) {
+  // classifyPoint skips the block round trip; in every mode it must
+  // give what a 1-lane classify() of the same point gives: the verdict,
+  // the stats deltas, the typed NaN error and the shape error.
+  const feature::FeatureSet phi = mixedSet(3);
+  feature::FeatureSet nanSet;
+  nanSet.add(std::make_shared<feature::CallableFeature>(
+                 "nan", 3,
+                 [](const la::Vector&) {
+                   return std::numeric_limits<double>::quiet_NaN();
+                 }),
+             feature::FeatureBounds::upper(1.0));
+  feature::FeatureSet zeroTimesInf;  // NaN inside the linear kernel
+  zeroTimesInf.add(std::make_shared<feature::LinearFeature>(
+                       "zero-k1", la::Vector{1.0, 0.0, 0.0}),
+                   feature::FeatureBounds::upper(1.0));
+  const feature::FeatureSet empty;
+
+  for (const classify::Mode mode :
+       {classify::Mode::Scalar, classify::Mode::Batched,
+        classify::Mode::BatchedF32}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    rng::Xoshiro256StarStar g(0x9017ull);
+    classify::BlockClassifier point(phi, mode);
+    classify::BlockClassifier lane(phi, mode);
+    la::PointBlock one(3, 1);
+    std::uint8_t verdict = 2;
+    std::size_t safe = 0;
+    for (int i = 0; i < 200; ++i) {
+      const la::Vector pi{rng::uniform(g, -3.0, 3.0),
+                          rng::uniform(g, -3.0, 3.0),
+                          rng::uniform(g, -3.0, 3.0)};
+      one.setPoint(0, pi.span());
+      lane.classify(one, std::span<std::uint8_t>(&verdict, 1));
+      const bool got = point.classifyPoint(pi);
+      EXPECT_EQ(got, verdict != 0);
+      safe += got ? 1 : 0;
+      expectSameStats(point.stats(), lane.stats());
+    }
+    EXPECT_GT(safe, 0u);  // both verdicts occur
+    EXPECT_LT(safe, 200u);
+
+    // Dimension mismatch: a typed error before any counter moves.
+    la::PointBlock wrongDim(2, 1);
+    EXPECT_THROW(lane.classify(wrongDim, std::span<std::uint8_t>(&verdict, 1)),
+                 std::invalid_argument);
+    EXPECT_THROW(static_cast<void>(point.classifyPoint(la::Vector{0.0, 0.0})),
+                 std::invalid_argument);
+    expectSameStats(point.stats(), lane.stats());
+
+    // A live NaN: the typed error, after the block and lane are counted.
+    const la::Vector inf{0.0, std::numeric_limits<double>::infinity(), 0.0};
+    for (const feature::FeatureSet* bad : {&nanSet, &zeroTimesInf}) {
+      classify::BlockClassifier badPoint(*bad, mode);
+      classify::BlockClassifier badLane(*bad, mode);
+      one.setPoint(0, inf.span());
+      EXPECT_THROW(
+          badLane.classify(one, std::span<std::uint8_t>(&verdict, 1)),
+          feature::NonFiniteFeatureError);
+      EXPECT_THROW(static_cast<void>(badPoint.classifyPoint(inf)),
+                   feature::NonFiniteFeatureError);
+      expectSameStats(badPoint.stats(), badLane.stats());
+      EXPECT_EQ(badPoint.stats().lanes, 1u);
+    }
+
+    // No features: every point is safe, of any dimension.
+    classify::BlockClassifier emptyPoint(empty, mode);
+    classify::BlockClassifier emptyLane(empty, mode);
+    verdict = 0;
+    emptyLane.classify(wrongDim, std::span<std::uint8_t>(&verdict, 1));
+    EXPECT_EQ(verdict, 1);
+    EXPECT_TRUE(emptyPoint.classifyPoint(la::Vector{0.0, 0.0}));
+    expectSameStats(emptyPoint.stats(), emptyLane.stats());
+  }
+}

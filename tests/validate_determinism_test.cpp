@@ -9,6 +9,8 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "feature/linear.hpp"
@@ -183,6 +185,63 @@ TEST(ValidateDeterminism, TailIsThreadCountInvariantAndPinned) {
           serial, validate::estimateEmpiricalRadius(safe, orig, opts, &pool));
       expectIdentical(
           serial, validate::estimateEmpiricalRadius(phi, orig, opts, &pool));
+    }
+  }
+}
+
+TEST(ValidateDeterminism, BootstrapResamplesMoveOnlyTheCI) {
+  // The bootstrap runs after the march and the polish and reads only the
+  // finished sample, so turning it off (as the sweep engine does) must
+  // leave every other field bit-identical, for each overload and on a
+  // pool as well as serially.
+  const feature::FeatureSet phi = makeFeatureSet();
+  const la::Vector orig{0.5, 0.5, 0.5};
+  const validate::IndexedSafePredicate indexed = pointPredicate(phi);
+  const validate::BlockSafePredicate block =
+      [&phi, scratch = la::Vector(3)](const la::PointBlock& b,
+                                      std::span<const std::size_t>,
+                                      std::span<std::uint8_t> safeOut) mutable {
+        for (std::size_t l = 0; l < b.lanes(); ++l) {
+          b.gatherPoint(l, scratch.span());
+          safeOut[l] = phi.allWithinBounds(scratch) ? 1 : 0;
+        }
+      };
+  const auto run = [&](int overload, std::size_t resamples,
+                       parallel::ThreadPool* pool) {
+    validate::EstimatorOptions opts = tailOptions();
+    opts.bootstrapResamples = resamples;
+    switch (overload) {
+      case 0:
+        return validate::estimateEmpiricalRadius(phi, orig, opts, pool);
+      case 1:
+        return validate::estimateEmpiricalRadius(block, orig, opts, pool);
+      default:
+        return validate::estimateEmpiricalRadius(indexed, orig, opts, pool);
+    }
+  };
+  parallel::ThreadPool pool(3);
+  for (const int overload : {0, 1, 2}) {
+    for (parallel::ThreadPool* p : {static_cast<parallel::ThreadPool*>(nullptr),
+                                    &pool}) {
+      SCOPED_TRACE("overload=" + std::to_string(overload) +
+                   (p != nullptr ? " pool" : " serial"));
+      const auto with = run(overload, 1000, p);
+      const auto without = run(overload, 0, p);
+      ASSERT_TRUE(with.finite());
+      EXPECT_LT(with.radius, with.distanceSummary.min);  // polish moved it
+      EXPECT_TRUE(sameBits(with.radius, without.radius));
+      EXPECT_EQ(with.criticalDirection, without.criticalDirection);
+      EXPECT_EQ(with.classifications, without.classifications);
+      EXPECT_EQ(with.boundaryHits, without.boundaryHits);
+      EXPECT_EQ(with.speculativeProbes, without.speculativeProbes);
+      ASSERT_EQ(with.distances.size(), without.distances.size());
+      EXPECT_EQ(std::memcmp(with.distances.data(), without.distances.data(),
+                            with.distances.size() * sizeof(double)),
+                0);
+      // Only the interval's lower end may differ: the bootstrap can only
+      // widen it.
+      EXPECT_TRUE(sameBits(with.ci.hi, without.ci.hi));
+      EXPECT_LE(with.ci.lo, without.ci.lo);
     }
   }
 }

@@ -243,17 +243,23 @@ assert plain == telemetry, "telemetry changed the sweep surface JSON"
 print("fepia_cli telemetry smoke OK")
 EOF
 
-    # Backend-registry byte-identity guard: the S3.1 sensitivity sweep,
-    # now routed through the radius backend scheduler, must reproduce
-    # the checked-in baseline surface byte-for-byte (outside per-run
-    # metadata) at 1, 2 and 8 threads.
-    echo "=== [$cfg] sweep s31 byte-identity smoke ==="
-    for t in 1 2 8; do
-      ./build/tools/fepia_cli sweep examples/sweeps/s31_sensitivity.sweep \
-        --threads "$t" --json "build/s31_t${t}.json" >/dev/null
-    done
-    python3 - build/s31_t1.json build/s31_t2.json build/s31_t8.json \
-      tools/baselines/s31_surface.json <<'EOF'
+    # Baseline byte-identity guards: each sweep must reproduce its
+    # checked-in baseline surface byte-for-byte (outside per-run
+    # metadata) at 1, 2 and 8 threads. s31 pins the S3.1 sensitivity
+    # sweep, routed through the radius backend scheduler; smoke pins the
+    # empirical column and stoch_des the degraded (DES) column, whose
+    # other guards (distributed vs single-process, threads) are relative.
+    for name in s31 smoke stoch_des; do
+      spec=$name
+      [ "$name" = s31 ] && spec=s31_sensitivity
+      echo "=== [$cfg] sweep $name byte-identity smoke ==="
+      for t in 1 2 8; do
+        ./build/tools/fepia_cli sweep "examples/sweeps/$spec.sweep" \
+          --threads "$t" --json "build/${name}_t${t}.json" >/dev/null
+      done
+      python3 - "build/${name}_t1.json" "build/${name}_t2.json" \
+        "build/${name}_t8.json" "tools/baselines/${name}_surface.json" \
+        "$name" <<'EOF'
 import json, sys
 def norm(path):
     with open(path) as f:
@@ -263,9 +269,10 @@ def norm(path):
     return d
 base = norm(sys.argv[4])
 for path in sys.argv[1:4]:
-    assert norm(path) == base, f"{path} differs from the s31 baseline"
-print("sweep s31 byte-identity smoke OK")
+    assert norm(path) == base, f"{path} differs from the {sys.argv[5]} baseline"
+print(f"sweep {sys.argv[5]} byte-identity smoke OK")
 EOF
+    done
 
     # Distributed sweep smoke: a coordinator on an ephemeral port plus
     # three pull-based workers over the fepiad wire protocol must
