@@ -14,12 +14,13 @@
 //  * fragility attribution of the critical feature: which sensor the
 //    worst-case direction actually moves.
 //
-// Timings: Mahalanobis vs Euclidean radius computation.
-#include <benchmark/benchmark.h>
-
+// Checked (exit status 1 on a miss): the engine matches the closed form
+// to 1e-12 relative on every entry, and rho shrinks under +0.9 and grows
+// under -0.9 radar-sonar correlation.
 #include <cmath>
 #include <iostream>
 
+#include "claim.hpp"
 #include "fepia.hpp"
 
 namespace {
@@ -36,7 +37,9 @@ la::Matrix loadCovariance(const la::Vector& lambda, double radarSonarCorr) {
   return sigma;
 }
 
-void printExperiment() {
+}  // namespace
+
+int main() {
   const hiperd::ReferenceSystem ref = hiperd::makeReferenceSystem();
   const feature::FeatureSet phi = ref.system.loadFeatureSet(ref.qos);
   const la::Vector lambda = ref.system.originalLoads();
@@ -57,6 +60,7 @@ void printExperiment() {
   report::Table table({"feature", "r independent", "r corr +0.9",
                        "r corr -0.9"});
   std::vector<std::vector<double>> radii(phi.size());
+  double worstRelative = 0.0;
   for (std::size_t i = 0; i < phi.size(); ++i) {
     std::vector<std::string> row = {phi[i].feature->name()};
     for (const Scenario& sc : scenarios) {
@@ -70,6 +74,8 @@ void printExperiment() {
           dynamic_cast<const feature::LinearFeature*>(phi[i].feature.get());
       const double closed = radius::mahalanobisLinearRadius(
           lin->coefficients(), lin->offset(), phi[i].bounds, lambda, sigma);
+      worstRelative =
+          std::max(worstRelative, std::abs(closed - r.radius) / closed);
       if (std::abs(closed - r.radius) > 1e-9 * closed) {
         row.back() += " (MISMATCH)";
       }
@@ -78,11 +84,13 @@ void printExperiment() {
   }
   table.print(std::cout);
 
+  double rho[3];
   for (std::size_t s = 0; s < 3; ++s) {
     std::size_t critical = 0;
     for (std::size_t i = 1; i < phi.size(); ++i) {
       if (radii[i][s] < radii[critical][s]) critical = i;
     }
+    rho[s] = radii[critical][s];
     std::cout << "\n" << scenarios[s].name << ": rho = "
               << report::fixed(radii[critical][s], 3) << " sd, critical "
               << phi[critical].feature->name();
@@ -102,37 +110,11 @@ void printExperiment() {
          "usable radius; negative\ncorrelation lets the loads trade off "
          "and GROWS it. A metric that ignores\ncorrelation (the Euclidean "
          "radius) cannot see either effect.\n\n";
-}
 
-void BM_MahalanobisRadius(benchmark::State& state) {
-  const hiperd::ReferenceSystem ref = hiperd::makeReferenceSystem();
-  const feature::FeatureSet phi = ref.system.loadFeatureSet(ref.qos);
-  const la::Vector lambda = ref.system.originalLoads();
-  const la::Matrix sigma = loadCovariance(lambda, 0.5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        radius::mahalanobisRadius(*phi[0].feature, phi[0].bounds, lambda, sigma)
-            .radius);
-  }
-}
-BENCHMARK(BM_MahalanobisRadius);
-
-void BM_EuclideanRadiusReference(benchmark::State& state) {
-  const hiperd::ReferenceSystem ref = hiperd::makeReferenceSystem();
-  const feature::FeatureSet phi = ref.system.loadFeatureSet(ref.qos);
-  const la::Vector lambda = ref.system.originalLoads();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        radius::featureRadius(*phi[0].feature, phi[0].bounds, lambda).radius);
-  }
-}
-BENCHMARK(BM_EuclideanRadiusReference);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  printExperiment();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return checkClaims(
+      {{worstRelative <= 1e-12,
+        "CORR: Mahalanobis engine = |value - beta|/sqrt(k^T Sigma k) to "
+        "1e-12 relative"},
+       {rho[1] < rho[0], "CORR: +0.9 radar-sonar correlation shrinks rho"},
+       {rho[2] > rho[0], "CORR: -0.9 radar-sonar correlation grows rho"}});
 }

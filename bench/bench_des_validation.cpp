@@ -11,19 +11,23 @@
 // Reported per magnitude: predicted-safe rate, analytic-violation rate,
 // simulated throughput-failure rate.
 //
-// Timings: one DES pipeline run at two rates and generation counts.
-#include <benchmark/benchmark.h>
-
+// Checked (exit status 1 on a miss): below magnitude 1 every direction
+// is predicted safe, holds analytically and sustains DES throughput;
+// above 1 none is predicted safe; on the nearest-boundary direction
+// 0.95x holds and 1.05x violates.
 #include <cmath>
 #include <iostream>
 
+#include "claim.hpp"
 #include "fepia.hpp"
 
 namespace {
 
 using namespace fepia;
 
-void printExperiment() {
+}  // namespace
+
+int main() {
   const hiperd::ReferenceSystem ref = hiperd::makeReferenceSystem();
   const radius::FepiaProblem problem =
       ref.system.executionMessageProblem(ref.qos);
@@ -41,6 +45,8 @@ void printExperiment() {
   report::Table table({"magnitude / rho", "metric predicts safe",
                        "analytic QoS holds", "DES throughput sustained"});
   rng::Xoshiro256StarStar g(2025);
+  bool safeInside = true;
+  bool unsafePredictedOutside = true;
   for (const double frac : {0.25, 0.5, 0.75, 0.9, 0.99, 1.1, 1.5, 2.0}) {
     int predictedSafe = 0, analyticOk = 0, desOk = 0;
     const int trials = 40;
@@ -64,6 +70,12 @@ void printExperiment() {
           ref.system, e, m, ref.qos.minThroughput, opts);
       if (res.throughputSustained) ++desOk;
     }
+    if (frac < 1.0) {
+      safeInside = safeInside && predictedSafe == trials &&
+                   analyticOk == trials && desOk == trials;
+    } else {
+      unsafePredictedOutside = unsafePredictedOutside && predictedSafe == 0;
+    }
     const auto pct = [&](int c) {
       return report::fixed(100.0 * c / trials, 0) + "%";
     };
@@ -86,39 +98,23 @@ void printExperiment() {
   const la::Vector piOrig = problem.space().concatenatedOriginal();
   std::cout << "nearest-boundary direction (critical feature '"
             << critical.featureName << "'):\n";
+  bool sharpAtBoundary = true;
   for (const double step : {0.95, 1.0, 1.05}) {
     const la::Vector point = piOrig + step * (piBoundary - piOrig);
     const bool ok = problem.features().allWithinBounds(point);
+    if (step != 1.0) sharpAtBoundary = sharpAtBoundary && ok == (step < 1.0);
     std::cout << "  " << report::fixed(step, 2)
               << " x boundary: analytic QoS " << (ok ? "holds" : "VIOLATED")
               << "\n";
   }
   std::cout << "\n";
-}
 
-void BM_PipelineSimulation(benchmark::State& state) {
-  const hiperd::ReferenceSystem ref = hiperd::makeReferenceSystem();
-  const la::Vector e = ref.system.originalExecutionTimes();
-  const la::Vector m = ref.system.originalMessageSizes();
-  des::PipelineOptions opts;
-  opts.generations = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        des::simulatePipeline(ref.system, e, m, ref.qos.minThroughput, opts)
-            .maxObservedLatency);
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_PipelineSimulation)
-    ->RangeMultiplier(4)
-    ->Range(64, 4096)
-    ->Complexity();
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  printExperiment();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return checkClaims(
+      {{safeInside,
+        "VAL: zero violations (metric, analytic, DES) below magnitude 1"},
+       {unsafePredictedOutside,
+        "VAL: the metric predicts no direction safe beyond the radius"},
+       {sharpAtBoundary,
+        "VAL: the nearest-boundary direction holds at 0.95x and violates "
+        "at 1.05x"}});
 }

@@ -18,10 +18,7 @@
 // block of P-space points, which is where the batched-vs-scalar speedup
 // is measured. The structured results are also written to
 // BENCH_validation.json (override the path with FEPIA_BENCH_JSON).
-//
-// Timings: per-estimate cost vs direction count.
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -164,13 +161,17 @@ KernelRates rawKernelRates(const Workload& w, bool smoke) {
 
   KernelRates rates;
   {  // Legacy scalar path: gather each lane, run the closure predicate.
+    const auto expectedSafe = static_cast<std::size_t>(
+        std::count(expected.begin(), expected.end(), std::uint8_t{1}));
     std::uint64_t classified = 0;
     const obs::Stopwatch sw;
     do {
+      std::size_t safeCount = 0;
       for (std::size_t l = 0; l < lanes; ++l) {
         block.gatherPoint(l, gathered.span());
-        benchmark::DoNotOptimize(safe(gathered));
+        safeCount += safe(gathered) ? 1 : 0;
       }
+      rates.verdictsAgree = rates.verdictsAgree && safeCount == expectedSafe;
       classified += lanes;
     } while (sw.elapsedSeconds() < minSeconds);
     rates.scalarPerSec = static_cast<double>(classified) / sw.elapsedSeconds();
@@ -420,48 +421,10 @@ void printExperiment() {
   std::cout << "wrote " << jsonPath << "\n\n";
 }
 
-void BM_EstimateRadius(benchmark::State& state) {
-  const Workload w;
-  validate::EstimatorOptions opts;
-  opts.directions = static_cast<std::size_t>(state.range(0));
-  opts.chunkSize = 64;
-  opts.horizon = 16.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        validate::estimateEmpiricalRadius(w.safe(), w.pOrig, opts).radius);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(opts.directions));
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_EstimateRadius)->RangeMultiplier(4)->Range(256, 4096)->Complexity();
-
-void BM_EstimateRadiusBatched(benchmark::State& state) {
-  const Workload w;
-  validate::EstimatorOptions opts;
-  opts.directions = static_cast<std::size_t>(state.range(0));
-  opts.chunkSize = 64;
-  opts.horizon = 16.0;
-  opts.classifyMode = classify::Mode::Batched;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        validate::estimateEmpiricalRadius(w.pPhi, w.pOrig, opts).radius);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(opts.directions));
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_EstimateRadiusBatched)
-    ->RangeMultiplier(4)
-    ->Range(256, 4096)
-    ->Complexity();
-
 }  // namespace
 
 int main(int argc, char** argv) {
   g_manifest = obs::RunManifest::collect("bench_empirical_radius", argc, argv);
   printExperiment();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

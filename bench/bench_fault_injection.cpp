@@ -1,21 +1,14 @@
-// Experiment FAULTDEG — cost of fault injection and the degraded-mode
-// robustness radius.
+// Experiment FAULTDEG — cost of the degraded-mode robustness radius.
 //
-// Two questions: (1) what does fault injection (crash failover, loss
-// retry, slowdown windows) cost per simulated generation relative to the
-// fault-free DES kernel, and (2) what does one degraded-mode radius
-// estimate cost end to end, serial vs thread pools of growing size, on
-// the paper's HiPer-D reference pipeline under a sampled fault scenario.
+// What does one degraded-mode radius estimate (crash failover, loss
+// retry, slowdown windows in the DES) cost end to end, serial vs thread
+// pools of growing size, on the paper's HiPer-D reference pipeline under
+// a sampled fault scenario?
 //
 // Determinism contract on display: every degraded estimate below returns
 // the same radius and the same degradation counters bit-for-bit — thread
 // counts only change the wall clock. Structured results land in
 // BENCH_fault.json (override the path with FEPIA_BENCH_JSON).
-//
-// Timings: per-run cost of the fault-injected pipeline vs the fault-free
-// one at matched generation counts.
-#include <benchmark/benchmark.h>
-
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -193,44 +186,10 @@ void printExperiment() {
   std::cout << "wrote " << jsonPath << "\n\n";
 }
 
-void BM_FaultFreePipeline(benchmark::State& state) {
-  const Workload w;
-  des::PipelineOptions opts;
-  opts.generations = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        des::simulateAtLoads(w.ref.system, w.ref.system.originalLoads(),
-                             w.ref.qos.minThroughput, opts)
-            .maxObservedLatency);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_FaultFreePipeline)->RangeMultiplier(4)->Range(50, 800);
-
-void BM_FaultInjectedPipeline(benchmark::State& state) {
-  const Workload w;
-  const fault::PlanInjector injector(w.plan, w.ref.system);
-  des::PipelineOptions opts;
-  opts.generations = static_cast<std::size_t>(state.range(0));
-  opts.faults = &injector;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        des::simulateAtLoads(w.ref.system, w.ref.system.originalLoads(),
-                             w.ref.qos.minThroughput, opts)
-            .maxObservedLatency);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_FaultInjectedPipeline)->RangeMultiplier(4)->Range(50, 800);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   g_manifest = obs::RunManifest::collect("bench_fault_injection", argc, argv);
   printExperiment();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

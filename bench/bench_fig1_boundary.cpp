@@ -14,13 +14,15 @@
 // The beta_min boundary (the axes, for nonnegative parameters) is
 // reported via the orthant distance.
 //
-// Timings: closed-form linear radius vs numeric radius in 2-D.
-#include <benchmark/benchmark.h>
-
+// Checked (exit status 1 on a miss): the radius is no larger than the
+// distance along any sampled direction, and the linear variant's radius
+// equals Eq. (4)'s |14 - 28|/sqrt(2) to 1e-12 relative.
 #include <cmath>
 #include <iostream>
+#include <limits>
 #include <memory>
 
+#include "claim.hpp"
 #include "fepia.hpp"
 
 namespace {
@@ -41,7 +43,9 @@ feature::GenericFeature curvedFeature() {
   return feature::GenericFeature("phi (curved)", 2, kCurved);
 }
 
-void printExperiment() {
+}  // namespace
+
+int main() {
   std::cout << "=== FIG1: boundary set, robustness radius, directions of "
                "increase ===\n\n";
   const feature::GenericFeature phi = curvedFeature();
@@ -74,10 +78,12 @@ void printExperiment() {
   const opt::FieldFn field = [&phi](const la::Vector& x) {
     return phi.evaluate(x);
   };
+  double nearestAlongRays = std::numeric_limits<double>::infinity();
   for (int deg = 0; deg <= 90; deg += 15) {
     const double rad = deg * M_PI / 180.0;
     const la::Vector d{std::cos(rad), std::sin(rad)};
     const auto hit = opt::rayShootToLevel(field, kOrig, d, kBetaMax, 1e4);
+    if (hit) nearestAlongRays = std::min(nearestAlongRays, hit->t);
     dirs.addRow({std::to_string(deg),
                  hit ? report::fixed(hit->t, 4) : "unreachable"});
   }
@@ -97,33 +103,11 @@ void printExperiment() {
             << report::fixed(rLin.radius, 4) << " (closed form |14 - 28|/sqrt(2) = "
             << report::fixed(14.0 / std::sqrt(2.0), 4) << "), pi* = "
             << rLin.boundaryPoint << "\n\n";
-}
 
-void BM_ClosedFormLinearRadius2D(benchmark::State& state) {
-  const feature::LinearFeature lin("phi", la::Vector{1.0, 1.0});
-  const feature::FeatureBounds b = feature::FeatureBounds::upper(28.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(radius::featureRadius(lin, b, kOrig));
-  }
-}
-BENCHMARK(BM_ClosedFormLinearRadius2D);
-
-void BM_NumericCurvedRadius2D(benchmark::State& state) {
-  const feature::GenericFeature phi = curvedFeature();
-  const feature::FeatureBounds b = feature::FeatureBounds::upper(kBetaMax);
-  radius::NumericOptions opts;
-  opts.solver.multistarts = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(radius::featureRadiusNumeric(phi, b, kOrig, opts));
-  }
-}
-BENCHMARK(BM_NumericCurvedRadius2D)->Arg(4)->Arg(16)->Arg(64);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  printExperiment();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  const double linearTruth = 14.0 / std::sqrt(2.0);
+  return checkClaims(
+      {{r.radius <= nearestAlongRays,
+        "FIG1: the radius is the minimum over the directions of increase"},
+       {std::abs(rLin.radius - linearTruth) <= 1e-12 * linearTruth,
+        "FIG1: linear variant radius = |14 - 28|/sqrt(2) to 1e-12 relative"}});
 }

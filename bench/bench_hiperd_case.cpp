@@ -8,18 +8,23 @@
 // numeric solver on every feature, and the feasible-load frontier along
 // each single-sensor axis.
 //
-// Timings: full load-space analysis; closed-form vs numeric per-feature.
-#include <benchmark/benchmark.h>
-
+// Checked (exit status 1 on a miss): closed form = numeric to 1e-12
+// relative on every feature, rho = the smallest feature radius, and each
+// single-sensor frontier lies at least rho beyond the assumed load.
+#include <cmath>
 #include <iostream>
+#include <limits>
 
+#include "claim.hpp"
 #include "fepia.hpp"
 
 namespace {
 
 using namespace fepia;
 
-void printExperiment() {
+}  // namespace
+
+int main() {
   const hiperd::ReferenceSystem ref = hiperd::makeReferenceSystem();
   const hiperd::System& sys = ref.system;
   const la::Vector lambda = sys.originalLoads();
@@ -35,11 +40,16 @@ void printExperiment() {
 
   report::Table table({"feature", "phi(orig) (s)", "bound (s)",
                        "radius closed form", "radius numeric", "rel diff"});
+  double worstRelative = 0.0;
+  double smallestRadius = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < phi.size(); ++i) {
     const auto& bf = phi[i];
     const auto numeric =
         radius::featureRadiusNumeric(*bf.feature, bf.bounds, lambda);
     const double closed = report.perFeature[i].radius;
+    worstRelative =
+        std::max(worstRelative, std::abs(numeric.radius - closed) / closed);
+    smallestRadius = std::min(smallestRadius, closed);
     table.addRow({bf.feature->name(),
                   report::fixed(bf.feature->evaluate(lambda), 4),
                   report::fixed(bf.bounds.betaMax(), 4),
@@ -59,6 +69,7 @@ void printExperiment() {
                "predicate):\n";
   report::Table frontier(
       {"sensor", "assumed load", "max tolerable load", "growth factor"});
+  bool frontierBeyondRho = true;
   for (std::size_t s = 0; s < sys.sensorCount(); ++s) {
     double lo = lambda[s], hi = lambda[s];
     // Exponential search then bisection on the load of sensor s.
@@ -74,6 +85,7 @@ void printExperiment() {
       probe[s] = mid;
       (sys.satisfies(ref.qos, probe) ? lo : hi) = mid;
     }
+    frontierBeyondRho = frontierBeyondRho && lo - lambda[s] >= report.rho;
     frontier.addRow({sys.sensor(s).name, report::fixed(lambda[s], 1),
                      report::fixed(lo, 1),
                      report::fixed(lo / lambda[s], 2)});
@@ -82,53 +94,12 @@ void printExperiment() {
   std::cout << "(the robustness radius rho bounds the tolerable growth in "
                "the WORST direction;\n single-axis growth tolerates more, "
                "as the frontier shows)\n\n";
-}
 
-void BM_LoadSpaceAnalysis(benchmark::State& state) {
-  const hiperd::ReferenceSystem ref = hiperd::makeReferenceSystem();
-  const feature::FeatureSet phi = ref.system.loadFeatureSet(ref.qos);
-  const la::Vector lambda = ref.system.originalLoads();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(radius::robustness(phi, lambda).rho);
-  }
-}
-BENCHMARK(BM_LoadSpaceAnalysis);
-
-void BM_LoadSpaceAnalysisRandomSystem(benchmark::State& state) {
-  rng::Xoshiro256StarStar g(5);
-  hiperd::RandomSystemParams params;
-  params.sensors = static_cast<std::size_t>(state.range(0));
-  params.chainDepth = 3;
-  const hiperd::ReferenceSystem ref = hiperd::makeRandomSystem(params, g);
-  const feature::FeatureSet phi = ref.system.loadFeatureSet(ref.qos);
-  const la::Vector lambda = ref.system.originalLoads();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(radius::robustness(phi, lambda).rho);
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_LoadSpaceAnalysisRandomSystem)
-    ->RangeMultiplier(2)
-    ->Range(2, 16)
-    ->Complexity();
-
-void BM_NumericPerFeature(benchmark::State& state) {
-  const hiperd::ReferenceSystem ref = hiperd::makeReferenceSystem();
-  const feature::FeatureSet phi = ref.system.loadFeatureSet(ref.qos);
-  const la::Vector lambda = ref.system.originalLoads();
-  const auto& bf = phi[0];
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        radius::featureRadiusNumeric(*bf.feature, bf.bounds, lambda).radius);
-  }
-}
-BENCHMARK(BM_NumericPerFeature);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  printExperiment();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return checkClaims(
+      {{worstRelative <= 1e-12,
+        "HPD: closed form = numeric solver to 1e-12 relative on every "
+        "feature"},
+       {report.rho == smallestRadius, "HPD: rho = min over feature radii"},
+       {frontierBeyondRho,
+        "HPD: single-sensor growth tolerates at least rho on every axis"}});
 }

@@ -8,24 +8,30 @@
 // most robust; the engine radius equals the closed form
 // min_m (tau − F_m)/sqrt(n_m) on every instance.
 //
-// Timings: robustness-report cost vs task count.
-#include <benchmark/benchmark.h>
-
+// Checked (exit status 1 on a miss): every radius is positive and equals
+// the closed form to 1e-12 relative, and best-makespan != most-robust in
+// at least one regime.
 #include <algorithm>
+#include <cmath>
 #include <iostream>
 
+#include "claim.hpp"
 #include "fepia.hpp"
 
 namespace {
 
 using namespace fepia;
 
-void printExperiment() {
+}  // namespace
+
+int main() {
   std::cout << "=== MK: robustness of independent-task allocations "
                "(tau = 1.3 x worst heuristic makespan) ===\n\n";
 
   int makespanRhoDisagreements = 0;
   int instances = 0;
+  bool allPositive = true;
+  double worstRelative = 0.0;
   for (const auto het :
        {etc::Heterogeneity::HiHi, etc::Heterogeneity::HiLo,
         etc::Heterogeneity::LoHi, etc::Heterogeneity::LoLo}) {
@@ -59,13 +65,14 @@ void printExperiment() {
     for (double& v : negRho) v = -v;
     const std::vector<double> rhoRank = stats::midRanks(negRho);
     for (std::size_t i = 0; i < population.size(); ++i) {
-      table.addRow(
-          {population[i].first, report::fixed(makespans[i], 1),
-           report::fixed(rhos[i], 2),
-           report::fixed(alloc::makespanRobustnessClosedForm(
-                             population[i].second, e, tau),
-                         2),
-           report::fixed(msRank[i], 0), report::fixed(rhoRank[i], 0)});
+      const double closed =
+          alloc::makespanRobustnessClosedForm(population[i].second, e, tau);
+      allPositive = allPositive && rhos[i] > 0.0;
+      worstRelative =
+          std::max(worstRelative, std::abs(rhos[i] - closed) / closed);
+      table.addRow({population[i].first, report::fixed(makespans[i], 1),
+                    report::fixed(rhos[i], 2), report::fixed(closed, 2),
+                    report::fixed(msRank[i], 0), report::fixed(rhoRank[i], 0)});
     }
     table.print(std::cout);
 
@@ -84,39 +91,11 @@ void printExperiment() {
   std::cout << "instances where best-makespan != most-robust: "
             << makespanRhoDisagreements << "/" << instances
             << "  (the metric adds information beyond makespan)\n\n";
-}
 
-void BM_MakespanRobustness(benchmark::State& state) {
-  const auto tasks = static_cast<std::size_t>(state.range(0));
-  rng::Xoshiro256StarStar g(99);
-  const la::Matrix e = etc::generateCvb(tasks, 8, etc::CvbParams{}, g);
-  const alloc::Allocation mu = alloc::minMin(e);
-  const double tau = 1.3 * alloc::makespan(mu, e);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(alloc::makespanRobustness(mu, e, tau).rho);
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_MakespanRobustness)
-    ->RangeMultiplier(2)
-    ->Range(16, 512)
-    ->Complexity();
-
-void BM_MinMinHeuristic(benchmark::State& state) {
-  const auto tasks = static_cast<std::size_t>(state.range(0));
-  rng::Xoshiro256StarStar g(99);
-  const la::Matrix e = etc::generateCvb(tasks, 8, etc::CvbParams{}, g);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(alloc::minMin(e).taskCount());
-  }
-}
-BENCHMARK(BM_MinMinHeuristic)->Arg(64)->Arg(256);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  printExperiment();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return checkClaims(
+      {{allPositive, "MK: every heuristic has a positive radius under tau"},
+       {worstRelative <= 1e-12,
+        "MK: engine rho = min_m (tau - F_m)/sqrt(n_m) to 1e-12 relative"},
+       {makespanRhoDisagreements >= 1,
+        "MK: the best-makespan allocation is not always the most robust"}});
 }

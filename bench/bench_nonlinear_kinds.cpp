@@ -16,13 +16,14 @@
 //    penalty method — distance found, function evaluations;
 //  * boundary sharpness along pure bandwidth-degradation directions.
 //
-// Timings: merged analysis of the nonlinear problem; the three solver
-// variants on one nonlinear feature.
-#include <benchmark/benchmark.h>
-
+// Checked (exit status 1 on a miss): the critical feature is nonlinear
+// (solved numerically); the three solvers agree on its distance to 1e-6
+// relative; the derivative-free method needs more field evaluations.
+#include <algorithm>
 #include <cmath>
 #include <iostream>
 
+#include "claim.hpp"
 #include "fepia.hpp"
 
 namespace {
@@ -35,7 +36,9 @@ struct Setup {
       ref.system.executionMessageBandwidthProblem(ref.qos);
 };
 
-void printExperiment() {
+}  // namespace
+
+int main() {
   Setup s;
   std::cout << "=== NONLIN: execution times ⋆ message sizes ⋆ bandwidth "
                "factors ===\n\n";
@@ -57,6 +60,9 @@ void printExperiment() {
             << rep.features[rep.criticalFeature].featureName << ")\n\n";
 
   // Solver ablation on the critical nonlinear feature.
+  const bool criticalNonlinear =
+      rep.features[rep.criticalFeature].radius.method !=
+      radius::Method::ClosedFormLinear;
   const auto& critical = s.problem.features()[rep.criticalFeature];
   const la::Vector orig = s.problem.space().concatenatedOriginal();
   const double level = critical.bounds.betaMax();
@@ -68,30 +74,24 @@ void printExperiment() {
   const opt::FieldFn field = [&](const la::Vector& x) {
     return critical.feature->evaluate(x);
   };
-  {
-    const opt::GradFn grad = [&](const la::Vector& x) {
-      return critical.feature->gradient(x);
-    };
-    const opt::BoundaryResult r =
-        opt::nearestPointOnLevelSet(field, grad, orig, level);
-    ablation.addRow({"ray+refine, AD gradients", report::fixed(r.distance, 6),
+  const opt::GradFn grad = [&](const la::Vector& x) {
+    return critical.feature->gradient(x);
+  };
+  const opt::BoundaryResult withAd =
+      opt::nearestPointOnLevelSet(field, grad, orig, level);
+  const opt::BoundaryResult withFd =
+      opt::nearestPointOnLevelSet(field, opt::GradFn{}, orig, level);
+  const opt::BoundaryResult penalty =
+      opt::nearestPointOnLevelSetPenalty(field, orig, level);
+  const auto addRow = [&ablation](const char* method,
+                                  const opt::BoundaryResult& r) {
+    ablation.addRow({method, report::fixed(r.distance, 6),
                      std::to_string(r.fieldEvaluations),
                      r.converged ? "yes" : "no"});
-  }
-  {
-    const opt::BoundaryResult r =
-        opt::nearestPointOnLevelSet(field, opt::GradFn{}, orig, level);
-    ablation.addRow({"ray+refine, FD gradients", report::fixed(r.distance, 6),
-                     std::to_string(r.fieldEvaluations),
-                     r.converged ? "yes" : "no"});
-  }
-  {
-    const opt::BoundaryResult r =
-        opt::nearestPointOnLevelSetPenalty(field, orig, level);
-    ablation.addRow({"penalty + Nelder-Mead", report::fixed(r.distance, 6),
-                     std::to_string(r.fieldEvaluations),
-                     r.converged ? "yes" : "no"});
-  }
+  };
+  addRow("ray+refine, AD gradients", withAd);
+  addRow("ray+refine, FD gradients", withFd);
+  addRow("penalty + Nelder-Mead", penalty);
   ablation.print(std::cout);
   std::cout << "(all three agree on the distance; the derivative-free "
                "method pays a large\n evaluation premium — the ablation "
@@ -112,56 +112,14 @@ void printExperiment() {
             << report::fixed(hi, 4)
             << " (all links simultaneously at that fraction of nominal "
                "bandwidth)\n\n";
-}
 
-void BM_NonlinearMergedAnalysis(benchmark::State& state) {
-  Setup s;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        s.problem.rho(radius::MergeScheme::NormalizedByOriginal));
-  }
-}
-BENCHMARK(BM_NonlinearMergedAnalysis);
-
-void BM_NonlinearSolver(benchmark::State& state) {
-  Setup s;
-  const auto analysis =
-      s.problem.merged(radius::MergeScheme::NormalizedByOriginal);
-  const auto& critical =
-      s.problem.features()[analysis.report().criticalFeature];
-  const la::Vector orig = s.problem.space().concatenatedOriginal();
-  const double level = critical.bounds.betaMax();
-  const opt::FieldFn field = [&](const la::Vector& x) {
-    return critical.feature->evaluate(x);
-  };
-  const int method = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    if (method == 0) {
-      const opt::GradFn grad = [&](const la::Vector& x) {
-        return critical.feature->gradient(x);
-      };
-      benchmark::DoNotOptimize(
-          opt::nearestPointOnLevelSet(field, grad, orig, level).distance);
-    } else if (method == 1) {
-      benchmark::DoNotOptimize(
-          opt::nearestPointOnLevelSet(field, opt::GradFn{}, orig, level)
-              .distance);
-    } else {
-      benchmark::DoNotOptimize(
-          opt::nearestPointOnLevelSetPenalty(field, orig, level).distance);
-    }
-  }
-}
-BENCHMARK(BM_NonlinearSolver)
-    ->Arg(0)  // AD gradients
-    ->Arg(1)  // finite differences
-    ->Arg(2); // penalty + Nelder-Mead
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  printExperiment();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return checkClaims(
+      {{criticalNonlinear,
+        "NONLIN: the bandwidth kind makes the critical feature nonlinear"},
+       {std::max(std::abs(withFd.distance - withAd.distance),
+                 std::abs(penalty.distance - withAd.distance)) <=
+            1e-6 * withAd.distance,
+        "NONLIN: AD, FD and penalty solvers agree to 1e-6 relative"},
+       {penalty.fieldEvaluations > withAd.fieldEvaluations,
+        "NONLIN: the derivative-free method needs more field evaluations"}});
 }

@@ -8,13 +8,15 @@
 // original-value skew — with the engine result checked against the
 // closed form and against the fully numeric solver on every row.
 //
-// Timings: normalized-scheme analysis cost vs n; closed form vs numeric.
-#include <benchmark/benchmark.h>
-
+// Checked (exit status 1 on a miss): engine, closed form and numeric
+// solver agree to 1e-12 relative on every row; rho grows with beta and
+// falls as either skew grows.
 #include <cmath>
 #include <iostream>
+#include <limits>
 #include <memory>
 
+#include "claim.hpp"
 #include "fepia.hpp"
 
 namespace {
@@ -64,7 +66,9 @@ double numericRho(const Instance& inst) {
   return r.radius;
 }
 
-void printExperiment() {
+}  // namespace
+
+int main() {
   std::cout << "=== S3.2: normalized radius responds to beta, k, pi^orig "
                "===\n\n";
 
@@ -72,12 +76,25 @@ void printExperiment() {
   std::cout << "series 1 — radius vs beta  (k = [2,3,0.5], orig = [5,4,10]):\n";
   const la::Vector k1{2.0, 3.0, 0.5};
   const la::Vector o1{5.0, 4.0, 10.0};
+  double worstRelative = 0.0;
+  const auto agree = [&worstRelative](double value, double closedForm) {
+    worstRelative =
+        std::max(worstRelative, std::abs(value - closedForm) / closedForm);
+  };
+  bool growsWithBeta = true;
+  double previous = 0.0;
   report::Table s1({"beta", "rho engine", "closed form", "numeric solver"});
   for (const double beta : {1.05, 1.1, 1.2, 1.5, 2.0, 2.5, 3.0}) {
     const Instance inst = makeInstance(k1, o1, beta);
-    s1.addRow({report::fixed(beta, 2), report::fixed(engineRho(inst), 6),
-               report::fixed(radius::normalizedLinearRadius(k1, o1, beta), 6),
-               report::fixed(numericRho(inst), 6)});
+    const double engine = engineRho(inst);
+    const double closed = radius::normalizedLinearRadius(k1, o1, beta);
+    const double numeric = numericRho(inst);
+    agree(engine, closed);
+    agree(numeric, closed);
+    growsWithBeta = growsWithBeta && engine > previous;
+    previous = engine;
+    s1.addRow({report::fixed(beta, 2), report::fixed(engine, 6),
+               report::fixed(closed, 6), report::fixed(numeric, 6)});
   }
   s1.print(std::cout);
   std::cout << "(linear in beta-1: the robustness requirement now moves the "
@@ -86,13 +103,20 @@ void printExperiment() {
   // Series 2: radius vs coefficient skew, beta fixed.
   std::cout << "series 2 — radius vs coefficient skew  (k = [1, s], orig = "
                "[1,1], beta = 1.5):\n";
+  bool fallsWithSkew = true;
+  previous = std::numeric_limits<double>::infinity();
   report::Table s2({"skew s", "rho engine", "closed form"});
   for (const double s : {1.0, 2.0, 4.0, 8.0, 16.0, 64.0}) {
     const la::Vector k{1.0, s};
     const la::Vector o{1.0, 1.0};
     const Instance inst = makeInstance(k, o, 1.5);
-    s2.addRow({report::fixed(s, 0), report::fixed(engineRho(inst), 6),
-               report::fixed(radius::normalizedLinearRadius(k, o, 1.5), 6)});
+    const double engine = engineRho(inst);
+    const double closed = radius::normalizedLinearRadius(k, o, 1.5);
+    agree(engine, closed);
+    fallsWithSkew = fallsWithSkew && engine < previous;
+    previous = engine;
+    s2.addRow({report::fixed(s, 0), report::fixed(engine, 6),
+               report::fixed(closed, 6)});
   }
   s2.print(std::cout);
   std::cout << "(one dominating term drives the radius toward (beta-1) = 0.5 "
@@ -102,57 +126,30 @@ void printExperiment() {
   // Series 3: radius vs original-value skew, beta fixed.
   std::cout << "series 3 — radius vs original-value skew  (k = [1,1], orig = "
                "[1, s], beta = 1.5):\n";
+  previous = std::numeric_limits<double>::infinity();
   report::Table s3({"skew s", "rho engine", "closed form"});
   for (const double s : {1.0, 2.0, 4.0, 8.0, 16.0, 64.0}) {
     const la::Vector k{1.0, 1.0};
     const la::Vector o{1.0, s};
     const Instance inst = makeInstance(k, o, 1.5);
-    s3.addRow({report::fixed(s, 0), report::fixed(engineRho(inst), 6),
-               report::fixed(radius::normalizedLinearRadius(k, o, 1.5), 6)});
+    const double engine = engineRho(inst);
+    const double closed = radius::normalizedLinearRadius(k, o, 1.5);
+    agree(engine, closed);
+    fallsWithSkew = fallsWithSkew && engine < previous;
+    previous = engine;
+    s3.addRow({report::fixed(s, 0), report::fixed(engine, 6),
+               report::fixed(closed, 6)});
   }
   s3.print(std::cout);
   std::cout << "(the assumed operating point matters too — contrast all three "
                "series with\n the constant 1/sqrt(n) column of "
                "bench_sensitivity_invariance)\n\n";
-}
 
-void BM_NormalizedAnalysis(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  rng::Xoshiro256StarStar g(7);
-  la::Vector k(n);
-  la::Vector orig(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    k[j] = rng::uniform(g, 0.1, 3.0);
-    orig[j] = rng::uniform(g, 0.2, 20.0);
-  }
-  const Instance inst = makeInstance(k, orig, 1.3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engineRho(inst));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_NormalizedAnalysis)->RangeMultiplier(2)->Range(2, 64)->Complexity();
-
-void BM_NormalizedClosedFormOnly(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  rng::Xoshiro256StarStar g(7);
-  la::Vector k(n);
-  la::Vector orig(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    k[j] = rng::uniform(g, 0.1, 3.0);
-    orig[j] = rng::uniform(g, 0.2, 20.0);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(radius::normalizedLinearRadius(k, orig, 1.3));
-  }
-}
-BENCHMARK(BM_NormalizedClosedFormOnly)->Arg(8)->Arg(64);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  printExperiment();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return checkClaims(
+      {{worstRelative <= 1e-12,
+        "S3.2: engine, closed form and numeric solver agree to 1e-12 "
+        "relative"},
+       {growsWithBeta, "S3.2: rho grows with beta"},
+       {fallsWithSkew,
+        "S3.2: rho falls as the coefficient or original-value skew grows"}});
 }

@@ -12,20 +12,26 @@
 // robustness-aware searches should dominate on rho while conceding some
 // makespan, quantifying what the metric buys as an objective.
 //
-// Timings: annealing iteration throughput; rho-objective evaluation.
-#include <benchmark/benchmark.h>
-
+// Checked (exit status 1 on a miss), per regime: a rho-targeted search
+// ends with the largest radius, and annealing on rho ends with a larger
+// radius than annealing on makespan.
+#include <algorithm>
 #include <iostream>
 
+#include "claim.hpp"
 #include "fepia.hpp"
 
 namespace {
 
 using namespace fepia;
 
-void printExperiment() {
+}  // namespace
+
+int main() {
   std::cout << "=== SEARCH: designing allocations for robustness ===\n\n";
 
+  bool rhoTargetedLargest = true;
+  bool annealFollowsObjective = true;
   for (const auto het : {etc::Heterogeneity::HiHi, etc::Heterogeneity::LoLo}) {
     rng::Xoshiro256StarStar g(4242 + static_cast<std::uint64_t>(het));
     const la::Matrix e = etc::generateCvb(40, 6, etc::cvbPreset(het), g);
@@ -42,26 +48,34 @@ void printExperiment() {
 
     const auto addRow = [&](const std::string& name,
                             const alloc::Allocation& mu) {
+      const double rho = rhoOf(mu);
       table.addRow({name, report::fixed(alloc::makespan(mu, e), 1),
-                    report::fixed(rhoOf(mu), 2)});
+                    report::fixed(rho, 2)});
+      return rho;
     };
-    addRow("min-min heuristic", alloc::minMin(e));
-    addRow("sufferage heuristic", alloc::sufferage(e));
-    addRow("mct heuristic (seed)", seed);
+    double heuristicRho = addRow("min-min heuristic", alloc::minMin(e));
+    heuristicRho = std::max(heuristicRho,
+                            addRow("sufferage heuristic", alloc::sufferage(e)));
+    heuristicRho = std::max(heuristicRho, addRow("mct heuristic (seed)", seed));
 
     alloc::AnnealOptions opts;
     opts.iterations = 30000;
     const alloc::AnnealResult forMs = alloc::simulatedAnnealing(
         seed, e, alloc::makespanObjective(), g, opts);
-    addRow("anneal: makespan", forMs.best);
+    const double annealMakespanRho = addRow("anneal: makespan", forMs.best);
 
     const alloc::AnnealResult forRho = alloc::simulatedAnnealing(
         seed, e, alloc::rhoObjective(tau), g, opts);
-    addRow("anneal: rho", forRho.best);
+    const double annealRho = addRow("anneal: rho", forRho.best);
 
     const alloc::Allocation greedy =
         alloc::localSearch(alloc::minMin(e), e, alloc::rhoObjective(tau));
-    addRow("local search: rho", greedy);
+    const double localSearchRho = addRow("local search: rho", greedy);
+    rhoTargetedLargest =
+        rhoTargetedLargest && std::max(annealRho, localSearchRho) >=
+                                  std::max(heuristicRho, annealMakespanRho);
+    annealFollowsObjective =
+        annealFollowsObjective && annealRho > annealMakespanRho;
 
     table.print(std::cout);
     std::cout << "\n";
@@ -70,46 +84,10 @@ void printExperiment() {
                "largest radii; the\nmakespan-targeted ones end fastest. "
                "Robustness is a different optimum, which\nis exactly why "
                "the paper argues for measuring it explicitly.\n\n";
-}
 
-void BM_AnnealIterationsRho(benchmark::State& state) {
-  rng::Xoshiro256StarStar g(1);
-  const la::Matrix e = etc::generateCvb(40, 6, etc::CvbParams{}, g);
-  const alloc::Allocation seed = alloc::mct(e);
-  const double tau = 1.4 * alloc::makespan(seed, e);
-  alloc::AnnealOptions opts;
-  opts.iterations = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    rng::Xoshiro256StarStar runG(2);
-    benchmark::DoNotOptimize(
-        alloc::simulatedAnnealing(seed, e, alloc::rhoObjective(tau), runG, opts)
-            .bestObjective);
-  }
-}
-BENCHMARK(BM_AnnealIterationsRho)->Arg(1000)->Arg(10000);
-
-void BM_RhoObjectiveEvaluation(benchmark::State& state) {
-  rng::Xoshiro256StarStar g(1);
-  const auto tasks = static_cast<std::size_t>(state.range(0));
-  const la::Matrix e = etc::generateCvb(tasks, 8, etc::CvbParams{}, g);
-  const alloc::Allocation mu = alloc::minMin(e);
-  const double tau = 1.4 * alloc::makespan(mu, e);
-  const auto obj = alloc::rhoObjective(tau);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(obj(mu, e));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_RhoObjectiveEvaluation)
-    ->RangeMultiplier(4)
-    ->Range(16, 1024)
-    ->Complexity();
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  printExperiment();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return checkClaims(
+      {{rhoTargetedLargest,
+        "SEARCH: a rho-targeted strategy ends with the largest radius"},
+       {annealFollowsObjective,
+        "SEARCH: annealing on rho beats annealing on makespan on rho"}});
 }

@@ -7,20 +7,22 @@
 //  * Spearman and Kendall correlation between the two rankings;
 //  * the number of distinct values each scheme can even produce.
 //
-// Timings: per-system analysis cost for each scheme.
-#include <benchmark/benchmark.h>
-
+// Checked (exit status 1 on a miss): the sensitivity scheme assigns one
+// distinct rho to the whole population, the normalized scheme 24/24.
 #include <cmath>
 #include <iostream>
 #include <set>
 
+#include "claim.hpp"
 #include "fepia.hpp"
 
 namespace {
 
 using namespace fepia;
 
-void printExperiment() {
+}  // namespace
+
+int main() {
   std::cout << "=== RANK: can the schemes rank a population of systems? "
                "===\n\n";
 
@@ -58,10 +60,11 @@ void printExperiment() {
     }
     return quantised.size();
   };
+  const std::size_t distinctSens = distinctCount(rhoSens);
+  const std::size_t distinctNorm = distinctCount(rhoNorm);
   std::cout << "\ndistinct values (1e-9 resolution): sensitivity "
-            << distinctCount(rhoSens) << "/" << populationSize
-            << ", normalized " << distinctCount(rhoNorm) << "/"
-            << populationSize << "\n";
+            << distinctSens << "/" << populationSize << ", normalized "
+            << distinctNorm << "/" << populationSize << "\n";
 
   // Rank agreement — meaningful only if the sensitivity ranking is not
   // degenerate.
@@ -81,38 +84,10 @@ void printExperiment() {
          "its critical\nfeature uses) — a handful of values for the whole "
          "population — while the\nnormalized rho spreads according to each "
          "system's actual slack.\n\n";
-}
 
-void BM_RankPopulationSensitivity(benchmark::State& state) {
-  rng::Xoshiro256StarStar g(1);
-  hiperd::RandomSystemParams params;
-  const hiperd::ReferenceSystem sys = hiperd::makeRandomSystem(params, g);
-  const radius::FepiaProblem problem =
-      sys.system.executionMessageProblem(sys.qos);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(problem.rho(radius::MergeScheme::Sensitivity));
-  }
-}
-BENCHMARK(BM_RankPopulationSensitivity);
-
-void BM_RankPopulationNormalized(benchmark::State& state) {
-  rng::Xoshiro256StarStar g(1);
-  hiperd::RandomSystemParams params;
-  const hiperd::ReferenceSystem sys = hiperd::makeRandomSystem(params, g);
-  const radius::FepiaProblem problem =
-      sys.system.executionMessageProblem(sys.qos);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        problem.rho(radius::MergeScheme::NormalizedByOriginal));
-  }
-}
-BENCHMARK(BM_RankPopulationNormalized);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  printExperiment();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return checkClaims(
+      {{distinctSens == 1,
+        "RANK: the sensitivity scheme assigns 1 distinct rho to 24 systems"},
+       {distinctNorm == populationSize,
+        "RANK: the normalized scheme assigns 24/24 distinct values"}});
 }

@@ -18,8 +18,6 @@
 // best allocation and rho bit-for-bit at any thread count. Results land
 // in BENCH_search.json (override with FEPIA_BENCH_JSON). Set
 // FEPIA_BENCH_SMOKE=1 for a small instance suitable for CI smoke runs.
-#include <benchmark/benchmark.h>
-
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -166,54 +164,10 @@ void printExperiment() {
   std::cout << "wrote " << jsonPath << "\n\n";
 }
 
-void BM_EngineMoveScan(benchmark::State& state) {
-  const auto tasks = static_cast<std::size_t>(state.range(0));
-  const Workload w = Workload::make(tasks, 16);
-  alloc::EngineConfig cfg;
-  cfg.objective = alloc::EngineObjective::Rho;
-  cfg.tau = w.tau;
-  alloc::EvalEngine engine(w.etcMatrix, cfg);
-  engine.setState(w.start);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.bestMove().objective);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(tasks * 16));
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_EngineMoveScan)->RangeMultiplier(2)->Range(32, 256)->Complexity();
-
-void BM_NaiveObjectiveScan(benchmark::State& state) {
-  const auto tasks = static_cast<std::size_t>(state.range(0));
-  const Workload w = Workload::make(tasks, 16);
-  const auto obj = alloc::rhoObjective(w.tau);
-  alloc::Allocation mu = w.start;
-  for (auto _ : state) {
-    // One full scan of all single-task moves via full recomputation.
-    double best = -1e300;
-    for (std::size_t t = 0; t < mu.taskCount(); ++t) {
-      const std::size_t from = mu.machineOf(t);
-      for (std::size_t m = 0; m < mu.machineCount(); ++m) {
-        if (m == from) continue;
-        mu.reassign(t, m);
-        best = std::max(best, obj(mu, w.etcMatrix));
-        mu.reassign(t, from);
-      }
-    }
-    benchmark::DoNotOptimize(best);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(tasks * 16));
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_NaiveObjectiveScan)->RangeMultiplier(2)->Range(32, 128)->Complexity();
-
 }  // namespace
 
 int main(int argc, char** argv) {
   g_manifest = obs::RunManifest::collect("bench_search", argc, argv);
   printExperiment();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

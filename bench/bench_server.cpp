@@ -9,8 +9,6 @@
 // content-keyed cache measurably faster, with byte-identical results
 // (pinned separately by server_equivalence_test). Structured results
 // land in BENCH_server.json (override with FEPIA_BENCH_JSON).
-#include <benchmark/benchmark.h>
-
 #include <unistd.h>
 
 #include <algorithm>
@@ -266,55 +264,10 @@ void printExperiment() {
   std::cout << "wrote " << jsonPath << "\n\n";
 }
 
-void BM_PingRoundTrip(benchmark::State& state) {
-  server::ServeConfig cfg;
-  cfg.port = 0;
-  server::Server srv(cfg);
-  std::string error;
-  if (!srv.start(&error)) {
-    state.SkipWithError(error.c_str());
-    return;
-  }
-  const int fd = server::connectLoopback(srv.port());
-  const std::string ping = "{\"id\":1,\"kind\":\"ping\"}";
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(roundTrip(fd, ping));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  if (fd >= 0) ::close(fd);
-  srv.stop();
-}
-BENCHMARK(BM_PingRoundTrip);
-
-void BM_RadiusQueryRoundTrip(benchmark::State& state) {
-  const std::string problemPath = tempPath("bm_problem.fepia");
-  writeFile(problemPath, kProblem);
-  server::ServeConfig cfg;
-  cfg.port = 0;
-  server::Server srv(cfg);
-  std::string error;
-  if (!srv.start(&error)) {
-    state.SkipWithError(error.c_str());
-    return;
-  }
-  const int fd = server::connectLoopback(srv.port());
-  const std::string req = radiusRequest(problemPath);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(roundTrip(fd, req));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  if (fd >= 0) ::close(fd);
-  srv.stop();
-  std::remove(problemPath.c_str());
-}
-BENCHMARK(BM_RadiusQueryRoundTrip);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   g_manifest = obs::RunManifest::collect("bench_server", argc, argv);
   printExperiment();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

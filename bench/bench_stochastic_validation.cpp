@@ -14,18 +14,22 @@
 // budget that absorbs the noise. This quantifies how much of the radius
 // one should "spend" on stochastic headroom.
 //
-// Timings: jittered DES run cost vs generations.
-#include <benchmark/benchmark.h>
-
+// Checked (exit status 1 on a miss): the jitter-free column reads 0%
+// inside the radius and 100% beyond it, and the violation rate never
+// falls as the distance or the jitter grows.
 #include <iostream>
+#include <vector>
 
+#include "claim.hpp"
 #include "fepia.hpp"
 
 namespace {
 
 using namespace fepia;
 
-void printExperiment() {
+}  // namespace
+
+int main() {
   const hiperd::ReferenceSystem ref = hiperd::makeReferenceSystem();
   const radius::FepiaProblem problem =
       ref.system.executionMessageProblem(ref.qos);
@@ -47,13 +51,17 @@ void printExperiment() {
 
   report::Table table({"distance / rho", "jitter CoV 0", "CoV 0.1",
                        "CoV 0.3", "CoV 0.6"});
+  const int seeds = 30;
+  bool deterministicSharp = true;
+  bool monotone = true;
+  std::vector<int> previousRow(4, 0);
   for (const double frac : {0.0, 0.5, 0.8, 0.95, 1.05}) {
     const la::Vector point = piOrig + frac * (piBoundary - piOrig);
     const auto parts = problem.space().split(point);
     std::vector<std::string> row = {report::fixed(frac, 2)};
+    std::vector<int> rowViolations;
     for (const double cov : {0.0, 0.1, 0.3, 0.6}) {
       int violations = 0;
-      const int seeds = 30;
       for (int s = 0; s < seeds; ++s) {
         des::PipelineOptions opts;
         opts.generations = 200;
@@ -64,7 +72,13 @@ void printExperiment() {
         if (!res.satisfies(ref.qos.maxLatencySeconds)) ++violations;
       }
       row.push_back(report::fixed(100.0 * violations / seeds, 0) + "%");
+      monotone = monotone && violations >= previousRow[rowViolations.size()] &&
+                 (rowViolations.empty() || violations >= rowViolations.back());
+      rowViolations.push_back(violations);
     }
+    deterministicSharp = deterministicSharp &&
+                         rowViolations[0] == (frac < 1.0 ? 0 : seeds);
+    previousRow = rowViolations;
     table.addRow(std::move(row));
   }
   table.print(std::cout);
@@ -77,29 +91,12 @@ void printExperiment() {
          "monotonically with both distance and noise. Deterministic radii "
          "bound\nthe *model*; stochastic headroom must be budgeted against "
          "the run-length\nmaximum on top of it.\n\n";
-}
 
-void BM_JitteredPipeline(benchmark::State& state) {
-  const hiperd::ReferenceSystem ref = hiperd::makeReferenceSystem();
-  const la::Vector e = ref.system.originalExecutionTimes();
-  const la::Vector m = ref.system.originalMessageSizes();
-  des::PipelineOptions opts;
-  opts.generations = static_cast<std::size_t>(state.range(0));
-  opts.serviceJitterCov = 0.3;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        des::simulatePipeline(ref.system, e, m, ref.qos.minThroughput, opts)
-            .maxObservedLatency);
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_JitteredPipeline)->RangeMultiplier(4)->Range(64, 1024)->Complexity();
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  printExperiment();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return checkClaims(
+      {{deterministicSharp,
+        "STOCH: without jitter, 0% violations inside the radius and 100% "
+        "beyond it"},
+       {monotone,
+        "STOCH: the violation rate never falls as distance or jitter "
+        "grows"}});
 }

@@ -12,8 +12,6 @@
 // count, with dist_1worker_efficiency_per_sec quantifying the wire
 // protocol's overhead against the in-process serial run. Structured
 // results land in BENCH_sweep.json (override with FEPIA_BENCH_JSON).
-#include <benchmark/benchmark.h>
-
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -235,26 +233,10 @@ void printExperiment() {
   std::cout << "wrote " << jsonPath << "\n\n";
 }
 
-void BM_SweepLinear(benchmark::State& state) {
-  std::string text =
-      "sweep bm\nworkload linear\naxis scheme normalized\naxis n " +
-      std::to_string(state.range(0)) +
-      "\naxis beta 1.2 1.5 2.0\nseed 42\nchunk 4\n";
-  const sweep::SweepSpec spec = sweep::parseSweepSpecString(text);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sweep::runSweep(spec).classifications);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(spec.pointCount()));
-}
-BENCHMARK(BM_SweepLinear)->RangeMultiplier(4)->Range(4, 64);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   g_manifest = obs::RunManifest::collect("bench_sweep", argc, argv);
   printExperiment();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

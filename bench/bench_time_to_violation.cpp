@@ -13,18 +13,21 @@
 // worst-direction quantity, so it is a conservative but correctly
 // ordered predictor of lifetime.
 //
-// Timings: trace generation and survival-analysis cost.
-#include <benchmark/benchmark.h>
-
+// Checked (exit status 1 on a miss): down the table rho never falls,
+// neither violation fraction ever rises, and the random-walk median
+// time-to-violation never falls.
 #include <iostream>
 
+#include "claim.hpp"
 #include "fepia.hpp"
 
 namespace {
 
 using namespace fepia;
 
-void printExperiment() {
+}  // namespace
+
+int main() {
   std::cout << "=== TTV: static radius vs dynamic time-to-violation ===\n\n"
             << "HiPer-D load problem; 80 random-walk traces (vol 5%/step, "
                "300 steps) and 80\nburst traces per configuration, same "
@@ -34,6 +37,11 @@ void printExperiment() {
                        "RW violated", "RW median TTV", "burst violated",
                        "burst median TTV"});
 
+  bool ordered = true;
+  double previousRho = 0.0;
+  double previousRwFraction = 1.0;
+  double previousRwMedian = 0.0;
+  std::size_t previousBurstViolated = 80;
   for (const double f : {1.0, 1.25, 1.5, 2.0, 3.0}) {
     hiperd::ReferenceSystem ref = hiperd::makeReferenceSystem();
     ref.qos.maxLatencySeconds *= f;
@@ -66,6 +74,14 @@ void printExperiment() {
       }
     }
 
+    ordered = ordered && rho >= previousRho &&
+              sRw.violationFraction <= previousRwFraction &&
+              sRw.medianTimeToViolation >= previousRwMedian &&
+              burstViolated <= previousBurstViolated;
+    previousRho = rho;
+    previousRwFraction = sRw.violationFraction;
+    previousRwMedian = sRw.medianTimeToViolation;
+    previousBurstViolated = burstViolated;
     table.addRow(
         {report::fixed(f, 2), report::fixed(rho, 1),
          report::fixed(100.0 * sRw.violationFraction, 0) + "%",
@@ -81,41 +97,9 @@ void printExperiment() {
          "fractions fall\n(median time-to-violation grows among the traces "
          "that still violate). The\nstatic radius orders dynamic lifetimes "
          "correctly under both stochastic models.\n\n";
-}
 
-void BM_RandomWalkTrace(benchmark::State& state) {
-  const hiperd::ReferenceSystem ref = hiperd::makeReferenceSystem();
-  trace::RandomWalkParams p;
-  p.steps = static_cast<std::size_t>(state.range(0));
-  rng::Xoshiro256StarStar g(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        trace::randomWalkTrace(ref.system.originalLoads(), p, g).size());
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_RandomWalkTrace)->RangeMultiplier(4)->Range(64, 4096)->Complexity();
-
-void BM_SurvivalAnalysis(benchmark::State& state) {
-  const hiperd::ReferenceSystem ref = hiperd::makeReferenceSystem();
-  const feature::FeatureSet phi = ref.system.loadFeatureSet(ref.qos);
-  trace::RandomWalkParams p;
-  p.steps = 200;
-  p.volatility = 0.05;
-  for (auto _ : state) {
-    rng::Xoshiro256StarStar g(2);
-    benchmark::DoNotOptimize(
-        trace::survival(phi, ref.system.originalLoads(), p, 20, g)
-            .violationFraction);
-  }
-}
-BENCHMARK(BM_SurvivalAnalysis);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  printExperiment();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return checkClaims(
+      {{ordered,
+        "TTV: as rho grows, violation fractions never rise and the "
+        "random-walk median time-to-violation never falls"}});
 }

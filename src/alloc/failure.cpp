@@ -110,30 +110,6 @@ std::vector<FailureImpact> machineFailureImpacts(const Allocation& mu,
   return out;
 }
 
-FailureSetImpact evaluateFailureSet(const Allocation& mu,
-                                    const la::Matrix& etcMatrix,
-                                    const std::vector<std::size_t>& failedMachines,
-                                    double tau) {
-  std::vector<std::size_t> set = failedMachines;
-  std::sort(set.begin(), set.end());
-  set.erase(std::unique(set.begin(), set.end()), set.end());
-  FailureSetImpact impact{set, false, recoverFromFailures(mu, etcMatrix, set),
-                          0.0, 0.0};
-  impact.makespanAfter = makespan(impact.recovered, etcMatrix);
-  if (impact.makespanAfter < tau) {
-    impact.recoverable = true;
-    impact.rhoAfter =
-        makespanRobustnessClosedForm(impact.recovered, etcMatrix, tau);
-  }
-  return impact;
-}
-
-bool survivesFailures(const Allocation& mu, const la::Matrix& etcMatrix,
-                      const std::vector<std::size_t>& failedMachines,
-                      double tau) {
-  return evaluateFailureSet(mu, etcMatrix, failedMachines, tau).recoverable;
-}
-
 bool survivesAnySingleFailure(const Allocation& mu, const la::Matrix& etcMatrix,
                               double tau) {
   for (const FailureImpact& impact :

@@ -30,20 +30,6 @@ struct FailureImpact {
   double rhoAfter = 0.0;
 };
 
-/// Outcome of losing a set of machines simultaneously (a fault plan's
-/// crash set; see fault::crashedMachines).
-struct FailureSetImpact {
-  /// The failed machines, sorted ascending, deduplicated.
-  std::vector<std::size_t> failedMachines;
-  /// False when the recovered allocation violates tau (or no machines
-  /// remain) — the combined failure is not survivable.
-  bool recoverable = false;
-  Allocation recovered;
-  double makespanAfter = 0.0;
-  /// rho of the recovered allocation under tau; 0 when not recoverable.
-  double rhoAfter = 0.0;
-};
-
 /// Greedy MCT re-mapping of the failed machine's tasks onto survivors.
 /// Throws std::invalid_argument when shapes mismatch or only one machine
 /// exists (nothing to fail over to).
@@ -59,18 +45,6 @@ struct FailureSetImpact {
 [[nodiscard]] Allocation recoverFromFailures(
     const Allocation& mu, const la::Matrix& etcMatrix,
     const std::vector<std::size_t>& failedMachines);
-
-/// Evaluates one simultaneous failure set against tau.
-[[nodiscard]] FailureSetImpact evaluateFailureSet(
-    const Allocation& mu, const la::Matrix& etcMatrix,
-    const std::vector<std::size_t>& failedMachines, double tau);
-
-/// True when the allocation survives the given simultaneous failures
-/// under tau — the discrete certificate for a concrete crash set.
-[[nodiscard]] bool survivesFailures(const Allocation& mu,
-                                    const la::Matrix& etcMatrix,
-                                    const std::vector<std::size_t>& failedMachines,
-                                    double tau);
 
 /// Evaluates every single-machine failure. `tau` is the makespan
 /// constraint the recovered allocation must respect.

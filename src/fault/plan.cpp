@@ -66,15 +66,6 @@ void FaultPlan::validateAgainst(const hiperd::System& sys) const {
   if (policy.maxBackoffSeconds < 0.0) fail("backoff cap must be >= 0");
 }
 
-std::vector<std::size_t> crashedMachines(const FaultPlan& plan) {
-  std::vector<std::size_t> out;
-  out.reserve(plan.crashes.size());
-  for (const MachineCrash& c : plan.crashes) out.push_back(c.machine);
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
 PlanInjector::PlanInjector(const FaultPlan& plan, const hiperd::System& sys)
     : policy_(plan.policy), lossSeed_(plan.lossSeed) {
   plan.validateAgainst(sys);

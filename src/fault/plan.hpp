@@ -101,11 +101,6 @@ struct FaultPlan {
   void validateAgainst(const hiperd::System& sys) const;
 };
 
-/// Machines that crash at any point under the plan, sorted ascending,
-/// deduplicated — the bridge to the discrete multi-failure analysis of
-/// alloc/failure (recoverFromFailures etc.).
-[[nodiscard]] std::vector<std::size_t> crashedMachines(const FaultPlan& plan);
-
 /// des::FaultInjector implementation over a FaultPlan. Holds references
 /// to neither the plan nor the system after construction; cheap O(1)
 /// hooks (loss probability and crash data are precomputed per entity).

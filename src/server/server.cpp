@@ -6,8 +6,9 @@
 #include <sstream>
 #include <stdexcept>
 #include <streambuf>
+#include <string_view>
+#include <utility>
 
-#include "io/parse.hpp"
 #include "obs/clock.hpp"
 #include "obs/manifest.hpp"
 #include "server/query.hpp"
@@ -41,13 +42,45 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b);
 }
 
-std::uint64_t configUint(const std::string& key, const std::string& value) {
-  const std::optional<std::uint64_t> v = io::parseUint64(value);
-  if (!v.has_value()) {
-    throw std::invalid_argument("bad value for " + key + ": '" + value +
-                                "' (expected an unsigned integer)");
+/// `fepia_cli serve` flags and the config-file keys they set.
+constexpr std::pair<std::string_view, std::string_view> kServeFlags[] = {
+    {"--bind", "bind"},           {"--port", "port"},
+    {"--workers", "workers"},     {"--threads", "threads"},
+    {"--max-queue", "max_queue"}, {"--max-frame", "max_frame_bytes"},
+    {"--deadline-ms", "deadline_ms"}};
+
+/// The one setter behind both the config file and the flags. `key` is a
+/// config-file key; errors name `spelling`, what the user typed (the key
+/// itself or its flag).
+void applySetting(ServeConfig& cfg, std::string_view key,
+                  const std::string& value, const std::string& spelling) {
+  const auto bad = [&](const char* expected) {
+    return std::invalid_argument("bad value for " + spelling + ": '" + value +
+                                 "' (expected " + expected + ")");
+  };
+  const char* name = spelling.c_str();
+  if (key == "bind") {
+    cfg.bindAddress = value;
+  } else if (key == "port") {
+    const std::uint64_t p = argUint(name, value);
+    if (p > 65535) throw bad("0..65535");
+    cfg.port = static_cast<std::uint16_t>(p);
+  } else if (key == "workers") {
+    cfg.workers = argSize(name, value);
+    if (cfg.workers == 0) throw bad("a positive integer");
+  } else if (key == "threads") {
+    cfg.threads = argSize(name, value);
+  } else if (key == "max_queue") {
+    cfg.maxQueue = argSize(name, value);
+    if (cfg.maxQueue == 0) throw bad("a positive integer");
+  } else if (key == "max_frame_bytes") {
+    cfg.maxFrameBytes = argSize(name, value);
+    if (cfg.maxFrameBytes < 16) throw bad("at least 16");
+  } else if (key == "deadline_ms") {
+    cfg.defaultDeadlineMs = argUint(name, value);
+  } else {
+    throw std::invalid_argument("unknown config key '" + spelling + "'");
   }
-  return *v;
 }
 
 /// Wraps each complete line written through it into one progress frame
@@ -96,42 +129,19 @@ void parseServeConfigText(const std::string& text, ServeConfig& cfg) {
                                   "' (expected key = value)");
     }
     const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
-    if (key == "bind") {
-      cfg.bindAddress = value;
-    } else if (key == "port") {
-      const std::uint64_t p = configUint(key, value);
-      if (p > 65535) {
-        throw std::invalid_argument("bad value for port: '" + value +
-                                    "' (expected 0..65535)");
-      }
-      cfg.port = static_cast<std::uint16_t>(p);
-    } else if (key == "workers") {
-      cfg.workers = static_cast<std::size_t>(configUint(key, value));
-      if (cfg.workers == 0) {
-        throw std::invalid_argument(
-            "bad value for workers: '0' (expected a positive integer)");
-      }
-    } else if (key == "threads") {
-      cfg.threads = static_cast<std::size_t>(configUint(key, value));
-    } else if (key == "max_queue") {
-      cfg.maxQueue = static_cast<std::size_t>(configUint(key, value));
-      if (cfg.maxQueue == 0) {
-        throw std::invalid_argument(
-            "bad value for max_queue: '0' (expected a positive integer)");
-      }
-    } else if (key == "max_frame_bytes") {
-      cfg.maxFrameBytes = static_cast<std::size_t>(configUint(key, value));
-      if (cfg.maxFrameBytes < 16) {
-        throw std::invalid_argument("bad value for max_frame_bytes: '" +
-                                    value + "' (expected at least 16)");
-      }
-    } else if (key == "deadline_ms") {
-      cfg.defaultDeadlineMs = configUint(key, value);
-    } else {
-      throw std::invalid_argument("unknown config key '" + key + "'");
+    applySetting(cfg, key, trim(line.substr(eq + 1)), key);
+  }
+}
+
+bool applyServeFlag(ServeConfig& cfg, std::string_view flag,
+                    const std::string& value) {
+  for (const auto& [name, key] : kServeFlags) {
+    if (name == flag) {
+      applySetting(cfg, key, value, std::string(flag));
+      return true;
     }
   }
+  return false;
 }
 
 void parseServeConfigFile(const std::string& path, ServeConfig& cfg) {

@@ -38,6 +38,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -73,6 +74,14 @@ void parseServeConfigText(const std::string& text, ServeConfig& cfg);
 /// parseServeConfigText over the contents of `path`; throws
 /// std::runtime_error("cannot open '<path>'") when unreadable.
 void parseServeConfigFile(const std::string& path, ServeConfig& cfg);
+
+/// Applies one `fepia_cli serve` flag to `cfg` through the same setter
+/// as its config-file key: --bind, --port, --workers, --threads,
+/// --max-queue, --max-frame (max_frame_bytes), --deadline-ms. Returns
+/// false when `flag` is not one of them; throws std::invalid_argument
+/// naming the flag on a bad value.
+bool applyServeFlag(ServeConfig& cfg, std::string_view flag,
+                    const std::string& value);
 
 class Server {
  public:

@@ -124,25 +124,6 @@ TEST(AllocFailure, MultiFailureValidation) {
                std::invalid_argument);
 }
 
-TEST(AllocFailure, FailureSetImpactClassifiesAgainstTau) {
-  const la::Matrix e = uniformEtc();
-  const alloc::Allocation mu({0, 0, 1, 2}, 3);
-  // Losing machines 0 and 1 piles four unit tasks on machine 2.
-  const alloc::FailureSetImpact hit =
-      alloc::evaluateFailureSet(mu, e, {1, 0, 1}, 4.5);
-  EXPECT_EQ(hit.failedMachines, (std::vector<std::size_t>{0, 1}));
-  EXPECT_TRUE(hit.recoverable);
-  EXPECT_DOUBLE_EQ(hit.makespanAfter, 4.0);
-  EXPECT_GT(hit.rhoAfter, 0.0);
-  EXPECT_TRUE(alloc::survivesFailures(mu, e, {0, 1}, 4.5));
-
-  const alloc::FailureSetImpact broken =
-      alloc::evaluateFailureSet(mu, e, {0, 1}, 3.5);
-  EXPECT_FALSE(broken.recoverable);
-  EXPECT_DOUBLE_EQ(broken.rhoAfter, 0.0);
-  EXPECT_FALSE(alloc::survivesFailures(mu, e, {0, 1}, 3.5));
-}
-
 TEST(AllocFailure, EmptyMachineFailureIsFree) {
   // A machine with no tasks can fail without moving anything.
   const la::Matrix e = uniformEtc();

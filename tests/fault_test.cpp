@@ -63,15 +63,6 @@ TEST(FaultPlan, ValidationRejectsBadEntries) {
   EXPECT_THROW(plan.validateAgainst(r.system), std::invalid_argument);
 }
 
-TEST(FaultPlan, CrashedMachinesSortedAndDeduplicated) {
-  fault::FaultPlan plan;
-  plan.crashes.push_back({2, 5.0, std::nullopt});
-  plan.crashes.push_back({0, 1.0, std::nullopt});
-  plan.crashes.push_back({2, 9.0, std::nullopt});
-  EXPECT_EQ(fault::crashedMachines(plan),
-            (std::vector<std::size_t>{0, 2}));
-}
-
 TEST(FaultPlanInjector, HooksReflectThePlan) {
   const auto r = ref();
   fault::FaultPlan plan;

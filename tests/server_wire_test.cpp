@@ -310,7 +310,32 @@ TEST(ServerWire, ConfigParserRejectsBadInput) {
   expectReject("port = 70000\n", "port");
   expectReject("deadline_ms = soon\n", "deadline_ms");
 
+  // The `serve` flags share the setter; each error names the flag.
+  const auto expectFlagReject = [](const std::string& flag,
+                                   const std::string& value) {
+    server::ServeConfig cfg;
+    try {
+      (void)server::applyServeFlag(cfg, flag, value);
+      FAIL() << "accepted: " << flag << " " << value;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("bad value for " + flag + ": '" +
+                                           value + "'"),
+                std::string::npos)
+          << "message for " << flag << " " << value << " was: " << e.what();
+    }
+  };
+  expectFlagReject("--workers", "0");
+  expectFlagReject("--max-queue", "0");
+  expectFlagReject("--max-frame", "8");
+  expectFlagReject("--port", "70000");
+  expectFlagReject("--deadline-ms", "soon");
+  expectFlagReject("--threads", "-1");
+
   server::ServeConfig cfg;
+  EXPECT_FALSE(server::applyServeFlag(cfg, "--frobnicate", "1"));
+  EXPECT_FALSE(server::applyServeFlag(cfg, "max_frame_bytes", "64"));
+  EXPECT_TRUE(server::applyServeFlag(cfg, "--max-frame", "64"));
+  EXPECT_EQ(cfg.maxFrameBytes, 64u);
   EXPECT_THROW(server::parseServeConfigFile("/nonexistent/fepiad.conf", cfg),
                std::runtime_error);
 }

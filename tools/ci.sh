@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: build the Release and ASan+UBSan configurations and run
-# the tier1 (fast) test suite under both, then build the TSan
+# the tier1 (fast) test suite under both (it includes the 15 paper
+# experiment programs, which exit 1 on a missed claim), then build the TSan
 # configuration and run the backend-registry, batched-classification,
 # telemetry, server and distributed-sweep thread suites under it. The
 # release config additionally smokes the distributed sweep end to end:
@@ -78,7 +79,7 @@ for cfg in "${configs[@]}"; do
     echo "=== [$cfg] bench_search smoke ==="
     bench_json=build/BENCH_search_smoke.json
     FEPIA_BENCH_SMOKE=1 FEPIA_BENCH_JSON="$bench_json" \
-      ./build/bench/bench_search --benchmark_filter=NONE
+      ./build/bench/bench_search
     python3 tools/check_bench_json.py "$bench_json" \
       tools/schemas/bench_search.schema.json
     python3 - "$bench_json" <<'EOF'
@@ -93,7 +94,7 @@ EOF
     echo "=== [$cfg] bench_fault_injection smoke ==="
     fault_json=build/BENCH_fault_smoke.json
     FEPIA_BENCH_SMOKE=1 FEPIA_BENCH_JSON="$fault_json" \
-      ./build/bench/bench_fault_injection --benchmark_filter=NONE
+      ./build/bench/bench_fault_injection
     python3 tools/check_bench_json.py "$fault_json" \
       tools/schemas/bench_fault.schema.json
     python3 - "$fault_json" <<'EOF2'
@@ -139,7 +140,7 @@ EOF2
     echo "=== [$cfg] bench_empirical_radius smoke ==="
     val_json=build/BENCH_validation_smoke.json
     FEPIA_BENCH_SMOKE=1 FEPIA_BENCH_JSON="$val_json" \
-      ./build/bench/bench_empirical_radius --benchmark_filter=NONE
+      ./build/bench/bench_empirical_radius
     python3 tools/check_bench_json.py "$val_json" \
       tools/schemas/bench_validation.schema.json
     python3 - "$val_json" <<'EOF'
@@ -387,7 +388,7 @@ EOF
     echo "=== [$cfg] bench_sweep smoke ==="
     sweep_json=build/BENCH_sweep_smoke.json
     FEPIA_BENCH_SMOKE=1 FEPIA_BENCH_JSON="$sweep_json" \
-      ./build/bench/bench_sweep --benchmark_filter=NONE
+      ./build/bench/bench_sweep
     python3 tools/check_bench_json.py "$sweep_json" \
       tools/schemas/bench_sweep.schema.json
     python3 - "$sweep_json" <<'EOF'
@@ -404,7 +405,7 @@ EOF
     echo "=== [$cfg] bench_server smoke ==="
     server_json=build/BENCH_server_smoke.json
     FEPIA_BENCH_SMOKE=1 FEPIA_BENCH_JSON="$server_json" \
-      ./build/bench/bench_server --benchmark_filter=NONE
+      ./build/bench/bench_server
     python3 tools/check_bench_json.py "$server_json" \
       tools/schemas/bench_server.schema.json
     python3 - "$server_json" <<'EOF'

@@ -688,43 +688,14 @@ int runServeMode(int argc, char** argv) {
   server::ServeConfig cfg;
   std::string configPath;
   for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
-      const std::uint64_t p = argUint("--port", argv[++i]);
-      if (p > 65535) {
-        throw std::invalid_argument(std::string("bad value for --port: '") +
-                                    argv[i] + "' (expected 0..65535)");
-      }
-      cfg.port = static_cast<std::uint16_t>(p);
-    } else if (std::strcmp(argv[i], "--bind") == 0 && i + 1 < argc) {
-      cfg.bindAddress = argv[++i];
-    } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      cfg.workers = argSize("--workers", argv[++i]);
-      if (cfg.workers == 0) {
-        throw std::invalid_argument(
-            "bad value for --workers: '0' (expected a positive integer)");
-      }
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      cfg.threads = argSize("--threads", argv[++i]);
-    } else if (std::strcmp(argv[i], "--max-queue") == 0 && i + 1 < argc) {
-      cfg.maxQueue = argSize("--max-queue", argv[++i]);
-      if (cfg.maxQueue == 0) {
-        throw std::invalid_argument(
-            "bad value for --max-queue: '0' (expected a positive integer)");
-      }
-    } else if (std::strcmp(argv[i], "--max-frame") == 0 && i + 1 < argc) {
-      cfg.maxFrameBytes = argSize("--max-frame", argv[++i]);
-      if (cfg.maxFrameBytes < 16) {
-        throw std::invalid_argument(std::string(
-            "bad value for --max-frame: '") + argv[i] +
-            "' (expected at least 16)");
-      }
-    } else if (std::strcmp(argv[i], "--deadline-ms") == 0 && i + 1 < argc) {
-      cfg.defaultDeadlineMs = argUint("--deadline-ms", argv[++i]);
-    } else if (std::strcmp(argv[i], "--config") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--config") == 0 && i + 1 < argc) {
       // Applied in flag order, so flags after --config override the
       // file and flags before it are overridden — last writer wins.
       configPath = argv[++i];
       server::parseServeConfigFile(configPath, cfg);
+    } else if (i + 1 < argc &&
+               server::applyServeFlag(cfg, argv[i], argv[i + 1])) {
+      ++i;
     } else {
       return usage(argv[0]);
     }
