@@ -8,13 +8,14 @@
 //   * simulated annealing on makespan (design for speed);
 //   * simulated annealing on rho (design for robustness);
 //   * rho-greedy local search seeded by min-min.
-// Reported: the achieved rho and makespan of each strategy — the
-// robustness-aware searches should dominate on rho while conceding some
-// makespan, quantifying what the metric buys as an objective.
+// Reported: the achieved rho and makespan of each strategy, which shows
+// what the metric buys as an objective. Designing for rho need not cost
+// makespan: in lo-lo the rho-greedy local search also ends fastest.
 //
-// Checked (exit status 1 on a miss), per regime: a rho-targeted search
-// ends with the largest radius, and annealing on rho ends with a larger
-// radius than annealing on makespan.
+// Checked (exit status 1 on a miss), per regime: the rho-greedy local
+// search ends with the largest radius (so a rho-targeted search does),
+// and annealing on rho ends with a larger radius than annealing on
+// makespan.
 #include <algorithm>
 #include <iostream>
 
@@ -31,6 +32,7 @@ int main() {
   std::cout << "=== SEARCH: designing allocations for robustness ===\n\n";
 
   bool rhoTargetedLargest = true;
+  bool localSearchLargest = true;
   bool annealFollowsObjective = true;
   for (const auto het : {etc::Heterogeneity::HiHi, etc::Heterogeneity::LoLo}) {
     rng::Xoshiro256StarStar g(4242 + static_cast<std::uint64_t>(het));
@@ -71,6 +73,9 @@ int main() {
     const alloc::Allocation greedy =
         alloc::localSearch(alloc::minMin(e), e, alloc::rhoObjective(tau));
     const double localSearchRho = addRow("local search: rho", greedy);
+    localSearchLargest =
+        localSearchLargest &&
+        localSearchRho >= std::max({heuristicRho, annealMakespanRho, annealRho});
     rhoTargetedLargest =
         rhoTargetedLargest && std::max(annealRho, localSearchRho) >=
                                   std::max(heuristicRho, annealMakespanRho);
@@ -80,14 +85,20 @@ int main() {
     table.print(std::cout);
     std::cout << "\n";
   }
-  std::cout << "Shape check: the rho-targeted strategies end with the "
-               "largest radii; the\nmakespan-targeted ones end fastest. "
-               "Robustness is a different optimum, which\nis exactly why "
-               "the paper argues for measuring it explicitly.\n\n";
+  std::cout << "Shape check: in both regimes the rho-greedy local search "
+               "ends with the largest\nradius, and annealing on rho ends "
+               "with a larger radius than annealing on\nmakespan. Neither "
+               "annealing run wins its own column: annealing on rho stays\n"
+               "below the best heuristic's radius, and annealing on makespan "
+               "never ends\nfastest. Robustness is an optimum of its own, "
+               "which is why the paper argues\nfor measuring it "
+               "explicitly.\n\n";
 
   return checkClaims(
       {{rhoTargetedLargest,
         "SEARCH: a rho-targeted strategy ends with the largest radius"},
+       {localSearchLargest,
+        "SEARCH: the rho-greedy local search ends with the largest radius"},
        {annealFollowsObjective,
         "SEARCH: annealing on rho beats annealing on makespan on rho"}});
 }

@@ -8,10 +8,12 @@
 // the SAME ensemble of random-walk and burst load traces (common random
 // numbers), and record violation fraction and time to first violation.
 //
-// Expected shape: survival statistics are monotone in rho — larger radii
-// violate less often and later, under both trace models. The radius is a
-// worst-direction quantity, so it is a conservative but correctly
-// ordered predictor of lifetime.
+// Expected shape: larger radii violate less often under both trace
+// models, and later under the random walk. The burst median
+// time-to-violation is taken only over the traces that still violate,
+// so it need not grow (it dips between factors 1.25 and 1.5). The
+// radius is a worst-direction quantity, so it is a conservative but
+// correctly ordered predictor of how often a load trace violates.
 //
 // Checked (exit status 1 on a miss): down the table rho never falls,
 // neither violation fraction ever rises, and the random-walk median
@@ -93,10 +95,12 @@ int main() {
   }
   table.print(std::cout);
   std::cout
-      << "\nShape check: rho grows down the table and both violation "
-         "fractions fall\n(median time-to-violation grows among the traces "
-         "that still violate). The\nstatic radius orders dynamic lifetimes "
-         "correctly under both stochastic models.\n\n";
+      << "\nShape check: rho grows down the table until it levels off "
+         "at factor 1.5, and\nneither violation fraction rises. The "
+         "random-walk median time-to-violation\ngrows with rho; the burst "
+         "median need not (it is taken over the traces that\nstill violate, "
+         "and it dips between factors 1.25 and 1.5). The static radius\n"
+         "orders how often both stochastic models violate.\n\n";
 
   return checkClaims(
       {{ordered,

@@ -27,27 +27,18 @@ namespace fepia::rng {
 /// Uniform integer in [0, span) for a fixed span: uniformIndex(g, 0,
 /// span - 1) with the rejection limit computed once instead of per draw,
 /// bit for bit the same sequence. Draws at or above the limit are
-/// rejected (to avoid modulo bias) and redrawn; accepts()/index() expose
-/// the two halves of one draw for callers that must notice a rejection.
+/// rejected (to avoid modulo bias) and redrawn.
 class IndexSampler {
  public:
   /// Throws std::invalid_argument when span is 0.
   explicit IndexSampler(std::uint64_t span);
 
-  [[nodiscard]] bool accepts(std::uint64_t v) const noexcept {
-    return v < limit_;
-  }
-  /// The index of an accepted raw draw v.
-  [[nodiscard]] std::uint64_t index(std::uint64_t v) const noexcept {
-    return v % span_;
-  }
-
   [[nodiscard]] std::uint64_t operator()(Xoshiro256StarStar& g) const noexcept {
     std::uint64_t v;
     do {
       v = g();
-    } while (!accepts(v));
-    return index(v);
+    } while (v >= limit_);
+    return v % span_;
   }
 
  private:

@@ -9,7 +9,9 @@
 
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace fepia::rng {
 
@@ -54,15 +56,13 @@ class Xoshiro256StarStar {
   /// independent substreams out of one seed.
   void jump() noexcept;
 
-  /// Advances the stream by count * 2^shift steps — exactly where that
-  /// many calls of operator() would leave it — in tens of microseconds:
-  /// the state transition is linear over GF(2), so the jump is x^k
-  /// modulo its characteristic polynomial, applied like jump(). Lets a
-  /// caller start a block of draws at its exact offset in one stream.
-  void discard(std::uint64_t count, unsigned shift = 0) noexcept;
-
   /// A generator `k` jumps ahead of this one (substream `k`).
   [[nodiscard]] Xoshiro256StarStar substream(unsigned k) const noexcept;
+
+  /// Substreams 0 .. count-1, each one jump past the one before: equal
+  /// to substream(k) for every k, in count jumps instead of count²/2.
+  [[nodiscard]] std::vector<Xoshiro256StarStar> substreams(
+      std::size_t count) const;
 
   friend bool operator==(const Xoshiro256StarStar&,
                          const Xoshiro256StarStar&) = default;

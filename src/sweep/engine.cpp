@@ -198,15 +198,12 @@ class Evaluator {
   }
 
   /// Estimator options for the estimate cached under `key`: the spec's
-  /// sample count and a content-derived seed. The surface and both caches
-  /// keep only the polished radius and its classification count; the
-  /// bootstrap CI comes after both and moves neither, so it is skipped.
+  /// sample count and a content-derived seed.
   [[nodiscard]] validate::EstimatorOptions estimatorOptions(
       const std::string& key) const {
     validate::EstimatorOptions eo;
     eo.directions = spec_.samples;
     eo.seed = deriveSeed(spec_.seed, key);
-    eo.bootstrapResamples = 0;
     return eo;
   }
 

@@ -11,7 +11,6 @@
 #include "obs/span.hpp"
 #include "rng/distributions.hpp"
 #include "stats/ecdf.hpp"
-#include "validate/bootstrap.hpp"
 
 namespace fepia::validate {
 
@@ -150,16 +149,16 @@ class SingleLaneProbe {
 /// combined and the wider one wins:
 ///
 ///  * reflected (basic) bootstrap of the minimum: m - (q_hi - m), with
-///    q_hi the upper bootstrap quantile of resampled minima — captures
-///    the resampling spread, but cannot see past the sample;
+///    q_hi the upper quantile of the exact bootstrap law of the sample
+///    minimum (bootstrapMinimumQuantile) — captures the resampling
+///    spread, but cannot see past the sample;
 ///  * Robson-Whitlock endpoint extrapolation: m - (d2 - m) * c / (1 - c)
 ///    for tail mass c, with d2 the second-smallest distance — the
 ///    spacing of the lowest order statistics scales with the directional
 ///    minimum's bias (which grows with dimension), so this reaches below
 ///    the sample where the bootstrap cannot.
-stats::Interval minimumCI(const std::vector<double>& finite, double m,
-                          const EstimatorOptions& opts,
-                          parallel::ThreadPool* pool) {
+stats::Interval minimumCI(std::vector<double> finite, double m,
+                          const EstimatorOptions& opts) {
   if (finite.size() < 2) {
     return stats::Interval{m, m};
   }
@@ -174,18 +173,7 @@ stats::Interval minimumCI(const std::vector<double>& finite, double m,
   }
   const double tail = 0.5 * (1.0 - opts.confidence);
   const double spacing = (d2 - m) * (1.0 - tail) / tail;
-
-  double spread = 0.0;
-  if (opts.bootstrapResamples > 0) {
-    std::vector<double> mins(opts.bootstrapResamples);
-    bootstrapMinima(
-        rng::Xoshiro256StarStar(
-            rng::SplitMix64(opts.seed ^ 0xB007B007ull).next()),
-        finite.size(), finite.size(),
-        [&finite](std::uint64_t i) { return finite[i]; }, mins, pool);
-    std::sort(mins.begin(), mins.end());
-    spread = stats::quantile(mins, 1.0 - tail) - m;
-  }
+  const double spread = bootstrapMinimumQuantile(std::move(finite), tail) - m;
   return stats::Interval{std::max(0.0, m - std::max(spread, spacing)), m};
 }
 
@@ -390,10 +378,10 @@ class Polish {
 /// The estimator core, shared by every public overload. Builds one
 /// block predicate per chunk (plus a serial one), runs the chunks'
 /// lockstep march/bisection — in parallel when a pool is given — and
-/// reduces in direction order. The bootstrap runs on the pool too, in
-/// blocks; the polish search is serial, its ladder blocks classified as
-/// `dispatch` says. One-point probes go to `serialClassifier` when it is
-/// set (the classifier behind the serial predicate).
+/// reduces in direction order. The polish search is serial, its ladder
+/// blocks classified as `dispatch` says. One-point probes go to
+/// `serialClassifier` when it is set (the classifier behind the serial
+/// predicate).
 EmpiricalEstimate runEstimator(const BlockPredicateFactory& factory,
                                const la::Vector& origin,
                                const EstimatorOptions& opts,
@@ -432,10 +420,11 @@ EmpiricalEstimate runEstimator(const BlockPredicateFactory& factory,
 
   FEPIA_SPAN_ARG("validate.estimate", "directions", opts.directions);
 
-  const rng::Xoshiro256StarStar base(opts.seed);
+  const std::vector<rng::Xoshiro256StarStar> streams =
+      rng::Xoshiro256StarStar(opts.seed).substreams(chunks);
   const auto runChunk = [&](std::size_t c) {
     FEPIA_SPAN_ARG("validate.chunk", "chunk", c);
-    rng::Xoshiro256StarStar g = base.substream(static_cast<unsigned>(c));
+    rng::Xoshiro256StarStar g = streams[c];
     const std::size_t first = c * opts.chunkSize;
     const std::size_t last = std::min(first + opts.chunkSize, opts.directions);
     const std::size_t count = last - first;
@@ -532,7 +521,7 @@ EmpiricalEstimate runEstimator(const BlockPredicateFactory& factory,
       est.classifications += polish.probes();
       est.speculativeProbes = polish.speculative();
     }
-    est.ci = minimumCI(finite, est.radius, opts, pool);
+    est.ci = minimumCI(std::move(finite), est.radius, opts);
   }
 
   if (opts.metrics != nullptr) {
@@ -647,6 +636,26 @@ EmpiricalEstimate estimateEmpiricalRadius(const feature::FeatureSet& phi,
                   est.classifyStats.doubleFallbacks);
   }
   return est;
+}
+
+double bootstrapMinimumQuantile(std::vector<double> sample, double tail) {
+  if (sample.empty()) {
+    throw std::invalid_argument("validate: empty bootstrap sample");
+  }
+  if (!(tail > 0.0 && tail < 1.0)) {
+    throw std::invalid_argument("validate: bootstrap tail must lie in (0, 1)");
+  }
+  // With c = #{d <= x}, P*(min* > x) = (1 - c/N)^N falls with c, so the
+  // quantile is the r-th smallest value, r the smallest c with
+  // (1 - c/N)^N <= tail: that value is the smallest x with c >= r, ties
+  // included. r depends on N and tail alone, and (1 - c/N)^N <= e^-c
+  // keeps it at most ceil(ln(1/tail)); at c = N the power is 0.
+  const double n = static_cast<double>(sample.size());
+  std::size_t r = 1;
+  while (std::exp(n * std::log1p(-static_cast<double>(r) / n)) > tail) ++r;
+  const auto rth = sample.begin() + static_cast<std::ptrdiff_t>(r - 1);
+  std::nth_element(sample.begin(), rth, sample.end());
+  return *rth;
 }
 
 double violationFraction(const EmpiricalEstimate& est, double r) {

@@ -8,22 +8,21 @@
 // first safe/violating transition along each ray by geometric march +
 // bisection on the safe-region membership predicate, and estimate the
 // empirical robustness radius as the smallest directional boundary
-// distance, with a bootstrap confidence interval.
+// distance, with a confidence interval read off the same sample.
 //
 // Determinism contract: for a fixed seed the result is bit-identical
 // regardless of thread count. Directions are partitioned into fixed-size
 // chunks; chunk c draws from substream c of the seed generator
 // (xoshiro256** jump-ahead), every direction's result lands in a
 // preallocated slot indexed by direction id, and all reductions run over
-// those slots in index order after the parallel phase. The bootstrap
-// runs on the pool too, with the serial bits: its resamples go in blocks
-// that each start at their exact offset of the one bootstrap stream
-// (validate/bootstrap.hpp). The polish's pattern search runs serially
-// after the parallel phase. It stops a candidate ray as soon as the ray
-// can no longer beat the best distance so far, and classifies each
-// candidate's doubling ladder as one block: in one call for the
-// FeatureSet overload, split across the pool for the predicate
-// overloads. Every verdict of a rung is the one the serial loop would
+// those slots in index order after the parallel phase. The interval's
+// bootstrap term is the exact law of the resampled minimum
+// (bootstrapMinimumQuantile), so it draws no random numbers at all. The
+// polish's pattern search runs serially after the parallel phase. It
+// stops a candidate ray as soon as the ray can no longer beat the best
+// distance so far, and classifies each candidate's doubling ladder as
+// one block: in one call for the FeatureSet overload, split across the
+// pool for the predicate overloads. Every verdict of a rung is the one the serial loop would
 // see, so the search takes the same path at any thread count.
 //
 // Within a chunk the rays advance in lockstep: each round gathers every
@@ -112,12 +111,8 @@ struct EstimatorOptions {
   /// pool, so it does not affect the thread-count invariance. 0
   /// disables.
   std::size_t polishSweeps = 48;
-  /// Bootstrap confidence level for the radius interval.
+  /// Confidence level for the radius interval.
   double confidence = 0.95;
-  /// Bootstrap resamples for the interval. 0 skips the bootstrap; the
-  /// interval's lower end is then the spacing term alone, and no other
-  /// field of the estimate changes.
-  std::size_t bootstrapResamples = 1000;
   /// Classification kernel for the FeatureSet overload: Batched (the
   /// SoA engine, default), BatchedF32 (certified float32 pre-pass), or
   /// Scalar (point-at-a-time reference). Every mode produces the same
@@ -226,6 +221,19 @@ struct EmpiricalEstimate {
 [[nodiscard]] EmpiricalEstimate estimateEmpiricalRadius(
     const feature::FeatureSet& phi, const la::Vector& origin,
     const EstimatorOptions& opts = {}, parallel::ThreadPool* pool = nullptr);
+
+/// The (1 - tail) quantile of the exact bootstrap law of the minimum of
+/// `sample` (finite values): resampling its N values with replacement
+/// gives P*(min* > x) = (#{d > x}/N)^N, and the quantile is the smallest
+/// sample value x with P*(min* > x) <= tail — the left-continuous
+/// inverse of the law's CDF, which Monte-Carlo resampling approaches as
+/// the resample count grows. That is the r-th smallest value for a rank
+/// r that depends on N and tail alone (4 at tail 0.025 once N >= 9), so
+/// it costs one O(N) selection and no random numbers.
+/// Throws std::invalid_argument when `sample` is empty or `tail` lies
+/// outside (0, 1).
+[[nodiscard]] double bootstrapMinimumQuantile(std::vector<double> sample,
+                                              double tail);
 
 /// Fraction of probe directions already violating at distance `r` — the
 /// empirical robustness-degradation function, read off the ECDF of the

@@ -81,7 +81,6 @@ validate::EstimatorOptions smallEstimator() {
   validate::EstimatorOptions opts;
   opts.directions = 16;
   opts.seed = 0xFA117E57ull;
-  opts.bootstrapResamples = 200;
   return opts;
 }
 

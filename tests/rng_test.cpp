@@ -41,6 +41,19 @@ TEST(RngXoshiro, SubstreamsAreIndependentOfDrawOrder) {
   EXPECT_EQ(equal, 0);
 }
 
+TEST(RngXoshiro, SubstreamsMatchSubstreamByIndex) {
+  // The estimator builds its chunk generators one jump apart, before
+  // the parallel phase; each must be the substream(k) it replaces.
+  const rng::Xoshiro256StarStar base(0x5EEDD1CEull);
+  const std::vector<rng::Xoshiro256StarStar> streams = base.substreams(128);
+  ASSERT_EQ(streams.size(), 128u);
+  for (const unsigned k : {0u, 1u, 127u}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    EXPECT_TRUE(streams[k] == base.substream(k));
+  }
+  EXPECT_TRUE(base.substreams(0).empty());
+}
+
 TEST(RngDistributions, Uniform01InRange) {
   rng::Xoshiro256StarStar g(5);
   for (int i = 0; i < 10000; ++i) {
@@ -149,54 +162,6 @@ TEST(RngDistributions, NonnegativeSphereIsNonnegative) {
     const auto x = rng::unitSphereNonnegative(g, 4);
     for (double v : x) EXPECT_GE(v, 0.0);
   }
-}
-
-TEST(RngXoshiro, DiscardEqualsRepeatedSteps) {
-  for (const std::uint64_t k :
-       {0ull, 1ull, 2ull, 63ull, 64ull, 255ull, 256ull, 257ull, 1000003ull}) {
-    rng::Xoshiro256StarStar stepped(0xD15CA4Dull);
-    for (std::uint64_t i = 0; i < k; ++i) (void)stepped();
-    rng::Xoshiro256StarStar jumped(0xD15CA4Dull);
-    jumped.discard(k);
-    SCOPED_TRACE("k=" + std::to_string(k));
-    EXPECT_TRUE(jumped == stepped);
-    EXPECT_EQ(jumped(), stepped());
-  }
-}
-
-TEST(RngXoshiro, DiscardComposesAndScales) {
-  // discard(a) then discard(b) is discard(a + b); the shift argument
-  // multiplies by 2^shift.
-  rng::Xoshiro256StarStar a(41);
-  a.discard(123456789);
-  a.discard(987654321);
-  rng::Xoshiro256StarStar b(41);
-  b.discard(123456789ull + 987654321ull);
-  EXPECT_TRUE(a == b);
-
-  rng::Xoshiro256StarStar c(42);
-  c.discard(3, 20);
-  rng::Xoshiro256StarStar d(42);
-  d.discard(3ull << 20);
-  EXPECT_TRUE(c == d);
-}
-
-TEST(RngXoshiro, DiscardByTwoTo128IsJump) {
-  // The characteristic polynomial behind discard() reproduces the
-  // published jump polynomial x^(2^128).
-  for (const std::uint64_t seed : {1ull, 99ull, 0xFEEDull}) {
-    rng::Xoshiro256StarStar jumped(seed);
-    jumped.jump();
-    rng::Xoshiro256StarStar discarded(seed);
-    discarded.discard(1, 128);
-    EXPECT_TRUE(discarded == jumped);
-  }
-  rng::Xoshiro256StarStar twice(7);
-  twice.jump();
-  twice.jump();
-  rng::Xoshiro256StarStar viaShift(7);
-  viaShift.discard(2, 128);
-  EXPECT_TRUE(viaShift == twice);
 }
 
 TEST(RngDistributions, IndexSamplerMatchesUniformIndex) {

@@ -47,7 +47,6 @@ validate::EstimatorOptions baseOptions(std::uint64_t seed,
   opts.chunkSize = chunkSize;
   opts.seed = 0x5EEDull ^ seed;
   opts.polishSweeps = 6;
-  opts.bootstrapResamples = 32;
   return opts;
 }
 

@@ -4,12 +4,11 @@
 // reductions).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <memory>
-#include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -18,8 +17,6 @@
 #include "la/matrix.hpp"
 #include "parallel/thread_pool.hpp"
 #include "radius/rho.hpp"
-#include "rng/distributions.hpp"
-#include "validate/bootstrap.hpp"
 #include "validate/empirical.hpp"
 #include "validate/scheme.hpp"
 
@@ -30,7 +27,6 @@ namespace perturb = fepia::perturb;
 namespace parallel = fepia::parallel;
 namespace la = fepia::la;
 namespace units = fepia::units;
-namespace rng = fepia::rng;
 
 namespace {
 
@@ -149,11 +145,10 @@ validate::EstimatorOptions tailOptions() {
 }  // namespace
 
 TEST(ValidateDeterminism, TailIsThreadCountInvariantAndPinned) {
-  // The tail on pools of 1, 2, 3 and 8 threads: bootstrap blocks, for
-  // the per-point and the kernel overloads. Every run must equal the
-  // serial one, and the serial one must equal pinned bits of the
-  // polish and the single-stream bootstrap loop: comparing pools with
-  // no pool cannot catch a change both paths share.
+  // The tail on pools of 1, 2, 3 and 8 threads, for the per-point and
+  // the kernel overloads. Every run must equal the serial one, and the
+  // serial one must equal pinned bits of the polish and the interval:
+  // comparing pools with no pool cannot catch a change both paths share.
   struct Pinned {
     bool nonnegative;
     double radius, lo;
@@ -189,138 +184,42 @@ TEST(ValidateDeterminism, TailIsThreadCountInvariantAndPinned) {
   }
 }
 
-TEST(ValidateDeterminism, BootstrapResamplesMoveOnlyTheCI) {
-  // The bootstrap runs after the march and the polish and reads only the
-  // finished sample, so turning it off (as the sweep engine does) must
-  // leave every other field bit-identical, for each overload and on a
-  // pool as well as serially.
-  const feature::FeatureSet phi = makeFeatureSet();
-  const la::Vector orig{0.5, 0.5, 0.5};
-  const validate::IndexedSafePredicate indexed = pointPredicate(phi);
-  const validate::BlockSafePredicate block =
-      [&phi, scratch = la::Vector(3)](const la::PointBlock& b,
-                                      std::span<const std::size_t>,
-                                      std::span<std::uint8_t> safeOut) mutable {
-        for (std::size_t l = 0; l < b.lanes(); ++l) {
-          b.gatherPoint(l, scratch.span());
-          safeOut[l] = phi.allWithinBounds(scratch) ? 1 : 0;
-        }
-      };
-  const auto run = [&](int overload, std::size_t resamples,
-                       parallel::ThreadPool* pool) {
-    validate::EstimatorOptions opts = tailOptions();
-    opts.bootstrapResamples = resamples;
-    switch (overload) {
-      case 0:
-        return validate::estimateEmpiricalRadius(phi, orig, opts, pool);
-      case 1:
-        return validate::estimateEmpiricalRadius(block, orig, opts, pool);
-      default:
-        return validate::estimateEmpiricalRadius(indexed, orig, opts, pool);
-    }
+TEST(ValidateDeterminism, BootstrapTermSetsTheLowerEndAndIsPinned) {
+  // On the line every direction is exactly +1 or -1, so a ray's probes
+  // and its bisected distance depend only on its bound. Directions 0
+  // and 1 share bound 1 and tie at the sample minimum m: the spacing
+  // term is 0 and the lower end is the reflected bootstrap m - (q - m).
+  // With 64 distances q is the fourth smallest, direction 3's: the law
+  // leaves (61/64)^64 = 0.046 above the third and (60/64)^64 = 0.016
+  // above the fourth.
+  const validate::IndexedSafePredicate safe = [](const la::Vector& x,
+                                                 std::size_t dir) {
+    const double bound =
+        dir < 2 ? 1.0 : 1.0 + 0.001 * static_cast<double>(dir);
+    return std::fabs(x[0]) < bound;
   };
-  parallel::ThreadPool pool(3);
-  for (const int overload : {0, 1, 2}) {
-    for (parallel::ThreadPool* p : {static_cast<parallel::ThreadPool*>(nullptr),
-                                    &pool}) {
-      SCOPED_TRACE("overload=" + std::to_string(overload) +
-                   (p != nullptr ? " pool" : " serial"));
-      const auto with = run(overload, 1000, p);
-      const auto without = run(overload, 0, p);
-      ASSERT_TRUE(with.finite());
-      EXPECT_LT(with.radius, with.distanceSummary.min);  // polish moved it
-      EXPECT_TRUE(sameBits(with.radius, without.radius));
-      EXPECT_EQ(with.criticalDirection, without.criticalDirection);
-      EXPECT_EQ(with.classifications, without.classifications);
-      EXPECT_EQ(with.boundaryHits, without.boundaryHits);
-      EXPECT_EQ(with.speculativeProbes, without.speculativeProbes);
-      ASSERT_EQ(with.distances.size(), without.distances.size());
-      EXPECT_EQ(std::memcmp(with.distances.data(), without.distances.data(),
-                            with.distances.size() * sizeof(double)),
-                0);
-      // Only the interval's lower end may differ: the bootstrap can only
-      // widen it.
-      EXPECT_TRUE(sameBits(with.ci.hi, without.ci.hi));
-      EXPECT_LE(with.ci.lo, without.ci.lo);
-    }
-  }
-}
-
-namespace {
-
-/// bootstrapMinima with a synthetic value per index, serially and on a
-/// pool; also returns the position of the first rejected raw draw in
-/// the stream (none when every draw is accepted).
-struct BootstrapRun {
-  std::vector<double> serial;
-  std::vector<double> pooled;
-  std::optional<std::size_t> firstRejection;
-};
-
-BootstrapRun runBootstrap(std::uint64_t span, std::size_t draws,
-                          std::size_t resamples, std::size_t threads) {
-  const rng::Xoshiro256StarStar start(0xB007ull);
-  const auto valueAt = [](std::uint64_t i) {
-    return static_cast<double>(i % 1000003u);
-  };
-  BootstrapRun run;
-  run.serial.assign(resamples, -1.0);
-  run.pooled.assign(resamples, -1.0);
-  validate::bootstrapMinima(start, draws, span, valueAt, run.serial, nullptr);
-  parallel::ThreadPool pool(threads);
-  validate::bootstrapMinima(start, draws, span, valueAt, run.pooled, &pool);
-
-  const rng::IndexSampler pick(span);
-  rng::Xoshiro256StarStar g = start;
-  for (std::size_t i = 0; i < resamples * draws; ++i) {
-    if (!pick.accepts(g())) {
-      run.firstRejection = i;
-      break;
-    }
-  }
-  return run;
-}
-
-}  // namespace
-
-TEST(ValidateDeterminism, BootstrapBlocksMatchSerialLoop) {
-  // Realistic spans: no rejection, every block at its jump-ahead offset.
-  for (const std::size_t n : {2u, 37u, 16000u}) {
-    for (const std::size_t threads : {2u, 3u, 8u}) {
-      const BootstrapRun run = runBootstrap(n, n, 1000, threads);
-      SCOPED_TRACE("n=" + std::to_string(n) +
-                   " threads=" + std::to_string(threads));
-      EXPECT_FALSE(run.firstRejection.has_value());
-      EXPECT_EQ(std::memcmp(run.serial.data(), run.pooled.data(),
-                            run.serial.size() * sizeof(double)),
-                0);
-    }
-  }
-}
-
-TEST(ValidateDeterminism, BootstrapRejectionFallsBackToSerialLoop) {
-  // Index bounds near 2^63 make rejected draws common: with span
-  // 2^63 + 1 nearly half the draws are rejected, so the very first
-  // block falls back; with span (2^64 - 1) / 3 - 2^52 about one draw in
-  // 1400 is, so several blocks finish before the first rejection shifts
-  // the offsets of the rest.
-  const std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
-  struct Case {
-    std::uint64_t span;
-    bool midStream;
-  };
-  for (const Case c : {Case{(std::uint64_t{1} << 63) + 1, false},
-                       Case{kMax / 3 - (std::uint64_t{1} << 52), true}}) {
-    const std::size_t draws = 8;
-    const BootstrapRun run = runBootstrap(c.span, draws, 1000, 3);
-    SCOPED_TRACE("span=" + std::to_string(c.span));
-    ASSERT_TRUE(run.firstRejection.has_value());
-    if (c.midStream) {
-      EXPECT_GE(*run.firstRejection, validate::kBootstrapBlock * draws);
-    }
-    EXPECT_EQ(std::memcmp(run.serial.data(), run.pooled.data(),
-                          run.serial.size() * sizeof(double)),
-              0);
-    for (const double m : run.pooled) EXPECT_GE(m, 0.0);  // all written
+  validate::EstimatorOptions opts;
+  opts.directions = 64;
+  opts.chunkSize = 16;
+  opts.seed = 0x71Eull;
+  opts.horizon = 8.0;
+  opts.polishSweeps = 0;
+  const la::Vector orig{0.0};
+  const auto serial = validate::estimateEmpiricalRadius(safe, orig, opts);
+  std::vector<double> sorted = serial.distances;
+  std::sort(sorted.begin(), sorted.end());
+  ASSERT_TRUE(sameBits(sorted[0], sorted[1]));
+  ASSERT_LT(sorted[2], sorted[3]);
+  EXPECT_TRUE(sameBits(serial.distances[3], sorted[3]));
+  const double m = serial.radius;
+  EXPECT_TRUE(sameBits(m, sorted[0]));
+  EXPECT_TRUE(sameBits(serial.ci.lo, m - (sorted[3] - m)));
+  EXPECT_TRUE(sameBits(serial.ci.lo, 0x1.fe76c8b439584p-1));
+  EXPECT_TRUE(sameBits(serial.ci.hi, m));
+  for (const std::size_t threads : {2u, 3u}) {
+    parallel::ThreadPool pool(threads);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expectIdentical(serial,
+                    validate::estimateEmpiricalRadius(safe, orig, opts, &pool));
   }
 }

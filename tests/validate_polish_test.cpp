@@ -27,7 +27,6 @@
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
 #include "stats/descriptive.hpp"
-#include "validate/bootstrap.hpp"
 #include "validate/empirical.hpp"
 
 namespace validate = fepia::validate;
@@ -207,17 +206,22 @@ class Oracle {
     }
     const double tail = 0.5 * (1.0 - opts_.confidence);
     const double spacing = (d2 - m) * (1.0 - tail) / tail;
-    double spread = 0.0;
-    if (opts_.bootstrapResamples > 0) {
-      std::vector<double> mins(opts_.bootstrapResamples);
-      validate::bootstrapMinima(
-          rng::Xoshiro256StarStar(
-              rng::SplitMix64(opts_.seed ^ 0xB007B007ull).next()),
-          finite.size(), finite.size(),
-          [&finite](std::uint64_t i) { return finite[i]; }, mins, nullptr);
-      std::sort(mins.begin(), mins.end());
-      spread = stats::quantile(mins, 1.0 - tail) - m;
+    // The exact bootstrap law of the minimum over the fully sorted
+    // sample: the first value x with (#{d > x}/N)^N <= tail.
+    std::vector<double> sorted = finite;
+    std::sort(sorted.begin(), sorted.end());
+    const double n = static_cast<double>(sorted.size());
+    double q = sorted.back();
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+      const auto above = static_cast<double>(
+          sorted.end() -
+          std::upper_bound(sorted.begin(), sorted.end(), sorted[i]));
+      if (std::exp(n * std::log1p(-(n - above) / n)) <= tail) {
+        q = sorted[i];
+        break;
+      }
     }
+    const double spread = q - m;
     return stats::Interval{std::max(0.0, m - std::max(spread, spacing)), m};
   }
 
@@ -304,7 +308,6 @@ struct Config {
     opts.chunkSize = chunkSize;
     opts.seed = 0x9011511ull;
     opts.horizon = horizon;
-    opts.bootstrapResamples = 200;
     opts.nonnegativeDirections = nonnegative;
     return opts;
   }

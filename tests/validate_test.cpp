@@ -4,16 +4,22 @@
 // quadratic (Figure 1 curved boundary) systems.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "feature/linear.hpp"
 #include "feature/quadratic.hpp"
 #include "la/geometry.hpp"
 #include "la/matrix.hpp"
 #include "radius/fepia.hpp"
+#include "rng/distributions.hpp"
+#include "rng/xoshiro.hpp"
 #include "units/unit.hpp"
 #include "validate/empirical.hpp"
 #include "support/tolerances.hpp"
@@ -26,6 +32,7 @@ namespace radius = fepia::radius;
 namespace perturb = fepia::perturb;
 namespace la = fepia::la;
 namespace units = fepia::units;
+namespace rng = fepia::rng;
 
 namespace {
 
@@ -174,6 +181,114 @@ TEST(EmpiricalRadius, ViolationFractionIsZeroBelowRadiusAndMonotonic) {
     prev = f;
   }
   EXPECT_GT(prev, 0.0);
+}
+
+namespace {
+
+/// P*(min* <= x) under the exact bootstrap law: 1 - (#{d > x}/N)^N.
+double resampledMinimumCdf(const std::vector<double>& sample, double x) {
+  const double n = static_cast<double>(sample.size());
+  const auto above = std::count_if(sample.begin(), sample.end(),
+                                   [x](double d) { return d > x; });
+  return 1.0 - std::pow(static_cast<double>(above) / n, n);
+}
+
+}  // namespace
+
+TEST(BootstrapMinimum, QuantileIsTheClosedFormOnDistinctValues) {
+  // Distinct values 10, 10.5, 11, ... in shuffled order; the quantile is
+  // the value of rank r, r the smallest c with (1 - c/N)^N <= tail. At
+  // tail 0.005 the finite-N law stops at rank 5 for N = 37 where the
+  // e^-c bound (and N = 16000) needs rank 6.
+  struct Case {
+    std::size_t n;
+    double tail;
+    std::size_t rank;
+  };
+  for (const Case c : {Case{2, 0.025, 2}, Case{3, 0.025, 3},
+                       Case{37, 0.025, 4}, Case{16000, 0.025, 4},
+                       Case{37, 0.005, 5}, Case{16000, 0.005, 6},
+                       Case{3, 0.3, 1}, Case{37, 0.3, 2}}) {
+    std::vector<double> sample(c.n);
+    for (std::size_t i = 0; i < c.n; ++i) {
+      sample[i] = 10.0 + 0.5 * static_cast<double>(i);
+    }
+    rng::Xoshiro256StarStar g(c.n);
+    std::shuffle(sample.begin(), sample.end(), g);
+    SCOPED_TRACE("n=" + std::to_string(c.n) +
+                 " tail=" + std::to_string(c.tail));
+    EXPECT_EQ(validate::bootstrapMinimumQuantile(sample, c.tail),
+              10.0 + 0.5 * static_cast<double>(c.rank - 1));
+  }
+}
+
+TEST(BootstrapMinimum, EqualValuesCountAsOneStep) {
+  const auto withHead = [](std::vector<double> head) {
+    std::vector<double> sample = std::move(head);
+    for (int i = 0; sample.size() < 37; ++i) sample.push_back(20.0 + i);
+    std::reverse(sample.begin(), sample.end());
+    return sample;
+  };
+  // Three copies of the minimum leave (34/37)^37 = 0.044 above it, so
+  // the quantile is the next value; four copies leave 0.015.
+  EXPECT_EQ(validate::bootstrapMinimumQuantile(withHead({1, 1, 1}), 0.025),
+            20.0);
+  EXPECT_EQ(validate::bootstrapMinimumQuantile(withHead({1, 1, 1, 1}), 0.025),
+            1.0);
+  // Ties across the fourth smallest value, where the selection splits.
+  EXPECT_EQ(validate::bootstrapMinimumQuantile(withHead({1, 2, 2, 2, 2}), 0.025),
+            2.0);
+  EXPECT_EQ(validate::bootstrapMinimumQuantile(std::vector<double>(16000, 5.0),
+                                               0.025),
+            5.0);
+  EXPECT_EQ(validate::bootstrapMinimumQuantile({7.0}, 0.025), 7.0);
+}
+
+TEST(BootstrapMinimum, MatchesBruteForceResampling) {
+  // The Monte-Carlo bootstrap the exact law replaces: B resampled minima
+  // of N draws each, serially from one stream. Its empirical CDF must
+  // match the law within 5 binomial standard errors at every value it
+  // can take near the quantile, and its quantile must be the law's
+  // (F = 0.956 and 0.985 on either side of 0.975 are ~12 errors away).
+  const std::size_t n = 40;
+  const std::size_t resamples = 20000;
+  std::vector<double> sample{1.0, 1.5, 1.5};
+  for (std::size_t i = 3; i < n; ++i) {
+    sample.push_back(1.0 + 0.5 * static_cast<double>(i - 1));
+  }
+  std::reverse(sample.begin(), sample.end());
+  rng::Xoshiro256StarStar g(0xB007ull);
+  std::vector<double> mins(resamples);
+  for (double& best : mins) {
+    best = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < n; ++i) {
+      best = std::min(best, sample[rng::uniformIndex(g, 0, n - 1)]);
+    }
+  }
+  const double tail = 0.025;
+  double mcQuantile = std::numeric_limits<double>::infinity();
+  for (const double x : {1.0, 1.5, 2.0, 2.5, 3.0}) {
+    const double f = resampledMinimumCdf(sample, x);
+    const double fHat =
+        static_cast<double>(std::count_if(mins.begin(), mins.end(),
+                                          [x](double m) { return m <= x; })) /
+        static_cast<double>(resamples);
+    const double se = std::sqrt(f * (1.0 - f) / static_cast<double>(resamples));
+    EXPECT_NEAR(fHat, f, 5.0 * se + 1e-12) << "x=" << x;
+    if (fHat >= 1.0 - tail) mcQuantile = std::min(mcQuantile, x);
+  }
+  EXPECT_EQ(mcQuantile, 2.0);
+  EXPECT_EQ(validate::bootstrapMinimumQuantile(sample, tail), mcQuantile);
+}
+
+TEST(BootstrapMinimum, RejectsBadInputs) {
+  EXPECT_THROW((void)validate::bootstrapMinimumQuantile({}, 0.025),
+               std::invalid_argument);
+  for (const double tail :
+       {0.0, 1.0, -0.5, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW((void)validate::bootstrapMinimumQuantile({1.0, 2.0}, tail),
+                 std::invalid_argument);
+  }
 }
 
 TEST(SchemeValidation, LinearExampleAgreesWithNormalizedClosedForm) {

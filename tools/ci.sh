@@ -137,6 +137,27 @@ assert docs[0] == docs[1], "fault-sim results differ across thread counts"
 print("fepia_cli fault-sim smoke OK")
 EOF2
 
+    # validate --hiperd smoke: every row's radius, counts and CI bits
+    # must be the same at 1 and 8 threads (results compared minus the
+    # manifest, which echoes the thread count).
+    echo "=== [$cfg] fepia_cli validate --hiperd thread smoke ==="
+    for t in 1 8; do
+      ./build/tools/fepia_cli validate --hiperd \
+        examples/data/fusion_pipeline.hiperd --samples 512 --seed 7 \
+        --threads "$t" --json "build/validate_hiperd_t$t.json" >/dev/null
+    done
+    python3 - build/validate_hiperd_t1.json build/validate_hiperd_t8.json <<'EOF2'
+import json, sys
+docs = []
+for path in sys.argv[1:3]:
+    with open(path) as f:
+        d = json.load(f)
+    d.pop("manifest")
+    docs.append(d)
+assert docs[0] == docs[1], "validate --hiperd results differ across thread counts"
+print("fepia_cli validate --hiperd thread smoke OK")
+EOF2
+
     echo "=== [$cfg] bench_empirical_radius smoke ==="
     val_json=build/BENCH_validation_smoke.json
     FEPIA_BENCH_SMOKE=1 FEPIA_BENCH_JSON="$val_json" \
