@@ -85,25 +85,34 @@ double gammaMeanCov(Xoshiro256StarStar& g, double mean, double cov) {
   return gamma(g, shape, scale);
 }
 
-std::vector<double> unitSphere(Xoshiro256StarStar& g, std::size_t n) {
-  if (n == 0) throw std::invalid_argument("rng::unitSphere: n == 0");
-  std::vector<double> x(n);
+void unitSphere(Xoshiro256StarStar& g, std::span<double> out) {
+  if (out.empty()) throw std::invalid_argument("rng::unitSphere: n == 0");
   double norm = 0.0;
   do {
     norm = 0.0;
-    for (double& xi : x) {
+    for (double& xi : out) {
       xi = standardNormal(g);
       norm += xi * xi;
     }
   } while (norm == 0.0);
   norm = std::sqrt(norm);
-  for (double& xi : x) xi /= norm;
+  for (double& xi : out) xi /= norm;
+}
+
+void unitSphereNonnegative(Xoshiro256StarStar& g, std::span<double> out) {
+  unitSphere(g, out);
+  for (double& xi : out) xi = std::abs(xi);
+}
+
+std::vector<double> unitSphere(Xoshiro256StarStar& g, std::size_t n) {
+  std::vector<double> x(n);
+  unitSphere(g, std::span<double>(x));
   return x;
 }
 
 std::vector<double> unitSphereNonnegative(Xoshiro256StarStar& g, std::size_t n) {
-  std::vector<double> x = unitSphere(g, n);
-  for (double& xi : x) xi = std::abs(xi);
+  std::vector<double> x(n);
+  unitSphereNonnegative(g, std::span<double>(x));
   return x;
 }
 

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "rng/xoshiro.hpp"
@@ -64,13 +65,20 @@ class IndexSampler {
 /// (shape = 1/cov², scale = mean·cov²).
 [[nodiscard]] double gammaMeanCov(Xoshiro256StarStar& g, double mean, double cov);
 
-/// A point uniformly distributed on the unit sphere in R^n (n >= 1).
-/// Used to probe random perturbation directions in the validation DES.
-[[nodiscard]] std::vector<double> unitSphere(Xoshiro256StarStar& g, std::size_t n);
+/// Writes a point uniformly distributed on the unit sphere in R^n,
+/// n = out.size() >= 1, into `out`. Used to probe random perturbation
+/// directions; allocates nothing. Throws std::invalid_argument on an
+/// empty `out`.
+void unitSphere(Xoshiro256StarStar& g, std::span<double> out);
 
-/// A point uniform on the *nonnegative* part of the unit sphere (all
-/// coordinates >= 0) — perturbation increases only, as in Figure 1 where
-/// loads can only grow from the assumed operating point.
+/// unitSphere into `out`, folded onto the *nonnegative* part of the
+/// sphere (all coordinates >= 0) — perturbation increases only, as in
+/// Figure 1 where loads can only grow from the assumed operating point.
+void unitSphereNonnegative(Xoshiro256StarStar& g, std::span<double> out);
+
+/// The span overloads into a new vector of length n: the same draws and
+/// the same values.
+[[nodiscard]] std::vector<double> unitSphere(Xoshiro256StarStar& g, std::size_t n);
 [[nodiscard]] std::vector<double> unitSphereNonnegative(Xoshiro256StarStar& g,
                                                         std::size_t n);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -35,82 +36,183 @@ void checkOptions(const EstimatorOptions& opts) {
 /// before the parallel phase, plus once with id == chunks for the
 /// serial predicate used by the origin check and the polish (which also
 /// hands the pieces of a split ladder block to the chunk predicates).
-/// Lets the FeatureSet overload give every chunk its own BlockClassifier
-/// without the estimator knowing about classifiers.
+/// A chunk predicate gets one call per lockstep round, whose lanes are
+/// that chunk's unfinished rays in ascending direction id. Lets the
+/// FeatureSet overload give every chunk its own BlockClassifier without
+/// the estimator knowing about classifiers.
 using BlockPredicateFactory =
     std::function<BlockSafePredicate(std::size_t chunkId)>;
 
-/// One ray's march/bisection state machine. advance() consumes exactly
-/// one safe/unsafe verdict per round, replicating the per-ray scalar
-/// loop: a geometric march from horizon * 2^-40 doubling up to the
-/// horizon, then bisection of the bracketing interval, finishing at
-/// 0.5*(lo+hi) (+inf when the whole ray stays safe). Rays that leave and
-/// re-enter the safe region below the march resolution are attributed
-/// to the first crossing the march sees (the same caveat as any sampling
-/// method on a non-convex region).
-struct RayState {
-  enum class Phase { March, Bisect, Done };
+/// One chunk's rays in structure-of-arrays form, live rays first. Each
+/// ray runs the per-ray scalar loop as a state machine that consumes one
+/// safe/unsafe verdict per round: a geometric march from horizon * 2^-40
+/// doubling up to the horizon, then bisection of the bracketing
+/// interval, finishing at 0.5*(lo+hi) (+inf when the whole ray stays
+/// safe). Rays that leave and re-enter the safe region below the march
+/// resolution are attributed to the first crossing the march sees (the
+/// same caveat as any sampling method on a non-convex region).
+///
+/// Slots [0, live) hold the unfinished rays in ascending direction
+/// order; a round in which any ray finishes compacts them stably, so
+/// each round's block is filled by unit-stride loops and passes its
+/// direction ids in the order the per-ray loop would.
+class RayBatch {
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
 
-  std::vector<double> u;  ///< unit direction
-  double lo = 0.0;        ///< known safe distance
-  double hi = 0.0;        ///< known unsafe distance (once bracketed)
-  double probe = 0.0;     ///< distance to classify next round
-  std::size_t iter = 0;   ///< bisection steps taken
-  Phase phase = Phase::March;
-  double dist = std::numeric_limits<double>::infinity();
-
-  /// Schedules the next bisection probe, or finishes the ray when the
-  /// iteration budget is spent or the bracket has collapsed to double
-  /// resolution — the scalar loop's exact exit tests, checked before
-  /// each evaluation.
-  void scheduleBisect(const EstimatorOptions& opts) {
-    if (iter >= opts.bisectIterations) {
-      finish(0.5 * (lo + hi));
-      return;
-    }
-    const double mid = 0.5 * (lo + hi);
-    if (mid <= lo || mid >= hi) {
-      finish(0.5 * (lo + hi));
-      return;
-    }
-    probe = mid;
-  }
-
-  void advance(bool safe, const EstimatorOptions& opts) {
-    switch (phase) {
-      case Phase::March:
-        if (!safe) {
-          hi = probe;
-          phase = Phase::Bisect;
-          iter = 0;
-          scheduleBisect(opts);
-        } else {
-          lo = probe;
-          if (probe >= opts.horizon) {
-            finish(std::numeric_limits<double>::infinity());
-          } else {
-            probe = std::min(2.0 * probe, opts.horizon);
-          }
-        }
-        break;
-      case Phase::Bisect:
-        if (safe) {
-          lo = probe;
-        } else {
-          hi = probe;
-        }
-        ++iter;
-        scheduleBisect(opts);
-        break;
-      case Phase::Done:
-        break;
+ public:
+  /// Draws the chunk's directions first, first+1, ... from `g` up front,
+  /// in direction order: the predicate never touches the generator, so
+  /// this is the draw sequence of the per-ray loop. Finished distances
+  /// go to `distances`, one slot per ray of the chunk.
+  RayBatch(rng::Xoshiro256StarStar g, std::size_t first,
+           std::span<double> distances, const EstimatorOptions& opts,
+           std::size_t n)
+      : opts_(opts),
+        n_(n),
+        first_(first),
+        cap_(distances.size()),
+        live_(cap_),
+        distances_(distances),
+        dir_(n * cap_),
+        probe_(cap_, std::ldexp(opts.horizon, -40)),
+        lo_(cap_, 0.0),
+        hi_(cap_, 0.0),
+        iter_(cap_, 0),
+        bisecting_(cap_, 0),
+        ids_(cap_),
+        keep_(cap_) {
+    std::vector<double> u(n);
+    for (std::size_t l = 0; l < cap_; ++l) {
+      if (opts.nonnegativeDirections) {
+        rng::unitSphereNonnegative(g, u);
+      } else {
+        rng::unitSphere(g, u);
+      }
+      for (std::size_t j = 0; j < n; ++j) dir_[j * cap_ + l] = u[j];
+      ids_[l] = first + l;
     }
   }
 
-  void finish(double d) {
-    dist = d;
-    phase = Phase::Done;
+  [[nodiscard]] std::size_t live() const noexcept { return live_; }
+
+  /// Direction ids of the live rays, ascending.
+  [[nodiscard]] std::span<const std::size_t> ids() const noexcept {
+    return {ids_.data(), live_};
   }
+
+  /// Writes every live ray's next probe point into `block`.
+  void fill(la::PointBlock& block, const la::Vector& origin) const {
+    const std::size_t live = live_;
+    const double* probe = probe_.data();
+    block.setLanes(live);
+    for (std::size_t j = 0; j < n_; ++j) {
+      double* row = block.coordinate(j).data();
+      const double oj = origin[j];
+      const double* u = &dir_[j * cap_];
+      for (std::size_t l = 0; l < live; ++l) row[l] = oj + probe[l] * u[l];
+    }
+  }
+
+  /// Advances every live ray by its verdict, then drops the finished
+  /// ones, keeping the survivors' order. A verdict moves the bracket end
+  /// it names in either phase; a safe verdict while marching doubles the
+  /// probe, and any other verdict schedules the next bisection probe
+  /// unless the iteration budget is spent or the bracket has collapsed
+  /// to double resolution — the scalar loop's exact exit tests, checked
+  /// before each evaluation.
+  void advance(std::span<const std::uint8_t> verdicts) {
+    const double horizon = opts_.horizon;
+    const std::size_t budget = opts_.bisectIterations;
+    const std::size_t live = live_;
+    // Local pointers: a store through the uint8_t phase array may alias
+    // anything, so member pointers would be reloaded after each one.
+    double* probe = probe_.data();
+    double* los = lo_.data();
+    double* his = hi_.data();
+    std::size_t* iters = iter_.data();
+    std::uint8_t* phases = bisecting_.data();
+    std::size_t* ids = ids_.data();
+    std::size_t* keep = keep_.data();
+    std::size_t kept = 0;
+    for (std::size_t l = 0; l < live; ++l) {
+      const bool safe = verdicts[l] != 0;
+      const bool bisecting = phases[l] != 0;
+      const double p = probe[l];
+      const double lo = select(safe, p, los[l]);
+      const double hi = select(safe, his[l], p);
+      const std::size_t iter = bisecting ? iters[l] + 1 : 0;
+      const double mid = 0.5 * (lo + hi);
+      const bool marching = !bisecting & safe;
+      const bool done =
+          marching ? p >= horizon
+                   : (iter >= budget) | (mid <= lo) | (mid >= hi);
+      if (done) {
+        finish(l, marching ? kInf : mid);
+        continue;
+      }
+      probe[kept] = select(marching, std::min(2.0 * p, horizon), mid);
+      los[kept] = lo;
+      his[kept] = hi;
+      iters[kept] = iter;
+      phases[kept] = marching ? 0 : 1;
+      ids[kept] = ids[l];
+      keep[kept++] = l;
+    }
+    if (kept != live) {
+      for (std::size_t j = 0; j < n_; ++j) {
+        double* u = &dir_[j * cap_];
+        for (std::size_t k = 0; k < kept; ++k) u[k] = u[keep[k]];
+      }
+    }
+    live_ = kept;
+  }
+
+  /// Moves out the direction of the first ray (by id) with the smallest
+  /// finite distance; empty when every ray was censored.
+  [[nodiscard]] std::vector<double> takeBestDirection() noexcept {
+    return std::move(bestDir_);
+  }
+
+ private:
+  /// c ? a : b on the bits, so the compiler cannot make it a branch:
+  /// bisection verdicts are coin flips to a branch predictor.
+  static double select(bool c, double a, double b) noexcept {
+    const std::uint64_t mask = std::uint64_t{0} - std::uint64_t{c};
+    return std::bit_cast<double>((std::bit_cast<std::uint64_t>(a) & mask) |
+                                 (std::bit_cast<std::uint64_t>(b) & ~mask));
+  }
+
+  /// Records slot l's boundary distance d (+inf for a ray that stayed
+  /// safe to the horizon), and its direction when d is finite and (d, id)
+  /// is the smallest pair so far — the first index wins ties.
+  void finish(std::size_t l, double d) {
+    const std::size_t id = ids_[l];
+    distances_[id - first_] = d;
+    if (d < bestDist_ || (d == bestDist_ && d < kInf && id < bestId_)) {
+      bestDist_ = d;
+      bestId_ = id;
+      bestDir_.resize(n_);
+      for (std::size_t j = 0; j < n_; ++j) bestDir_[j] = dir_[j * cap_ + l];
+    }
+  }
+
+  const EstimatorOptions& opts_;
+  std::size_t n_;
+  std::size_t first_;
+  std::size_t cap_;
+  std::size_t live_;
+  std::span<double> distances_;
+  std::vector<double> dir_;  ///< n x cap_: row j holds coordinate j
+  std::vector<double> probe_;
+  std::vector<double> lo_;   ///< known safe distance
+  std::vector<double> hi_;   ///< known unsafe distance, once bracketed
+  std::vector<std::size_t> iter_;  ///< bisection steps taken
+  std::vector<std::uint8_t> bisecting_;
+  std::vector<std::size_t> ids_;
+  std::vector<std::size_t> keep_;  ///< advance's survivor slots
+  std::vector<double> bestDir_;
+  double bestDist_ = kInf;
+  std::size_t bestId_ = 0;
 };
 
 /// Adapts the serial predicate to one-point probes (origin check, polish
@@ -377,8 +479,8 @@ class Polish {
 
 /// The estimator core, shared by every public overload. Builds one
 /// block predicate per chunk (plus a serial one), runs the chunks'
-/// lockstep march/bisection — in parallel when a pool is given — and
-/// reduces in direction order. The polish search is serial, its ladder
+/// lockstep march/bisection over each chunk's RayBatch — in parallel
+/// when a pool is given — and reduces in direction order. The polish search is serial, its ladder
 /// blocks classified as `dispatch` says. One-point probes go to
 /// `serialClassifier` when it is set (the classifier behind the serial
 /// predicate).
@@ -424,62 +526,26 @@ EmpiricalEstimate runEstimator(const BlockPredicateFactory& factory,
       rng::Xoshiro256StarStar(opts.seed).substreams(chunks);
   const auto runChunk = [&](std::size_t c) {
     FEPIA_SPAN_ARG("validate.chunk", "chunk", c);
-    rng::Xoshiro256StarStar g = streams[c];
     const std::size_t first = c * opts.chunkSize;
-    const std::size_t last = std::min(first + opts.chunkSize, opts.directions);
-    const std::size_t count = last - first;
-
-    // Draw every direction of the chunk up front, in direction order.
-    // The predicate never touches this generator, so the draw sequence
-    // is the one the per-ray loop produced.
-    std::vector<RayState> rays(count);
-    const double t0 = std::ldexp(opts.horizon, -40);
-    for (std::size_t i = 0; i < count; ++i) {
-      rays[i].u = opts.nonnegativeDirections ? rng::unitSphereNonnegative(g, n)
-                                             : rng::unitSphere(g, n);
-      rays[i].probe = t0;
-    }
+    const std::size_t count = std::min(opts.chunkSize, opts.directions - first);
+    RayBatch rays(streams[c], first,
+                  std::span<double>(distances).subspan(first, count), opts, n);
 
     // Lockstep rounds: one SoA block per round holding every unfinished
     // ray's next probe point, one predicate call per round.
     const BlockSafePredicate& pred = preds[c];
     la::PointBlock block(n, count);
-    std::vector<std::size_t> laneRay(count);
-    std::vector<std::size_t> dirIds(count);
     std::vector<std::uint8_t> verdicts(count);
     std::size_t evals = 0;
-    for (;;) {
-      std::size_t lanes = 0;
-      for (std::size_t r = 0; r < count; ++r) {
-        if (rays[r].phase != RayState::Phase::Done) laneRay[lanes++] = r;
-      }
-      if (lanes == 0) break;
-      block.setLanes(lanes);
-      for (std::size_t j = 0; j < n; ++j) {
-        const std::span<double> row = block.coordinate(j);
-        const double oj = origin[j];
-        for (std::size_t l = 0; l < lanes; ++l) {
-          const RayState& s = rays[laneRay[l]];
-          row[l] = oj + s.probe * s.u[j];
-        }
-      }
-      for (std::size_t l = 0; l < lanes; ++l) dirIds[l] = first + laneRay[l];
-      pred(block, std::span<const std::size_t>(dirIds.data(), lanes),
-           std::span<std::uint8_t>(verdicts.data(), lanes));
+    while (rays.live() > 0) {
+      const std::size_t lanes = rays.live();
+      rays.fill(block, origin);
+      pred(block, rays.ids(), std::span<std::uint8_t>(verdicts.data(), lanes));
       evals += lanes;
-      for (std::size_t l = 0; l < lanes; ++l) {
-        rays[laneRay[l]].advance(verdicts[l] != 0, opts);
-      }
+      rays.advance(std::span<const std::uint8_t>(verdicts.data(), lanes));
     }
 
-    double chunkBest = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < count; ++i) {
-      distances[first + i] = rays[i].dist;
-      if (rays[i].dist < chunkBest) {
-        chunkBest = rays[i].dist;
-        bestDirPerChunk[c] = std::move(rays[i].u);
-      }
-    }
+    bestDirPerChunk[c] = rays.takeBestDirection();
     evalsPerChunk[c] = evals;
     if (opts.liveClassifications != nullptr) {
       opts.liveClassifications->fetch_add(evals, std::memory_order_relaxed);

@@ -28,7 +28,9 @@
 // Within a chunk the rays advance in lockstep: each round gathers every
 // unfinished ray's next probe point into one SoA block (la::PointBlock)
 // and classifies the whole block in a single call — through the batched
-// kernels of src/classify for the FeatureSet overload. Per ray, the
+// kernels of src/classify for the FeatureSet overload. The ray state
+// itself is held in SoA form, with the unfinished rays kept contiguous
+// in ascending direction id by a stable compaction. Per ray, the
 // sequence of probe distances, the evaluation count and the resulting
 // boundary distance are exactly those of the per-ray scalar loop, so
 // batching changes throughput only, never results.
@@ -74,7 +76,8 @@ using IndexedSafePredicate =
 /// direction id of lane l (same contract as IndexedSafePredicate,
 /// block-wise). The estimator advances every ray of a chunk in lockstep
 /// and classifies one block per round, so a single call sees probe
-/// points from many rays at different march/bisection depths. Must be
+/// points from many rays at different march/bisection depths, its
+/// lanes the chunk's unfinished rays in ascending direction id. Must be
 /// deterministic per lane; the estimator copies the callable once per
 /// chunk, so scratch captured by value is per-chunk (not shared across
 /// threads). The polish reuses those copies for the pieces of a ladder

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <string>
 #include <stdexcept>
 #include <vector>
@@ -162,6 +164,32 @@ TEST(RngDistributions, NonnegativeSphereIsNonnegative) {
     const auto x = rng::unitSphereNonnegative(g, 4);
     for (double v : x) EXPECT_GE(v, 0.0);
   }
+}
+
+TEST(RngDistributions, UnitSphereSpanOverloadsMatchVectorOnes) {
+  for (const std::size_t n : {1u, 3u, 7u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    rng::Xoshiro256StarStar a(16 + n);
+    rng::Xoshiro256StarStar b(16 + n);
+    std::vector<double> x(n);
+    for (int i = 0; i < 50; ++i) {
+      const bool nonnegative = i % 2 == 1;
+      const std::vector<double> want = nonnegative
+                                           ? rng::unitSphereNonnegative(a, n)
+                                           : rng::unitSphere(a, n);
+      if (nonnegative) {
+        rng::unitSphereNonnegative(b, std::span<double>(x));
+      } else {
+        rng::unitSphere(b, std::span<double>(x));
+      }
+      ASSERT_EQ(std::memcmp(want.data(), x.data(), n * sizeof(double)), 0);
+      ASSERT_TRUE(a == b);
+    }
+  }
+  rng::Xoshiro256StarStar g(17);
+  EXPECT_THROW(rng::unitSphere(g, std::span<double>()), std::invalid_argument);
+  EXPECT_THROW(rng::unitSphereNonnegative(g, std::span<double>()),
+               std::invalid_argument);
 }
 
 TEST(RngDistributions, IndexSamplerMatchesUniformIndex) {

@@ -130,6 +130,20 @@ DistRun runDistributed(const sweep::SweepSpec& spec, std::size_t workers,
       }
     });
   }
+  // wait() stops listening once the sweep drains and no worker is
+  // connected, so a worker thread that has not said hello by then
+  // would find no coordinator and throw. Let every worker say hello
+  // first.
+  const auto helloDeadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (coordinator.stats().workersSeen < workers) {
+    if (std::chrono::steady_clock::now() > helloDeadline) {
+      ADD_FAILURE() << coordinator.stats().workersSeen << " of " << workers
+                    << " workers said hello within 30 s";
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   run.surface = coordinator.wait();
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0) << "a worker thread threw";

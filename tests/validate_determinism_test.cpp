@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,6 +16,8 @@
 #include "feature/linear.hpp"
 #include "feature/quadratic.hpp"
 #include "la/matrix.hpp"
+#include "rng/distributions.hpp"
+#include "rng/xoshiro.hpp"
 #include "parallel/thread_pool.hpp"
 #include "radius/rho.hpp"
 #include "validate/empirical.hpp"
@@ -27,6 +30,7 @@ namespace perturb = fepia::perturb;
 namespace parallel = fepia::parallel;
 namespace la = fepia::la;
 namespace units = fepia::units;
+namespace rng = fepia::rng;
 
 namespace {
 
@@ -34,6 +38,21 @@ namespace {
 /// determinism contract is stronger.
 bool sameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// FNV-1a over the bits of `xs`, in order: pins a whole sample in one
+/// number.
+std::uint64_t fnv1a(const std::vector<double>& xs) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const double x : xs) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &x, sizeof bits);
+    for (int b = 0; b < 64; b += 8) {
+      h ^= (bits >> b) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
 }
 
 feature::FeatureSet makeFeatureSet() {
@@ -153,13 +172,16 @@ TEST(ValidateDeterminism, TailIsThreadCountInvariantAndPinned) {
     bool nonnegative;
     double radius, lo;
     std::size_t classifications, critical;
+    std::uint64_t distancesHash;  ///< fnv1a of every directional distance
   };
   const feature::FeatureSet phi = makeFeatureSet();
   const la::Vector orig{0.5, 0.5, 0.5};
   const auto safe = pointPredicate(phi);
   for (const Pinned& pin :
-       {Pinned{false, 0x1.b5dfee40e7312p+1, 0x1.7d705505b5c07p+1, 46256, 286},
-        Pinned{true, 0x1.c2e7be66e84a4p+1, 0x1.1224f37179043p+1, 45220, 26}}) {
+       {Pinned{false, 0x1.b5dfee40e7312p+1, 0x1.7d705505b5c07p+1, 46256, 286,
+               0xb612a45c0460a2d4ull},
+        Pinned{true, 0x1.c2e7be66e84a4p+1, 0x1.1224f37179043p+1, 45220, 26,
+               0xa830a6e7ae5a93aeull}}) {
     SCOPED_TRACE(pin.nonnegative ? "nonnegative" : "sphere");
     validate::EstimatorOptions opts = tailOptions();
     opts.nonnegativeDirections = pin.nonnegative;
@@ -169,6 +191,8 @@ TEST(ValidateDeterminism, TailIsThreadCountInvariantAndPinned) {
     EXPECT_TRUE(sameBits(serial.ci.hi, pin.radius));
     EXPECT_EQ(serial.classifications, pin.classifications);
     EXPECT_EQ(serial.criticalDirection, pin.critical);
+    EXPECT_EQ(fnv1a(serial.distances), pin.distancesHash)
+        << std::hex << "0x" << fnv1a(serial.distances);
     // The polish moved the radius, so the pinned bits cover it.
     EXPECT_LT(serial.radius, serial.distanceSummary.min);
 
@@ -221,5 +245,147 @@ TEST(ValidateDeterminism, BootstrapTermSetsTheLowerEndAndIsPinned) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     expectIdentical(serial,
                     validate::estimateEmpiricalRadius(safe, orig, opts, &pool));
+  }
+}
+
+namespace {
+
+/// One ray of the per-ray scalar reference: its distance and the number
+/// of probes it makes, i.e. the number of lockstep rounds it is live.
+struct ReferenceRay {
+  double distance;
+  std::size_t probes;
+};
+
+/// The per-ray scalar loop the lockstep march must reproduce: march from
+/// horizon * 2^-40, doubling up to the horizon, then bisect the bracket
+/// with the same exit tests, finishing at 0.5 * (lo + hi).
+ReferenceRay referenceRay(const feature::FeatureSet& phi,
+                          const la::Vector& origin,
+                          const std::vector<double>& u,
+                          const validate::EstimatorOptions& opts) {
+  la::Vector point(origin.size());
+  std::size_t probes = 0;
+  const auto safeAt = [&](double t) {
+    for (std::size_t j = 0; j < u.size(); ++j) point[j] = origin[j] + t * u[j];
+    ++probes;
+    return phi.allWithinBounds(point);
+  };
+  double lo = 0.0;
+  double hi = 0.0;
+  double t = std::ldexp(opts.horizon, -40);
+  for (;;) {
+    if (!safeAt(t)) {
+      hi = t;
+      break;
+    }
+    lo = t;
+    if (t >= opts.horizon) {
+      return {std::numeric_limits<double>::infinity(), probes};
+    }
+    t = std::min(2.0 * t, opts.horizon);
+  }
+  for (std::size_t it = 0; it < opts.bisectIterations; ++it) {
+    const double mid = 0.5 * (lo + hi);
+    if (mid <= lo || mid >= hi) break;
+    if (safeAt(mid)) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return {0.5 * (lo + hi), probes};
+}
+
+}  // namespace
+
+TEST(ValidateDeterminism, LockstepMarchMatchesPerRayReference) {
+  // Every distance must equal the scalar reference bit for bit, and an
+  // opaque block predicate must see, in each round of each chunk, the
+  // ascending ids of exactly the rays the reference still has live.
+  const feature::FeatureSet phi = makeFeatureSet();
+  const la::Vector orig{0.5, 0.5, 0.5};
+  for (const std::size_t bisect : {0u, 3u, 60u}) {
+    for (const bool nonnegative : {false, true}) {
+      // At horizon 4 some rays stay safe to the end: the nearest
+      // boundary is ~3.4 away, the farthest beyond 4.
+      for (const double horizon : {32.0, 4.0}) {
+        SCOPED_TRACE("bisect=" + std::to_string(bisect) +
+                     (nonnegative ? " nonnegative" : " sphere") +
+                     " horizon=" + std::to_string(horizon));
+        validate::EstimatorOptions opts;
+        opts.directions = 100;  // chunks of 32, 32, 32 and 4
+        opts.chunkSize = 32;
+        opts.seed = 0x10C4ull;
+        opts.horizon = horizon;
+        opts.bisectIterations = bisect;
+        opts.nonnegativeDirections = nonnegative;
+        opts.polishSweeps = 0;
+
+        std::vector<ReferenceRay> ref;
+        const rng::Xoshiro256StarStar base(opts.seed);
+        for (std::size_t first = 0; first < opts.directions;
+             first += opts.chunkSize) {
+          rng::Xoshiro256StarStar g =
+              base.substream(static_cast<unsigned>(first / opts.chunkSize));
+          const std::size_t last =
+              std::min(first + opts.chunkSize, opts.directions);
+          for (std::size_t i = first; i < last; ++i) {
+            const std::vector<double> u =
+                nonnegative ? rng::unitSphereNonnegative(g, orig.size())
+                            : rng::unitSphere(g, orig.size());
+            ref.push_back(referenceRay(phi, orig, u, opts));
+          }
+        }
+
+        std::vector<std::vector<std::size_t>> rounds;
+        const validate::BlockSafePredicate recorder =
+            [&phi, &rounds](const la::PointBlock& block,
+                            std::span<const std::size_t> directions,
+                            std::span<std::uint8_t> safeOut) {
+              rounds.emplace_back(directions.begin(), directions.end());
+              la::Vector point(block.dimension());
+              for (std::size_t l = 0; l < block.lanes(); ++l) {
+                block.gatherPoint(l, point.span());
+                safeOut[l] = phi.allWithinBounds(point) ? 1 : 0;
+              }
+            };
+        const auto est =
+            validate::estimateEmpiricalRadius(recorder, orig, opts);
+
+        std::size_t probes = 0;
+        std::size_t censored = 0;
+        ASSERT_EQ(est.distances.size(), ref.size());
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+          EXPECT_TRUE(sameBits(est.distances[i], ref[i].distance))
+              << "direction " << i;
+          probes += ref[i].probes;
+          if (!std::isfinite(ref[i].distance)) ++censored;
+        }
+        EXPECT_EQ(est.classifications, probes);
+        if (horizon < 32.0) {
+          EXPECT_GT(censored, 0u);
+          EXPECT_LT(censored, ref.size());
+        }
+
+        // The origin check comes first, then each chunk's rounds in
+        // chunk order (no pool, so chunks run one after another).
+        std::vector<std::vector<std::size_t>> expected{{0}};
+        for (std::size_t first = 0; first < opts.directions;
+             first += opts.chunkSize) {
+          const std::size_t last =
+              std::min(first + opts.chunkSize, opts.directions);
+          for (std::size_t round = 0;; ++round) {
+            std::vector<std::size_t> live;
+            for (std::size_t i = first; i < last; ++i) {
+              if (ref[i].probes > round) live.push_back(i);
+            }
+            if (live.empty()) break;
+            expected.push_back(std::move(live));
+          }
+        }
+        EXPECT_EQ(rounds, expected);
+      }
+    }
   }
 }

@@ -138,24 +138,29 @@ print("fepia_cli fault-sim smoke OK")
 EOF2
 
     # validate --hiperd smoke: every row's radius, counts and CI bits
-    # must be the same at 1 and 8 threads (results compared minus the
-    # manifest, which echoes the thread count).
-    echo "=== [$cfg] fepia_cli validate --hiperd thread smoke ==="
+    # must be the same at 1 and 8 threads, and the 1-thread run must
+    # equal the checked-in baseline, which catches a change both thread
+    # paths share (results compared minus the manifest, which echoes the
+    # thread count).
+    echo "=== [$cfg] fepia_cli validate --hiperd thread + baseline smoke ==="
     for t in 1 8; do
       ./build/tools/fepia_cli validate --hiperd \
         examples/data/fusion_pipeline.hiperd --samples 512 --seed 7 \
         --threads "$t" --json "build/validate_hiperd_t$t.json" >/dev/null
     done
-    python3 - build/validate_hiperd_t1.json build/validate_hiperd_t8.json <<'EOF2'
+    python3 - build/validate_hiperd_t1.json build/validate_hiperd_t8.json \
+      tools/baselines/validate_hiperd_seed7.json <<'EOF2'
 import json, sys
 docs = []
-for path in sys.argv[1:3]:
+for path in sys.argv[1:4]:
     with open(path) as f:
         d = json.load(f)
-    d.pop("manifest")
+    d.pop("manifest", None)
     docs.append(d)
 assert docs[0] == docs[1], "validate --hiperd results differ across thread counts"
-print("fepia_cli validate --hiperd thread smoke OK")
+assert docs[0] == docs[2], \
+    "validate --hiperd results differ from tools/baselines/validate_hiperd_seed7.json"
+print("fepia_cli validate --hiperd thread + baseline smoke OK")
 EOF2
 
     echo "=== [$cfg] bench_empirical_radius smoke ==="
