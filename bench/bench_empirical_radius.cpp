@@ -26,6 +26,7 @@
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -242,7 +243,8 @@ TelemetryOverhead telemetryOverhead(const Workload& w,
       std::atomic<std::uint64_t> live{0};
       obs::TelemetryOptions topt;
       topt.intervalMillis = 10;
-      obs::TelemetryHub hub(topt);  // memory-only sink
+      std::ostringstream sink;  // every record is serialised and written
+      obs::TelemetryHub hub(topt, &sink);
       hub.addSource([&live](obs::Registry& r) {
         r.setGauge("bench.live_classifications",
                    static_cast<double>(

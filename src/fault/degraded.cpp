@@ -9,6 +9,17 @@
 
 namespace fepia::fault {
 
+void LiveFaultStats::writeGauges(obs::Registry& reg) const {
+  reg.setGauge("fault.live_classifications",
+               static_cast<double>(
+                   classifications.load(std::memory_order_relaxed)));
+  reg.setGauge("fault.live_retries",
+               static_cast<double>(retries.load(std::memory_order_relaxed)));
+  reg.setGauge("fault.live_dropped",
+               static_cast<double>(
+                   droppedMessages.load(std::memory_order_relaxed)));
+}
+
 validate::EstimatorOptions desEstimatorOptions(validate::EstimatorOptions base,
                                                bool explicitDirections) {
   if (!explicitDirections) base.directions = 64;

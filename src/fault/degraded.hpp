@@ -21,6 +21,7 @@
 #include "des/pipeline.hpp"
 #include "fault/plan.hpp"
 #include "hiperd/factory.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 #include "validate/empirical.hpp"
 
@@ -34,6 +35,10 @@ struct LiveFaultStats {
   std::atomic<std::uint64_t> classifications{0};  ///< DES runs completed
   std::atomic<std::uint64_t> retries{0};
   std::atomic<std::uint64_t> droppedMessages{0};
+
+  /// Sets the fault.live_classifications, fault.live_retries and
+  /// fault.live_dropped gauges from the current totals.
+  void writeGauges(obs::Registry& reg) const;
 };
 
 /// Knobs of the degraded estimate beyond the estimator's own options.

@@ -27,6 +27,36 @@ bool parseFiniteDouble(const std::string& token, double& out) {
   return true;
 }
 
+/// The spec spelling of an operator (">", ">=", "<", "<=").
+std::string_view alertOpName(AlertRule::Op op) noexcept {
+  switch (op) {
+    case AlertRule::Op::Gt: return ">";
+    case AlertRule::Op::Ge: return ">=";
+    case AlertRule::Op::Lt: return "<";
+    case AlertRule::Op::Le: return "<=";
+  }
+  return "?";
+}
+
+/// Gauge value when the gauge exists, else counter value when the
+/// counter exists; false when neither does.
+bool findMetricValue(const Registry& reg, const std::string& name,
+                     double& out) {
+  for (const Gauge& g : reg.gauges()) {
+    if (g.name == name) {
+      out = g.value;
+      return true;
+    }
+  }
+  for (const Counter& c : reg.counters().all()) {
+    if (c.name == name) {
+      out = static_cast<double>(c.value);
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 bool AlertRule::breached(double value) const noexcept {
@@ -37,16 +67,6 @@ bool AlertRule::breached(double value) const noexcept {
     case Op::Le: return value <= threshold;
   }
   return false;
-}
-
-std::string_view alertOpName(AlertRule::Op op) noexcept {
-  switch (op) {
-    case AlertRule::Op::Gt: return ">";
-    case AlertRule::Op::Ge: return ">=";
-    case AlertRule::Op::Lt: return "<";
-    case AlertRule::Op::Le: return "<=";
-  }
-  return "?";
 }
 
 std::string AlertRule::str() const {
@@ -90,23 +110,6 @@ AlertRule parseAlertRule(std::string_view text) {
 
 AlertEngine::AlertEngine(std::vector<AlertRule> rules)
     : rules_(std::move(rules)), breached_(rules_.size(), false) {}
-
-bool findMetricValue(const Registry& reg, const std::string& name,
-                     double& out) {
-  for (const Gauge& g : reg.gauges()) {
-    if (g.name == name) {
-      out = g.value;
-      return true;
-    }
-  }
-  for (const Counter& c : reg.counters().all()) {
-    if (c.name == name) {
-      out = static_cast<double>(c.value);
-      return true;
-    }
-  }
-  return false;
-}
 
 std::vector<AlertCrossing> AlertEngine::evaluate(const Registry& reg) {
   std::vector<AlertCrossing> crossings;

@@ -34,9 +34,6 @@ struct AlertRule {
   [[nodiscard]] std::string str() const;
 };
 
-/// The spec spelling of an operator (">", ">=", "<", "<=").
-[[nodiscard]] std::string_view alertOpName(AlertRule::Op op) noexcept;
-
 /// Parses "metric>value" / "metric>=value" / "metric<value" /
 /// "metric<=value" (no spaces; the metric name is everything before the
 /// operator). Throws std::invalid_argument on a missing operator, empty
@@ -70,10 +67,5 @@ class AlertEngine {
   std::vector<AlertRule> rules_;
   std::vector<bool> breached_;  ///< previous state, per rule
 };
-
-/// Metric lookup shared with the engine: gauge value when the gauge
-/// exists, else counter value when the counter exists, else nullopt.
-[[nodiscard]] bool findMetricValue(const Registry& reg,
-                                   const std::string& name, double& out);
 
 }  // namespace fepia::obs

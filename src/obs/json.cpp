@@ -60,4 +60,42 @@ void writeJsonNumber(std::ostream& os, double x) {
   os << tmp.str();
 }
 
+std::ostream& JsonFields::key(std::string_view name) {
+  os_ << ',';
+  writeJsonString(os_, name);
+  return os_ << ':';
+}
+
+JsonFields& JsonFields::str(std::string_view name, std::string_view value) {
+  writeJsonString(key(name), value);
+  return *this;
+}
+
+JsonFields& JsonFields::num(std::string_view name, double value) {
+  writeJsonNumber(key(name), value);
+  return *this;
+}
+
+JsonFields& JsonFields::count(std::string_view name, std::uint64_t value) {
+  key(name) << std::to_string(value);
+  return *this;
+}
+
+JsonFields& JsonFields::boolean(std::string_view name, bool value) {
+  key(name) << (value ? "true" : "false");
+  return *this;
+}
+
+JsonFields& JsonFields::raw(std::string_view name, std::string_view json) {
+  key(name) << json;
+  return *this;
+}
+
+std::string JsonFields::object() const {
+  std::string text = os_.str();
+  if (text.empty()) return "{}";
+  text[0] = '{';  // the first member's leading comma
+  return text + '}';
+}
+
 }  // namespace fepia::obs

@@ -1,7 +1,6 @@
 #include "obs/telemetry.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <sstream>
 
 #include "obs/clock.hpp"
@@ -11,20 +10,6 @@
 namespace fepia::obs {
 namespace {
 
-/// Appends `value` with the same %.17g round-trip formatting as the
-/// JSON number writer (telemetry records must re-parse exactly).
-void appendNumber(std::string& out, double value) {
-  std::ostringstream os;
-  writeJsonNumber(os, value);
-  out += os.str();
-}
-
-void appendString(std::string& out, const std::string& value) {
-  std::ostringstream os;
-  writeJsonString(os, value);
-  out += os.str();
-}
-
 /// Milliseconds with microsecond resolution — readable timestamps that
 /// still order samples taken within one interval.
 double relMillis(std::uint64_t relNs) {
@@ -32,33 +17,6 @@ double relMillis(std::uint64_t relNs) {
 }
 
 }  // namespace
-
-TelemetryEvent& TelemetryEvent::num(std::string key, double value) {
-  Field f;
-  f.kind = Field::Kind::Num;
-  f.key = std::move(key);
-  f.num = value;
-  fields_.push_back(std::move(f));
-  return *this;
-}
-
-TelemetryEvent& TelemetryEvent::count(std::string key, std::uint64_t value) {
-  Field f;
-  f.kind = Field::Kind::Count;
-  f.key = std::move(key);
-  f.cnt = value;
-  fields_.push_back(std::move(f));
-  return *this;
-}
-
-TelemetryEvent& TelemetryEvent::str(std::string key, std::string value) {
-  Field f;
-  f.kind = Field::Kind::Str;
-  f.key = std::move(key);
-  f.str = std::move(value);
-  fields_.push_back(std::move(f));
-  return *this;
-}
 
 TelemetryHub::TelemetryHub(TelemetryOptions opts, std::ostream* sink)
     : opts_(std::move(opts)),
@@ -181,130 +139,76 @@ void TelemetryHub::sampleNow() {
 }
 
 void TelemetryHub::sampleLocked() {
-  TelemetrySample sample;
-  sample.seq = sampleSeq_++;
-  sample.tNs = nowRelNanos();
-  sample.registry = base_;
-  for (const Source& src : sources_) src.fn(sample.registry);
+  const std::uint64_t seq = sampleSeq_++;
+  const std::uint64_t tNs = nowRelNanos();
+  Registry snapshot = base_;
+  for (const Source& src : sources_) src.fn(snapshot);
 
-  // Serialise before moving into the ring.
   std::ostringstream metricsJson;
-  sample.registry.writeJson(metricsJson);
-  std::string line = "{\"type\":\"sample\",\"seq\":";
-  line += std::to_string(sample.seq);
-  line += ",\"t_ms\":";
-  appendNumber(line, relMillis(sample.tNs));
-  line += ",\"metrics\":";
-  line += metricsJson.str();
-  line += '}';
-  writeRecordLocked(std::move(line));
+  snapshot.writeJson(metricsJson);
+  writeRecordLocked(JsonFields()
+                        .str("type", "sample")
+                        .count("seq", seq)
+                        .num("t_ms", relMillis(tNs))
+                        .raw("metrics", metricsJson.str())
+                        .object());
 
-  for (const AlertCrossing& crossing : alerts_.evaluate(sample.registry)) {
-    TelemetryEvent event("alert");
-    event.str("kind", "threshold")
-        .str("rule", crossing.rule->str())
-        .str("metric", crossing.rule->metric)
-        .num("value", crossing.value)
-        .num("threshold", crossing.rule->threshold);
-    writeEventLocked(event, sample.tNs);
+  for (const AlertCrossing& crossing : alerts_.evaluate(snapshot)) {
+    writeEventLocked("alert",
+                     JsonFields()
+                         .str("kind", "threshold")
+                         .str("rule", crossing.rule->str())
+                         .str("metric", crossing.rule->metric)
+                         .num("value", crossing.value)
+                         .num("threshold", crossing.rule->threshold),
+                     tNs);
   }
 
   for (const auto& dog : watchdogs_) {
     const std::uint64_t last = dog->lastNs.load(std::memory_order_relaxed);
-    const bool stalled =
-        sample.tNs > last && sample.tNs - last > dog->deadlineNs;
+    const bool stalled = tNs > last && tNs - last > dog->deadlineNs;
     if (stalled && !dog->stalled) {
-      TelemetryEvent event("alert");
-      event.str("kind", "stall")
-          .str("watchdog", dog->name)
-          .num("idle_seconds",
-               static_cast<double>(sample.tNs - last) / 1e9)
-          .num("deadline_seconds",
-               static_cast<double>(dog->deadlineNs) / 1e9);
-      writeEventLocked(event, sample.tNs);
+      writeEventLocked(
+          "alert",
+          JsonFields()
+              .str("kind", "stall")
+              .str("watchdog", dog->name)
+              .num("idle_seconds", static_cast<double>(tNs - last) / 1e9)
+              .num("deadline_seconds",
+                   static_cast<double>(dog->deadlineNs) / 1e9),
+          tNs);
     }
     dog->stalled = stalled;
   }
 
-  ring_.push_back(std::move(sample));
-  while (ring_.size() > opts_.ringCapacity && !ring_.empty()) {
-    ring_.pop_front();
-  }
+  latest_ = std::move(snapshot);
 }
 
-void TelemetryHub::emit(const TelemetryEvent& event) {
+void TelemetryHub::emit(std::string_view type, const JsonFields& fields) {
   const std::uint64_t tNs = nowRelNanos();
   const std::lock_guard<std::mutex> lock(mutex_);
-  writeEventLocked(event, tNs);
+  writeEventLocked(type, fields, tNs);
 }
 
-void TelemetryHub::writeEventLocked(const TelemetryEvent& event,
+void TelemetryHub::writeEventLocked(std::string_view type,
+                                    const JsonFields& fields,
                                     std::uint64_t tNs) {
-  std::string line = "{\"type\":";
-  appendString(line, event.type_);
-  line += ",\"t_ms\":";
-  appendNumber(line, relMillis(tNs));
-  for (const TelemetryEvent::Field& f : event.fields_) {
-    line += ',';
-    appendString(line, f.key);
-    line += ':';
-    switch (f.kind) {
-      case TelemetryEvent::Field::Kind::Num:
-        appendNumber(line, f.num);
-        break;
-      case TelemetryEvent::Field::Kind::Count:
-        line += std::to_string(f.cnt);
-        break;
-      case TelemetryEvent::Field::Kind::Str:
-        appendString(line, f.str);
-        break;
-    }
-  }
-  line += '}';
-  writeRecordLocked(std::move(line));
+  std::string line =
+      JsonFields().str("type", type).num("t_ms", relMillis(tNs)).object();
+  line.insert(line.size() - 1, fields.members());  // before the '}'
+  writeRecordLocked(line);
 }
 
-void TelemetryHub::writeRecordLocked(std::string line) {
-  if (sink_ != nullptr) {
-    *sink_ << line << '\n';
-    sink_->flush();
-  }
-  records_.push_back(std::move(line));
-}
-
-std::vector<TelemetrySample> TelemetryHub::samples() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return std::vector<TelemetrySample>(ring_.begin(), ring_.end());
-}
-
-std::uint64_t TelemetryHub::sampleCount() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return sampleSeq_;
-}
-
-std::vector<std::pair<std::uint64_t, double>> TelemetryHub::series(
-    const std::string& metric) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::pair<std::uint64_t, double>> out;
-  out.reserve(ring_.size());
-  for (const TelemetrySample& s : ring_) {
-    double value = 0.0;
-    if (findMetricValue(s.registry, metric, value)) {
-      out.emplace_back(s.tNs, value);
-    }
-  }
-  return out;
-}
-
-std::vector<std::string> TelemetryHub::records() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return records_;
+void TelemetryHub::writeRecordLocked(const std::string& line) {
+  if (sink_ == nullptr) return;
+  *sink_ << line << '\n';
+  sink_->flush();
 }
 
 void TelemetryHub::exportPrometheus(std::ostream& os) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (ring_.empty()) sampleLocked();
-  fepia::obs::exportPrometheus(os, ring_.back().registry);
+  if (!latest_.has_value()) sampleLocked();
+  fepia::obs::exportPrometheus(os, *latest_);
 }
 
 }  // namespace fepia::obs

@@ -6,11 +6,15 @@
 // TelemetryHub is the continuous-observation layer on top of the same
 // primitives: a background sampler thread wakes on a fixed interval,
 // assembles a snapshot Registry (the published base registry plus every
-// registered live-gauge source), stores it in a fixed-capacity ring
-// buffer, streams it as one JSONL record, evaluates the alert rules,
-// and checks the stall watchdogs. Subsystems additionally push
-// structured events (sweep heartbeats, straggler warnings) into the
-// same stream through emit().
+// registered live-gauge source), streams it as one JSONL record,
+// evaluates the alert rules, and checks the stall watchdogs. Subsystems
+// additionally push structured events (sweep heartbeats, straggler
+// warnings) into the same stream through emit().
+//
+// The sink is the one record of a run: the hub keeps no history of its
+// own, only the latest snapshot (for exportPrometheus), so a resident
+// server's memory stays flat however long it samples. A reader of the
+// run reads the stream.
 //
 // The hard guarantee carried over from the span layer: telemetry must
 // be invisible to the numerics. Sources hand the sampler *copies* read
@@ -25,9 +29,9 @@
 // it):
 //   {"type":"sample","seq":N,"t_ms":T,"metrics":{...}}    periodic
 //   {"type":"heartbeat","t_ms":T,...}                     per sweep shard
-//   {"type":"warning","kind":"straggler","t_ms":T,...}    slow shard
-//   {"type":"alert","kind":"threshold","t_ms":T,...}      rule crossing
-//   {"type":"alert","kind":"stall","t_ms":T,...}          watchdog
+//   {"type":"warning","t_ms":T,"kind":"straggler",...}    slow shard
+//   {"type":"alert","t_ms":T,"kind":"threshold",...}      rule crossing
+//   {"type":"alert","t_ms":T,"kind":"stall",...}          watchdog
 #pragma once
 
 #include <atomic>
@@ -37,13 +41,16 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "obs/alert.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace fepia::obs {
@@ -52,49 +59,8 @@ namespace fepia::obs {
 struct TelemetryOptions {
   /// Sampling period of the background thread.
   std::uint64_t intervalMillis = 250;
-  /// Fixed capacity of the in-memory sample ring (oldest samples are
-  /// dropped first; the JSONL stream keeps everything).
-  std::size_t ringCapacity = 256;
   /// Threshold rules evaluated against every sample.
   std::vector<AlertRule> alerts;
-};
-
-/// One periodic snapshot: sequence number, monotonic time since the hub
-/// was constructed, and a copy of the merged registry.
-struct TelemetrySample {
-  std::uint64_t seq = 0;
-  std::uint64_t tNs = 0;
-  Registry registry;
-};
-
-/// A structured event for the telemetry stream, built fluently:
-///   hub.emit(TelemetryEvent("heartbeat").count("shard", s)
-///                .num("eta_seconds", eta));
-/// Keys are escaped through the shared JSON writer, so hostile names
-/// cannot break the stream.
-class TelemetryEvent {
- public:
-  explicit TelemetryEvent(std::string type) : type_(std::move(type)) {}
-
-  TelemetryEvent& num(std::string key, double value);
-  TelemetryEvent& count(std::string key, std::uint64_t value);
-  TelemetryEvent& str(std::string key, std::string value);
-
-  [[nodiscard]] const std::string& type() const noexcept { return type_; }
-
- private:
-  friend class TelemetryHub;
-
-  struct Field {
-    enum class Kind { Num, Count, Str } kind;
-    std::string key;
-    double num = 0.0;
-    std::uint64_t cnt = 0;
-    std::string str;
-  };
-
-  std::string type_;
-  std::vector<Field> fields_;
 };
 
 /// The hub. Construct, register sources/watchdogs, start(); stop() (or
@@ -110,7 +76,7 @@ class TelemetryHub {
   using SourceFn = std::function<void(Registry&)>;
 
   /// `sink` receives the JSONL stream (flushed per record); nullptr
-  /// keeps records in memory only. The hub does not own the stream.
+  /// discards it. The hub does not own the stream.
   explicit TelemetryHub(TelemetryOptions opts, std::ostream* sink = nullptr);
   ~TelemetryHub();
 
@@ -145,21 +111,11 @@ class TelemetryHub {
   /// Takes one sample synchronously (also evaluates alerts/watchdogs).
   void sampleNow();
 
-  /// Emits one structured event into the stream (timestamped by the
-  /// hub's clock).
-  void emit(const TelemetryEvent& event);
-
-  /// Copy of the sample ring, oldest first.
-  [[nodiscard]] std::vector<TelemetrySample> samples() const;
-  /// Total samples taken (including those evicted from the ring).
-  [[nodiscard]] std::uint64_t sampleCount() const;
-  /// (tNs, value) series of one counter/gauge over the ring, oldest
-  /// first; samples where the metric is absent are skipped.
-  [[nodiscard]] std::vector<std::pair<std::uint64_t, double>> series(
-      const std::string& metric) const;
-  /// Every JSONL record produced so far (what the sink received), in
-  /// emission order.
-  [[nodiscard]] std::vector<std::string> records() const;
+  /// Emits one structured event into the stream, timestamped by the
+  /// hub's clock: {"type":<type>,"t_ms":T<fields>}. For example
+  ///   hub.emit("heartbeat", obs::JsonFields().count("shard", s)
+  ///                             .num("eta_seconds", eta));
+  void emit(std::string_view type, const JsonFields& fields);
 
   /// Writes the latest snapshot (taking a fresh one when none exists
   /// yet) in the Prometheus text exposition format — the payload of the
@@ -190,20 +146,21 @@ class TelemetryHub {
   enum class State { Idle, Running, Stopping };
 
   void samplerLoop();
-  /// Assembles a snapshot, appends it to the ring, writes the sample
-  /// record, and runs alerts + watchdogs. Requires mutex_ held.
+  /// Assembles a snapshot, writes the sample record, runs alerts +
+  /// watchdogs, and keeps the snapshot as latest_. Requires mutex_ held.
   void sampleLocked();
-  /// Serialises `event` (with timestamp `tNs`) and appends it to the
-  /// stream. Requires mutex_ held.
-  void writeEventLocked(const TelemetryEvent& event, std::uint64_t tNs);
-  void writeRecordLocked(std::string line);
+  /// Writes one event record (with timestamp `tNs`). Requires mutex_
+  /// held.
+  void writeEventLocked(std::string_view type, const JsonFields& fields,
+                        std::uint64_t tNs);
+  void writeRecordLocked(const std::string& line);
   [[nodiscard]] std::uint64_t nowRelNanos() const noexcept;
 
   const TelemetryOptions opts_;
   const std::uint64_t baseNs_;
   std::ostream* sink_;
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable wake_;
   State state_ = State::Idle;  ///< under mutex_
   std::thread sampler_;
@@ -214,9 +171,8 @@ class TelemetryHub {
   std::size_t nextWatchdogId_ = 0;
   Registry base_;
   AlertEngine alerts_;
-  std::deque<TelemetrySample> ring_;
+  std::optional<Registry> latest_;  ///< the last snapshot taken
   std::uint64_t sampleSeq_ = 0;
-  std::vector<std::string> records_;
 };
 
 /// Registers a live-gauge source on `hub` (nullptr: none) and unhooks it

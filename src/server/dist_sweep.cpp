@@ -204,12 +204,12 @@ void SweepCoordinator::Impl::handleHello(Connection& conn,
   helloName = worker->string;
   logLine("coordinator: worker '" + helloName + "' connected");
   writeOk(conn, req.id,
-          JsonFields()
+          obs::JsonFields()
               .str("kind", "welcome")
               .num("lease_ms", cfg.leaseSeconds * 1000.0)
-              .num("points", static_cast<double>(points))
-              .num("chunk", static_cast<double>(chunk))
-              .num("shards", static_cast<double>(shards)));
+              .count("points", points)
+              .count("chunk", chunk)
+              .count("shards", shards));
 }
 
 void SweepCoordinator::Impl::handleLease(Connection& conn,
@@ -236,7 +236,7 @@ void SweepCoordinator::Impl::handleLease(Connection& conn,
     }
   }
   if (!grant.has_value()) {
-    writeOk(conn, req.id, JsonFields().str("kind", "drained"));
+    writeOk(conn, req.id, obs::JsonFields().str("kind", "drained"));
     return;
   }
   const std::size_t s = grant->shard;
@@ -250,20 +250,21 @@ void SweepCoordinator::Impl::handleLease(Connection& conn,
   }
   logLine(line);
   if (cfg.telemetry != nullptr && (grant->stolen || grant->generation > 0)) {
-    obs::TelemetryEvent warn("warning");
-    warn.str("kind", grant->stolen ? "straggler" : "lease-reissue")
-        .count("shard", s)
-        .count("generation", grant->generation)
-        .str("worker", helloName);
-    cfg.telemetry->emit(warn);
+    cfg.telemetry->emit(
+        "warning",
+        obs::JsonFields()
+            .str("kind", grant->stolen ? "straggler" : "lease-reissue")
+            .count("shard", s)
+            .count("generation", grant->generation)
+            .str("worker", helloName));
   }
   writeOk(conn, req.id,
-          JsonFields()
+          obs::JsonFields()
               .str("kind", "lease")
-              .num("shard", static_cast<double>(s))
-              .num("first", static_cast<double>(s * chunk))
-              .num("count", static_cast<double>(shardCount(s)))
-              .num("generation", static_cast<double>(grant->generation))
+              .count("shard", s)
+              .count("first", s * chunk)
+              .count("count", shardCount(s))
+              .count("generation", grant->generation)
               .boolean("stolen", grant->stolen));
 }
 
@@ -333,19 +334,18 @@ void SweepCoordinator::Impl::handleCommit(Connection& conn,
       const double elapsed = clock.elapsedSeconds();
       const double rate =
           elapsed > 0.0 ? static_cast<double>(done) / elapsed : 0.0;
-      obs::TelemetryEvent beat("heartbeat");
-      beat.count("shard", s)
-          .count("points_done", done)
-          .count("points_total", pendingPoints)
-          .num("points_per_sec", rate)
-          .str("worker", helloName);
-      cfg.telemetry->emit(beat);
+      cfg.telemetry->emit("heartbeat", obs::JsonFields()
+                                           .count("shard", s)
+                                           .count("points_done", done)
+                                           .count("points_total", pendingPoints)
+                                           .num("points_per_sec", rate)
+                                           .str("worker", helloName));
     }
   } else {
     logLine("coordinator: duplicate commit of shard " + std::to_string(s) +
             " from '" + helloName + "' (discarded)");
   }
-  writeOk(conn, req.id, JsonFields().boolean("committed", fresh));
+  writeOk(conn, req.id, obs::JsonFields().boolean("committed", fresh));
 }
 
 void SweepCoordinator::Impl::handleHeartbeat(Connection& conn,
@@ -362,7 +362,7 @@ void SweepCoordinator::Impl::handleHeartbeat(Connection& conn,
     const std::lock_guard<std::mutex> lock(mutex);
     lease->heartbeat(*shard, worker->string, clock.elapsedSeconds());
   }
-  writeOk(conn, req.id, JsonFields());
+  writeOk(conn, req.id, obs::JsonFields());
 }
 
 void SweepCoordinator::Impl::handle(Connection& conn, const WireRequest& req,
@@ -378,7 +378,7 @@ void SweepCoordinator::Impl::handle(Connection& conn, const WireRequest& req,
   } else if (req.kind == "done") {
     logLine("coordinator: worker '" +
             (helloName.empty() ? std::string("?") : helloName) + "' done");
-    writeOk(conn, req.id, JsonFields());
+    writeOk(conn, req.id, obs::JsonFields());
   } else {
     writeError(conn, req.id, "bad_request", "unknown kind '" + req.kind + "'");
   }
@@ -413,11 +413,10 @@ void SweepCoordinator::Impl::readerLoop(
     }
     logLine(line);
     if (cfg.telemetry != nullptr && !reissued.empty()) {
-      obs::TelemetryEvent warn("warning");
-      warn.str("kind", "lease-reissue")
-          .str("worker", helloName)
-          .count("shards", reissued.size());
-      cfg.telemetry->emit(warn);
+      cfg.telemetry->emit("warning", obs::JsonFields()
+                                         .str("kind", "lease-reissue")
+                                         .str("worker", helloName)
+                                         .count("shards", reissued.size()));
     }
   }
 }
@@ -662,10 +661,11 @@ class HeartbeatThread {
       const long shard = current_.load(std::memory_order_relaxed);
       if (shard < 0) continue;
       lk.unlock();
-      const std::string beat = JsonFields()
+      const std::string beat = obs::JsonFields()
                                    .str("kind", "heartbeat")
                                    .str("worker", worker_)
-                                   .num("shard", static_cast<double>(shard))
+                                   .count("shard",
+                                          static_cast<std::uint64_t>(shard))
                                    .object();
       bool alive = writeFrame(fd_, beat);
       if (alive) {
@@ -718,10 +718,10 @@ SweepWorkerReport runSweepWorker(const sweep::SweepSpec& spec,
   const std::size_t points = spec.pointCount();
   const std::optional<JsonValue> welcome =
       rpc(fd,
-          JsonFields()
+          obs::JsonFields()
               .str("kind", "hello")
               .str("spec_hash", sweep::formatSpecHash(spec.hash()))
-              .num("points", static_cast<double>(points))
+              .count("points", points)
               .str("worker", name)
               .object(),
           cfg.maxFrameBytes);
@@ -767,7 +767,7 @@ SweepWorkerReport runSweepWorker(const sweep::SweepSpec& spec,
   std::vector<sweep::PointResult> buffer;
   bool lostConnection = false;
   const std::string leaseRequest =
-      JsonFields().str("kind", "lease").str("worker", name).object();
+      obs::JsonFields().str("kind", "lease").str("worker", name).object();
   for (;;) {
     const std::optional<JsonValue> reply =
         rpc(fd, leaseRequest, cfg.maxFrameBytes);
@@ -814,10 +814,10 @@ SweepWorkerReport runSweepWorker(const sweep::SweepSpec& spec,
     rows << ']';
     const std::optional<JsonValue> commitReply =
         rpc(fd,
-            JsonFields()
+            obs::JsonFields()
                 .str("kind", "commit")
                 .str("worker", name)
-                .num("shard", static_cast<double>(shard))
+                .count("shard", shard)
                 .raw("results", rows.str())
                 .object(),
             cfg.maxFrameBytes);
@@ -843,9 +843,9 @@ SweepWorkerReport runSweepWorker(const sweep::SweepSpec& spec,
     logLine("worker '" + name +
             "': connection closed by coordinator; assuming drained");
   } else {
-    (void)rpc(fd,
-              JsonFields().str("kind", "done").str("worker", name).object(),
-              cfg.maxFrameBytes);
+    (void)rpc(
+        fd, obs::JsonFields().str("kind", "done").str("worker", name).object(),
+        cfg.maxFrameBytes);
   }
 
   if (persistent != nullptr) {

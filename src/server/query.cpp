@@ -145,6 +145,14 @@ std::size_t emitValidation(std::ostream& out, const std::string& heading,
   return misses;
 }
 
+/// The estimator's probe count so far, as the live gauge both validate
+/// and fault-sim publish.
+void setLiveClassificationsGauge(obs::Registry& reg,
+                                 const std::atomic<std::uint64_t>& count) {
+  reg.setGauge("validate.live_classifications",
+               static_cast<double>(count.load(std::memory_order_relaxed)));
+}
+
 }  // namespace
 
 double argDouble(const char* flag, const std::string& value) {
@@ -361,9 +369,7 @@ QueryResult runValidateQuery(const std::vector<std::string>& args,
   opts.liveClassifications = &liveClassifications;
   const obs::SourceGuard probeGauge(
       ctx.hub, [&liveClassifications](obs::Registry& reg) {
-        reg.setGauge("validate.live_classifications",
-                     static_cast<double>(liveClassifications.load(
-                         std::memory_order_relaxed)));
+        setLiveClassificationsGauge(reg, liveClassifications);
       });
   const obs::SourceGuard poolGauges(
       pool.pool != nullptr ? ctx.hub : nullptr,
@@ -607,18 +613,8 @@ QueryResult runFaultSimQuery(const std::vector<std::string>& args,
   dopts.live = &liveFaults;
   const obs::SourceGuard faultGauges(
       ctx.hub, [&liveClassifications, &liveFaults](obs::Registry& reg) {
-        reg.setGauge("validate.live_classifications",
-                     static_cast<double>(liveClassifications.load(
-                         std::memory_order_relaxed)));
-        reg.setGauge("fault.live_classifications",
-                     static_cast<double>(liveFaults.classifications.load(
-                         std::memory_order_relaxed)));
-        reg.setGauge("fault.live_retries",
-                     static_cast<double>(liveFaults.retries.load(
-                         std::memory_order_relaxed)));
-        reg.setGauge("fault.live_dropped",
-                     static_cast<double>(liveFaults.droppedMessages.load(
-                         std::memory_order_relaxed)));
+        setLiveClassificationsGauge(reg, liveClassifications);
+        liveFaults.writeGauges(reg);
       });
   const obs::SourceGuard poolGauges(
       pool.pool != nullptr ? ctx.hub : nullptr,
@@ -762,7 +758,9 @@ QueryResult runFaultSimQuery(const std::vector<std::string>& args,
        << ", \"classifications\": " << d.degraded.classifications
        << "},\n  \"analytic\": {\"rho\": ";
     obs::writeJsonNumber(js, d.analyticRho);
-    js << ", \"critical_feature\": \"" << d.criticalFeature << "\"}\n}\n";
+    js << ", \"critical_feature\": ";
+    obs::writeJsonString(js, d.criticalFeature);
+    js << "}\n}\n";
     finishJson(result, jsonPath, js.str());
   }
   result.exitCode = d.nominalSatisfies ? 0 : 2;

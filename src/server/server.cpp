@@ -22,9 +22,9 @@ constexpr std::uint64_t kMaxPingSleepMillis = 10'000;
 
 /// The members of every fepiad success reply: the exit code, the
 /// captured stdout, and the --json document (null when `json` is).
-JsonFields queryFields(int exitCode, std::string_view output,
+obs::JsonFields queryFields(int exitCode, std::string_view output,
                        const std::string* json) {
-  JsonFields fields;
+  obs::JsonFields fields;
   fields.num("exit", exitCode).str("output", output);
   if (json != nullptr) {
     fields.str("json", *json);
@@ -257,13 +257,13 @@ bool Server::route(const std::shared_ptr<Connection>& conn,
 
   if (kind == "stats") {
     const std::string stats = statsJson();
-    writeOk(*conn, wire.id, queryFields(0, "", &stats));
     served_.fetch_add(1, std::memory_order_relaxed);
+    writeOk(*conn, wire.id, queryFields(0, "", &stats));
     return true;
   }
   if (kind == "shutdown") {
-    writeOk(*conn, wire.id, queryFields(0, "shutting down\n", nullptr));
     served_.fetch_add(1, std::memory_order_relaxed);
+    writeOk(*conn, wire.id, queryFields(0, "shutting down\n", nullptr));
     requestStop();
     return false;
   }
@@ -379,9 +379,8 @@ void Server::handle(const Request& req) {
     if (req.sleepMs != 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(req.sleepMs));
     }
-    if (writeOk(*req.conn, req.idRaw, queryFields(0, "pong\n", nullptr))) {
-      served_.fetch_add(1, std::memory_order_relaxed);
-    }
+    served_.fetch_add(1, std::memory_order_relaxed);
+    writeOk(*req.conn, req.idRaw, queryFields(0, "pong\n", nullptr));
     return;
   }
 
@@ -445,11 +444,10 @@ void Server::handle(const Request& req) {
     return writeError(*req.conn, req.idRaw, "failed", e.what(), &errors_);
   }
 
-  if (writeOk(*req.conn, req.idRaw,
-              queryFields(result.exitCode, out.str(),
-                          result.hasJson ? &result.json : nullptr))) {
-    served_.fetch_add(1, std::memory_order_relaxed);
-  }
+  served_.fetch_add(1, std::memory_order_relaxed);
+  writeOk(*req.conn, req.idRaw,
+          queryFields(result.exitCode, out.str(),
+                      result.hasJson ? &result.json : nullptr));
 }
 
 std::string Server::statsJson() {

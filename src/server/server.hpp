@@ -87,7 +87,7 @@ class Server {
  public:
   struct Stats {
     std::uint64_t accepted = 0;         ///< connections accepted
-    std::uint64_t served = 0;           ///< requests answered ok
+    std::uint64_t served = 0;           ///< ok replies, counted as sent
     std::uint64_t errors = 0;           ///< typed error responses
     std::uint64_t overloaded = 0;       ///< ... of which queue-full
     std::uint64_t deadlineExpired = 0;  ///< ... of which deadline

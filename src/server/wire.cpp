@@ -543,56 +543,19 @@ ReadStatus readRequest(Connection& conn, std::size_t maxBytes,
   return ReadStatus::Request;
 }
 
-std::ostream& JsonFields::key(std::string_view name) {
-  os_ << ',';
-  obs::writeJsonString(os_, name);
-  return os_ << ':';
-}
-
-JsonFields& JsonFields::str(std::string_view name, std::string_view value) {
-  obs::writeJsonString(key(name), value);
-  return *this;
-}
-
-JsonFields& JsonFields::num(std::string_view name, double value) {
-  obs::writeJsonNumber(key(name), value);
-  return *this;
-}
-
-JsonFields& JsonFields::boolean(std::string_view name, bool value) {
-  key(name) << (value ? "true" : "false");
-  return *this;
-}
-
-JsonFields& JsonFields::raw(std::string_view name, std::string_view json) {
-  key(name) << json;
-  return *this;
-}
-
-std::string JsonFields::object() const {
-  std::string text = os_.str();
-  if (text.empty()) return "{}";
-  text[0] = '{';  // the first member's leading comma
-  return text + '}';
-}
-
-bool writeOk(Connection& conn, const std::string& id,
-             const JsonFields& fields) {
-  return conn.write("{\"id\":" + id + ",\"ok\":true" + fields.members() +
-                    "}");
+void writeOk(Connection& conn, const std::string& id,
+             const obs::JsonFields& fields) {
+  conn.write("{\"id\":" + id + ",\"ok\":true" + fields.members() + "}");
 }
 
 void writeError(Connection& conn, const std::string& id, const char* code,
                 const std::string& message,
                 std::atomic<std::uint64_t>* errors) {
   if (errors != nullptr) errors->fetch_add(1, std::memory_order_relaxed);
-  std::ostringstream os;
-  os << "{\"id\":" << id << ",\"ok\":false,\"error\":{\"code\":";
-  obs::writeJsonString(os, code);
-  os << ",\"message\":";
-  obs::writeJsonString(os, message);
-  os << "}}";
-  conn.write(os.str());
+  obs::JsonFields error;
+  error.str("code", code).str("message", message);
+  conn.write("{\"id\":" + id + ",\"ok\":false,\"error\":" + error.object() +
+             "}");
 }
 
 std::optional<std::uint64_t> toCount(const JsonValue* value,

@@ -2,7 +2,9 @@
 // speak: length-prefixed JSON frames over a stream socket, the small
 // hand-rolled JSON reader that decodes them (the tree's one JSON
 // parser; obs/json.hpp only writes JSON), and the request/reply codec
-// the two services share.
+// the two services share: the readRequest rules and the writeOk /
+// writeError envelopes, whose members are built with obs::JsonFields,
+// the same builder that writes telemetry events.
 //
 // Framing: every message is a 4-byte big-endian payload length followed
 // by exactly that many bytes of UTF-8 JSON. The prefix makes message
@@ -35,11 +37,12 @@
 #include <limits>
 #include <mutex>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "obs/json.hpp"
 
 namespace fepia::server {
 
@@ -166,31 +169,10 @@ enum class ReadStatus {
                                      std::atomic<std::uint64_t>* errors =
                                          nullptr);
 
-/// The members of one frame object, each led by a comma and written
-/// with obs::writeJsonString / obs::writeJsonNumber (strings escaped,
-/// numbers round-trip exact, non-finite numbers as null).
-class JsonFields {
- public:
-  JsonFields& str(std::string_view key, std::string_view value);
-  JsonFields& num(std::string_view key, double value);
-  JsonFields& boolean(std::string_view key, bool value);
-  /// A member whose value is already JSON text.
-  JsonFields& raw(std::string_view key, std::string_view json);
-
-  /// The members alone: what a reply carries after its envelope.
-  [[nodiscard]] std::string members() const { return os_.str(); }
-  /// The members as one object: a request frame.
-  [[nodiscard]] std::string object() const;
-
- private:
-  std::ostream& key(std::string_view name);
-  std::ostringstream os_;
-};
-
-/// Answers `id` with {"id":<id>,"ok":true<fields>}. False when the
-/// connection is gone.
-bool writeOk(Connection& conn, const std::string& id,
-             const JsonFields& fields);
+/// Answers `id` with {"id":<id>,"ok":true<fields>} (a no-op once the
+/// connection is gone).
+void writeOk(Connection& conn, const std::string& id,
+             const obs::JsonFields& fields);
 
 /// Answers `id` with {"id":<id>,"ok":false,"error":{"code":<code>,
 /// "message":<message>}}, counting it in `errors` when non-null.

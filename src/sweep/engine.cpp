@@ -19,6 +19,7 @@
 #include "hiperd/factory.hpp"
 #include "io/system_io.hpp"
 #include "obs/clock.hpp"
+#include "obs/json.hpp"
 #include "obs/span.hpp"
 #include "radius/closed_forms.hpp"
 #include "radius/fepia.hpp"
@@ -540,15 +541,7 @@ SweepSurface runSweep(const SweepSpec& spec, const SweepOptions& opts,
           reg.setGauge("sweep.live_persistent_misses",
                        static_cast<double>(pc->misses()));
         }
-        reg.setGauge("fault.live_classifications",
-                     static_cast<double>(live.faults.classifications.load(
-                         std::memory_order_relaxed)));
-        reg.setGauge("fault.live_retries",
-                     static_cast<double>(live.faults.retries.load(
-                         std::memory_order_relaxed)));
-        reg.setGauge("fault.live_dropped",
-                     static_cast<double>(live.faults.droppedMessages.load(
-                         std::memory_order_relaxed)));
+        live.faults.writeGauges(reg);
       });
   const std::size_t watchdogId =
       watchdogOn ? hub->addWatchdog("sweep", opts.stallDeadlineSeconds) : 0;
@@ -588,14 +581,13 @@ SweepSurface runSweep(const SweepSpec& spec, const SweepOptions& opts,
     const double eta = rate > 0.0 ? static_cast<double>(left) / rate : 0.0;
 
     if (hub != nullptr) {
-      obs::TelemetryEvent beat("heartbeat");
-      beat.count("shard", s)
-          .count("points_done", done)
-          .count("points_total", pendingPoints)
-          .num("shard_seconds", shardWall)
-          .num("points_per_sec", rate)
-          .num("eta_seconds", eta);
-      hub->emit(beat);
+      hub->emit("heartbeat", obs::JsonFields()
+                                 .count("shard", s)
+                                 .count("points_done", done)
+                                 .count("points_total", pendingPoints)
+                                 .num("shard_seconds", shardWall)
+                                 .num("points_per_sec", rate)
+                                 .num("eta_seconds", eta));
 
       // Straggler check against the median completed shard so far. Needs
       // a few completed shards before "median" means anything.
@@ -605,13 +597,12 @@ SweepSurface runSweep(const SweepSpec& spec, const SweepOptions& opts,
         std::sort(sorted.begin(), sorted.end());
         const double median = sorted[sorted.size() / 2];
         if (median > 0.0 && shardWall > kStragglerFactor * median) {
-          obs::TelemetryEvent warn("warning");
-          warn.str("kind", "straggler")
-              .count("shard", s)
-              .num("shard_seconds", shardWall)
-              .num("median_seconds", median)
-              .num("factor", shardWall / median);
-          hub->emit(warn);
+          hub->emit("warning", obs::JsonFields()
+                                   .str("kind", "straggler")
+                                   .count("shard", s)
+                                   .num("shard_seconds", shardWall)
+                                   .num("median_seconds", median)
+                                   .num("factor", shardWall / median));
         }
       }
     }

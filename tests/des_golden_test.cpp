@@ -10,10 +10,13 @@
 // than on what the simulation computes. The fault-sim and validate --des
 // queries are pinned through their JSON reports, whose numbers are
 // printed with 17 significant digits and so round-trip exactly.
+// The fault-sim report must also stay parseable when the system file's
+// names need JSON escaping.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -26,6 +29,7 @@
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "server/query.hpp"
+#include "server/wire.hpp"
 
 namespace des = fepia::des;
 namespace fault = fepia::fault;
@@ -279,4 +283,36 @@ TEST(DesGolden, ValidateDesRowMatchesPinnedReport) {
             "\"relative_error\": -0.27055853682613795, \"ci\": [0, "
             "1.0002140116808333], \"within_ci\": false, \"directions\": 4, "
             "\"boundary_hits\": 4, \"classifications\": 10999}");
+}
+
+// Feature names come from the system file verbatim, so the report must
+// escape them: a path named `path\qradar` once produced the invalid
+// JSON escape `\q`, and `path\radar` a silent carriage return.
+TEST(DesGolden, FaultSimReportEscapesFeatureNames) {
+  std::ifstream in(FEPIA_SOURCE_DIR "/examples/data/fusion_pipeline.hiperd");
+  std::stringstream text;
+  text << in.rdbuf();
+  std::string system = text.str();
+  for (const std::string name : {"radar", "sonar", "ais"}) {
+    const std::string from = "path-" + name;
+    const std::string to = "path\\q" + name;
+    for (std::size_t at = system.find(from); at != std::string::npos;
+         at = system.find(from, at + to.size())) {
+      system.replace(at, from.size(), to);
+    }
+  }
+  const std::string path = ::testing::TempDir() + "backslash_paths.hiperd";
+  std::ofstream(path) << system;
+
+  const std::string json =
+      queryJson(&server::runFaultSimQuery,
+                {"--hiperd", path, "--samples", "8", "--gens", "20", "--seed",
+                 "7"});
+  const std::optional<server::JsonValue> doc = server::parseJson(json);
+  ASSERT_TRUE(doc.has_value()) << json;
+  const server::JsonValue* analytic = doc->find("analytic");
+  ASSERT_NE(analytic, nullptr);
+  const server::JsonValue* feature = analytic->find("critical_feature");
+  ASSERT_NE(feature, nullptr);
+  EXPECT_EQ(feature->string, "latency(path\\qradar)");
 }

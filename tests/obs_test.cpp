@@ -110,6 +110,24 @@ TEST(ObsJson, NumbersRoundTripAndNonFiniteIsNull) {
   EXPECT_EQ(nan.str(), "null");
 }
 
+TEST(ObsJson, FieldsWriteMembersInCallOrder) {
+  obs::JsonFields fields;
+  fields.str("k\"ey", "a\\b")
+      .num("x", 0.5)
+      .num("inf", std::numeric_limits<double>::infinity())
+      .count("n", 18446744073709551615ull)
+      .boolean("ok", true)
+      .raw("list", "[1,2]");
+  const std::string members =
+      ",\"k\\\"ey\":\"a\\\\b\",\"x\":0.5,\"inf\":null,"
+      "\"n\":18446744073709551615,\"ok\":true,\"list\":[1,2]";
+  EXPECT_EQ(fields.members(), members);
+  EXPECT_EQ(fields.object(), "{" + members.substr(1) + "}");
+  EXPECT_TRUE(server::parseJson(fields.object()).has_value());
+  EXPECT_EQ(obs::JsonFields().object(), "{}");
+  EXPECT_EQ(obs::JsonFields().members(), "");
+}
+
 // The tests below check emitted documents with server::parseJson, the
 // tree's one JSON parser; these two pin that it is strict enough to.
 TEST(ObsJson, ValidatorAcceptsAndRejects) {

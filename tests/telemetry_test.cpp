@@ -1,17 +1,19 @@
-// The telemetry hub end to end: sampling lifecycle, ring buffer and
-// series extraction, structured events, alert rules (parsing, edge
-// triggering, emission), stall watchdogs, the Prometheus text
-// exposition, and — the hard guarantee — that attaching the hub to a
-// sweep leaves the surface byte-identical at threads 1, 2 and 8. The
-// suite name is in the tsan preset filter (CMakePresets.json), so every
-// test here also runs under ThreadSanitizer against the live sampler
-// thread.
+// The telemetry hub end to end: sampling lifecycle, structured events,
+// alert rules (parsing, edge triggering, emission), stall watchdogs,
+// the Prometheus text exposition, and — the hard guarantee — that
+// attaching the hub to a sweep leaves the surface byte-identical at
+// threads 1, 2 and 8. The sink is the hub's one record of a run, so
+// every test reads what a consumer reads: the JSONL stream, one record
+// parsed per line. The suite name is in the tsan preset filter
+// (CMakePresets.json), so every test here also runs under
+// ThreadSanitizer against the live sampler thread.
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <chrono>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -39,116 +41,167 @@ obs::TelemetryOptions quietOptions() {
   return opts;
 }
 
-bool hasRecord(const std::vector<std::string>& records,
-               std::string_view needle) {
-  for (const std::string& r : records) {
-    if (r.find(needle) != std::string::npos) return true;
+/// A hub and the stream it writes. Read the stream only while no
+/// sampler thread runs (before start() or after stop()).
+struct StreamedHub {
+  explicit StreamedHub(obs::TelemetryOptions opts)
+      : hub(std::move(opts), &sink) {}
+  std::ostringstream sink;
+  obs::TelemetryHub hub;
+};
+
+/// The records of `type` in the stream (all of them when `type` is
+/// empty), each line parsed as one JSON document.
+std::vector<server::JsonValue> records(const std::ostringstream& sink,
+                                       const std::string& type = "") {
+  std::vector<server::JsonValue> out;
+  std::istringstream in(sink.str());
+  std::string line;
+  while (std::getline(in, line)) {
+    std::optional<server::JsonValue> doc = server::parseJson(line);
+    EXPECT_TRUE(doc.has_value()) << line;
+    if (!doc.has_value()) continue;
+    const server::JsonValue* t = doc->find("type");
+    EXPECT_TRUE(t != nullptr && t->isString()) << line;
+    if (type.empty() || (t != nullptr && t->string == type)) {
+      out.push_back(std::move(*doc));
+    }
   }
-  return false;
+  return out;
+}
+
+std::size_t sampleCount(const std::ostringstream& sink) {
+  return records(sink, "sample").size();
+}
+
+/// The alert records of one `kind` ("threshold" or "stall").
+std::vector<server::JsonValue> alerts(const std::ostringstream& sink,
+                                      const std::string& kind) {
+  std::vector<server::JsonValue> out;
+  for (server::JsonValue& r : records(sink, "alert")) {
+    const server::JsonValue* k = r.find("kind");
+    if (k != nullptr && k->string == kind) out.push_back(std::move(r));
+  }
+  return out;
+}
+
+/// One member of a sample's metrics ("counters" or "gauges"); nullptr
+/// when absent.
+const server::JsonValue* metric(const server::JsonValue& sample,
+                                const std::string& group,
+                                const std::string& name) {
+  const server::JsonValue* metrics = sample.find("metrics");
+  if (metrics == nullptr) return nullptr;
+  const server::JsonValue* members = metrics->find(group);
+  return members != nullptr ? members->find(name) : nullptr;
 }
 
 // ---- sampling lifecycle ----------------------------------------------
 
 TEST(Telemetry, StartAndStopEachTakeASample) {
-  obs::TelemetryHub hub(quietOptions());
-  hub.start();
-  hub.stop();
+  StreamedHub t(quietOptions());
+  t.hub.start();
+  t.hub.stop();
   // First-and-last guarantee: even a run much shorter than the interval
   // produces at least two samples (what the CI smoke asserts on).
-  EXPECT_GE(hub.sampleCount(), 2u);
-  const std::vector<obs::TelemetrySample> samples = hub.samples();
+  const std::vector<server::JsonValue> samples = records(t.sink, "sample");
   ASSERT_GE(samples.size(), 2u);
-  EXPECT_EQ(samples.front().seq, 0u);
-  EXPECT_GE(samples.back().tNs, samples.front().tNs);
+  EXPECT_EQ(samples.front().find("seq")->number, 0.0);
+  EXPECT_GE(samples.back().find("t_ms")->number,
+            samples.front().find("t_ms")->number);
 }
 
 TEST(Telemetry, StopIsIdempotentAndRestartable) {
-  obs::TelemetryHub hub(quietOptions());
-  hub.start();
-  hub.stop();
-  hub.stop();
-  const std::uint64_t afterFirst = hub.sampleCount();
-  hub.start();
-  hub.stop();
-  EXPECT_GT(hub.sampleCount(), afterFirst);
+  StreamedHub t(quietOptions());
+  t.hub.start();
+  t.hub.stop();
+  t.hub.stop();
+  const std::size_t afterFirst = sampleCount(t.sink);
+  t.hub.start();
+  t.hub.stop();
+  EXPECT_GT(sampleCount(t.sink), afterFirst);
 }
 
 TEST(Telemetry, EveryRecordIsValidJson) {
-  std::ostringstream sink;
-  obs::TelemetryHub hub(quietOptions(), &sink);
-  hub.start();
+  StreamedHub t(quietOptions());
+  t.hub.start();
   obs::Registry reg;
   reg.counters().bump("weird \"name\"\n", 3);
-  hub.publish(reg);
-  obs::TelemetryEvent evil("heartbeat");
-  evil.str("ke\"y", "va\\lue").num("x", 1.5).count("n", 7);
-  hub.emit(evil);
-  hub.stop();
+  t.hub.publish(reg);
+  t.hub.emit("heartbeat",
+             obs::JsonFields().str("ke\"y", "va\\lue").num("x", 1.5).count(
+                 "n", 7));
+  t.hub.stop();
 
-  const std::vector<obs::TelemetrySample> ignored = hub.samples();
-  std::size_t lines = 0;
-  std::istringstream in(sink.str());
-  std::string line;
-  while (std::getline(in, line)) {
-    ++lines;
-    EXPECT_TRUE(server::parseJson(line).has_value()) << line;
-  }
-  EXPECT_EQ(lines, hub.records().size());
-  EXPECT_GE(lines, 3u);  // two samples + the event
+  const std::vector<server::JsonValue> all = records(t.sink);
+  EXPECT_GE(all.size(), 3u);  // two samples + the event
+  const std::vector<server::JsonValue> beats = records(t.sink, "heartbeat");
+  ASSERT_EQ(beats.size(), 1u);
+  EXPECT_EQ(beats[0].find("ke\"y")->string, "va\\lue");
+  EXPECT_EQ(beats[0].find("x")->number, 1.5);
+  EXPECT_EQ(beats[0].find("n")->number, 7.0);
+  const std::vector<server::JsonValue> samples = records(t.sink, "sample");
+  ASSERT_FALSE(samples.empty());
+  ASSERT_NE(metric(samples.back(), "counters", "weird \"name\"\n"), nullptr);
+}
+
+TEST(Telemetry, EventRecordsKeepTheirMemberOrder) {
+  StreamedHub t(quietOptions());
+  t.hub.emit("heartbeat",
+             obs::JsonFields().count("shard", 3).num("eta_seconds", 0.5));
+  const std::string line = t.sink.str();
+  EXPECT_EQ(line.rfind("{\"type\":\"heartbeat\",\"t_ms\":", 0), 0u) << line;
+  const std::string tail = ",\"shard\":3,\"eta_seconds\":0.5}\n";
+  ASSERT_GE(line.size(), tail.size());
+  EXPECT_EQ(line.substr(line.size() - tail.size()), tail) << line;
 }
 
 TEST(Telemetry, PublishedMetricsAppearInSnapshots) {
-  obs::TelemetryHub hub(quietOptions());
+  StreamedHub t(quietOptions());
   obs::Registry reg;
   reg.counters().bump("alpha", 5);
   reg.setGauge("beta", 2.5);
-  hub.publish(reg);
-  hub.sampleNow();
-  const std::vector<obs::TelemetrySample> samples = hub.samples();
+  t.hub.publish(reg);
+  t.hub.sampleNow();
+  const std::vector<server::JsonValue> samples = records(t.sink, "sample");
   ASSERT_EQ(samples.size(), 1u);
-  EXPECT_EQ(samples[0].registry.counters().value("alpha"), 5u);
-  EXPECT_DOUBLE_EQ(samples[0].registry.gauge("beta"), 2.5);
+  ASSERT_NE(metric(samples[0], "counters", "alpha"), nullptr);
+  EXPECT_EQ(metric(samples[0], "counters", "alpha")->number, 5.0);
+  ASSERT_NE(metric(samples[0], "gauges", "beta"), nullptr);
+  EXPECT_DOUBLE_EQ(metric(samples[0], "gauges", "beta")->number, 2.5);
 }
 
 TEST(Telemetry, SourcesFeedGaugesUntilRemoved) {
-  obs::TelemetryHub hub(quietOptions());
+  StreamedHub t(quietOptions());
   double level = 1.0;
-  const std::size_t id = hub.addSource(
+  const std::size_t id = t.hub.addSource(
       [&level](obs::Registry& reg) { reg.setGauge("live.level", level); });
-  hub.sampleNow();
+  t.hub.sampleNow();
   level = 4.0;
-  hub.sampleNow();
-  hub.removeSource(id);
-  hub.sampleNow();
+  t.hub.sampleNow();
+  t.hub.removeSource(id);
+  t.hub.sampleNow();
 
-  const auto series = hub.series("live.level");
-  ASSERT_EQ(series.size(), 2u);  // absent after removal
-  EXPECT_DOUBLE_EQ(series[0].second, 1.0);
-  EXPECT_DOUBLE_EQ(series[1].second, 4.0);
-}
-
-TEST(Telemetry, RingEvictsOldestButCountsEverything) {
-  obs::TelemetryOptions opts = quietOptions();
-  opts.ringCapacity = 3;
-  obs::TelemetryHub hub(opts);
-  for (int i = 0; i < 5; ++i) hub.sampleNow();
-  EXPECT_EQ(hub.sampleCount(), 5u);
-  const std::vector<obs::TelemetrySample> samples = hub.samples();
+  const std::vector<server::JsonValue> samples = records(t.sink, "sample");
   ASSERT_EQ(samples.size(), 3u);
-  EXPECT_EQ(samples.front().seq, 2u);
-  EXPECT_EQ(samples.back().seq, 4u);
+  ASSERT_NE(metric(samples[0], "gauges", "live.level"), nullptr);
+  EXPECT_DOUBLE_EQ(metric(samples[0], "gauges", "live.level")->number, 1.0);
+  ASSERT_NE(metric(samples[1], "gauges", "live.level"), nullptr);
+  EXPECT_DOUBLE_EQ(metric(samples[1], "gauges", "live.level")->number, 4.0);
+  EXPECT_EQ(metric(samples[2], "gauges", "live.level"), nullptr)
+      << "absent after removal";
 }
 
 TEST(Telemetry, BackgroundSamplerProducesPeriodicSamples) {
   obs::TelemetryOptions opts;
   opts.intervalMillis = 5;
-  obs::TelemetryHub hub(opts);
-  hub.start();
+  StreamedHub t(opts);
+  t.hub.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  hub.stop();
+  t.hub.stop();
   // 60ms at a 5ms period: comfortably more than start+stop alone even
   // on a loaded machine.
-  EXPECT_GE(hub.sampleCount(), 4u);
+  EXPECT_GE(sampleCount(t.sink), 4u);
 }
 
 // ---- alert rules ------------------------------------------------------
@@ -215,55 +268,46 @@ TEST(Telemetry, CounterMetricsSatisfyRulesToo) {
 TEST(Telemetry, HubEmitsThresholdAlertEvents) {
   obs::TelemetryOptions opts = quietOptions();
   opts.alerts.push_back(obs::parseAlertRule("work.done>3"));
-  obs::TelemetryHub hub(opts);
-  hub.sampleNow();  // 0: below
+  StreamedHub t(opts);
+  t.hub.sampleNow();  // 0: below
   obs::Registry reg;
   reg.counters().bump("work.done", 10);
-  hub.publish(reg);
-  hub.sampleNow();  // 10: crossing
-  hub.sampleNow();  // still 10: no second event
+  t.hub.publish(reg);
+  t.hub.sampleNow();  // 10: crossing
+  t.hub.sampleNow();  // still 10: no second event
 
-  std::size_t alerts = 0;
-  for (const std::string& r : hub.records()) {
-    if (r.find("\"kind\":\"threshold\"") != std::string::npos) ++alerts;
-  }
-  EXPECT_EQ(alerts, 1u);
-  EXPECT_TRUE(hasRecord(hub.records(), "\"rule\":\"work.done>3\""));
+  const std::vector<server::JsonValue> fired = alerts(t.sink, "threshold");
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_EQ(fired[0].find("rule")->string, "work.done>3");
+  EXPECT_EQ(fired[0].find("value")->number, 10.0);
 }
 
 // ---- stall watchdog ---------------------------------------------------
 
 TEST(Telemetry, StallWatchdogFiresAndRearms) {
-  obs::TelemetryHub hub(quietOptions());
-  const std::size_t dog = hub.addWatchdog("sweep", 0.005);
+  StreamedHub t(quietOptions());
+  const std::size_t dog = t.hub.addWatchdog("sweep", 0.005);
   std::this_thread::sleep_for(std::chrono::milliseconds(15));
-  hub.sampleNow();  // stalled: alert
-  hub.sampleNow();  // still stalled: edge-triggered, no second alert
+  t.hub.sampleNow();  // stalled: alert
+  t.hub.sampleNow();  // still stalled: edge-triggered, no second alert
 
-  std::size_t stalls = 0;
-  for (const std::string& r : hub.records()) {
-    if (r.find("\"kind\":\"stall\"") != std::string::npos) ++stalls;
-  }
-  EXPECT_EQ(stalls, 1u);
-  EXPECT_TRUE(hasRecord(hub.records(), "\"watchdog\":\"sweep\""));
+  const std::vector<server::JsonValue> stalls = alerts(t.sink, "stall");
+  ASSERT_EQ(stalls.size(), 1u);
+  EXPECT_EQ(stalls[0].find("watchdog")->string, "sweep");
 
-  hub.noteProgress(dog);
-  hub.sampleNow();  // fed: clears
+  t.hub.noteProgress(dog);
+  t.hub.sampleNow();  // fed: clears
   std::this_thread::sleep_for(std::chrono::milliseconds(15));
-  hub.sampleNow();  // stalled again: fires again
-  stalls = 0;
-  for (const std::string& r : hub.records()) {
-    if (r.find("\"kind\":\"stall\"") != std::string::npos) ++stalls;
-  }
-  EXPECT_EQ(stalls, 2u);
+  t.hub.sampleNow();  // stalled again: fires again
+  EXPECT_EQ(alerts(t.sink, "stall").size(), 2u);
 }
 
 TEST(Telemetry, FedWatchdogStaysQuiet) {
-  obs::TelemetryHub hub(quietOptions());
-  (void)hub.addWatchdog("quiet", 10.0);
-  hub.sampleNow();
-  hub.sampleNow();
-  EXPECT_FALSE(hasRecord(hub.records(), "\"kind\":\"stall\""));
+  StreamedHub t(quietOptions());
+  (void)t.hub.addWatchdog("quiet", 10.0);
+  t.hub.sampleNow();
+  t.hub.sampleNow();
+  EXPECT_TRUE(alerts(t.sink, "stall").empty());
 }
 
 // ---- Prometheus text exposition ---------------------------------------
@@ -394,27 +438,24 @@ std::string renderJson(const sweep::SweepSpec& spec,
 }
 
 TEST(Telemetry, SweepEmitsHeartbeatsWithEta) {
-  obs::TelemetryHub hub(quietOptions());
-  hub.start();
+  StreamedHub t(quietOptions());
+  t.hub.start();
   const sweep::SweepSpec spec = telemetrySpec();
   sweep::SweepOptions opts;
-  opts.telemetry = &hub;
+  opts.telemetry = &t.hub;
   parallel::ThreadPool pool(2);
   const sweep::SweepSurface surface = sweep::runSweep(spec, opts, &pool);
-  hub.stop();
+  t.hub.stop();
 
   EXPECT_TRUE(surface.complete);
-  std::size_t beats = 0;
-  for (const std::string& r : hub.records()) {
-    if (r.find("\"type\":\"heartbeat\"") == std::string::npos) continue;
-    ++beats;
-    EXPECT_NE(r.find("\"points_per_sec\":"), std::string::npos) << r;
-    EXPECT_NE(r.find("\"eta_seconds\":"), std::string::npos) << r;
-    EXPECT_NE(r.find("\"shard\":"), std::string::npos) << r;
-    EXPECT_TRUE(server::parseJson(r).has_value()) << r;
+  const std::vector<server::JsonValue> beats = records(t.sink, "heartbeat");
+  for (const server::JsonValue& beat : beats) {
+    EXPECT_NE(beat.find("points_per_sec"), nullptr);
+    EXPECT_NE(beat.find("eta_seconds"), nullptr);
+    EXPECT_NE(beat.find("shard"), nullptr);
   }
-  EXPECT_EQ(beats, surface.shards);
-  EXPECT_GE(hub.sampleCount(), 2u);
+  EXPECT_EQ(beats.size(), surface.shards);
+  EXPECT_GE(sampleCount(t.sink), 2u);
 }
 
 TEST(Telemetry, SweepStallWatchdogFlagsInjectedStall) {
@@ -422,22 +463,22 @@ TEST(Telemetry, SweepStallWatchdogFlagsInjectedStall) {
   // deadline and sample after the sweep's last point — the gap between
   // the final noteProgress and the sample exceeds the deadline, which
   // is exactly the signal a hung estimator would produce.
-  obs::TelemetryHub hub(quietOptions());
+  StreamedHub t(quietOptions());
   const sweep::SweepSpec spec = telemetrySpec();
   sweep::SweepOptions opts;
-  opts.telemetry = &hub;
+  opts.telemetry = &t.hub;
   opts.stallDeadlineSeconds = 1e-9;
   const sweep::SweepSurface surface = sweep::runSweep(spec, opts, nullptr);
   EXPECT_TRUE(surface.complete);
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  hub.sampleNow();
+  t.hub.sampleNow();
   // The run's watchdog is removed at sweep exit; the injected-stall
   // variant registers its own to observe the alert path end to end.
-  const std::size_t dog = hub.addWatchdog("injected", 1e-9);
+  const std::size_t dog = t.hub.addWatchdog("injected", 1e-9);
   (void)dog;
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  hub.sampleNow();
-  EXPECT_TRUE(hasRecord(hub.records(), "\"kind\":\"stall\""));
+  t.hub.sampleNow();
+  EXPECT_FALSE(alerts(t.sink, "stall").empty());
 }
 
 TEST(Telemetry, SweepSurfaceByteIdenticalWithTelemetry) {
@@ -452,19 +493,19 @@ TEST(Telemetry, SweepSurfaceByteIdenticalWithTelemetry) {
     obs::TelemetryOptions topts;
     topts.intervalMillis = 1;  // sample aggressively during the run
     topts.alerts.push_back(obs::parseAlertRule("sweep.live_points_done>2"));
-    obs::TelemetryHub hub(topts);
-    hub.start();
+    StreamedHub t(topts);
+    t.hub.start();
 
     sweep::SweepOptions opts;
-    opts.telemetry = &hub;
+    opts.telemetry = &t.hub;
     opts.stallDeadlineSeconds = 1e-6;  // watchdog churn during the run
     parallel::ThreadPool pool(threads);
     const sweep::SweepSurface surface = sweep::runSweep(spec, opts, &pool);
-    hub.stop();
+    t.hub.stop();
 
     EXPECT_EQ(renderJson(spec, surface), baseline)
         << "telemetry changed the surface at threads=" << threads;
-    EXPECT_GE(hub.sampleCount(), 2u);
+    EXPECT_GE(sampleCount(t.sink), 2u);
   }
 }
 
@@ -473,42 +514,42 @@ TEST(Telemetry, SweepSurfaceByteIdenticalWithTelemetry) {
 // of threads without joining dead threads or double-counting the final
 // sample.
 TEST(Telemetry, StopWithoutStartIsANoop) {
-  obs::TelemetryHub hub(obs::TelemetryOptions{});
-  hub.stop();  // never started: no join, no sample
-  EXPECT_EQ(hub.sampleCount(), 0u);
-  hub.emit(obs::TelemetryEvent("late"));  // still usable un-started
-  EXPECT_EQ(hub.records().size(), 1u);
+  StreamedHub t(obs::TelemetryOptions{});
+  t.hub.stop();  // never started: no join, no sample
+  EXPECT_EQ(sampleCount(t.sink), 0u);
+  t.hub.emit("late", obs::JsonFields());  // still usable un-started
+  EXPECT_EQ(records(t.sink).size(), 1u);
 }
 
 TEST(Telemetry, DoubleStopTakesExactlyOneFinalSample) {
   obs::TelemetryOptions topts;
   topts.intervalMillis = 3'600'000;  // no periodic samples during the test
-  obs::TelemetryHub hub(topts);
-  hub.start();
-  hub.stop();
-  const std::uint64_t afterFirstStop = hub.sampleCount();
+  StreamedHub t(topts);
+  t.hub.start();
+  t.hub.stop();
+  const std::size_t afterFirstStop = sampleCount(t.sink);
   EXPECT_EQ(afterFirstStop, 2u);  // t=0 + final
-  hub.stop();
-  hub.stop();
-  EXPECT_EQ(hub.sampleCount(), afterFirstStop);
+  t.hub.stop();
+  t.hub.stop();
+  EXPECT_EQ(sampleCount(t.sink), afterFirstStop);
 }
 
 TEST(Telemetry, ConcurrentStopIsRaceFree) {
   for (int round = 0; round < 8; ++round) {
     obs::TelemetryOptions topts;
     topts.intervalMillis = 1;
-    obs::TelemetryHub hub(topts);
-    hub.start();
+    StreamedHub t(topts);
+    t.hub.start();
     std::vector<std::thread> stoppers;
     stoppers.reserve(4);
-    for (int t = 0; t < 4; ++t) {
-      stoppers.emplace_back([&hub] { hub.stop(); });
+    for (int i = 0; i < 4; ++i) {
+      stoppers.emplace_back([&t] { t.hub.stop(); });
     }
-    for (std::thread& t : stoppers) t.join();
+    for (std::thread& th : stoppers) th.join();
     // Exactly one stopper won the final sample; the count is stable.
-    const std::uint64_t count = hub.sampleCount();
-    hub.stop();
-    EXPECT_EQ(hub.sampleCount(), count);
+    const std::size_t count = sampleCount(t.sink);
+    t.hub.stop();
+    EXPECT_EQ(sampleCount(t.sink), count);
     EXPECT_GE(count, 2u);
   }
 }
@@ -516,12 +557,12 @@ TEST(Telemetry, ConcurrentStopIsRaceFree) {
 TEST(Telemetry, RestartAfterStopWorks) {
   obs::TelemetryOptions topts;
   topts.intervalMillis = 3'600'000;
-  obs::TelemetryHub hub(topts);
-  hub.start();
-  hub.stop();
-  hub.start();  // Idle again: a fresh sampler may start
-  hub.stop();
-  EXPECT_EQ(hub.sampleCount(), 4u);
+  StreamedHub t(topts);
+  t.hub.start();
+  t.hub.stop();
+  t.hub.start();  // Idle again: a fresh sampler may start
+  t.hub.stop();
+  EXPECT_EQ(sampleCount(t.sink), 4u);
 }
 
 }  // namespace

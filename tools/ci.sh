@@ -451,10 +451,13 @@ EOF
     # one scripted client session over the wire protocol — happy-path
     # ping + stats, a malformed frame that must get a *typed* error
     # without killing the connection, and a graceful shutdown request.
-    # The daemon must exit 0 and report its request tally.
+    # The daemon must exit 0 and report its request tally, and its
+    # telemetry stream must pass the schema check and carry the fepiad.*
+    # live gauges.
     echo "=== [$cfg] fepia_cli serve smoke ==="
-    rm -f build/serve_smoke.log
+    rm -f build/serve_smoke.log build/serve_telemetry.jsonl
     ./build/tools/fepia_cli serve --port 0 --workers 2 --threads 2 \
+      --telemetry build/serve_telemetry.jsonl --telemetry-interval 20 \
       > build/serve_smoke.log &
     serve_pid=$!
     port=""
@@ -513,6 +516,23 @@ print("serve wire session OK")
 EOF
     wait "$serve_pid"
     grep -q '^fepiad exiting: ' build/serve_smoke.log
+    python3 tools/check_telemetry.py build/serve_telemetry.jsonl \
+      tools/schemas/telemetry.schema.json
+    # The hub's final sample is taken after the server has unhooked its
+    # gauges at exit, so read the last sample that still carries them.
+    python3 - build/serve_telemetry.jsonl <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    samples = [r for r in map(json.loads, f) if r["type"] == "sample"]
+live = [s["metrics"]["gauges"] for s in samples
+        if "fepiad.requests_served" in s["metrics"]["gauges"]]
+assert live, "no sample carries the fepiad.* gauges"
+last = live[-1]
+assert last["fepiad.requests_served"] >= 1, f"nothing served: {last}"
+assert "fepiad.queue_depth" in last, f"no queue depth gauge: {last}"
+print(f"serve telemetry OK ({len(samples)} samples, "
+      f"{last['fepiad.requests_served']:g} served)")
+EOF
     echo "fepia_cli serve smoke OK"
 
     # Throughput guard: smoke runs must stay within a generous factor of
