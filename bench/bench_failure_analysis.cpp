@@ -19,6 +19,7 @@
 // heuristic survives any single failure, and no failure raises rho.
 #include <algorithm>
 #include <iostream>
+#include <string>
 
 #include "claim.hpp"
 #include "fepia.hpp"
@@ -26,6 +27,14 @@
 namespace {
 
 using namespace fepia;
+
+/// "m<index>", the table label of machine `index`. Built by appending:
+/// GCC 12 reports a false -Wrestrict on `"m" + std::to_string(index)`.
+std::string machineLabel(std::size_t index) {
+  std::string label = "m";
+  label += std::to_string(index);
+  return label;
+}
 
 }  // namespace
 
@@ -69,7 +78,7 @@ int main() {
     table.addRow({name, report::fixed(rhoBefore, 1),
                   survivesAll ? "yes" : "NO",
                   report::fixed(worstRho, 1),
-                  "m" + std::to_string(worstMachine)});
+                  machineLabel(worstMachine)});
   }
   table.print(std::cout);
 
@@ -79,7 +88,7 @@ int main() {
   report::Table profile({"failed machine", "tasks orphaned",
                          "makespan after (s)", "rho after (s)"});
   for (const auto& im : alloc::machineFailureImpacts(detail, e, tau)) {
-    profile.addRow({"m" + std::to_string(im.failedMachine),
+    profile.addRow({machineLabel(im.failedMachine),
                     std::to_string(detail.tasksOn(im.failedMachine).size()),
                     report::fixed(im.makespanAfter, 1),
                     im.recoverable ? report::fixed(im.rhoAfter, 1)

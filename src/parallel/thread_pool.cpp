@@ -124,6 +124,41 @@ void drain(std::vector<std::future<void>>& futures, std::exception_ptr& first,
   }
 }
 
+/// The failed indices of one parallelFor: the exception of the smallest
+/// one, so the rethrown error does not depend on scheduling, and how
+/// many failed.
+struct IndexFailures {
+  std::mutex mutex;
+  std::exception_ptr first;
+  std::size_t firstIndex = 0;
+  std::size_t count = 0;
+
+  void record(std::size_t index, std::exception_ptr error) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (!first || index < firstIndex) {
+      first = std::move(error);
+      firstIndex = index;
+    }
+    ++count;
+  }
+};
+
+/// Runs body(i) for each index claimed from `cursor` until all `count`
+/// are taken. A failing index is recorded and the loop goes on, so one
+/// failure never strands the indices behind it.
+void claimIndices(std::atomic<std::size_t>& cursor, std::size_t count,
+                  const std::function<void(std::size_t)>& body,
+                  IndexFailures& failures) {
+  for (std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+       i < count; i = cursor.fetch_add(1, std::memory_order_relaxed)) {
+    try {
+      body(i);
+    } catch (...) {
+      failures.record(i, std::current_exception());
+    }
+  }
+}
+
 }  // namespace
 
 void parallelFor(ThreadPool& pool, std::size_t count,
@@ -131,71 +166,60 @@ void parallelFor(ThreadPool& pool, std::size_t count,
   if (!body) throw std::invalid_argument("parallel::parallelFor: null body");
   if (count == 0) return;
 
-  // Chunk the index range so tiny bodies don't drown in task overhead.
-  const std::size_t chunks =
-      std::min(count, std::max<std::size_t>(1, 4 * pool.threadCount()));
-  const std::size_t per = (count + chunks - 1) / chunks;
+  std::atomic<std::size_t> cursor{0};
+  IndexFailures failures;
 
   // A single-worker pool gains nothing from the queue: submitting would
   // only add packaged_task/future/condition-variable overhead on top of
   // strictly serial execution (measured ~40% slower on the fault-sweep
-  // bench). Run inline, preserving the chunk structure and the
-  // first-failure-plus-suppressed-count aggregation of the pooled path.
+  // bench). Its one task runs inline, with the failure handling of the
+  // pooled path.
   if (pool.threadCount() == 1) {
-    std::exception_ptr first;
-    std::size_t suppressedInline = 0;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t begin = c * per;
-      const std::size_t end = std::min(count, begin + per);
-      if (begin >= end) break;
-      pool.noteInlineTask();
+    pool.noteInlineTask();
+    {
       FEPIA_SPAN_ARG("pool.task", "worker", std::size_t{0});
-      try {
-        for (std::size_t i = begin; i < end; ++i) body(i);
-      } catch (...) {
-        if (!first) {
-          first = std::current_exception();
-        } else {
-          ++suppressedInline;
-        }
-      }
+      claimIndices(cursor, count, body, failures);
     }
-    if (first) rethrowAggregated(first, suppressedInline, "parallelFor");
+    if (failures.first) {
+      rethrowAggregated(failures.first, failures.count - 1, "parallelFor");
+    }
     return;
   }
 
   // Submission can itself fail (submit throws once shutdown started).
-  // Propagating that immediately would abandon the chunks already
+  // Propagating that immediately would abandon the tasks already
   // queued: they still reference `body` on this frame — a use-after-free
-  // once the caller unwinds — and any exception they captured would be
-  // dropped with their futures. So a submit failure only stops
+  // once the caller unwinds. So a submit failure only stops
   // *submitting*; the already-queued futures are always drained below
   // and the failure joins the aggregate like any task failure. This is
   // the audit contract for every catch site in this file: a task
   // exception is either rethrown or counted into the rethrown message —
   // never silently swallowed (load-bearing for the resident fepiad
   // server, where a swallowed exception is an invisibly wrong reply).
+  const std::size_t tasks = std::min(count, pool.threadCount());
   std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
+  futures.reserve(tasks);
   std::exception_ptr submitFailure;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = c * per;
-    const std::size_t end = std::min(count, begin + per);
-    if (begin >= end) break;
+  for (std::size_t t = 0; t < tasks; ++t) {
     try {
-      futures.push_back(pool.submit([&body, begin, end] {
-        for (std::size_t i = begin; i < end; ++i) body(i);
+      futures.push_back(pool.submit([&cursor, count, &body, &failures] {
+        claimIndices(cursor, count, body, failures);
       }));
     } catch (...) {
       submitFailure = std::current_exception();
       break;
     }
   }
-  // Propagate the first failure; further failures are counted into the
-  // rethrown message instead of vanishing silently.
+  // Propagate the smallest index's failure; every further failure (of
+  // an index, a task or a submission) is counted into the rethrown
+  // message instead of vanishing silently.
   std::exception_ptr first;
   std::size_t suppressed = 0;
-  drain(futures, first, suppressed);
+  drain(futures, first, suppressed);  // after this, no task is running
+  if (failures.first) {
+    suppressed += failures.count - 1 + (first ? 1 : 0);
+    first = failures.first;
+  }
   if (submitFailure) {
     if (!first) {
       first = submitFailure;

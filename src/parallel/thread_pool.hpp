@@ -103,8 +103,8 @@ class ThreadPool {
   /// reads, no pool lock taken.
   void liveGauges(obs::Registry& out) const;
 
-  /// Records one parallelFor chunk executed inline on the caller's
-  /// thread (single-worker fast path): the chunk counts against worker
+  /// Records the one task of a parallelFor executed inline on the
+  /// caller's thread (single-worker fast path): it counts against worker
   /// 0 and the submission total, so exportMetrics and span consumers
   /// see the same task structure as the queued path.
   void noteInlineTask() {
@@ -134,14 +134,18 @@ class ThreadPool {
 };
 
 /// Runs body(i) for i in [0, count) across the pool and blocks until all
-/// complete. The first exception thrown by any iteration is rethrown;
-/// when other iterations also failed, the rethrown message is augmented
-/// with the number of suppressed failures. Iteration order across
-/// threads is unspecified; the body must not assume ordering. A
-/// single-worker pool runs the chunks inline on the calling thread —
-/// same chunking, same exception aggregation, none of the queue
-/// overhead — so threads=1 costs the same as not using a pool. Throws
-/// std::invalid_argument on a null body.
+/// complete. The indices are self-scheduled: one task per worker (at
+/// most `count`) claims the next unclaimed index from one shared cursor
+/// until none is left, so a slow index holds up only the worker that
+/// runs it and the others take the rest. Indices are claimed in
+/// ascending order, so a caller that puts its heaviest work first gets
+/// it started first; the body must not assume any other ordering. A
+/// failing index does not stop its worker. The exception of the
+/// smallest failing index is rethrown; when other indices also failed,
+/// the rethrown message is augmented with their number. A single-worker
+/// pool runs its one task inline on the calling thread — same failure
+/// handling, none of the queue overhead — so threads=1 costs the same as
+/// not using a pool. Throws std::invalid_argument on a null body.
 void parallelFor(ThreadPool& pool, std::size_t count,
                  const std::function<void(std::size_t)>& body);
 

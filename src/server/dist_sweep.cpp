@@ -409,7 +409,10 @@ void SweepCoordinator::Impl::readerLoop(
     std::string line = "coordinator: worker '" + helloName + "' disconnected";
     if (!reissued.empty()) {
       line += "; reissued shard(s)";
-      for (const std::size_t s : reissued) line += " " + std::to_string(s);
+      for (const std::size_t s : reissued) {
+        line += ' ';
+        line += std::to_string(s);
+      }
     }
     logLine(line);
     if (cfg.telemetry != nullptr && !reissued.empty()) {

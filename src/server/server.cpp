@@ -166,25 +166,27 @@ Server::Server(ServeConfig cfg, obs::TelemetryHub* hub)
 
 Server::~Server() { stop(); }
 
+void Server::liveGauges(obs::Registry& reg) {
+  reg.setGauge("fepiad.open_connections",
+               static_cast<double>(
+                   openConnections_.load(std::memory_order_relaxed)));
+  std::size_t depth = 0;
+  {
+    const std::lock_guard<std::mutex> lock(queueMutex_);
+    depth = queue_.size();
+  }
+  reg.setGauge("fepiad.queue_depth", static_cast<double>(depth));
+  reg.setGauge("fepiad.in_flight",
+               static_cast<double>(
+                   inFlight_.load(std::memory_order_relaxed)));
+  reg.setGauge("fepiad.requests_served",
+               static_cast<double>(served_.load(std::memory_order_relaxed)));
+}
+
 bool Server::start(std::string* error) {
   if (!listener_.start(cfg_.bindAddress, cfg_.port, error)) return false;
 
-  hubSource_.emplace(hub_, [this](obs::Registry& reg) {
-    reg.setGauge("fepiad.open_connections",
-                 static_cast<double>(
-                     openConnections_.load(std::memory_order_relaxed)));
-    std::size_t depth = 0;
-    {
-      const std::lock_guard<std::mutex> lock(queueMutex_);
-      depth = queue_.size();
-    }
-    reg.setGauge("fepiad.queue_depth", static_cast<double>(depth));
-    reg.setGauge("fepiad.in_flight",
-                 static_cast<double>(
-                     inFlight_.load(std::memory_order_relaxed)));
-    reg.setGauge("fepiad.requests_served",
-                 static_cast<double>(served_.load(std::memory_order_relaxed)));
-  });
+  hubSource_.emplace(hub_, [this](obs::Registry& reg) { liveGauges(reg); });
 
   const std::size_t workers = cfg_.workers == 0 ? 1 : cfg_.workers;
   workers_.reserve(workers);
@@ -214,6 +216,14 @@ void Server::stop() {
     if (w.joinable()) w.join();
   }
   workers_.clear();
+  if (hubSource_.has_value() && hub_ != nullptr) {
+    // The final readings stay in the hub's base registry, so every later
+    // sample carries them: the hub's closing one, taken after the server
+    // is gone, still reports what it served.
+    obs::Registry last;
+    liveGauges(last);
+    hub_->publish(last);
+  }
   hubSource_.reset();
 }
 

@@ -147,6 +147,8 @@ class Server {
   /// The per-connection frame loop the listener runs on each reader.
   void readerLoop(const std::shared_ptr<Connection>& conn);
   void workerLoop();
+  /// Writes the fepiad.* occupancy gauges: the hub source's reading.
+  void liveGauges(obs::Registry& reg);
   /// Either enqueues a decoded request or answers it inline (stats,
   /// shutdown, a typed error). Returns false when the connection should
   /// close.

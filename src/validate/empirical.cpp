@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -17,7 +19,8 @@ namespace fepia::validate {
 
 namespace {
 
-void checkOptions(const EstimatorOptions& opts) {
+/// Checks `opts` and returns its number of chunks.
+std::size_t chunkCount(const EstimatorOptions& opts) {
   if (opts.directions == 0) {
     throw std::invalid_argument("validate: directions must be positive");
   }
@@ -30,16 +33,16 @@ void checkOptions(const EstimatorOptions& opts) {
   if (!(opts.confidence > 0.0 && opts.confidence < 1.0)) {
     throw std::invalid_argument("validate: confidence must lie in (0, 1)");
   }
+  return (opts.directions + opts.chunkSize - 1) / opts.chunkSize;
 }
 
-/// Builds the chunk predicates: called once per chunk id (0..chunks-1)
-/// before the parallel phase, plus once with id == chunks for the
-/// serial predicate used by the origin check and the polish (which also
-/// hands the pieces of a split ladder block to the chunk predicates).
-/// A chunk predicate gets one call per lockstep round, whose lanes are
-/// that chunk's unfinished rays in ascending direction id. Lets the
-/// FeatureSet overload give every chunk its own BlockClassifier without
-/// the estimator knowing about classifiers.
+/// Builds the chunk predicates of the predicate overloads: called once
+/// per chunk id (0..chunks-1) before the parallel phase, plus once with
+/// id == chunks for the serial predicate used by the origin check and
+/// the polish (which also hands the pieces of a split ladder block to
+/// the chunk predicates). A chunk predicate gets one call per lockstep
+/// round, whose lanes are that chunk's unfinished rays in ascending
+/// direction id.
 using BlockPredicateFactory =
     std::function<BlockSafePredicate(std::size_t chunkId)>;
 
@@ -254,7 +257,7 @@ class SingleLaneProbe {
 ///    q_hi the upper quantile of the exact bootstrap law of the sample
 ///    minimum (bootstrapMinimumQuantile) — captures the resampling
 ///    spread, but cannot see past the sample;
-///  * Robson-Whitlock endpoint extrapolation: m - (d2 - m) * c / (1 - c)
+///  * Robson-Whitlock endpoint extrapolation: m - (d2 - m) * (1 - c) / c
 ///    for tail mass c, with d2 the second-smallest distance — the
 ///    spacing of the lowest order statistics scales with the directional
 ///    minimum's bias (which grows with dimension), so this reaches below
@@ -477,136 +480,306 @@ class Polish {
   std::size_t speculative_ = 0;
 };
 
-/// The estimator core, shared by every public overload. Builds one
-/// block predicate per chunk (plus a serial one), runs the chunks'
-/// lockstep march/bisection over each chunk's RayBatch — in parallel
-/// when a pool is given — and reduces in direction order. The polish search is serial, its ladder
-/// blocks classified as `dispatch` says. One-point probes go to
-/// `serialClassifier` when it is set (the classifier behind the serial
-/// predicate).
-EmpiricalEstimate runEstimator(const BlockPredicateFactory& factory,
-                               const la::Vector& origin,
-                               const EstimatorOptions& opts,
-                               parallel::ThreadPool* pool,
-                               LadderDispatch dispatch,
-                               classify::BlockClassifier* serialClassifier) {
-  checkOptions(opts);
-  if (origin.empty()) {
-    throw std::invalid_argument("validate: empty origin");
+/// One estimate, in the three steps every public overload runs: set-up
+/// (the constructor), the march of one chunk, and the finish. Each chunk
+/// writes only its own slots, so chunks of this estimate and of others
+/// may march at once in any order; the finish reduces them in direction
+/// order, so the result does not depend on that order.
+class Estimation {
+ public:
+  /// Checks the options and the origin and draws the chunk substreams.
+  /// `preds` holds the chunk predicates the polish may use with the
+  /// serial predicate last; `serialClassifier` is as for SingleLaneProbe.
+  /// Both must outlive the estimation.
+  Estimation(const la::Vector& origin, const EstimatorOptions& opts,
+             const std::vector<BlockSafePredicate>& preds,
+             classify::BlockClassifier* serialClassifier)
+      : origin_(origin),
+        opts_(opts),
+        preds_(preds),
+        serialClassifier_(serialClassifier) {
+    const std::size_t chunks = chunkCount(opts);
+    if (origin.empty()) {
+      throw std::invalid_argument("validate: empty origin");
+    }
+    // Origin membership is a precondition, not part of the sample — it
+    // is deliberately excluded from est.classifications.
+    SingleLaneProbe probe(preds.back(), origin.size(), serialClassifier);
+    if (!probe(origin, 0)) {
+      throw std::domain_error(
+          "validate: the origin violates the robustness requirement (the "
+          "paper assumes the assumed operating point satisfies QoS)");
+    }
+    distances_.resize(opts.directions);
+    evalsPerChunk_.assign(chunks, 0);
+    bestDirPerChunk_.resize(chunks);
+    streams_ = rng::Xoshiro256StarStar(opts.seed).substreams(chunks);
   }
 
-  const std::size_t n = origin.size();
-  const std::size_t chunks =
-      (opts.directions + opts.chunkSize - 1) / opts.chunkSize;
+  [[nodiscard]] std::size_t chunks() const noexcept { return streams_.size(); }
 
-  // Chunk predicates first (factory runs serially, so it may touch
-  // shared state), serial probe last at index `chunks`.
-  std::vector<BlockSafePredicate> preds(chunks + 1);
-  for (std::size_t c = 0; c <= chunks; ++c) preds[c] = factory(c);
-
-  SingleLaneProbe serialProbe(preds[chunks], n, serialClassifier);
-  // Origin membership is a precondition, not part of the sample — it is
-  // deliberately excluded from est.classifications (as before).
-  if (!serialProbe(origin, 0)) {
-    throw std::domain_error(
-        "validate: the origin violates the robustness requirement (the paper "
-        "assumes the assumed operating point satisfies QoS)");
-  }
-
-  std::vector<double> distances(opts.directions);
-  std::vector<std::size_t> evalsPerChunk(chunks, 0);
-  // Per-chunk argmin direction, kept for the polish. First-index wins on
-  // ties — the same rule the global reduction below uses, so the global
-  // critical direction is always its chunk's stored one.
-  std::vector<std::vector<double>> bestDirPerChunk(chunks);
-
-  FEPIA_SPAN_ARG("validate.estimate", "directions", opts.directions);
-
-  const std::vector<rng::Xoshiro256StarStar> streams =
-      rng::Xoshiro256StarStar(opts.seed).substreams(chunks);
-  const auto runChunk = [&](std::size_t c) {
+  /// Marches chunk c's rays in lockstep: one SoA block per round holding
+  /// every unfinished ray's next probe point, one `pred` call per round.
+  void march(std::size_t c, const BlockSafePredicate& pred) {
     FEPIA_SPAN_ARG("validate.chunk", "chunk", c);
-    const std::size_t first = c * opts.chunkSize;
-    const std::size_t count = std::min(opts.chunkSize, opts.directions - first);
-    RayBatch rays(streams[c], first,
-                  std::span<double>(distances).subspan(first, count), opts, n);
-
-    // Lockstep rounds: one SoA block per round holding every unfinished
-    // ray's next probe point, one predicate call per round.
-    const BlockSafePredicate& pred = preds[c];
+    const std::size_t n = origin_.size();
+    const std::size_t first = c * opts_.chunkSize;
+    const std::size_t count =
+        std::min(opts_.chunkSize, opts_.directions - first);
+    RayBatch rays(streams_[c], first,
+                  std::span<double>(distances_).subspan(first, count), opts_,
+                  n);
     la::PointBlock block(n, count);
     std::vector<std::uint8_t> verdicts(count);
     std::size_t evals = 0;
     while (rays.live() > 0) {
       const std::size_t lanes = rays.live();
-      rays.fill(block, origin);
+      rays.fill(block, origin_);
       pred(block, rays.ids(), std::span<std::uint8_t>(verdicts.data(), lanes));
       evals += lanes;
       rays.advance(std::span<const std::uint8_t>(verdicts.data(), lanes));
     }
-
-    bestDirPerChunk[c] = rays.takeBestDirection();
-    evalsPerChunk[c] = evals;
-    if (opts.liveClassifications != nullptr) {
-      opts.liveClassifications->fetch_add(evals, std::memory_order_relaxed);
+    // The chunk's argmin direction, kept for the polish. First index wins
+    // ties — the rule of the reduction in finish, so the global critical
+    // direction is always its chunk's stored one.
+    bestDirPerChunk_[c] = rays.takeBestDirection();
+    evalsPerChunk_[c] = evals;
+    if (opts_.liveClassifications != nullptr) {
+      opts_.liveClassifications->fetch_add(evals, std::memory_order_relaxed);
     }
-  };
-
-  if (pool != nullptr && chunks > 1) {
-    parallel::parallelFor(*pool, chunks, runChunk);
-  } else {
-    for (std::size_t c = 0; c < chunks; ++c) runChunk(c);
   }
 
-  EmpiricalEstimate est;
-  est.directions = opts.directions;
-  est.distances = std::move(distances);
-  for (std::size_t c = 0; c < chunks; ++c) est.classifications += evalsPerChunk[c];
-
-  std::vector<double> finite;
-  finite.reserve(est.distances.size());
-  for (std::size_t i = 0; i < est.distances.size(); ++i) {
-    const double d = est.distances[i];
-    if (std::isfinite(d)) {
-      finite.push_back(d);
-      if (d < est.radius) {
-        est.radius = d;
-        est.criticalDirection = i;
+  /// Reduces the chunks in direction order, then polishes the minimum
+  /// (its ladder blocks classified as `dispatch` says) and builds the CI.
+  /// Runs once, after every chunk has marched.
+  void finish(parallel::ThreadPool* pool, LadderDispatch dispatch) {
+    EmpiricalEstimate& est = est_;
+    est.directions = opts_.directions;
+    est.distances = std::move(distances_);
+    for (const std::size_t evals : evalsPerChunk_) {
+      est.classifications += evals;
+    }
+    std::vector<double> finite;
+    finite.reserve(est.distances.size());
+    for (std::size_t i = 0; i < est.distances.size(); ++i) {
+      const double d = est.distances[i];
+      if (std::isfinite(d)) {
+        finite.push_back(d);
+        if (d < est.radius) {
+          est.radius = d;
+          est.criticalDirection = i;
+        }
       }
     }
-  }
-  est.boundaryHits = finite.size();
-  if (!finite.empty()) {
+    est.boundaryHits = finite.size();
+    if (finite.empty()) return;
     est.distanceSummary = stats::summarize(finite);
-    if (opts.polishSweeps > 0) {
-      Polish polish(preds, origin, est.criticalDirection, opts, pool,
-                    dispatch, serialClassifier);
+    if (opts_.polishSweeps > 0) {
+      Polish polish(preds_, origin_, est.criticalDirection, opts_, pool,
+                    dispatch, serialClassifier_);
       est.radius = polish.run(
-          std::move(bestDirPerChunk[est.criticalDirection / opts.chunkSize]),
+          std::move(
+              bestDirPerChunk_[est.criticalDirection / opts_.chunkSize]),
           est.radius);
       est.classifications += polish.probes();
       est.speculativeProbes = polish.speculative();
     }
-    est.ci = minimumCI(std::move(finite), est.radius, opts);
+    est.ci = minimumCI(std::move(finite), est.radius, opts_);
   }
 
-  if (opts.metrics != nullptr) {
-    obs::Registry& reg = *opts.metrics;
-    reg.counters().bump("validate.directions", est.directions);
-    reg.counters().bump("validate.classifications", est.classifications);
-    reg.counters().bump("validate.boundary_hits", est.boundaryHits);
-    reg.counters().bump("validate.speculative_probes", est.speculativeProbes);
+  /// The finished estimate.
+  [[nodiscard]] EmpiricalEstimate& result() noexcept { return est_; }
+
+  /// Writes the validate.* counters and the per-chunk classification
+  /// histogram into opts.metrics, when set.
+  void writeMetrics() const {
+    if (opts_.metrics == nullptr) return;
+    obs::Registry& reg = *opts_.metrics;
+    reg.counters().bump("validate.directions", est_.directions);
+    reg.counters().bump("validate.classifications", est_.classifications);
+    reg.counters().bump("validate.boundary_hits", est_.boundaryHits);
+    reg.counters().bump("validate.speculative_probes",
+                        est_.speculativeProbes);
     obs::Histogram& chunkHist = reg.histogram(
         "validate.chunk_classifications",
         obs::Histogram::exponential(64.0, 4.0, 10).upperBounds());
-    for (std::size_t c = 0; c < chunks; ++c) {
-      chunkHist.record(static_cast<double>(evalsPerChunk[c]));
+    for (const std::size_t evals : evalsPerChunk_) {
+      chunkHist.record(static_cast<double>(evals));
     }
   }
-  return est;
+
+ private:
+  const la::Vector& origin_;
+  const EstimatorOptions& opts_;
+  const std::vector<BlockSafePredicate>& preds_;
+  classify::BlockClassifier* serialClassifier_;
+  std::vector<rng::Xoshiro256StarStar> streams_;
+  std::vector<double> distances_;
+  std::vector<std::size_t> evalsPerChunk_;
+  std::vector<std::vector<double>> bestDirPerChunk_;
+  EmpiricalEstimate est_;
+};
+
+/// The estimator of the predicate overloads: one block predicate per
+/// chunk plus a serial one, built once up front; the chunks run on the
+/// pool when there is more than one; the polish splits each ladder block
+/// across the pool, since one lane of an opaque predicate can be a whole
+/// DES run.
+EmpiricalEstimate runEstimator(const BlockPredicateFactory& factory,
+                               const la::Vector& origin,
+                               const EstimatorOptions& opts,
+                               parallel::ThreadPool* pool) {
+  const std::size_t chunks = chunkCount(opts);
+  // The factory runs serially, so it may touch shared state.
+  std::vector<BlockSafePredicate> preds(chunks + 1);
+  for (std::size_t c = 0; c <= chunks; ++c) preds[c] = factory(c);
+
+  Estimation estimation(origin, opts, preds, nullptr);
+  {
+    FEPIA_SPAN_ARG("validate.estimate", "directions", opts.directions);
+    const auto march = [&](std::size_t c) { estimation.march(c, preds[c]); };
+    if (pool != nullptr && chunks > 1) {
+      parallel::parallelFor(*pool, chunks, march);
+    } else {
+      for (std::size_t c = 0; c < chunks; ++c) march(c);
+    }
+    estimation.finish(pool, LadderDispatch::Pool);
+  }
+  estimation.writeMetrics();
+  return std::move(estimation.result());
 }
 
+/// One FeatureJob of a batch. Its chunks classify through a
+/// BlockClassifier of their own, built when the chunk starts and dropped
+/// when it ends, so only running chunks hold one; the one-point probes
+/// and the polish use the job's serial classifier. The chunk that
+/// finishes last runs the job's finish.
+class FeatureRun {
+ public:
+  explicit FeatureRun(const FeatureJob& job)
+      : job_(checked(job)),
+        serial_(*job.phi, job.opts.classifyMode),
+        serialPred_{[this](const la::PointBlock& block,
+                           std::span<const std::size_t>,
+                           std::span<std::uint8_t> safeOut) {
+          serial_.classify(block, safeOut);
+        }},
+        estimation_(job.origin, job.opts, serialPred_, &serial_),
+        chunkStats_(estimation_.chunks()),
+        pending_(estimation_.chunks()) {}
+
+  [[nodiscard]] std::size_t chunks() const noexcept {
+    return estimation_.chunks();
+  }
+
+  /// Relative cost of the job's march: its rays times its features.
+  [[nodiscard]] std::size_t weight() const noexcept {
+    return job_.opts.directions * job_.phi->size();
+  }
+
+  void march(std::size_t c) {
+    classify::BlockClassifier cls(*job_.phi, job_.opts.classifyMode);
+    estimation_.march(c, [&cls](const la::PointBlock& block,
+                                std::span<const std::size_t>,
+                                std::span<std::uint8_t> safeOut) {
+      cls.classify(block, safeOut);
+    });
+    chunkStats_[c] = cls.stats();
+    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      estimation_.finish(nullptr, LadderDispatch::Serial);
+    }
+  }
+
+  /// Writes the job's metrics and moves its estimate out.
+  EmpiricalEstimate take() {
+    EmpiricalEstimate& est = estimation_.result();
+    for (const classify::ClassifyStats& s : chunkStats_) {
+      est.classifyStats.merge(s);
+    }
+    est.classifyStats.merge(serial_.stats());
+    estimation_.writeMetrics();
+    if (job_.opts.metrics != nullptr) {
+      auto& counters = job_.opts.metrics->counters();
+      counters.bump("classify.blocks", est.classifyStats.blocks);
+      counters.bump("classify.lanes", est.classifyStats.lanes);
+      counters.bump("classify.f32_hits", est.classifyStats.f32Hits);
+      counters.bump("classify.double_fallbacks",
+                    est.classifyStats.doubleFallbacks);
+    }
+    return std::move(est);
+  }
+
+ private:
+  static const FeatureJob& checked(const FeatureJob& job) {
+    if (job.phi == nullptr || job.phi->empty()) {
+      throw std::invalid_argument("validate: empty feature set");
+    }
+    if (job.phi->dimension() != job.origin.size()) {
+      throw std::invalid_argument(
+          "validate: origin dimension does not match the feature set");
+    }
+    return job;
+  }
+
+  const FeatureJob& job_;
+  classify::BlockClassifier serial_;
+  std::vector<BlockSafePredicate> serialPred_;
+  Estimation estimation_;
+  std::vector<classify::ClassifyStats> chunkStats_;
+  std::atomic<std::size_t> pending_;  ///< chunks not yet marched
+};
+
 }  // namespace
+
+std::vector<EmpiricalEstimate> estimateEmpiricalRadii(
+    std::span<const FeatureJob> jobs, parallel::ThreadPool* pool) {
+  // Set-up in job order: each job's checks and origin test run before
+  // any chunk does.
+  std::vector<std::unique_ptr<FeatureRun>> runs;
+  runs.reserve(jobs.size());
+  std::size_t directions = 0;
+  bool split = false;
+  for (const FeatureJob& job : jobs) {
+    runs.push_back(std::make_unique<FeatureRun>(job));
+    directions += job.opts.directions;
+    split = split || runs.back()->chunks() > 1;
+  }
+
+  // Every chunk of every job, heaviest job first, each job's chunks in
+  // order: the self-scheduled parallelFor starts the long ones first.
+  std::vector<std::size_t> order(runs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&runs](std::size_t a, std::size_t b) {
+                     return runs[a]->weight() > runs[b]->weight();
+                   });
+  std::vector<std::pair<FeatureRun*, std::size_t>> units;
+  for (const std::size_t j : order) {
+    for (std::size_t c = 0; c < runs[j]->chunks(); ++c) {
+      units.emplace_back(runs[j].get(), c);
+    }
+  }
+
+  {
+    FEPIA_SPAN_ARG("validate.estimate", "directions", directions);
+    const auto march = [&units](std::size_t k) {
+      units[k].first->march(units[k].second);
+    };
+    // One-chunk jobs stay on the calling thread, as a lone estimate of
+    // one chunk would: spreading them over a shared pool costs more in
+    // hand-offs than it gains.
+    if (pool != nullptr && split) {
+      parallel::parallelFor(*pool, units.size(), march);
+    } else {
+      for (std::size_t k = 0; k < units.size(); ++k) march(k);
+    }
+  }
+
+  std::vector<EmpiricalEstimate> out;
+  out.reserve(runs.size());
+  for (const auto& run : runs) out.push_back(run->take());
+  return out;
+}
 
 EmpiricalEstimate estimateEmpiricalRadius(const SafePredicate& safe,
                                           const la::Vector& origin,
@@ -643,8 +816,7 @@ EmpiricalEstimate estimateEmpiricalRadius(const IndexedSafePredicate& safe,
       }
     };
   };
-  return runEstimator(factory, origin, opts, pool, LadderDispatch::Pool,
-                      nullptr);
+  return runEstimator(factory, origin, opts, pool);
 }
 
 EmpiricalEstimate estimateEmpiricalRadius(const BlockSafePredicate& safe,
@@ -657,51 +829,15 @@ EmpiricalEstimate estimateEmpiricalRadius(const BlockSafePredicate& safe,
   // One copy of the callable per chunk: value-captured scratch inside
   // the caller's predicate becomes per-chunk state automatically.
   return runEstimator([&safe](std::size_t) { return safe; }, origin, opts,
-                      pool, LadderDispatch::Pool, nullptr);
+                      pool);
 }
 
 EmpiricalEstimate estimateEmpiricalRadius(const feature::FeatureSet& phi,
                                           const la::Vector& origin,
                                           const EstimatorOptions& opts,
                                           parallel::ThreadPool* pool) {
-  if (phi.empty()) {
-    throw std::invalid_argument("validate: empty feature set");
-  }
-  if (phi.dimension() != origin.size()) {
-    throw std::invalid_argument(
-        "validate: origin dimension does not match the feature set");
-  }
-  checkOptions(opts);
-
-  const std::size_t chunks =
-      (opts.directions + opts.chunkSize - 1) / opts.chunkSize;
-  std::vector<std::unique_ptr<classify::BlockClassifier>> classifiers(chunks +
-                                                                      1);
-  for (auto& cls : classifiers) {
-    cls = std::make_unique<classify::BlockClassifier>(phi, opts.classifyMode);
-  }
-  const BlockPredicateFactory factory =
-      [&classifiers](std::size_t id) -> BlockSafePredicate {
-    classify::BlockClassifier* cls = classifiers[id].get();
-    return [cls](const la::PointBlock& block, std::span<const std::size_t>,
-                 std::span<std::uint8_t> safeOut) {
-      cls->classify(block, safeOut);
-    };
-  };
-
-  EmpiricalEstimate est = runEstimator(factory, origin, opts, pool,
-                                       LadderDispatch::Serial,
-                                       classifiers[chunks].get());
-  for (const auto& cls : classifiers) est.classifyStats.merge(cls->stats());
-  if (opts.metrics != nullptr) {
-    auto& counters = opts.metrics->counters();
-    counters.bump("classify.blocks", est.classifyStats.blocks);
-    counters.bump("classify.lanes", est.classifyStats.lanes);
-    counters.bump("classify.f32_hits", est.classifyStats.f32Hits);
-    counters.bump("classify.double_fallbacks",
-                  est.classifyStats.doubleFallbacks);
-  }
-  return est;
+  const FeatureJob job{&phi, origin, opts};
+  return std::move(estimateEmpiricalRadii({&job, 1}, pool).front());
 }
 
 double bootstrapMinimumQuantile(std::vector<double> sample, double tail) {

@@ -15,15 +15,16 @@
 // chunks; chunk c draws from substream c of the seed generator
 // (xoshiro256** jump-ahead), every direction's result lands in a
 // preallocated slot indexed by direction id, and all reductions run over
-// those slots in index order after the parallel phase. The interval's
-// bootstrap term is the exact law of the resampled minimum
-// (bootstrapMinimumQuantile), so it draws no random numbers at all. The
-// polish's pattern search runs serially after the parallel phase. It
+// those slots in index order once every chunk of the estimate is done.
+// The interval's bootstrap term is the exact law of the resampled
+// minimum (bootstrapMinimumQuantile), so it draws no random numbers at
+// all. The polish's pattern search runs serially after the chunks. It
 // stops a candidate ray as soon as the ray can no longer beat the best
 // distance so far, and classifies each candidate's doubling ladder as
 // one block: in one call for the FeatureSet overload, split across the
-// pool for the predicate overloads. Every verdict of a rung is the one the serial loop would
-// see, so the search takes the same path at any thread count.
+// pool for the predicate overloads. Every verdict of a rung is the one
+// the serial loop would see, so the search takes the same path at any
+// thread count.
 //
 // Within a chunk the rays advance in lockstep: each round gathers every
 // unfinished ray's next probe point into one SoA block (la::PointBlock)
@@ -216,14 +217,39 @@ struct EmpiricalEstimate {
 
 /// Convenience overload: the safe region of a feature set —
 /// phi.allWithinBounds(pi) — around `origin`. Classified through one
-/// classify::BlockClassifier per chunk in the kernel mode selected by
-/// opts.classifyMode; the result (including every bit of every radius)
-/// does not depend on the mode, and the kernels' work counters are
-/// returned in EmpiricalEstimate::classifyStats and recorded as
-/// "classify.*" counters when opts.metrics is set.
+/// classify::BlockClassifier per running chunk in the kernel mode
+/// selected by opts.classifyMode; the result (including every bit of
+/// every radius) does not depend on the mode, and the kernels' work
+/// counters are returned in EmpiricalEstimate::classifyStats and
+/// recorded as "classify.*" counters when opts.metrics is set. The
+/// one-job case of estimateEmpiricalRadii.
 [[nodiscard]] EmpiricalEstimate estimateEmpiricalRadius(
     const feature::FeatureSet& phi, const la::Vector& origin,
     const EstimatorOptions& opts = {}, parallel::ThreadPool* pool = nullptr);
+
+/// One feature-set estimate of a batch: the arguments of the FeatureSet
+/// overload of estimateEmpiricalRadius. `phi` must outlive the call.
+struct FeatureJob {
+  const feature::FeatureSet* phi = nullptr;
+  la::Vector origin;
+  EstimatorOptions opts;
+};
+
+/// Runs several feature-set estimates as one: every chunk of every job
+/// goes into one self-scheduled parallel phase, heaviest job first (rays
+/// times features), and each job's polish and CI run as soon as its last
+/// chunk is done, on the thread that marched it, so one job's straggler
+/// chunk or serial tail does not leave the other workers idle. The
+/// pool is used only when some job has more than one chunk, as for a
+/// lone estimate. Result i is bit-identical to
+/// estimateEmpiricalRadius(*jobs[i].phi, jobs[i].origin, jobs[i].opts)
+/// at any thread count, and the metrics of each job are written, in job
+/// order, after all jobs are done. Traced as one "validate.estimate"
+/// span holding every job's "validate.chunk" spans. Throws what that
+/// overload throws (the first failing job's set-up error, in job order,
+/// before any chunk runs), and std::invalid_argument on a null `phi`.
+[[nodiscard]] std::vector<EmpiricalEstimate> estimateEmpiricalRadii(
+    std::span<const FeatureJob> jobs, parallel::ThreadPool* pool = nullptr);
 
 /// The (1 - tail) quantile of the exact bootstrap law of the minimum of
 /// `sample` (finite values): resampling its N values with replacement

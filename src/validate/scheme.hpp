@@ -3,11 +3,14 @@
 // Bridges the Monte-Carlo estimator to the paper's merge schemes: for
 // each feature of a FepiaProblem, take that feature's P-space from
 // radius::MergedAnalysis (the shared normalized map, or the feature's own
-// sensitivity map), run the directional estimator around P^orig, and
-// compare against the analytic r_mu(phi_i, P) of the same analysis. rho is validated as the
-// minimum over features; under the normalized scheme (one shared map) an
-// additional joint-region estimate samples the union of all feature
-// boundaries directly.
+// sensitivity map), estimate the directional radius around P^orig, and
+// compare against the analytic r_mu(phi_i, P) of the same analysis. rho
+// is validated as the minimum over features; under the normalized scheme
+// (one shared map) an additional joint-region estimate samples the union
+// of all feature boundaries directly. All of a scheme's estimates run as
+// one batch (validate::estimateEmpiricalRadii): their chunks share one
+// parallel phase, and each polish/CI tail runs as soon as its own
+// chunks are done, so no estimate waits on another's barrier.
 #pragma once
 
 #include <optional>
@@ -36,7 +39,9 @@ struct SchemeValidation {
 
 /// Validates `problem.merged(scheme)` empirically. Per-feature substream
 /// seeds derive deterministically from `opts.seed`; results are
-/// bit-identical for a fixed seed regardless of `pool` and thread count.
+/// bit-identical for a fixed seed regardless of `pool` and thread count,
+/// and row i equals a lone estimateEmpiricalRadius call with the same
+/// seed.
 /// Throws what radius::MergedAnalysis and the estimator throw.
 [[nodiscard]] SchemeValidation validateMergedScheme(
     const radius::FepiaProblem& problem, radius::MergeScheme scheme,

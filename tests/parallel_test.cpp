@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -51,6 +53,47 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+TEST(ParallelFor, IdleWorkersTakeTheIndicesBehindABlockedOne) {
+  // Index 0 waits, with a bound, until the other 63 indices have run.
+  // Self-scheduled indices let the three other workers run them all.
+  // Static blocks would queue some of them behind index 0 on its own
+  // worker, and the wait could only time out.
+  parallel::ThreadPool pool(4);
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::size_t others = 0;
+  bool released = false;
+  parallel::parallelFor(pool, 64, [&](std::size_t i) {
+    std::unique_lock<std::mutex> lock(mutex);
+    if (i == 0) {
+      released = cv.wait_for(lock, std::chrono::seconds(10),
+                             [&] { return others == 63; });
+    } else if (++others == 63) {
+      cv.notify_all();
+    }
+  });
+  EXPECT_TRUE(released) << "index 0 timed out with " << others
+                        << " of the other 63 indices run";
+}
+
+TEST(ParallelFor, SkewedCostsRunEveryIndexExactlyOnce) {
+  for (const std::size_t threads : {2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    parallel::ThreadPool pool(threads);
+    std::vector<std::atomic<int>> hits(300);
+    parallel::parallelFor(pool, hits.size(), [&hits](std::size_t i) {
+      // A few heavy indices, bunched at the front and scattered after.
+      if (i < 3 || i % 41 == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+      ++hits[i];
+    });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+    }
+  }
+}
+
 TEST(ParallelFor, ZeroCountIsNoop) {
   parallel::ThreadPool pool(2);
   bool touched = false;
@@ -88,7 +131,7 @@ TEST(ParallelFor, SuppressedFailuresAreCounted) {
 }
 
 TEST(ParallelFor, SingleFailureKeepsOriginalExceptionType) {
-  // Exactly one failing chunk: the original exception must be rethrown
+  // Exactly one failing index: the original exception must be rethrown
   // unmodified (no aggregation suffix), preserving its dynamic type.
   parallel::ThreadPool pool(4);
   try {
@@ -125,8 +168,8 @@ TEST(ParallelFor, SingleWorkerPoolRunsInlineWithSameSemantics) {
                                      }),
                std::domain_error);
   try {
-    // One failure per chunk (chunks = 4 * threadCount = 4): the first
-    // propagates, the rest are counted into the message.
+    // Every index fails: the smallest propagates, the rest are counted
+    // into the message.
     parallel::parallelFor(pool, 4, [](std::size_t i) {
       throw std::domain_error("bad index " + std::to_string(i));
     });
@@ -215,15 +258,9 @@ TEST(ParallelFor, TaskExceptionsNeverDroppedAtAnyThreadCount) {
     }
     EXPECT_TRUE(threw);
     for (std::size_t i = 0; i < hits.size(); ++i) {
-      if (i == 17) continue;
-      // Chunks sharing index 17's chunk may legally stop early; every
-      // other chunk must have completed despite the failure.
-      if (hits[i].load() == 0) {
-        // Only indices in 17's chunk are allowed to be skipped.
-        const std::size_t chunks =
-            std::min<std::size_t>(hits.size(), 4 * pool.threadCount());
-        const std::size_t per = (hits.size() + chunks - 1) / chunks;
-        EXPECT_EQ(i / per, std::size_t{17} / per) << "index " << i;
+      // A failing index does not stop its worker: every other index ran.
+      if (i != 17) {
+        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
       }
     }
   }
@@ -240,19 +277,17 @@ TEST(ParallelFor, EveryFailingThreadCountAggregatesAllFailures) {
       FAIL() << "parallelFor swallowed every failure";
     } catch (const std::exception& e) {
       const std::string what = e.what();
-      EXPECT_NE(what.find("bad index"), std::string::npos) << what;
-      if (pool.threadCount() > 1 || 256 > 4 * pool.threadCount()) {
-        // More than one chunk failed, so the aggregate count must be
-        // present — proof the extra failures were counted, not dropped.
-        EXPECT_NE(what.find("additional task failure"), std::string::npos)
-            << what;
-      }
+      // The smallest failing index is the one rethrown, and the other
+      // 255 failures are counted, not dropped.
+      EXPECT_NE(what.find("bad index 0"), std::string::npos) << what;
+      EXPECT_NE(what.find("255 additional task failure"), std::string::npos)
+          << what;
     }
   }
 }
 
 // A submit() that fails mid-fan-out (pool already shutting down) must
-// not abandon the chunks it managed to queue: parallelFor waits for
+// not abandon the tasks it managed to queue: parallelFor waits for
 // them — they reference the caller's frame — and the shutdown error is
 // reported instead of being masked or leaking a use-after-free.
 TEST(ParallelFor, SubmitFailureStillDrainsSubmittedChunks) {

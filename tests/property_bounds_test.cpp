@@ -100,9 +100,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(11ull, 12ull, 13ull),
                        ::testing::Values(std::size_t{2}, std::size_t{5},
                                          std::size_t{16})),
-    [](const auto& info) {
-      return "seed" + std::to_string(std::get<0>(info.param)) + "_dim" +
-             std::to_string(std::get<1>(info.param));
+    [](const auto& test) {
+      return "seed" + std::to_string(std::get<0>(test.param)) + "_dim" +
+             std::to_string(std::get<1>(test.param));
     });
 
 class MergePermutation : public ::testing::TestWithParam<std::uint64_t> {};

@@ -121,9 +121,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(101ull, 102ull, 103ull, 104ull),
                        ::testing::Values(std::size_t{2}, std::size_t{3},
                                          std::size_t{5}, std::size_t{16})),
-    [](const auto& info) {
-      return "seed" + std::to_string(std::get<0>(info.param)) + "_n" +
-             std::to_string(std::get<1>(info.param));
+    [](const auto& test) {
+      return "seed" + std::to_string(std::get<0>(test.param)) + "_n" +
+             std::to_string(std::get<1>(test.param));
     });
 
 class MultiElementMergeSweep : public ::testing::TestWithParam<std::uint64_t> {};

@@ -115,9 +115,9 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(std::size_t{1}, std::size_t{2},
                                          std::size_t{3}, std::size_t{8},
                                          std::size_t{32})),
-    [](const auto& info) {
-      return "seed" + std::to_string(std::get<0>(info.param)) + "_dim" +
-             std::to_string(std::get<1>(info.param));
+    [](const auto& test) {
+      return "seed" + std::to_string(std::get<0>(test.param)) + "_dim" +
+             std::to_string(std::get<1>(test.param));
     });
 
 class NonlinearRadiusSweep : public ::testing::TestWithParam<std::uint64_t> {};

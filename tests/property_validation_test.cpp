@@ -130,7 +130,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::size_t{3}, std::size_t{4},
                                          std::size_t{5}, std::size_t{8},
                                          std::size_t{16}, std::size_t{32})),
-    [](const auto& info) {
-      return "seed" + std::to_string(std::get<0>(info.param)) + "_n" +
-             std::to_string(std::get<1>(info.param));
+    [](const auto& test) {
+      return "seed" + std::to_string(std::get<0>(test.param)) + "_n" +
+             std::to_string(std::get<1>(test.param));
     });

@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/telemetry.hpp"
 #include "server/wire.hpp"
 #include "support/connect_storm.hpp"
 
@@ -374,6 +375,43 @@ TEST(ServerWire, PingPongAndStats) {
 
   srv.stop();
   EXPECT_GE(srv.stats().served, 2u);
+}
+
+TEST(ServerWire, StoppedServerLeavesItsFinalGaugesInTheHub) {
+  // The hub's closing sample is taken after the server has stopped and
+  // unhooked its gauge source; it must still say what was served.
+  std::ostringstream sink;
+  fepia::obs::TelemetryOptions topts;
+  topts.intervalMillis = 60'000;  // only the start and stop samples
+  fepia::obs::TelemetryHub hub(topts, &sink);
+  hub.start();
+  {
+    server::Server srv(testConfig(), &hub);
+    std::string error;
+    ASSERT_TRUE(srv.start(&error)) << error;
+    Client client(srv.port());
+    ASSERT_GE(client.fd, 0);
+    ASSERT_TRUE(client.send(pingRequest("a")));
+    EXPECT_TRUE(readReply(client).ok);
+    srv.stop();
+  }
+  hub.stop();
+
+  std::optional<JsonValue> last;
+  std::istringstream in(sink.str());
+  for (std::string line; std::getline(in, line);) {
+    std::optional<JsonValue> doc = parseJson(line);
+    ASSERT_TRUE(doc.has_value()) << line;
+    const JsonValue* type = doc->find("type");
+    if (type != nullptr && type->string == "sample") last = std::move(doc);
+  }
+  ASSERT_TRUE(last.has_value());
+  const JsonValue* gauges = last->find("metrics")->find("gauges");
+  ASSERT_NE(gauges, nullptr);
+  const JsonValue* served = gauges->find("fepiad.requests_served");
+  ASSERT_NE(served, nullptr) << sink.str();
+  EXPECT_GE(served->number, 1.0);
+  EXPECT_NE(gauges->find("fepiad.queue_depth"), nullptr);
 }
 
 TEST(ServerWire, GarbageJsonGetsTypedErrorAndTheConnectionSurvives) {

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,8 @@
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
 #include "parallel/thread_pool.hpp"
+#include "obs/metrics.hpp"
+#include "radius/merge.hpp"
 #include "radius/rho.hpp"
 #include "validate/empirical.hpp"
 #include "validate/scheme.hpp"
@@ -141,6 +144,120 @@ TEST(ValidateDeterminism, SchemeValidationIsThreadCountInvariant) {
     ASSERT_TRUE(v.joint.has_value());
     expectIdentical(serial.joint->empirical, v.joint->empirical);
   }
+}
+
+namespace {
+
+/// Everything a metrics registry holds, in its insertion order.
+std::string registryJson(const fepia::obs::Registry& reg) {
+  std::ostringstream os;
+  reg.writeJson(os);
+  return os.str();
+}
+
+void expectSameKernelWork(const validate::EmpiricalEstimate& a,
+                          const validate::EmpiricalEstimate& b) {
+  EXPECT_EQ(a.classifyStats.blocks, b.classifyStats.blocks);
+  EXPECT_EQ(a.classifyStats.lanes, b.classifyStats.lanes);
+  EXPECT_EQ(a.classifyStats.f32Hits, b.classifyStats.f32Hits);
+  EXPECT_EQ(a.classifyStats.doubleFallbacks, b.classifyStats.doubleFallbacks);
+}
+
+}  // namespace
+
+TEST(ValidateDeterminism, SchemeRowsEqualOneEstimateAtATime) {
+  // validateMergedScheme runs its estimates as one batch, the joint one
+  // (the heaviest) first. Each row must still be the lone estimate with
+  // the seed the scheme derives for it, and the metrics the same as
+  // those of the lone estimates made in row order.
+  const radius::FepiaProblem problem = makeProblem();
+  const radius::MergeScheme scheme = radius::MergeScheme::NormalizedByOriginal;
+  validate::EstimatorOptions opts;
+  opts.directions = 512;
+  opts.chunkSize = 64;
+  opts.seed = 99;
+  opts.horizon = 64.0;
+
+  const radius::MergedAnalysis analysis = problem.merged(scheme);
+  const la::Vector orig = problem.space().concatenatedOriginal();
+  rng::SplitMix64 seeds(opts.seed);
+  fepia::obs::Registry loneMetrics;
+  std::vector<validate::EmpiricalEstimate> lone;
+  for (std::size_t i = 0; i < analysis.pSpaceFeatures().size(); ++i) {
+    feature::FeatureSet single;
+    single.add(analysis.pSpaceFeatures()[i].feature,
+               analysis.pSpaceFeatures()[i].bounds);
+    validate::EstimatorOptions o = opts;
+    o.seed = seeds.next();
+    o.metrics = &loneMetrics;
+    lone.push_back(validate::estimateEmpiricalRadius(
+        single, analysis.map(i).toP(orig), o));
+  }
+  validate::EstimatorOptions jointOpts = opts;
+  jointOpts.seed = seeds.next();
+  jointOpts.metrics = &loneMetrics;
+  lone.push_back(validate::estimateEmpiricalRadius(
+      analysis.pSpaceFeatures(), analysis.map(0).toP(orig), jointOpts));
+
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    parallel::ThreadPool pool(threads);
+    fepia::obs::Registry metrics;
+    validate::EstimatorOptions withMetrics = opts;
+    withMetrics.metrics = &metrics;
+    const auto v =
+        validate::validateMergedScheme(problem, scheme, withMetrics, &pool);
+    ASSERT_EQ(v.perFeature.size() + 1, lone.size());
+    ASSERT_TRUE(v.joint.has_value());
+    for (std::size_t i = 0; i < v.perFeature.size(); ++i) {
+      SCOPED_TRACE("feature " + std::to_string(i));
+      expectIdentical(lone[i], v.perFeature[i].empirical);
+      expectSameKernelWork(lone[i], v.perFeature[i].empirical);
+    }
+    expectIdentical(lone.back(), v.joint->empirical);
+    expectSameKernelWork(lone.back(), v.joint->empirical);
+    EXPECT_EQ(registryJson(metrics), registryJson(loneMetrics));
+  }
+}
+
+TEST(ValidateDeterminism, OneChunkEstimatesStayOffThePool) {
+  // A batch in which no estimate has more than one chunk runs on the
+  // calling thread, as each lone estimate would: no task reaches the
+  // pool. One estimate of two chunks is enough to use it.
+  const radius::FepiaProblem problem = makeProblem();
+  const radius::MergeScheme scheme = radius::MergeScheme::NormalizedByOriginal;
+  validate::EstimatorOptions opts;
+  opts.directions = 64;
+  opts.chunkSize = 64;
+  opts.seed = 5;
+  opts.horizon = 64.0;
+
+  const auto tasks = [](parallel::ThreadPool& pool) {
+    fepia::obs::Registry reg;
+    pool.exportMetrics(reg);
+    std::uint64_t total = 0;
+    for (std::size_t w = 0; w < pool.threadCount(); ++w) {
+      total += reg.counters().value("pool.worker" + std::to_string(w) +
+                                    ".tasks");
+    }
+    EXPECT_EQ(total, reg.counters().value("pool.submitted"));
+    return total;
+  };
+
+  parallel::ThreadPool pool(4);
+  const auto serial = validate::validateMergedScheme(problem, scheme, opts);
+  const auto pooled =
+      validate::validateMergedScheme(problem, scheme, opts, &pool);
+  EXPECT_EQ(tasks(pool), 0u);
+  for (std::size_t i = 0; i < serial.perFeature.size(); ++i) {
+    expectIdentical(serial.perFeature[i].empirical,
+                    pooled.perFeature[i].empirical);
+  }
+  expectIdentical(serial.joint->empirical, pooled.joint->empirical);
+
+  opts.directions = 65;  // one more ray: a second chunk in every estimate
+  (void)validate::validateMergedScheme(problem, scheme, opts, &pool);
+  EXPECT_GT(tasks(pool), 0u);
 }
 
 namespace {

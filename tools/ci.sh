@@ -518,16 +518,15 @@ EOF
     grep -q '^fepiad exiting: ' build/serve_smoke.log
     python3 tools/check_telemetry.py build/serve_telemetry.jsonl \
       tools/schemas/telemetry.schema.json
-    # The hub's final sample is taken after the server has unhooked its
-    # gauges at exit, so read the last sample that still carries them.
+    # The server leaves its final gauge readings in the hub when it stops,
+    # so the hub's closing sample, the last one, must carry them.
     python3 - build/serve_telemetry.jsonl <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     samples = [r for r in map(json.loads, f) if r["type"] == "sample"]
-live = [s["metrics"]["gauges"] for s in samples
-        if "fepiad.requests_served" in s["metrics"]["gauges"]]
-assert live, "no sample carries the fepiad.* gauges"
-last = live[-1]
+assert samples, "no telemetry sample"
+last = samples[-1]["metrics"]["gauges"]
+assert "fepiad.requests_served" in last, f"last sample lacks fepiad.*: {last}"
 assert last["fepiad.requests_served"] >= 1, f"nothing served: {last}"
 assert "fepiad.queue_depth" in last, f"no queue depth gauge: {last}"
 print(f"serve telemetry OK ({len(samples)} samples, "
