@@ -48,10 +48,16 @@ class PerformanceFeature {
 
   /// Evaluates the feature at every live lane of `block`, writing lane
   /// l's value to `out[l]`. The default gathers each lane and calls
-  /// evaluate(); closed-form subclasses override it with contiguous
-  /// structure-of-arrays kernels whose per-lane accumulation order
+  /// evaluate(); QuadraticFeature overrides it with a contiguous
+  /// structure-of-arrays kernel whose per-lane accumulation order
   /// replicates evaluate() exactly, so block results are bit-identical
-  /// to point-at-a-time results in every implementation. Throws
+  /// to point-at-a-time results. LinearFeature keeps the default:
+  /// classify::BlockClassifier compiles runs of linear features into
+  /// one table of their nonzero (column, coefficient) terms and never
+  /// calls this for them. Skipping a zero term changes a sum on finite
+  /// coordinates only in the sign of a zero result, which no bound test
+  /// sees; blocks with a non-finite coordinate in a skipped column take
+  /// the scalar path, where 0 * inf still yields NaN. Throws
   /// std::invalid_argument on a dimension mismatch or when `out` has
   /// fewer than block.lanes() elements.
   virtual void evaluateBlock(const la::PointBlock& block,

@@ -28,57 +28,6 @@ double LinearFeature::evaluate(const la::Vector& pi) const {
   return la::dot(coefficients_, pi) + offset_;
 }
 
-void LinearFeature::evaluateBlock(const la::PointBlock& block,
-                                  std::span<double> out) const {
-  const std::size_t n = coefficients_.size();
-  if (block.dimension() != n) {
-    throw std::invalid_argument("feature::LinearFeature '" + name_ +
-                                "': block dimension mismatch");
-  }
-  const std::size_t lanes = block.lanes();
-  if (out.size() < lanes) {
-    throw std::invalid_argument("feature::LinearFeature '" + name_ +
-                                "': output span too small");
-  }
-  // Lane-parallel replica of la::dot's ascending-j accumulation with the
-  // offset added last, matching evaluate() bit for bit per lane. Lanes
-  // are processed in small tiles whose accumulators stay in registers
-  // across the whole j loop — each per-lane sum is still formed in
-  // ascending-j order (tiling never reassociates within a lane), but the
-  // output array is written once instead of being re-streamed through
-  // memory for every coordinate.
-  constexpr std::size_t kTile = 8;
-  constexpr std::size_t kMaxStackDim = 64;
-  if (n <= kMaxStackDim) {
-    const double* rows[kMaxStackDim];
-    for (std::size_t j = 0; j < n; ++j) rows[j] = block.coordinate(j).data();
-    std::size_t l = 0;
-    for (; l + kTile <= lanes; l += kTile) {
-      double acc[kTile] = {};
-      for (std::size_t j = 0; j < n; ++j) {
-        const double kj = coefficients_[j];
-        const double* xj = rows[j] + l;
-        for (std::size_t t = 0; t < kTile; ++t) acc[t] += kj * xj[t];
-      }
-      for (std::size_t t = 0; t < kTile; ++t) out[l + t] = acc[t] + offset_;
-    }
-    for (; l < lanes; ++l) {
-      double acc = 0.0;
-      for (std::size_t j = 0; j < n; ++j) acc += coefficients_[j] * rows[j][l];
-      out[l] = acc + offset_;
-    }
-    return;
-  }
-  // Very high-dimensional fallback: stream the accumulator array.
-  for (std::size_t l = 0; l < lanes; ++l) out[l] = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    const double kj = coefficients_[j];
-    const std::span<const double> xj = block.coordinate(j);
-    for (std::size_t l = 0; l < lanes; ++l) out[l] += kj * xj[l];
-  }
-  for (std::size_t l = 0; l < lanes; ++l) out[l] += offset_;
-}
-
 la::Vector LinearFeature::gradient(const la::Vector& pi) const {
   if (pi.size() != coefficients_.size()) {
     throw std::invalid_argument("feature::LinearFeature '" + name_ +

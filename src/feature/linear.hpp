@@ -27,11 +27,6 @@ class LinearFeature final : public PerformanceFeature {
     return coefficients_.size();
   }
   [[nodiscard]] double evaluate(const la::Vector& pi) const override;
-  /// Contiguous SoA kernel: per lane the accumulation runs over j in
-  /// ascending order with the offset added last — the exact order of
-  /// evaluate() — so block values are bit-identical to scalar ones.
-  void evaluateBlock(const la::PointBlock& block,
-                     std::span<double> out) const override;
   /// Exact gradient: the coefficient vector, independent of `pi`.
   [[nodiscard]] la::Vector gradient(const la::Vector& pi) const override;
   [[nodiscard]] units::Unit unit() const override { return unit_; }

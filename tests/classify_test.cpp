@@ -10,6 +10,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "classify/block_classifier.hpp"
@@ -107,7 +108,6 @@ TEST(EvaluateBlock, KernelsAreBitIdenticalToScalarEvaluate) {
     la::Vector k(dim);
     for (std::size_t j = 0; j < dim; ++j) k[j] = rng::uniform(g, -2.0, 2.0);
     if (k[0] == 0.0) k[0] = 1.0;
-    const feature::LinearFeature lin("lin", k, 0.375);
     const feature::QuadraticFeature quad("quad", la::identity(dim), k, -1.5);
     // Exercises the gather-based default path too.
     const feature::CallableFeature generic(
@@ -116,8 +116,7 @@ TEST(EvaluateBlock, KernelsAreBitIdenticalToScalarEvaluate) {
     const la::PointBlock block = randomBlock(g, dim, 37);
     std::vector<double> out(block.lanes());
     for (const feature::PerformanceFeature* f :
-         {static_cast<const feature::PerformanceFeature*>(&lin),
-          static_cast<const feature::PerformanceFeature*>(&quad),
+         {static_cast<const feature::PerformanceFeature*>(&quad),
           static_cast<const feature::PerformanceFeature*>(&generic)}) {
       f->evaluateBlock(block, out);
       for (std::size_t l = 0; l < block.lanes(); ++l) {
@@ -125,10 +124,6 @@ TEST(EvaluateBlock, KernelsAreBitIdenticalToScalarEvaluate) {
             << f->name() << " dim=" << dim << " lane=" << l;
       }
     }
-    EXPECT_THROW(lin.evaluateBlock(randomBlock(g, dim + 1, 4), out),
-                 std::invalid_argument);
-    std::vector<double> tooSmall(block.lanes() - 1);
-    EXPECT_THROW(lin.evaluateBlock(block, tooSmall), std::invalid_argument);
   }
 }
 
@@ -379,5 +374,228 @@ TEST(BlockClassifier, PointPathEqualsOneLaneBlockInEveryMode) {
     EXPECT_EQ(verdict, 1);
     EXPECT_TRUE(emptyPoint.classifyPoint(la::Vector{0.0, 0.0}));
     expectSameStats(emptyPoint.stats(), emptyLane.stats());
+  }
+}
+
+namespace {
+
+/// One random compiled-run feature: coefficients drawn from a mix of
+/// zeros, negatives, subnormals and ordinary values, with the first
+/// `zeroColumns` coefficients zero. At least one is ordinary:
+/// LinearFeature rejects a vector whose norm underflows to 0.
+la::Vector randomCoefficients(rng::Xoshiro256StarStar& g, std::size_t dim,
+                              std::size_t zeroColumns) {
+  la::Vector k(dim);
+  bool ordinary = false;
+  for (std::size_t j = zeroColumns; j < dim; ++j) {
+    const double pick = rng::uniform01(g);
+    if (pick < 0.35) {
+      k[j] = 0.0;
+    } else if (pick < 0.45) {
+      k[j] = -rng::uniform(g, 1.0, 4.0) * 0x1.0p-1060;  // negative subnormal
+    } else if (pick < 0.5) {
+      k[j] = 0x1.0p-1070;  // positive subnormal
+    } else {
+      k[j] = rng::uniform(g, -2.0, 2.0);
+      ordinary = true;
+    }
+  }
+  if (!ordinary) k[zeroColumns + g() % (dim - zeroColumns)] = -1.25;
+  return k;
+}
+
+/// Block of `lanes` random points in [-3, 3]^dim whose lanes 0 and 1
+/// (when present) are all +0 and all -0.
+la::PointBlock signedZeroBlock(rng::Xoshiro256StarStar& g, std::size_t dim,
+                               std::size_t lanes) {
+  la::PointBlock block = randomBlock(g, dim, lanes);
+  for (std::size_t j = 0; j < dim; ++j) {
+    if (lanes > 0) block.coordinate(j)[0] = 0.0;
+    if (lanes > 1) block.coordinate(j)[1] = -0.0;
+  }
+  return block;
+}
+
+}  // namespace
+
+TEST(BlockClassifier, CompiledLinearRunsMatchScalarVerdictForVerdict) {
+  // Random all-linear sets go through the fused sparse pass in Batched
+  // mode, some with a column no feature uses. Bounds are anchored at the
+  // value of a random lane, so some lanes sit exactly on a bound; zero
+  // offsets with a bound at ±0 put the ±0 lanes exactly on it too, where
+  // only the sign of a zero could differ between the sparse and dense
+  // sums.
+  rng::Xoshiro256StarStar g(0xF05EDull);
+  for (int round = 0; round < 40; ++round) {
+    SCOPED_TRACE(round);
+    const std::size_t dim = 1 + g() % 12;
+    const std::size_t count = 1 + g() % 6;
+    // Every other round, column 0 is zero in every feature.
+    const std::size_t zeroColumns = dim > 1 && round % 2 == 0 ? 1 : 0;
+    for (const std::size_t lanes : {1u, 15u, 16u, 17u, 81u, 256u, 300u}) {
+      SCOPED_TRACE(lanes);
+      const la::PointBlock block = signedZeroBlock(g, dim, lanes);
+      feature::FeatureSet phi;
+      for (std::size_t f = 0; f < count; ++f) {
+        const bool zeroOffset = g() % 3 == 0;
+        const double offset = zeroOffset ? 0.0 : rng::uniform(g, -1.0, 1.0);
+        auto lin = std::make_shared<feature::LinearFeature>(
+            "lin" + std::to_string(f), randomCoefficients(g, dim, zeroColumns),
+            offset);
+        const double anchor =
+            zeroOffset ? (g() % 2 == 0 ? 0.0 : -0.0)
+                       : lin->evaluate(gatherLane(block, g() % lanes));
+        const double spread = rng::uniform(g, 0.5, 6.0);
+        switch (g() % 4) {
+          case 0:
+            phi.add(lin, feature::FeatureBounds::upper(anchor));
+            break;
+          case 1:
+            phi.add(lin, feature::FeatureBounds::lower(anchor));
+            break;
+          case 2:
+            phi.add(lin, feature::FeatureBounds(anchor, anchor + spread));
+            break;
+          default:
+            phi.add(lin, feature::FeatureBounds(anchor - spread, anchor));
+            break;
+        }
+      }
+      classify::BlockClassifier scalar(phi, classify::Mode::Scalar);
+      classify::BlockClassifier batched(phi, classify::Mode::Batched);
+      std::vector<std::uint8_t> expected(lanes, 2);
+      std::vector<std::uint8_t> got(lanes, 2);
+      scalar.classify(block, expected);
+      batched.classify(block, got);
+      EXPECT_EQ(got, expected);
+      // The counters count calls and lanes, whichever path ran.
+      EXPECT_EQ(batched.stats().blocks, 1u);
+      EXPECT_EQ(batched.stats().lanes, lanes);
+      expectSameStats(batched.stats(), scalar.stats());
+    }
+  }
+}
+
+TEST(BlockClassifier, InfInASkippedColumnRaisesAsScalarDoes) {
+  // The first feature has a zero coefficient on column 1, so the fused
+  // pass skips that term; 0 * inf is still NaN there, and the scalar path
+  // names the first feature. Every width must raise the same error.
+  feature::FeatureSet phi;
+  phi.add(std::make_shared<feature::LinearFeature>("first",
+                                                   la::Vector{1.0, 0.0}),
+          feature::FeatureBounds::upper(10.0));
+  phi.add(std::make_shared<feature::LinearFeature>("second",
+                                                   la::Vector{0.5, 1.0}),
+          feature::FeatureBounds::upper(10.0));
+  for (const std::size_t lanes : {4u, 16u, 81u}) {
+    la::PointBlock block(2, lanes);
+    block.coordinate(1)[lanes - 1] = std::numeric_limits<double>::infinity();
+    for (const classify::Mode mode :
+         {classify::Mode::Scalar, classify::Mode::Batched}) {
+      classify::BlockClassifier cls(phi, mode);
+      std::vector<std::uint8_t> got(lanes);
+      try {
+        cls.classify(block, got);
+        ADD_FAILURE() << "no error, mode " << static_cast<int>(mode)
+                      << " lanes " << lanes;
+      } catch (const feature::NonFiniteFeatureError& e) {
+        EXPECT_NE(std::string(e.what()).find("'first'"), std::string::npos)
+            << e.what();
+      }
+      EXPECT_EQ(cls.stats().lanes, lanes);
+    }
+  }
+}
+
+TEST(BlockClassifier, NaNOnlyOnARejectedLaneDoesNotRaise) {
+  // Lane 3 is (inf, inf): the first feature's x0 + x1 = inf rejects it,
+  // so the second feature's x0 - x1 = NaN there is never evaluated by the
+  // scalar path and must not raise in the fused pass either. With the
+  // first feature accepting inf, the same lane is live and must raise,
+  // naming the second feature.
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto sum =
+      std::make_shared<feature::LinearFeature>("sum", la::Vector{1.0, 1.0});
+  const auto diff =
+      std::make_shared<feature::LinearFeature>("diff", la::Vector{1.0, -1.0});
+  feature::FeatureSet rejects;
+  rejects.add(sum, feature::FeatureBounds::upper(10.0));
+  rejects.add(diff, feature::FeatureBounds::upper(10.0));
+  feature::FeatureSet passes;
+  passes.add(sum, feature::FeatureBounds::lower(-10.0));
+  passes.add(diff, feature::FeatureBounds::upper(10.0));
+  for (const std::size_t lanes : {4u, 17u, 81u}) {
+    SCOPED_TRACE(lanes);
+    la::PointBlock block(2, lanes);
+    block.coordinate(0)[3] = inf;
+    block.coordinate(1)[3] = inf;
+    std::vector<std::uint8_t> expected(lanes, 1);
+    expected[3] = 0;
+    for (const classify::Mode mode :
+         {classify::Mode::Scalar, classify::Mode::Batched}) {
+      classify::BlockClassifier quiet(rejects, mode);
+      std::vector<std::uint8_t> got(lanes);
+      ASSERT_NO_THROW(quiet.classify(block, got)) << static_cast<int>(mode);
+      EXPECT_EQ(got, expected);
+
+      classify::BlockClassifier loud(passes, mode);
+      try {
+        loud.classify(block, got);
+        ADD_FAILURE() << "no error, mode " << static_cast<int>(mode);
+      } catch (const feature::NonFiniteFeatureError& e) {
+        EXPECT_NE(std::string(e.what()).find("'diff'"), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
+TEST(BlockClassifier, GenericBetweenLinearRunsSeesOnlyLiveLanes) {
+  // [linear, generic, linear]: the two runs are compiled separately and
+  // the generic feature between them is evaluated once per lane the
+  // first feature accepted, in ascending lane order — as the scalar path
+  // does and as the per-feature batched path did.
+  rng::Xoshiro256StarStar g(0x6E6E71Cull);
+  const std::size_t dim = 3;
+  std::vector<double> seen;
+  feature::FeatureSet phi;
+  phi.add(std::make_shared<feature::LinearFeature>(
+              "gate", la::Vector{1.0, 0.0, 0.5}, 0.25),
+          feature::FeatureBounds::upper(1.0));
+  phi.add(std::make_shared<feature::CallableFeature>(
+              "counted", dim,
+              [&seen](const la::Vector& x) {
+                seen.push_back(x[0]);
+                return x[1] * x[1];
+              }),
+          feature::FeatureBounds::upper(4.0));
+  phi.add(std::make_shared<feature::LinearFeature>(
+              "tail", la::Vector{0.0, -1.0, 1.0}),
+          feature::FeatureBounds(-2.5, 2.5));
+  for (const std::size_t lanes : {8u, 17u, 81u, 300u}) {
+    SCOPED_TRACE(lanes);
+    const la::PointBlock block = randomBlock(g, dim, lanes);
+    std::vector<double> expectedSeen;
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const la::Vector pi = gatherLane(block, l);
+      if (phi[0].bounds.contains(phi[0].feature->evaluate(pi))) {
+        expectedSeen.push_back(pi[0]);
+      }
+    }
+    ASSERT_FALSE(expectedSeen.empty());
+    ASSERT_LT(expectedSeen.size(), lanes);
+    std::vector<std::uint8_t> expected(lanes);
+    classify::BlockClassifier scalar(phi, classify::Mode::Scalar);
+    seen.clear();
+    scalar.classify(block, expected);
+    EXPECT_EQ(seen, expectedSeen);
+
+    classify::BlockClassifier batched(phi, classify::Mode::Batched);
+    std::vector<std::uint8_t> got(lanes);
+    seen.clear();
+    batched.classify(block, got);
+    EXPECT_EQ(seen, expectedSeen);
+    EXPECT_EQ(got, expected);
+    expectSameStats(batched.stats(), scalar.stats());
   }
 }

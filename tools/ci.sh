@@ -8,7 +8,7 @@
 # coordinator + 3 workers over the wire protocol (worker-count
 # invariance), a SIGKILLed worker whose lease must be reissued, and a
 # warm persistent-cache rerun — all byte-compared against
-# single-process runs.
+# single-process runs, and runs the benchmark harness's self-test.
 # Mirrors the CMake presets in CMakePresets.json; run from anywhere.
 #
 #   tools/ci.sh            # all configs
@@ -568,6 +568,14 @@ EOF
       BENCH_validation.json --max-slowdown "$max_slowdown" \
       --floor "classify_batched_per_sec=$classify_floor" \
       --floor "telemetry_on_per_sec=$telemetry_floor"
+
+    # The benchmark harness compiles the library from src/ in its own
+    # CMake project (under .bench_build), so a src/ change can break its
+    # build or its output checks while everything above passes. The
+    # self-test runs each workload once untraced and once traced at tiny
+    # size and checks every result line.
+    echo "=== [$cfg] perfbench self-test ==="
+    python3 perfbench/selftest.py
   fi
 
   if [ "$cfg" = asan-ubsan ]; then
