@@ -22,7 +22,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -32,6 +31,7 @@
 #include <vector>
 
 #include "fepia.hpp"
+#include "claim.hpp"
 #include "obs/clock.hpp"
 #include "obs/manifest.hpp"
 #include "obs/telemetry.hpp"
@@ -270,7 +270,7 @@ TelemetryOverhead telemetryOverhead(const Workload& w,
   return t;
 }
 
-void printExperiment() {
+int printExperiment() {
   const obs::Stopwatch wall;
   const bool smoke = smokeMode();
   const Workload w;
@@ -370,63 +370,50 @@ void printExperiment() {
             << (tel.ok ? "yes" : "NO — telemetry regressed the hot path")
             << "\n\n";
 
-  const char* env = std::getenv("FEPIA_BENCH_JSON");
-  const std::string jsonPath = env != nullptr ? env : "BENCH_validation.json";
-  std::ofstream out(jsonPath);
-  if (!out) {
-    std::cerr << "cannot write " << jsonPath << "\n";
-    return;
-  }
-  g_manifest.wallSeconds = wall.elapsedSeconds();
   const std::size_t hc = std::thread::hardware_concurrency();
-  out << "{\n  \"bench\": \"empirical_radius\",\n  \"manifest\": ";
-  g_manifest.writeJson(out);
-  out << ",\n  \"smoke\": " << (smoke ? "true" : "false")
-      << ",\n  \"seed\": " << opts.seed
-      << ",\n  \"directions\": " << opts.directions
-      << ",\n  \"chunk_size\": " << opts.chunkSize
-      << ",\n  \"classify_scalar_per_sec\": " << rates.scalarPerSec
-      << ",\n  \"classify_batched_per_sec\": " << rates.batchedPerSec
-      << ",\n  \"classify_batched_f32_per_sec\": " << rates.batchedF32PerSec
-      << ",\n  \"classify_kernel_verdicts_agree\": "
-      << (rates.verdictsAgree ? "true" : "false")
-      << ",\n  \"radius_identical\": " << (identical ? "true" : "false")
-      << ",\n  \"batched_matches_scalar\": "
-      << (batchedMatchesScalar ? "true" : "false")
-      << ",\n  \"telemetry_off_per_sec\": " << tel.offPerSec
-      << ",\n  \"telemetry_on_per_sec\": " << tel.onPerSec
-      << ",\n  \"telemetry_overhead_ratio\": " << tel.ratio
-      << ",\n  \"telemetry_max_ratio\": " << tel.maxRatio
-      << ",\n  \"telemetry_radius_identical\": "
-      << (tel.radiusIdentical ? "true" : "false")
-      << ",\n  \"telemetry_overhead_ok\": " << (tel.ok ? "true" : "false")
-      << ",\n  \"runs\": [\n";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const Run& r = runs[i];
-    out << "    {\"engine\": \"" << r.engine << "\", \"threads\": " << r.threads
-        << ", \"hardware_concurrency\": " << hc
-        << ", \"classifications\": " << r.est.classifications
-        << ", \"samples_per_sec\": "
-        << static_cast<double>(r.est.classifications) / r.seconds
-        << ", \"directions_per_sec\": "
-        << static_cast<double>(r.est.directions) / r.seconds
-        << ", \"wall_seconds\": " << r.seconds
-        << ", \"radius\": " << r.est.radius;
-    if (r.engine != "closure") {
-      out << ", \"classify_lanes\": " << r.est.classifyStats.lanes
-          << ", \"f32_hits\": " << r.est.classifyStats.f32Hits
-          << ", \"double_fallbacks\": " << r.est.classifyStats.doubleFallbacks;
-    }
-    out << "}" << (i + 1 < runs.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::cout << "wrote " << jsonPath << "\n\n";
+  return writeBenchJson(
+      "empirical_radius", "BENCH_validation.json", g_manifest, wall,
+      [&](obs::JsonWriter& doc) {
+        doc.boolean("smoke", smoke).count("seed", opts.seed);
+        doc.count("directions", opts.directions);
+        doc.count("chunk_size", opts.chunkSize);
+        doc.num("classify_scalar_per_sec", rates.scalarPerSec);
+        doc.num("classify_batched_per_sec", rates.batchedPerSec);
+        doc.num("classify_batched_f32_per_sec", rates.batchedF32PerSec);
+        doc.boolean("classify_kernel_verdicts_agree", rates.verdictsAgree);
+        doc.boolean("radius_identical", identical);
+        doc.boolean("batched_matches_scalar", batchedMatchesScalar);
+        doc.num("telemetry_off_per_sec", tel.offPerSec);
+        doc.num("telemetry_on_per_sec", tel.onPerSec);
+        doc.num("telemetry_overhead_ratio", tel.ratio);
+        doc.num("telemetry_max_ratio", tel.maxRatio);
+        doc.boolean("telemetry_radius_identical", tel.radiusIdentical);
+        doc.boolean("telemetry_overhead_ok", tel.ok);
+        doc.array("runs", obs::JsonLayout::Lines);
+        for (const Run& r : runs) {
+          const auto perSec = [&r](std::size_t n) {
+            return static_cast<double>(n) / r.seconds;
+          };
+          doc.object().str("engine", r.engine).count("threads", r.threads);
+          doc.count("hardware_concurrency", hc);
+          doc.count("classifications", r.est.classifications);
+          doc.num("samples_per_sec", perSec(r.est.classifications));
+          doc.num("directions_per_sec", perSec(r.est.directions));
+          doc.num("wall_seconds", r.seconds).num("radius", r.est.radius);
+          if (r.engine != "closure") {
+            const auto& k = r.est.classifyStats;
+            doc.count("classify_lanes", k.lanes).count("f32_hits", k.f32Hits);
+            doc.count("double_fallbacks", k.doubleFallbacks);
+          }
+          doc.end();
+        }
+        doc.end();
+      });
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   g_manifest = obs::RunManifest::collect("bench_empirical_radius", argc, argv);
-  printExperiment();
-  return 0;
+  return printExperiment();
 }

@@ -11,13 +11,13 @@
 // BENCH_fault.json (override the path with FEPIA_BENCH_JSON).
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "fepia.hpp"
+#include "claim.hpp"
 #include "obs/clock.hpp"
 #include "obs/manifest.hpp"
 
@@ -78,7 +78,7 @@ bool sameEstimate(const fault::DegradedEstimate& a,
          a.nominal.faults.downtimeSeconds == b.nominal.faults.downtimeSeconds;
 }
 
-void printExperiment() {
+int printExperiment() {
   const obs::Stopwatch wall;
   const bool smoke = smokeMode();
   const Workload w;
@@ -141,55 +141,44 @@ void printExperiment() {
                                     : "  (REGRESSION: pool overhead)")
             << "\n\n";
 
-  const char* env = std::getenv("FEPIA_BENCH_JSON");
-  const std::string jsonPath = env != nullptr ? env : "BENCH_fault.json";
-  std::ofstream out(jsonPath);
-  if (!out) {
-    std::cerr << "cannot write " << jsonPath << "\n";
-    return;
-  }
-  g_manifest.wallSeconds = wall.elapsedSeconds();
   const des::FaultCounters& fc = runs[0].est.nominal.faults;
-  out << "{\n  \"bench\": \"fault_injection\",\n  \"manifest\": ";
-  g_manifest.writeJson(out);
-  out << ",\n  \"smoke\": " << (smoke ? "true" : "false")
-      << ",\n  \"seed\": " << opts.seed
-      << ",\n  \"directions\": " << opts.directions
-      << ",\n  \"generations\": " << dopts.generations
-      << ",\n  \"analytic_rho\": " << runs[0].est.analyticRho
-      << ",\n  \"nominal_satisfies\": "
-      << (runs[0].est.nominalSatisfies ? "true" : "false")
-      << ",\n  \"nominal_counters\": {\"failovers\": " << fc.failovers
-      << ", \"lost_messages\": " << fc.lostMessages
-      << ", \"retries\": " << fc.retries
-      << ", \"dropped_messages\": " << fc.droppedMessages
-      << ", \"unrecovered_jobs\": " << fc.unrecoveredJobs
-      << ", \"downtime_seconds\": " << fc.downtimeSeconds
-      << ", \"backoff_wait_seconds\": " << fc.backoffWaitSeconds
-      << "},\n  \"degraded_runs_identical\": " << (identical ? "true" : "false")
-      << ",\n  \"threads1_vs_serial_ratio\": " << threads1Ratio
-      << ",\n  \"threads1_within_serial_noise\": "
-      << (threads1WithinNoise ? "true" : "false") << ",\n  \"runs\": [\n";
   const std::size_t hc = std::thread::hardware_concurrency();
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const Run& r = runs[i];
-    out << "    {\"threads\": " << r.threads
-        << ", \"hardware_concurrency\": " << hc
-        << ", \"degraded_radius\": " << r.est.degraded.radius
-        << ", \"classifications\": " << r.est.degraded.classifications
-        << ", \"classifications_per_sec\": "
-        << static_cast<double>(r.est.degraded.classifications) / r.seconds
-        << ", \"wall_seconds\": " << r.seconds << "}"
-        << (i + 1 < runs.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::cout << "wrote " << jsonPath << "\n\n";
+  return writeBenchJson(
+      "fault_injection", "BENCH_fault.json", g_manifest, wall,
+      [&](obs::JsonWriter& doc) {
+        doc.boolean("smoke", smoke).count("seed", opts.seed);
+        doc.count("directions", opts.directions);
+        doc.count("generations", dopts.generations);
+        doc.num("analytic_rho", runs[0].est.analyticRho);
+        doc.boolean("nominal_satisfies", runs[0].est.nominalSatisfies);
+        doc.object("nominal_counters").count("failovers", fc.failovers);
+        doc.count("lost_messages", fc.lostMessages);
+        doc.count("retries", fc.retries);
+        doc.count("dropped_messages", fc.droppedMessages);
+        doc.count("unrecovered_jobs", fc.unrecoveredJobs);
+        doc.num("downtime_seconds", fc.downtimeSeconds);
+        doc.num("backoff_wait_seconds", fc.backoffWaitSeconds).end();
+        doc.boolean("degraded_runs_identical", identical);
+        doc.num("threads1_vs_serial_ratio", threads1Ratio);
+        doc.boolean("threads1_within_serial_noise", threads1WithinNoise);
+        doc.array("runs", obs::JsonLayout::Lines);
+        for (const Run& r : runs) {
+          const validate::EmpiricalEstimate& g = r.est.degraded;
+          doc.object().count("threads", r.threads);
+          doc.count("hardware_concurrency", hc);
+          doc.num("degraded_radius", g.radius);
+          doc.count("classifications", g.classifications);
+          doc.num("classifications_per_sec",
+                  static_cast<double>(g.classifications) / r.seconds);
+          doc.num("wall_seconds", r.seconds).end();
+        }
+        doc.end();
+      });
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   g_manifest = obs::RunManifest::collect("bench_fault_injection", argc, argv);
-  printExperiment();
-  return 0;
+  return printExperiment();
 }

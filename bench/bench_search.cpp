@@ -20,13 +20,13 @@
 // FEPIA_BENCH_SMOKE=1 for a small instance suitable for CI smoke runs.
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "fepia.hpp"
+#include "claim.hpp"
 #include "obs/clock.hpp"
 #include "obs/manifest.hpp"
 
@@ -95,7 +95,7 @@ Run engineRun(const Workload& w, std::size_t threads) {
              threads, seconds, std::move(best), rho};
 }
 
-void printExperiment() {
+int printExperiment() {
   const obs::Stopwatch wall;
   const bool smoke = smokeMode();
   const std::size_t tasks = smoke ? 48 : 256;
@@ -138,36 +138,25 @@ void printExperiment() {
             << (naiveAgrees ? "yes" : "no") << "\nbest speedup vs naive: "
             << report::num(bestSpeedup, 2) << "x\n\n";
 
-  const char* env = std::getenv("FEPIA_BENCH_JSON");
-  const std::string jsonPath = env != nullptr ? env : "BENCH_search.json";
-  std::ofstream out(jsonPath);
-  if (!out) {
-    std::cerr << "cannot write " << jsonPath << "\n";
-    return;
-  }
-  g_manifest.wallSeconds = wall.elapsedSeconds();
-  out << "{\n  \"bench\": \"search\",\n  \"manifest\": ";
-  g_manifest.writeJson(out);
-  out << ",\n  \"smoke\": " << (smoke ? "true" : "false")
-      << ",\n  \"tasks\": " << tasks << ",\n  \"machines\": " << machines
-      << ",\n  \"tau\": " << w.tau << ",\n  \"runs\": [\n";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const Run& r = runs[i];
-    out << "    {\"mode\": \"" << r.mode << "\", \"threads\": " << r.threads
-        << ", \"wall_seconds\": " << r.seconds << ", \"rho\": " << r.rho
-        << ", \"speedup_vs_naive\": " << runs[0].seconds / r.seconds << "}"
-        << (i + 1 < runs.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"best_speedup_vs_naive\": " << bestSpeedup
-      << ",\n  \"engine_runs_identical\": " << (identical ? "true" : "false")
-      << "\n}\n";
-  std::cout << "wrote " << jsonPath << "\n\n";
+  return writeBenchJson(
+      "search", "BENCH_search.json", g_manifest, wall,
+      [&](obs::JsonWriter& doc) {
+        doc.boolean("smoke", smoke).count("tasks", tasks);
+        doc.count("machines", machines).num("tau", w.tau);
+        doc.array("runs", obs::JsonLayout::Lines);
+        for (const Run& r : runs) {
+          doc.object().str("mode", r.mode).count("threads", r.threads);
+          doc.num("wall_seconds", r.seconds).num("rho", r.rho);
+          doc.num("speedup_vs_naive", runs[0].seconds / r.seconds).end();
+        }
+        doc.end().num("best_speedup_vs_naive", bestSpeedup);
+        doc.boolean("engine_runs_identical", identical);
+      });
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   g_manifest = obs::RunManifest::collect("bench_search", argc, argv);
-  printExperiment();
-  return 0;
+  return printExperiment();
 }

@@ -19,9 +19,11 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "claim.hpp"
 #include "obs/clock.hpp"
 #include "obs/json.hpp"
 #include "obs/manifest.hpp"
@@ -68,19 +70,12 @@ std::string sweepSpec(bool smoke) {
   return text;
 }
 
-std::string radiusRequest(const std::string& problemPath) {
+/// The request frame {"id":1,"kind":<kind>,"args":[<path>]}.
+std::string request(std::string_view kind, const std::string& path) {
   std::ostringstream os;
-  os << "{\"id\":1,\"kind\":\"radius\",\"args\":[";
-  obs::writeJsonString(os, problemPath);
-  os << "]}";
-  return os.str();
-}
-
-std::string sweepRequest(const std::string& specPath) {
-  std::ostringstream os;
-  os << "{\"id\":1,\"kind\":\"sweep\",\"args\":[";
-  obs::writeJsonString(os, specPath);
-  os << "]}";
+  obs::JsonWriter w(os);
+  w.object(obs::JsonLayout::Compact).count("id", 1).str("kind", kind);
+  w.array("args", obs::JsonLayout::Compact).str(path).end().end();
   return os.str();
 }
 
@@ -170,7 +165,7 @@ LoadResult runLoad(std::uint16_t port, std::size_t clients,
   return result;
 }
 
-void printExperiment() {
+int printExperiment() {
   const obs::Stopwatch wall;
   const bool smoke = smokeMode();
   const std::string problemPath = tempPath("problem.fepia");
@@ -185,7 +180,7 @@ void printExperiment() {
   std::string error;
   if (!srv.start(&error)) {
     std::cerr << "bench_server: " << error << "\n";
-    return;
+    return 1;
   }
 
   const std::size_t clients = smoke ? 4 : 8;
@@ -196,7 +191,7 @@ void printExperiment() {
             << (smoke ? "  [smoke mode]" : "") << "\n\n";
 
   const LoadResult load =
-      runLoad(srv.port(), clients, perClient, radiusRequest(problemPath));
+      runLoad(srv.port(), clients, perClient, request("radius", problemPath));
 
   std::cout << "requests: " << load.requests << " ok, " << load.failures
             << " failed in " << load.wallSeconds << " s\n"
@@ -207,7 +202,7 @@ void printExperiment() {
   // Cold/warm: the first sweep computes, identical repeats hit the
   // resident content-keyed cache.
   const int fd = server::connectLoopback(srv.port());
-  const std::string sweepReq = sweepRequest(specPath);
+  const std::string sweepReq = request("sweep", specPath);
   const double coldSeconds = fd >= 0 ? roundTrip(fd, sweepReq) : -1.0;
   const std::size_t warmRepeats = 3;
   double warmSeconds = -1.0;
@@ -230,44 +225,33 @@ void printExperiment() {
   std::remove(problemPath.c_str());
   std::remove(specPath.c_str());
 
-  const char* env = std::getenv("FEPIA_BENCH_JSON");
-  const std::string jsonPath = env != nullptr ? env : "BENCH_server.json";
-  std::ofstream out(jsonPath);
-  if (!out) {
-    std::cerr << "cannot write " << jsonPath << "\n";
-    return;
-  }
-  g_manifest.wallSeconds = wall.elapsedSeconds();
-  out << "{\n  \"bench\": \"server\",\n  \"manifest\": ";
-  g_manifest.writeJson(out);
-  out << ",\n  \"smoke\": " << (smoke ? "true" : "false")
-      << ",\n  \"clients\": " << load.clients
-      << ",\n  \"requests\": " << load.requests
-      << ",\n  \"failures\": " << load.failures
-      << ",\n  \"req_per_sec\": " << load.reqPerSec
-      << ",\n  \"p50_ms\": " << load.p50Ms
-      << ",\n  \"p99_ms\": " << load.p99Ms
-      << ",\n  \"cold_sweep_seconds\": " << coldSeconds
-      << ",\n  \"warm_sweep_seconds\": " << warmSeconds
-      << ",\n  \"warm_speedup\": " << speedup
-      << ",\n  \"warm_faster_than_cold\": " << (warmFaster ? "true" : "false")
-      << ",\n  \"served_total\": " << stats.served
-      << ",\n  \"error_total\": " << stats.errors
-      << ",\n  \"runs\": [\n";
-  for (std::size_t c = 0; c < load.perClientP50Ms.size(); ++c) {
-    out << "    {\"client\": " << c << ", \"p50_ms\": "
-        << load.perClientP50Ms[c] << ", \"p99_ms\": "
-        << load.perClientP99Ms[c] << "}"
-        << (c + 1 < load.perClientP50Ms.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::cout << "wrote " << jsonPath << "\n\n";
+  return writeBenchJson(
+      "server", "BENCH_server.json", g_manifest, wall,
+      [&](obs::JsonWriter& doc) {
+        doc.boolean("smoke", smoke).count("clients", load.clients);
+        doc.count("requests", load.requests);
+        doc.count("failures", load.failures);
+        doc.num("req_per_sec", load.reqPerSec).num("p50_ms", load.p50Ms);
+        doc.num("p99_ms", load.p99Ms);
+        doc.num("cold_sweep_seconds", coldSeconds);
+        doc.num("warm_sweep_seconds", warmSeconds);
+        doc.num("warm_speedup", speedup);
+        doc.boolean("warm_faster_than_cold", warmFaster);
+        doc.count("served_total", stats.served);
+        doc.count("error_total", stats.errors);
+        doc.array("runs", obs::JsonLayout::Lines);
+        for (std::size_t c = 0; c < load.perClientP50Ms.size(); ++c) {
+          doc.object().count("client", c);
+          doc.num("p50_ms", load.perClientP50Ms[c]);
+          doc.num("p99_ms", load.perClientP99Ms[c]).end();
+        }
+        doc.end();
+      });
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   g_manifest = obs::RunManifest::collect("bench_server", argc, argv);
-  printExperiment();
-  return 0;
+  return printExperiment();
 }

@@ -14,7 +14,6 @@
 // results land in BENCH_sweep.json (override with FEPIA_BENCH_JSON).
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <stdexcept>
@@ -23,6 +22,7 @@
 #include <vector>
 
 #include "fepia.hpp"
+#include "claim.hpp"
 #include "obs/clock.hpp"
 #include "obs/manifest.hpp"
 #include "server/dist_sweep.hpp"
@@ -113,7 +113,7 @@ bool sameSurface(const sweep::SweepSurface& a, const sweep::SweepSurface& b) {
   return true;
 }
 
-void printExperiment() {
+int printExperiment() {
   const obs::Stopwatch wall;
   const bool smoke = smokeMode();
   const sweep::SweepSpec spec = makeSpec(smoke);
@@ -187,56 +187,42 @@ void printExperiment() {
             << "\n1-worker distributed efficiency vs serial: "
             << report::num(distEfficiency, 4) << "\n\n";
 
-  const char* env = std::getenv("FEPIA_BENCH_JSON");
-  const std::string jsonPath = env != nullptr ? env : "BENCH_sweep.json";
-  std::ofstream out(jsonPath);
-  if (!out) {
-    std::cerr << "cannot write " << jsonPath << "\n";
-    return;
-  }
-  g_manifest.wallSeconds = wall.elapsedSeconds();
-  out << "{\n  \"bench\": \"sweep\",\n  \"manifest\": ";
-  g_manifest.writeJson(out);
-  out << ",\n  \"smoke\": " << (smoke ? "true" : "false")
-      << ",\n  \"seed\": " << spec.seed
-      << ",\n  \"points\": " << runs[0].surface.points
-      << ",\n  \"surface_identical\": " << (identical ? "true" : "false")
-      << ",\n  \"cache_identity\": " << (cacheIdentity ? "true" : "false")
-      << ",\n  \"dist_surface_identical\": "
-      << (distIdentical ? "true" : "false")
-      << ",\n  \"dist_1worker_efficiency_per_sec\": " << distEfficiency
-      << ",\n  \"cache\": {\"hits\": " << runs[0].surface.cacheHits
-      << ", \"misses\": " << runs[0].surface.cacheMisses
-      << "},\n  \"runs\": [\n";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const Run& r = runs[i];
-    out << "    {\"threads\": " << r.threads
-        << ", \"points\": " << r.surface.points
-        << ", \"classifications\": " << r.surface.classifications
-        << ", \"points_per_sec\": " << r.surface.pointsPerSec
-        << ", \"wall_seconds\": " << r.seconds << "}"
-        << (i + 1 < runs.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"distributed\": [\n";
-  for (std::size_t i = 0; i < dist.size(); ++i) {
-    const DistRun& r = dist[i];
-    out << "    {\"workers\": " << r.workers
-        << ", \"points\": " << r.surface.points
-        << ", \"commits\": " << r.stats.commits
-        << ", \"duplicate_commits\": " << r.stats.duplicateCommits
-        << ", \"steals\": " << r.stats.steals
-        << ", \"dist_points_per_sec\": " << r.surface.pointsPerSec
-        << ", \"wall_seconds\": " << r.seconds << "}"
-        << (i + 1 < dist.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::cout << "wrote " << jsonPath << "\n\n";
+  return writeBenchJson(
+      "sweep", "BENCH_sweep.json", g_manifest, wall,
+      [&](obs::JsonWriter& doc) {
+        doc.boolean("smoke", smoke).count("seed", spec.seed);
+        doc.count("points", runs[0].surface.points);
+        doc.boolean("surface_identical", identical);
+        doc.boolean("cache_identity", cacheIdentity);
+        doc.boolean("dist_surface_identical", distIdentical);
+        doc.num("dist_1worker_efficiency_per_sec", distEfficiency);
+        doc.object("cache").count("hits", runs[0].surface.cacheHits);
+        doc.count("misses", runs[0].surface.cacheMisses).end();
+        doc.array("runs", obs::JsonLayout::Lines);
+        for (const Run& r : runs) {
+          doc.object().count("threads", r.threads);
+          doc.count("points", r.surface.points);
+          doc.count("classifications", r.surface.classifications);
+          doc.num("points_per_sec", r.surface.pointsPerSec);
+          doc.num("wall_seconds", r.seconds).end();
+        }
+        doc.end().array("distributed", obs::JsonLayout::Lines);
+        for (const DistRun& r : dist) {
+          doc.object().count("workers", r.workers);
+          doc.count("points", r.surface.points);
+          doc.count("commits", r.stats.commits);
+          doc.count("duplicate_commits", r.stats.duplicateCommits);
+          doc.count("steals", r.stats.steals);
+          doc.num("dist_points_per_sec", r.surface.pointsPerSec);
+          doc.num("wall_seconds", r.seconds).end();
+        }
+        doc.end();
+      });
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   g_manifest = obs::RunManifest::collect("bench_sweep", argc, argv);
-  printExperiment();
-  return 0;
+  return printExperiment();
 }

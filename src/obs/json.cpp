@@ -1,48 +1,31 @@
 #include "obs/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <locale>
-#include <sstream>
+#include <stdexcept>
 
 namespace fepia::obs {
 
 void writeJsonString(std::ostream& os, std::string_view s) {
+  static constexpr std::string_view kEscaped = "\"\\\b\f\n\r\t";
+  static constexpr std::string_view kLetters = "\"\\bfnrt";
   os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\b':
-        os << "\\b";
-        break;
-      case '\f':
-        os << "\\f";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\r':
-        os << "\\r";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          os << buf;
-        } else {
-          os << c;
-        }
+  std::size_t run = 0;  // start of the characters not yet written
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    os.write(s.data() + run, static_cast<std::streamsize>(i - run));
+    run = i + 1;
+    if (const std::size_t e = kEscaped.find(s[i]); e != kEscaped.npos) {
+      os << '\\' << kLetters[e];
+    } else {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
+      os << buf;
     }
   }
+  os.write(s.data() + run, static_cast<std::streamsize>(s.size() - run));
   os << '"';
 }
 
@@ -51,43 +34,69 @@ void writeJsonNumber(std::ostream& os, double x) {
     os << "null";
     return;
   }
-  // Classic locale pinned: JSON requires '.' as the decimal separator
-  // regardless of any std::locale::global the host process installed.
-  std::ostringstream tmp;
-  tmp.imbue(std::locale::classic());
-  tmp.precision(17);
-  tmp << x;
-  os << tmp.str();
+  // %.17g in the C locale whatever the stream's or the global locale.
+  char buf[32];
+  const auto r =
+      std::to_chars(buf, buf + sizeof buf, x, std::chars_format::general, 17);
+  os.write(buf, r.ptr - buf);
 }
 
-std::ostream& JsonFields::key(std::string_view name) {
-  os_ << ',';
-  writeJsonString(os_, name);
-  return os_ << ':';
-}
-
-JsonFields& JsonFields::str(std::string_view name, std::string_view value) {
-  writeJsonString(key(name), value);
+JsonWriter& JsonWriter::key(Key name) {
+  separate();
+  writeJsonString(*os_, name);
+  *os_ << (scopes_[depth_ - 1].layout == JsonLayout::Compact ? ":" : ": ");
+  keyed_ = true;
   return *this;
 }
 
-JsonFields& JsonFields::num(std::string_view name, double value) {
-  writeJsonNumber(key(name), value);
+JsonWriter& JsonWriter::open(char bracket, char close, JsonLayout layout) {
+  if (depth_ == kMaxDepth) throw std::length_error("JsonWriter: too deep");
+  valueStream() << bracket;
+  scopes_[depth_++] = {layout, close, true, false};
   return *this;
 }
 
-JsonFields& JsonFields::count(std::string_view name, std::uint64_t value) {
-  key(name) << std::to_string(value);
+JsonWriter& JsonWriter::end() {
+  const Scope s = scopes_[--depth_];
+  if (s.layout == JsonLayout::Lines) newline(depth_);
+  *os_ << s.close;
   return *this;
 }
 
-JsonFields& JsonFields::boolean(std::string_view name, bool value) {
-  key(name) << (value ? "true" : "false");
+JsonWriter& JsonWriter::count(std::uint64_t value) {
+  char buf[24];
+  const auto r = std::to_chars(buf, buf + sizeof buf, value);
+  valueStream().write(buf, r.ptr - buf);
   return *this;
 }
 
-JsonFields& JsonFields::raw(std::string_view name, std::string_view json) {
-  key(name) << json;
+std::ostream& JsonWriter::valueStream() {
+  if (keyed_) {
+    keyed_ = false;
+  } else if (depth_ > 0) {
+    separate();
+  }
+  return *os_;
+}
+
+void JsonWriter::separate() {
+  Scope& s = scopes_[depth_ - 1];
+  if (!s.first) *os_ << ',';
+  if (s.layout == JsonLayout::Lines || s.breakNext) {
+    newline(depth_);
+  } else if (!s.first && s.layout == JsonLayout::Inline) {
+    *os_ << ' ';
+  }
+  s.first = false;
+  s.breakNext = false;
+}
+
+void JsonWriter::newline(std::size_t depth) {
+  *os_ << '\n' << std::string(depth * static_cast<std::size_t>(indent_), ' ');
+}
+
+JsonFields& JsonFields::append(const JsonFields& more) {
+  os_ << more.os_.view();
   return *this;
 }
 

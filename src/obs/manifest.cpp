@@ -64,28 +64,14 @@ RunManifest RunManifest::collect(std::string tool, int argc,
 }
 
 void RunManifest::writeJson(std::ostream& os) const {
-  os << "{\"tool\": ";
-  writeJsonString(os, tool);
-  os << ", \"git_sha\": ";
-  writeJsonString(os, gitSha);
-  os << ", \"compiler\": ";
-  writeJsonString(os, compiler);
-  os << ", \"build_type\": ";
-  writeJsonString(os, buildType);
-  os << ", \"cxx_flags\": ";
-  writeJsonString(os, cxxFlags);
-  os << ", \"hostname\": ";
-  writeJsonString(os, hostname);
-  os << ", \"hardware_concurrency\": " << hardwareConcurrency
-     << ", \"threads\": " << threads << ", \"seed\": " << seed
-     << ", \"args\": [";
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (i > 0) os << ", ";
-    writeJsonString(os, args[i]);
-  }
-  os << "], \"wall_seconds\": ";
-  writeJsonNumber(os, wallSeconds);
-  os << '}';
+  JsonWriter w(os);
+  w.object().str("tool", tool).str("git_sha", gitSha);
+  w.str("compiler", compiler).str("build_type", buildType);
+  w.str("cxx_flags", cxxFlags).str("hostname", hostname);
+  w.count("hardware_concurrency", hardwareConcurrency);
+  w.count("threads", threads).count("seed", seed).array("args");
+  for (const std::string& a : args) w.str(a);
+  w.end().num("wall_seconds", wallSeconds).end();
 }
 
 }  // namespace fepia::obs

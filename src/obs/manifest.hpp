@@ -40,6 +40,7 @@ struct RunManifest {
   /// {"tool": ..., "git_sha": ..., "compiler": ..., "build_type": ...,
   ///  "cxx_flags": ..., "hostname": ..., "hardware_concurrency": ...,
   ///  "threads": ..., "seed": ..., "args": [...], "wall_seconds": ...}
+  /// on one line.
   void writeJson(std::ostream& os) const;
 };
 

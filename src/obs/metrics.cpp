@@ -47,13 +47,10 @@ void CounterSet::merge(const CounterSet& other) {
 }
 
 void CounterSet::writeJson(std::ostream& os) const {
-  os << '{';
-  for (std::size_t i = 0; i < counters_.size(); ++i) {
-    if (i > 0) os << ", ";
-    writeJsonString(os, counters_[i].name);
-    os << ": " << counters_[i].value;
-  }
-  os << '}';
+  JsonWriter w(os);
+  w.object();
+  for (const Counter& c : counters_) w.count(c.name, c.value);
+  w.end();
 }
 
 void CounterSet::print(std::ostream& os) const {
@@ -125,24 +122,17 @@ void Histogram::merge(const Histogram& other) {
 }
 
 void Histogram::writeJson(std::ostream& os) const {
-  os << "{\"buckets\": [";
+  // The overflow bucket's bound is +inf, which JSON spells null.
+  constexpr double kOverflow = std::numeric_limits<double>::infinity();
+  JsonWriter w(os);
+  w.object().array("buckets");
   for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (i > 0) os << ", ";
-    os << "{\"le\": ";
-    if (i < bounds_.size()) {
-      writeJsonNumber(os, bounds_[i]);
-    } else {
-      os << "null";
-    }
-    os << ", \"count\": " << counts_[i] << '}';
+    const double le = i < bounds_.size() ? bounds_[i] : kOverflow;
+    w.object().num("le", le).count("count", counts_[i]).end();
   }
-  os << "], \"count\": " << count_ << ", \"sum\": ";
-  writeJsonNumber(os, sum_);
-  os << ", \"min\": ";
-  writeJsonNumber(os, count_ > 0 ? min_ : 0.0);
-  os << ", \"max\": ";
-  writeJsonNumber(os, count_ > 0 ? max_ : 0.0);
-  os << '}';
+  w.end().count("count", count_).num("sum", sum_);
+  w.num("min", count_ > 0 ? min_ : 0.0).num("max", count_ > 0 ? max_ : 0.0);
+  w.end();
 }
 
 // ----- Registry --------------------------------------------------------
@@ -226,23 +216,15 @@ void Registry::merge(const Registry& other) {
 }
 
 void Registry::writeJson(std::ostream& os) const {
-  os << "{\"counters\": ";
-  counters_.writeJson(os);
-  os << ", \"gauges\": {";
-  for (std::size_t i = 0; i < gauges_.size(); ++i) {
-    if (i > 0) os << ", ";
-    writeJsonString(os, gauges_[i].name);
-    os << ": ";
-    writeJsonNumber(os, gauges_[i].value);
+  JsonWriter w(os);
+  counters_.writeJson(w.object().key("counters").valueStream());
+  w.object("gauges");
+  for (const Gauge& g : gauges_) w.num(g.name, g.value);
+  w.end().object("histograms");
+  for (const auto& [name, h] : histograms_) {
+    h.writeJson(w.key(name).valueStream());
   }
-  os << "}, \"histograms\": {";
-  for (std::size_t i = 0; i < histograms_.size(); ++i) {
-    if (i > 0) os << ", ";
-    writeJsonString(os, histograms_[i].first);
-    os << ": ";
-    histograms_[i].second.writeJson(os);
-  }
-  os << "}}";
+  w.end().end();
 }
 
 void Registry::print(std::ostream& os) const {

@@ -108,34 +108,26 @@ void setTimingEnabled(bool on) noexcept {
 
 void writeChromeTrace(std::ostream& os, const std::vector<SpanRecord>& records,
                       std::uint64_t baseNs) {
-  os << "[\n";
-  os << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0, "
-        "\"args\": {\"name\": \"fepia\"}}";
+  // Microseconds with a nanosecond fraction, e.g. 1234.567.
+  const auto micros = [](std::uint64_t ns) {
+    char frac[8];
+    std::snprintf(frac, sizeof frac, ".%03u", static_cast<unsigned>(ns % 1000));
+    return std::to_string(ns / 1000) + frac;
+  };
+  JsonWriter w(os, 0);
+  w.array(JsonLayout::Lines).object().str("name", "process_name");
+  w.str("ph", "M").count("pid", 0).object("args").str("name", "fepia");
+  w.end().end();
   for (const SpanRecord& r : records) {
-    os << ",\n{\"name\": ";
-    writeJsonString(os, r.name);
-    // Relative microsecond timestamps with nanosecond fraction.
     const std::uint64_t rel = r.startNs >= baseNs ? r.startNs - baseNs : 0;
-    const auto micros = [&os](std::uint64_t ns) {
-      char frac[8];
-      std::snprintf(frac, sizeof(frac), "%03u",
-                    static_cast<unsigned>(ns % 1000));
-      os << ns / 1000 << '.' << frac;
-    };
-    os << ", \"cat\": \"fepia\", \"ph\": \"X\", \"ts\": ";
-    micros(rel);
-    os << ", \"dur\": ";
-    micros(r.durNs);
-    os << ", \"pid\": 0, \"tid\": " << r.tid << ", \"args\": {\"id\": ";
-    writeJsonString(os, r.id);
-    if (r.argName != nullptr) {
-      os << ", ";
-      writeJsonString(os, r.argName);
-      os << ": " << r.arg;
-    }
-    os << "}}";
+    w.object().str("name", r.name).str("cat", "fepia").str("ph", "X");
+    w.raw("ts", micros(rel)).raw("dur", micros(r.durNs)).count("pid", 0);
+    w.count("tid", r.tid).object("args").str("id", r.id);
+    if (r.argName != nullptr) w.count(r.argName, r.arg);
+    w.end().end();
   }
-  os << "\n]\n";
+  w.end();
+  os << '\n';
 }
 
 }  // namespace fepia::obs

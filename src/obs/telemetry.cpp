@@ -144,14 +144,13 @@ void TelemetryHub::sampleLocked() {
   Registry snapshot = base_;
   for (const Source& src : sources_) src.fn(snapshot);
 
-  std::ostringstream metricsJson;
-  snapshot.writeJson(metricsJson);
-  writeRecordLocked(JsonFields()
-                        .str("type", "sample")
-                        .count("seq", seq)
-                        .num("t_ms", relMillis(tNs))
-                        .raw("metrics", metricsJson.str())
-                        .object());
+  std::ostringstream record;
+  JsonWriter w(record);
+  w.object(JsonLayout::Compact).str("type", "sample").count("seq", seq);
+  w.num("t_ms", relMillis(tNs));
+  snapshot.writeJson(w.key("metrics").valueStream());
+  w.end();
+  writeRecordLocked(record.str());
 
   for (const AlertCrossing& crossing : alerts_.evaluate(snapshot)) {
     writeEventLocked("alert",
@@ -193,10 +192,9 @@ void TelemetryHub::emit(std::string_view type, const JsonFields& fields) {
 void TelemetryHub::writeEventLocked(std::string_view type,
                                     const JsonFields& fields,
                                     std::uint64_t tNs) {
-  std::string line =
-      JsonFields().str("type", type).num("t_ms", relMillis(tNs)).object();
-  line.insert(line.size() - 1, fields.members());  // before the '}'
-  writeRecordLocked(line);
+  JsonFields record;
+  record.str("type", type).num("t_ms", relMillis(tNs)).append(fields);
+  writeRecordLocked(record.object());
 }
 
 void TelemetryHub::writeRecordLocked(const std::string& line) {

@@ -51,18 +51,14 @@ constexpr double kDrainGraceSeconds = 10.0;
 /// classifications], doubles in the journal's exact hexfloat form and
 /// counts as decimal strings (a JSON number is a double and could round
 /// a large classification count).
-void writePointRow(std::ostream& os, std::size_t id,
+void writePointRow(obs::JsonWriter& w, std::size_t id,
                    const sweep::PointResult& r) {
-  os << '[';
-  obs::writeJsonString(os, std::to_string(id));
+  w.array(obs::JsonLayout::Compact).str(std::to_string(id));
   for (const double x :
        {r.analyticRho, r.closedForm, r.empirical, r.degraded, r.makespan}) {
-    os << ',';
-    obs::writeJsonString(os, sweep::formatJournalDouble(x));
+    w.str(sweep::formatJournalDouble(x));
   }
-  os << ',';
-  obs::writeJsonString(os, std::to_string(r.classifications));
-  os << ']';
+  w.str(std::to_string(r.classifications)).end();
 }
 
 bool decodePointRow(const JsonValue& row, std::size_t expectId,
@@ -808,22 +804,17 @@ SweepWorkerReport runSweepWorker(const sweep::SweepSpec& spec,
     shardsDoneA.fetch_add(1, std::memory_order_relaxed);
     pointsDoneA.fetch_add(count, std::memory_order_relaxed);
 
-    std::ostringstream rows;
-    rows << '[';
+    std::ostringstream commit;
+    obs::JsonWriter w(commit);
+    w.object(obs::JsonLayout::Compact).str("kind", "commit");
+    w.str("worker", name).count("shard", shard);
+    w.array("results", obs::JsonLayout::Compact);
     for (std::size_t i = 0; i < count; ++i) {
-      if (i > 0) rows << ',';
-      writePointRow(rows, first + i, buffer[i]);
+      writePointRow(w, first + i, buffer[i]);
     }
-    rows << ']';
+    w.end().end();
     const std::optional<JsonValue> commitReply =
-        rpc(fd,
-            obs::JsonFields()
-                .str("kind", "commit")
-                .str("worker", name)
-                .count("shard", shard)
-                .raw("results", rows.str())
-                .object(),
-            cfg.maxFrameBytes);
+        rpc(fd, commit.str(), cfg.maxFrameBytes);
     if (!commitReply.has_value()) {
       lostConnection = true;
       break;

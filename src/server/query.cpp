@@ -689,78 +689,48 @@ QueryResult runFaultSimQuery(const std::vector<std::string>& args,
   if (!jsonPath.empty() || ctx.captureJson) {
     ctx.manifest->wallSeconds = ctx.wall->elapsedSeconds();
     std::ostringstream js;
-    js << "{\n  \"manifest\": ";
-    ctx.manifest->writeJson(js);
-    js << ",\n  \"config\": {\"seed\": " << seed << ", \"threads\": "
-       << (threads.has_value() ? std::to_string(*threads) : "null")
-       << ", \"scenarios\": " << plans.size() << ", \"generations\": "
-       << generations << "},\n  \"plan\": {\n    \"crashes\": [";
-    const fault::FaultPlan* p0 = plans.empty() ? nullptr : &plans.front();
-    if (p0 != nullptr) {
-      for (std::size_t i = 0; i < p0->crashes.size(); ++i) {
-        const fault::MachineCrash& c = p0->crashes[i];
-        js << (i ? ", " : "") << "{\"machine\": " << c.machine
-           << ", \"at_seconds\": ";
-        obs::writeJsonNumber(js, c.atSeconds);
-        js << ", \"backup\": "
-           << (c.backup.has_value() ? std::to_string(*c.backup) : "null")
-           << "}";
-      }
+    obs::JsonWriter w(js);
+    w.object(obs::JsonLayout::Lines);
+    ctx.manifest->writeJson(w.key("manifest").valueStream());
+    w.object("config").count("seed", seed).count("threads", threads);
+    w.count("scenarios", plans.size()).count("generations", generations);
+    w.end().object("plan", obs::JsonLayout::Lines).array("crashes");
+    const fault::FaultPlan none;
+    const fault::FaultPlan& p0 = plans.empty() ? none : plans.front();
+    for (const fault::MachineCrash& c : p0.crashes) {
+      w.object().count("machine", c.machine).num("at_seconds", c.atSeconds);
+      w.count("backup", c.backup).end();
     }
-    js << "],\n    \"slowdowns\": [";
-    if (p0 != nullptr) {
-      for (std::size_t i = 0; i < p0->slowdowns.size(); ++i) {
-        const fault::Slowdown& s = p0->slowdowns[i];
-        js << (i ? ", " : "") << "{\"target\": \""
-           << (s.target == fault::Slowdown::Target::Machine ? "machine"
-                                                            : "link")
-           << "\", \"index\": " << s.index << ", \"from_seconds\": ";
-        obs::writeJsonNumber(js, s.fromSeconds);
-        js << ", \"to_seconds\": ";
-        obs::writeJsonNumber(js, s.toSeconds);
-        js << ", \"factor\": ";
-        obs::writeJsonNumber(js, s.factor);
-        js << "}";
-      }
+    w.end().array("slowdowns");
+    for (const fault::Slowdown& sd : p0.slowdowns) {
+      const bool machine = sd.target == fault::Slowdown::Target::Machine;
+      w.object().str("target", machine ? "machine" : "link");
+      w.count("index", sd.index).num("from_seconds", sd.fromSeconds);
+      w.num("to_seconds", sd.toSeconds).num("factor", sd.factor).end();
     }
-    js << "],\n    \"losses\": [";
-    if (p0 != nullptr) {
-      for (std::size_t i = 0; i < p0->losses.size(); ++i) {
-        js << (i ? ", " : "") << "{\"link\": " << p0->losses[i].link
-           << ", \"probability\": ";
-        obs::writeJsonNumber(js, p0->losses[i].probability);
-        js << "}";
-      }
+    w.end().array("losses");
+    for (const fault::MessageLoss& loss : p0.losses) {
+      w.object().count("link", loss.link);
+      w.num("probability", loss.probability).end();
     }
-    js << "]\n  },\n  \"nominal\": {\"satisfies\": "
-       << (d.nominalSatisfies ? "true" : "false")
-       << ", \"max_observed_latency\": ";
-    obs::writeJsonNumber(js, d.nominal.maxObservedLatency);
-    js << ", \"throughput_sustained\": "
-       << (d.nominal.throughputSustained ? "true" : "false")
-       << ", \"incomplete_observations\": " << d.nominal.incompleteObservations
-       << ",\n    \"counters\": {\"failovers\": " << fc.failovers
-       << ", \"lost_messages\": " << fc.lostMessages << ", \"retries\": "
-       << fc.retries << ", \"dropped_messages\": " << fc.droppedMessages
-       << ", \"unrecovered_jobs\": " << fc.unrecoveredJobs
-       << ", \"downtime_seconds\": ";
-    obs::writeJsonNumber(js, fc.downtimeSeconds);
-    js << ", \"backoff_wait_seconds\": ";
-    obs::writeJsonNumber(js, fc.backoffWaitSeconds);
-    js << "}},\n  \"degraded\": {\"radius\": ";
-    obs::writeJsonNumber(js, d.degraded.radius);
-    js << ", \"ci_lo\": ";
-    obs::writeJsonNumber(js, d.degraded.ci.lo);
-    js << ", \"ci_hi\": ";
-    obs::writeJsonNumber(js, d.degraded.ci.hi);
-    js << ", \"directions\": " << d.degraded.directions
-       << ", \"boundary_hits\": " << d.degraded.boundaryHits
-       << ", \"classifications\": " << d.degraded.classifications
-       << "},\n  \"analytic\": {\"rho\": ";
-    obs::writeJsonNumber(js, d.analyticRho);
-    js << ", \"critical_feature\": ";
-    obs::writeJsonString(js, d.criticalFeature);
-    js << "}\n}\n";
+    w.end().end().object("nominal").boolean("satisfies", d.nominalSatisfies);
+    w.num("max_observed_latency", d.nominal.maxObservedLatency);
+    w.boolean("throughput_sustained", d.nominal.throughputSustained);
+    w.count("incomplete_observations", d.nominal.incompleteObservations);
+    w.lineBreak().object("counters").count("failovers", fc.failovers);
+    w.count("lost_messages", fc.lostMessages).count("retries", fc.retries);
+    w.count("dropped_messages", fc.droppedMessages);
+    w.count("unrecovered_jobs", fc.unrecoveredJobs);
+    w.num("downtime_seconds", fc.downtimeSeconds);
+    w.num("backoff_wait_seconds", fc.backoffWaitSeconds).end().end();
+    const validate::EmpiricalEstimate& g = d.degraded;
+    w.object("degraded").num("radius", g.radius).num("ci_lo", g.ci.lo);
+    w.num("ci_hi", g.ci.hi).count("directions", g.directions);
+    w.count("boundary_hits", g.boundaryHits);
+    w.count("classifications", g.classifications).end();
+    w.object("analytic").num("rho", d.analyticRho);
+    w.str("critical_feature", d.criticalFeature).end().end();
+    js << '\n';
     finishJson(result, jsonPath, js.str());
   }
   result.exitCode = d.nominalSatisfies ? 0 : 2;

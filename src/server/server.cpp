@@ -29,7 +29,7 @@ obs::JsonFields queryFields(int exitCode, std::string_view output,
   if (json != nullptr) {
     fields.str("json", *json);
   } else {
-    fields.raw("json", "null");
+    fields.null("json");
   }
   return fields;
 }
@@ -99,8 +99,9 @@ class ProgressBuf : public std::streambuf {
     if (ch == traits_type::eof()) return ch;
     if (ch == '\n') {
       if (!line_.empty()) {
-        send_("{\"id\":" + idRaw_ + ",\"type\":\"progress\",\"event\":" +
-              line_ + "}");
+        obs::JsonFields frame;
+        frame.raw("id", idRaw_).str("type", "progress").raw("event", line_);
+        send_(frame.object());
         line_.clear();
       }
     } else {
@@ -469,19 +470,19 @@ std::string Server::statsJson() {
     depth = queue_.size();
   }
   std::ostringstream os;
-  os << "{\"accepted\": " << s.accepted << ", \"served\": " << s.served
-     << ", \"errors\": " << s.errors << ", \"overloaded\": " << s.overloaded
-     << ", \"deadline_expired\": " << s.deadlineExpired
-     << ", \"open_connections\": "
-     << openConnections_.load(std::memory_order_relaxed)
-     << ", \"queue_depth\": " << depth << ", \"in_flight\": "
-     << inFlight_.load(std::memory_order_relaxed)
-     << ", \"pool_threads\": " << pool_.threadCount()
-     << ", \"cache\": {\"problem_hits\": " << cs.problemHits
-     << ", \"problem_misses\": " << cs.problemMisses
-     << ", \"system_hits\": " << cs.systemHits << ", \"system_misses\": "
-     << cs.systemMisses << ", \"sweep_hits\": " << cache_.sweepCache().hits()
-     << ", \"sweep_misses\": " << cache_.sweepCache().misses() << "}}";
+  obs::JsonWriter w(os);
+  w.object().count("accepted", s.accepted).count("served", s.served);
+  w.count("errors", s.errors).count("overloaded", s.overloaded);
+  w.count("deadline_expired", s.deadlineExpired);
+  w.count("open_connections", openConnections_.load(std::memory_order_relaxed));
+  w.count("queue_depth", depth);
+  w.count("in_flight", inFlight_.load(std::memory_order_relaxed));
+  w.count("pool_threads", pool_.threadCount()).object("cache");
+  w.count("problem_hits", cs.problemHits);
+  w.count("problem_misses", cs.problemMisses);
+  w.count("system_hits", cs.systemHits).count("system_misses", cs.systemMisses);
+  w.count("sweep_hits", cache_.sweepCache().hits());
+  w.count("sweep_misses", cache_.sweepCache().misses()).end().end();
   return os.str();
 }
 

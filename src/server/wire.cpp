@@ -304,40 +304,32 @@ class Parser {
   std::string error_;
 };
 
-void serializeInto(std::ostream& os, const JsonValue& v) {
+void serializeInto(obs::JsonWriter& w, const JsonValue& v) {
   switch (v.kind) {
     case JsonValue::Kind::Null:
-      os << "null";
+      w.null();
       break;
     case JsonValue::Kind::Bool:
-      os << (v.boolean ? "true" : "false");
+      w.boolean(v.boolean);
       break;
     case JsonValue::Kind::Number:
-      obs::writeJsonNumber(os, v.number);
+      w.num(v.number);
       break;
     case JsonValue::Kind::String:
-      obs::writeJsonString(os, v.string);
+      w.str(v.string);
       break;
-    case JsonValue::Kind::Array: {
-      os << '[';
-      for (std::size_t i = 0; i < v.array.size(); ++i) {
-        if (i > 0) os << ',';
-        serializeInto(os, v.array[i]);
+    case JsonValue::Kind::Array:
+      w.array(obs::JsonLayout::Compact);
+      for (const JsonValue& element : v.array) serializeInto(w, element);
+      w.end();
+      break;
+    case JsonValue::Kind::Object:
+      w.object(obs::JsonLayout::Compact);
+      for (const auto& [name, member] : v.object) {
+        serializeInto(w.key(name), member);
       }
-      os << ']';
+      w.end();
       break;
-    }
-    case JsonValue::Kind::Object: {
-      os << '{';
-      for (std::size_t i = 0; i < v.object.size(); ++i) {
-        if (i > 0) os << ',';
-        obs::writeJsonString(os, v.object[i].first);
-        os << ':';
-        serializeInto(os, v.object[i].second);
-      }
-      os << '}';
-      break;
-    }
   }
 }
 
@@ -389,7 +381,8 @@ std::optional<JsonValue> parseJson(const std::string& text,
 
 std::string serializeJson(const JsonValue& value) {
   std::ostringstream os;
-  serializeInto(os, value);
+  obs::JsonWriter w(os);
+  serializeInto(w, value);
   return os.str();
 }
 
@@ -545,7 +538,9 @@ ReadStatus readRequest(Connection& conn, std::size_t maxBytes,
 
 void writeOk(Connection& conn, const std::string& id,
              const obs::JsonFields& fields) {
-  conn.write("{\"id\":" + id + ",\"ok\":true" + fields.members() + "}");
+  obs::JsonFields frame;
+  frame.raw("id", id).boolean("ok", true).append(fields);
+  conn.write(frame.object());
 }
 
 void writeError(Connection& conn, const std::string& id, const char* code,
@@ -554,8 +549,9 @@ void writeError(Connection& conn, const std::string& id, const char* code,
   if (errors != nullptr) errors->fetch_add(1, std::memory_order_relaxed);
   obs::JsonFields error;
   error.str("code", code).str("message", message);
-  conn.write("{\"id\":" + id + ",\"ok\":false,\"error\":" + error.object() +
-             "}");
+  obs::JsonFields frame;
+  frame.raw("id", id).boolean("ok", false).raw("error", error.object());
+  conn.write(frame.object());
 }
 
 std::optional<std::uint64_t> toCount(const JsonValue* value,

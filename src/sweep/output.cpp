@@ -89,64 +89,42 @@ report::Table axisResponseTable(const SweepSpec& spec,
 void writeSurfaceJson(std::ostream& os, const SweepSpec& spec,
                       const SweepSurface& surface,
                       const obs::RunManifest* manifest) {
-  os << "{\n  \"sweep\": ";
-  obs::writeJsonString(os, spec.name);
+  obs::JsonWriter w(os);
+  w.object(obs::JsonLayout::Lines).str("sweep", spec.name);
+  // One line, so run-to-run byte comparisons can filter exactly it.
   if (manifest != nullptr) {
-    // One line, so run-to-run byte comparisons can filter exactly it.
-    os << ",\n  \"manifest\": ";
-    manifest->writeJson(os);
+    manifest->writeJson(w.key("manifest").valueStream());
   }
-  os << ",\n  \"workload\": ";
-  obs::writeJsonString(os, workloadName(spec.workload));
-  os << ",\n  \"seed\": " << spec.seed << ",\n  \"points\": " << surface.points
-     << ",\n  \"chunk\": " << surface.chunk
-     << ",\n  \"shards\": " << surface.shards << ",\n  \"complete\": "
-     << (surface.complete ? "true" : "false")
-     << ",\n  \"resumed_shards\": " << surface.resumedShards
-     << ",\n  \"cache\": {\"enabled\": "
-     << (surface.cacheEnabled ? "true" : "false")
-     << ", \"hits\": " << surface.cacheHits
-     << ", \"misses\": " << surface.cacheMisses << "}"
-     << ",\n  \"classifications\": " << surface.classifications
-     << ",\n  \"axes\": [";
-  for (std::size_t a = 0; a < spec.axes.size(); ++a) {
-    os << (a > 0 ? ",\n    " : "\n    ") << "{\"name\": ";
-    obs::writeJsonString(os, spec.axes[a].name);
-    os << ", \"values\": [";
-    for (std::size_t v = 0; v < spec.axes[a].values.size(); ++v) {
-      if (v > 0) os << ", ";
-      obs::writeJsonString(os, spec.axes[a].values[v].token);
-    }
-    os << "]}";
+  w.str("workload", workloadName(spec.workload)).count("seed", spec.seed);
+  w.count("points", surface.points).count("chunk", surface.chunk);
+  w.count("shards", surface.shards).boolean("complete", surface.complete);
+  w.count("resumed_shards", surface.resumedShards);
+  w.object("cache").boolean("enabled", surface.cacheEnabled);
+  w.count("hits", surface.cacheHits).count("misses", surface.cacheMisses);
+  w.end().count("classifications", surface.classifications);
+  w.array("axes", obs::JsonLayout::Lines);
+  for (const Axis& axis : spec.axes) {
+    w.object().str("name", axis.name).array("values");
+    for (const AxisValue& v : axis.values) w.str(v.token);
+    w.end().end();
   }
-  os << "\n  ],\n  \"results\": [";
-  bool firstRow = true;
+  w.end().array("results", obs::JsonLayout::Lines);
   for (std::size_t id = 0; id < surface.points; ++id) {
     if (!surface.computed[id]) continue;
     const std::vector<std::size_t> idx = spec.decode(id);
     const PointResult& r = surface.results[id];
-    os << (firstRow ? "\n    " : ",\n    ") << "{\"id\": " << id
-       << ", \"point\": {";
+    w.object().count("id", id).object("point");
     for (std::size_t a = 0; a < spec.axes.size(); ++a) {
-      if (a > 0) os << ", ";
-      obs::writeJsonString(os, spec.axes[a].name);
-      os << ": ";
-      obs::writeJsonString(os, spec.axes[a].values[idx[a]].token);
+      w.str(spec.axes[a].name, spec.axes[a].values[idx[a]].token);
     }
-    os << "}, \"analytic_rho\": ";
-    obs::writeJsonNumber(os, r.analyticRho);
-    os << ", \"closed_form_radius\": ";
-    obs::writeJsonNumber(os, r.closedForm);
-    os << ", \"empirical_radius\": ";
-    obs::writeJsonNumber(os, r.empirical);
-    os << ", \"degraded_radius\": ";
-    obs::writeJsonNumber(os, r.degraded);
-    os << ", \"makespan\": ";
-    obs::writeJsonNumber(os, r.makespan);
-    os << ", \"classifications\": " << r.classifications << "}";
-    firstRow = false;
+    w.end().num("analytic_rho", r.analyticRho);
+    w.num("closed_form_radius", r.closedForm);
+    w.num("empirical_radius", r.empirical).num("degraded_radius", r.degraded);
+    w.num("makespan", r.makespan).count("classifications", r.classifications);
+    w.end();
   }
-  os << "\n  ]\n}\n";
+  w.end().end();
+  os << '\n';
 }
 
 SurfaceSummary summarize(const SweepSurface& surface) {

@@ -8,16 +8,6 @@
 
 namespace fepia::validate {
 
-namespace {
-
-std::string jsonNumber(double v) {
-  if (std::isnan(v)) return "null";
-  if (std::isinf(v)) return v > 0 ? "1e999" : "-1e999";
-  return report::num(v, 17);
-}
-
-}  // namespace
-
 Comparison compare(std::string label, double analyticRadius,
                    EmpiricalEstimate empirical) {
   Comparison c;
@@ -74,29 +64,23 @@ report::Table comparisonTable(std::span<const Comparison> rows) {
 
 void writeComparisonJson(std::ostream& os, std::span<const Comparison> rows,
                          const obs::RunManifest* manifest) {
-  os << "{";
+  obs::JsonWriter w(os);
+  w.object();
   if (manifest != nullptr) {
-    os << "\"manifest\": ";
-    manifest->writeJson(os);
-    os << ", ";
+    manifest->writeJson(w.key("manifest").valueStream());
   }
-  os << "\"rows\": [";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Comparison& c = rows[i];
-    if (i != 0) os << ", ";
-    os << "{\"label\": ";
-    obs::writeJsonString(os, c.label);
-    os << ", \"analytic\": " << jsonNumber(c.analyticRadius)
-       << ", \"empirical\": " << jsonNumber(c.empirical.radius)
-       << ", \"relative_error\": " << jsonNumber(c.relativeError)
-       << ", \"ci\": [" << jsonNumber(c.empirical.ci.lo) << ", "
-       << jsonNumber(c.empirical.ci.hi) << "]"
-       << ", \"within_ci\": " << (c.analyticWithinCI ? "true" : "false")
-       << ", \"directions\": " << c.empirical.directions
-       << ", \"boundary_hits\": " << c.empirical.boundaryHits
-       << ", \"classifications\": " << c.empirical.classifications << "}";
+  w.array("rows");
+  for (const Comparison& c : rows) {
+    const EmpiricalEstimate& e = c.empirical;
+    w.object().str("label", c.label).num("analytic", c.analyticRadius);
+    w.num("empirical", e.radius).num("relative_error", c.relativeError);
+    w.array("ci").num(e.ci.lo).num(e.ci.hi).end();
+    w.boolean("within_ci", c.analyticWithinCI);
+    w.count("directions", e.directions).count("boundary_hits", e.boundaryHits);
+    w.count("classifications", e.classifications).end();
   }
-  os << "]}\n";
+  w.end().end();
+  os << '\n';
 }
 
 }  // namespace fepia::validate

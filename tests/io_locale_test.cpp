@@ -25,6 +25,7 @@
 #include "io/problem_io.hpp"
 #include "obs/json.hpp"
 #include "server/wire.hpp"
+#include "support/json_documents.hpp"
 #include "sweep/journal.hpp"
 
 namespace {
@@ -38,6 +39,26 @@ class CommaNumpunct : public std::numpunct<char> {
   char do_decimal_point() const override { return ','; }
   char do_thousands_sep() const override { return '.'; }
   std::string do_grouping() const override { return ""; }
+};
+
+/// The comma-decimal facet with digit grouping in threes: the shape
+/// under which `<<` writes 1234567 as 1.234.567.
+class GroupingCommaNumpunct : public CommaNumpunct {
+ protected:
+  std::string do_grouping() const override { return "\3"; }
+};
+
+/// Installs a grouping comma-decimal C++ global locale for the scope.
+class ScopedGroupingLocale {
+ public:
+  ScopedGroupingLocale() : prev_(std::locale()) {
+    std::locale::global(
+        std::locale(std::locale::classic(), new GroupingCommaNumpunct));
+  }
+  ~ScopedGroupingLocale() { std::locale::global(prev_); }
+
+ private:
+  std::locale prev_;
 };
 
 /// Installs a comma-decimal C++ global locale for the scope and, when
@@ -161,6 +182,36 @@ TEST(IoLocale, JsonNumbersUseDotUnderCommaLocale) {
   obs::writeJsonNumber(os, 1234.5);
   EXPECT_EQ(os.str(), "1234.5");
   EXPECT_TRUE(server::parseJson(os.str()).has_value());
+}
+
+// Every kind of JSON the tree writes, rendered under a global locale
+// that groups digits, must parse and equal its classic-locale bytes.
+TEST(IoLocale, JsonDocumentsIgnoreGroupingLocale) {
+  using fepia::testing::Document;
+  const std::vector<Document> classic = fepia::testing::allDocuments();
+  std::vector<Document> grouped;
+  {
+    const ScopedGroupingLocale guard;
+    std::ostringstream probe;
+    probe << 1234567;
+    ASSERT_EQ(probe.str(), "1.234.567");  // the hazard is live
+    grouped = fepia::testing::allDocuments();
+  }
+  ASSERT_EQ(grouped.size(), classic.size());
+  for (std::size_t i = 0; i < classic.size(); ++i) {
+    const Document& doc = grouped[i];
+    EXPECT_EQ(doc.text, classic[i].text) << doc.name;
+    std::vector<std::string> parts{doc.text};
+    if (doc.jsonLines) {
+      parts.clear();
+      std::istringstream lines(doc.text);
+      for (std::string line; std::getline(lines, line);) parts.push_back(line);
+    }
+    for (const std::string& part : parts) {
+      EXPECT_TRUE(server::parseJson(part).has_value()) << doc.name << ": "
+                                                       << part;
+    }
+  }
 }
 
 TEST(IoLocale, HostCLocaleSwitchIsHarmlessEitherWay) {

@@ -14,8 +14,11 @@ The schema format is deliberately tiny (no jsonschema dependency):
 
 Type names map to Python types: str, bool, int, float (int accepted),
 list, dict. Exits nonzero with a message on the first violation.
+Numbers must be finite: 1e999 and the NaN/Infinity tokens are rejected
+(strict parsers refuse them; the writers spell a non-finite value null).
 """
 import json
+import math
 import sys
 
 TYPES = {
@@ -32,6 +35,13 @@ def fail(msg):
     sys.exit(f"check_bench_json: {msg}")
 
 
+def finite_float(text):
+    value = float(text)  # also the NaN and Infinity tokens
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def main():
     if len(sys.argv) != 3:
         fail(f"usage: {sys.argv[0]} <bench.json> <schema.json>")
@@ -39,8 +49,10 @@ def main():
 
     try:
         with open(bench_path) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+            doc = json.load(
+                f, parse_float=finite_float, parse_constant=finite_float
+            )
+    except (OSError, ValueError) as e:
         fail(f"{bench_path}: {e}")
     with open(schema_path) as f:
         schema = json.load(f)

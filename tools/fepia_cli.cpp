@@ -406,27 +406,23 @@ int runSearchMode(int argc, char** argv) {
       return 1;
     }
     g_obs.manifest.wallSeconds = g_obs.wall.elapsedSeconds();
-    out << "{\n  \"manifest\": ";
-    g_obs.manifest.writeJson(out);
-    out << ",\n  \"config\": {\"tasks\": " << tasks << ", \"machines\": "
-        << machines << ", \"heterogeneity\": \""
-        << etc::heterogeneityName(het) << "\", \"tau\": ";
-    obs::writeJsonNumber(out, tau);
-    out << ", \"seed\": " << seed << ", \"threads\": "
-        << (threads.has_value() ? std::to_string(*threads) : "null")
-        << "},\n  \"allocations\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      out << "    {\"name\": \"" << rows[i].name << "\", \"makespan\": ";
-      obs::writeJsonNumber(out, alloc::makespan(rows[i].mu, e));
-      out << ", \"rho\": ";
-      obs::writeJsonNumber(out, rows[i].rho);
-      out << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+    obs::JsonWriter w(out);
+    w.object(obs::JsonLayout::Lines);
+    g_obs.manifest.writeJson(w.key("manifest").valueStream());
+    w.object("config").count("tasks", tasks).count("machines", machines);
+    w.str("heterogeneity", etc::heterogeneityName(het)).num("tau", tau);
+    w.count("seed", seed).count("threads", threads).end();
+    w.array("allocations", obs::JsonLayout::Lines);
+    for (const Row& r : rows) {
+      w.object().str("name", r.name);
+      w.num("makespan", alloc::makespan(r.mu, e)).num("rho", r.rho).end();
     }
-    out << "  ],\n  \"best\": \"" << rows[bestIdx].name
-        << "\",\n  \"ga\": {\"evaluations\": " << ga.evaluations
-        << ", \"cache_hits\": " << ga.cacheHits << "},\n  \"counters\": ";
-    engine.counters().writeJson(out);
-    out << "\n}\n";
+    w.end().str("best", rows[bestIdx].name).object("ga");
+    w.count("evaluations", ga.evaluations);
+    w.count("cache_hits", ga.cacheHits).end();
+    engine.counters().writeJson(w.key("counters").valueStream());
+    w.end();
+    out << '\n';
   }
   return 0;
 }
@@ -490,28 +486,25 @@ void printProfileTree(const ProfileNode& root) {
 /// tree's (name-sorted) order. tools/schemas/profile.schema.json
 /// specifies the document; ci.sh checks emitted files against it.
 void writeProfileJson(std::ostream& os, const ProfileNode& root) {
+  obs::JsonWriter w(os);
   const std::function<void(const ProfileNode&)> writeChildren =
       [&](const ProfileNode& n) {
-        os << '[';
-        bool first = true;
+        w.array();
         for (const auto& [name, child] : n.children) {
-          if (!first) os << ", ";
-          first = false;
-          os << "{\"name\": ";
-          obs::writeJsonString(os, name);
-          os << ", \"total_ms\": ";
-          obs::writeJsonNumber(os, static_cast<double>(child.totalNs) / 1e6);
-          os << ", \"count\": " << child.count << ", \"children\": ";
+          const double ms = static_cast<double>(child.totalNs) / 1e6;
+          w.object().str("name", name).num("total_ms", ms);
+          w.count("count", child.count).key("children");
           writeChildren(child);
-          os << '}';
+          w.end();
         }
-        os << ']';
+        w.end();
       };
-  os << "{\n  \"manifest\": ";
-  g_obs.manifest.writeJson(os);
-  os << ",\n  \"phases\": ";
+  w.object(obs::JsonLayout::Lines);
+  g_obs.manifest.writeJson(w.key("manifest").valueStream());
+  w.key("phases");
   writeChildren(root);
-  os << "\n}\n";
+  w.end();
+  os << '\n';
 }
 
 /// `fepia_cli profile`: runs one representative workload per subsystem
