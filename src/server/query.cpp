@@ -1,12 +1,6 @@
-// Implementation notes: these four runners are the former mode bodies
-// of tools/fepia_cli.cpp, moved here wholesale so the CLI and fepiad
-// share them. Behavior-preserving transcription rules: std::cout became
-// the `out` parameter, the g_obs globals became QueryContext fields,
-// `return usage(argv[0])` became `throw UsageError(...)`, and the
-// "error: cannot write" early-returns became std::runtime_error with
-// the same message (the CLI's catch prints the identical line). Any
-// intentional behavior change belongs in *both* front ends by
-// construction — make it here.
+// The four query runners the CLI and fepiad share, so a behavior change
+// reaches both front ends by construction: make it here. A failure the
+// CLI prints as "error: ..." is an exception carrying that text.
 #include "server/query.hpp"
 
 #include <atomic>
@@ -14,6 +8,7 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <span>
 #include <sstream>
 
 #include "des/pipeline.hpp"
@@ -88,43 +83,18 @@ void finishJson(QueryResult& result, const std::string& jsonPath,
   file << doc;
 }
 
-la::Vector parseValueList(const std::string& csv) {
-  la::Vector out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    out.push_back(argDouble("--check", item));
-  }
-  return out;
-}
-
-/// Splits a colon-separated flag value ("3:12.5:1" -> {"3","12.5","1"}).
-std::vector<std::string> splitColons(const std::string& s) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ':')) out.push_back(item);
-  return out;
-}
-
-[[noreturn]] void badSpec(const char* flag, const std::string& value,
-                          const char* expected) {
-  throw std::invalid_argument(std::string("bad value for ") + flag + ": '" +
-                              value + "' (expected " + expected + ")");
-}
-
 /// "HOST:PORT" for --serve/--worker. Port 0 is allowed (--serve binds
 /// an ephemeral port and prints it); an empty host means loopback.
 std::pair<std::string, std::uint16_t> parseHostPort(const char* flag,
                                                     const std::string& value) {
   const std::size_t colon = value.rfind(':');
   if (colon == std::string::npos || colon + 1 == value.size()) {
-    badSpec(flag, value, "HOST:PORT");
+    badFlagValue(flag, value, "HOST:PORT");
   }
   const std::string host =
       colon == 0 ? std::string("127.0.0.1") : value.substr(0, colon);
-  const std::size_t port = argSize(flag, value.substr(colon + 1));
-  if (port > 65535) badSpec(flag, value, "a port in [0, 65535]");
+  const std::uint64_t port = argUint(flag, value.substr(colon + 1));
+  if (port > 65535) badFlagValue(flag, value, "a port in [0, 65535]");
   return {host, static_cast<std::uint16_t>(port)};
 }
 
@@ -153,29 +123,220 @@ void setLiveClassificationsGauge(obs::Registry& reg,
                static_cast<double>(count.load(std::memory_order_relaxed)));
 }
 
+/// Splits a structured flag value on `sep` ("3:12.5:1" -> {"3","12.5","1"}).
+std::vector<std::string> split(const std::string& s, char sep) {
+  std::vector<std::string> out;
+  std::stringstream ss(s);
+  std::string item;
+  while (std::getline(ss, item, sep)) out.push_back(item);
+  return out;
+}
+
+// Every query reads its tokens through a table of flags whose setters
+// write the query's options struct, declared above the table.
+struct RadiusArgs {
+  std::string scheme = "both";
+  std::vector<la::Vector> check;
+  std::string backend;
+  bool csv = false;
+  bool echo = false;
+};
+
+using RA = RadiusArgs;
+constexpr Flag kRadiusFlags[] = {
+    field<&RA::scheme>("--scheme", "normalized|sensitivity|both").asChoice(),
+    Flag{"--check", FlagKind::Text, "V1,V2,...",
+         [](void* opts, const FlagValue& v) {
+           la::Vector values;
+           for (const std::string& item : split(std::string(v.text), ',')) {
+             const std::optional<double> x = io::parseFiniteDouble(item);
+             if (!x) badFlagValue("--check", v.text, "finite numbers");
+             values.push_back(*x);
+           }
+           static_cast<RA*>(opts)->check.push_back(std::move(values));
+         }}
+        .repeated(),
+    field<&RA::backend>("--backend", "NAME"),
+    field<&RA::csv>("--csv"),
+    field<&RA::echo>("--echo"),
+};
+
+struct ValidateArgs {
+  std::string hiperd;
+  bool des = false;
+  std::string scheme = "both";
+  std::optional<std::size_t> samples;
+  std::uint64_t seed = validate::EstimatorOptions{}.seed;
+  std::optional<std::size_t> threads;
+  std::string backend;
+  bool csv = false;
+  std::string jsonPath;
+};
+
+using VA = ValidateArgs;
+constexpr Flag kValidateFlags[] = {
+    field<&VA::hiperd>("--hiperd", "FILE"),
+    field<&VA::des>("--des"),
+    field<&VA::scheme>("--scheme", "normalized|sensitivity|both").asChoice(),
+    field<&VA::samples>("--samples", "N"),
+    field<&VA::seed>("--seed", "S"),
+    field<&VA::threads>("--threads", "T").atMost(kMaxThreads),
+    field<&VA::backend>("--backend", "NAME"),
+    field<&VA::csv>("--csv"),
+    field<&VA::jsonPath>("--json", "FILE").onlyFromCli(),
+};
+
+struct FaultSimArgs {
+  std::string hiperd;
+  std::optional<std::size_t> samples;
+  std::uint64_t seed = 0x5EEDD1CEull;
+  std::optional<std::size_t> threads;
+  std::size_t scenarios = 1;
+  std::size_t generations = 200;
+  fault::FaultPlan plan;  ///< the explicit plan of --crash/--slow/--loss
+  bool explicitPlan = false;
+  std::optional<double> detect;
+  std::optional<std::size_t> retries;
+  bool noFaults = false;
+  std::string backend;
+  bool csv = false;
+  std::string jsonPath;
+};
+
+/// The ':'-separated fields of a --crash/--slow/--loss value, which the
+/// row's setter adds to the explicit plan.
+std::vector<std::string> planFields(void* opts, const FlagValue& v,
+                                    std::size_t lo, std::size_t hi,
+                                    const char* flag, const char* expected) {
+  std::vector<std::string> parts = split(std::string(v.text), ':');
+  if (parts.size() < lo || parts.size() > hi) {
+    badFlagValue(flag, v.text, expected);
+  }
+  static_cast<FaultSimArgs*>(opts)->explicitPlan = true;
+  return parts;
+}
+
+using FA = FaultSimArgs;
+constexpr Flag kFaultSimFlags[] = {
+    field<&FA::hiperd>("--hiperd", "FILE"),
+    field<&FA::samples>("--samples", "N"),
+    field<&FA::seed>("--seed", "S"),
+    field<&FA::threads>("--threads", "T").atMost(kMaxThreads),
+    field<&FA::scenarios>("--scenarios", "N"),
+    field<&FA::generations>("--gens", "N"),
+    Flag{"--crash", FlagKind::Text, "M:T[:BACKUP]",
+         [](void* opts, const FlagValue& v) {
+           const auto f =
+               planFields(opts, v, 2, 3, "--crash", "MACHINE:TIME[:BACKUP]");
+           fault::MachineCrash c;
+           c.machine = argUint("--crash", f[0]);
+           c.atSeconds = argDouble("--crash", f[1]);
+           if (f.size() == 3) c.backup = argUint("--crash", f[2]);
+           static_cast<FA*>(opts)->plan.crashes.push_back(c);
+         }}
+        .repeated(),
+    Flag{"--slow", FlagKind::Text, "machine|link:IDX:FROM:TO:F",
+         [](void* opts, const FlagValue& v) {
+           const char* const expected = "machine|link:INDEX:FROM:TO:FACTOR";
+           const auto f = planFields(opts, v, 5, 5, "--slow", expected);
+           if (f[0] != "machine" && f[0] != "link") {
+             badFlagValue("--slow", v.text, expected);
+           }
+           fault::Slowdown s;
+           s.target = f[0] == "machine" ? fault::Slowdown::Target::Machine
+                                        : fault::Slowdown::Target::Link;
+           s.index = argUint("--slow", f[1]);
+           s.fromSeconds = argDouble("--slow", f[2]);
+           s.toSeconds = argDouble("--slow", f[3]);
+           s.factor = argDouble("--slow", f[4]);
+           static_cast<FA*>(opts)->plan.slowdowns.push_back(s);
+         }}
+        .repeated(),
+    Flag{"--loss", FlagKind::Text, "LINK:P",
+         [](void* opts, const FlagValue& v) {
+           const auto f =
+               planFields(opts, v, 2, 2, "--loss", "LINK:PROBABILITY");
+           fault::MessageLoss ml;
+           ml.link = argUint("--loss", f[0]);
+           ml.probability = argDouble("--loss", f[1]);
+           static_cast<FA*>(opts)->plan.losses.push_back(ml);
+         }}
+        .repeated(),
+    field<&FA::detect>("--detect", "SEC"),
+    field<&FA::retries>("--retries", "N"),
+    field<&FA::noFaults>("--no-faults"),
+    field<&FA::backend>("--backend", "NAME"),
+    field<&FA::csv>("--csv"),
+    field<&FA::jsonPath>("--json", "FILE").onlyFromCli(),
+};
+
+struct SweepArgs {
+  sweep::SweepOptions sweep;
+  std::optional<std::size_t> threads;
+  std::string response;
+  bool csv = false;
+  std::string jsonPath;
+  std::optional<std::string> serve;
+  std::optional<double> leaseMs;
+  std::optional<double> drainTimeout;
+  std::optional<std::string> worker;
+  std::string workerName;
+};
+
+// The sweep roles: a plain run computes and reports; the --serve
+// coordinator never computes, so compute-side flags belong on the
+// workers; a --worker computes what it is told and owns no journal,
+// surface or output tables.
+using SA = SweepArgs;
+using SO = sweep::SweepOptions;
+constexpr unsigned kLocalServe = kLocal | kServe;
+constexpr unsigned kLocalWorker = kLocal | kWorker;
+constexpr Flag kSweepFlags[] = {
+    field<&SA::threads>("--threads", "T").atMost(kMaxThreads),
+    field<&SA::sweep, &SO::chunkOverride>("--chunk", "N")
+        .in(kLocalServe)
+        .atLeast(1),
+    field<&SA::sweep, &SO::journalPath>("--journal", "FILE")
+        .in(kLocalServe)
+        .onlyFromCli(),
+    field<&SA::sweep, &SO::resume>("--resume").in(kLocalServe),
+    field<&SA::sweep, &SO::stopAfterShards>("--stop-after", "N").atLeast(1),
+    Flag{"--no-cache", FlagKind::Switch, "",
+         [](void* o, const FlagValue&) {
+           static_cast<SA*>(o)->sweep.cacheEnabled = false;
+         }}
+        .in(kLocalWorker),
+    field<&SA::sweep, &SO::cacheDir>("--cache-dir", "DIR")
+        .in(kLocalWorker)
+        .onlyFromCli(),
+    field<&SA::response>("--response", "AXIS").in(kLocalServe),
+    field<&SA::sweep, &SO::progress>("--progress"),
+    field<&SA::sweep, &SO::backendOverride>("--backend", "NAME")
+        .in(kLocalWorker),
+    field<&SA::csv>("--csv").in(kLocalServe),
+    field<&SA::jsonPath>("--json", "FILE").in(kLocalServe).onlyFromCli(),
+    field<&SA::serve>("--serve", "HOST:PORT").selecting(kServe).onlyFromCli(),
+    field<&SA::leaseMs>("--lease-ms", "MS").in(kServe).positiveOnly(),
+    field<&SA::drainTimeout>("--drain-timeout", "SEC").in(kServe),
+    field<&SA::worker>("--worker", "HOST:PORT")
+        .selecting(kWorker)
+        .onlyFromCli(),
+    field<&SA::workerName>("--worker-name", "NAME").in(kWorker),
+};
+
+/// Parses a query's flag tokens into `opts`; a fepiad client's may not
+/// hold the CLI-only flags.
+std::vector<std::string> parseQueryArgs(std::span<const Flag> table,
+                                        std::span<const std::string> args,
+                                        void* opts, const QueryContext& ctx,
+                                        std::size_t operands = 0) {
+  ParseMode mode;
+  mode.remote = ctx.remote;
+  mode.operands = operands;
+  return parseFlags(table, args, opts, mode);
+}
+
 }  // namespace
-
-double argDouble(const char* flag, const std::string& value) {
-  const std::optional<double> v = io::parseFiniteDouble(value);
-  if (!v.has_value()) {
-    throw std::invalid_argument(std::string("bad value for ") + flag + ": '" +
-                                value + "' (expected a finite number)");
-  }
-  return *v;
-}
-
-std::uint64_t argUint(const char* flag, const std::string& value) {
-  const std::optional<std::uint64_t> v = io::parseUint64(value);
-  if (!v.has_value()) {
-    throw std::invalid_argument(std::string("bad value for ") + flag + ": '" +
-                                value + "' (expected an unsigned integer)");
-  }
-  return *v;
-}
-
-std::size_t argSize(const char* flag, const std::string& value) {
-  return static_cast<std::size_t>(argUint(flag, value));
-}
 
 void emitTable(std::ostream& out, const report::Table& table, bool csv) {
   if (csv) {
@@ -220,42 +381,14 @@ QueryResult runRadiusQuery(const std::vector<std::string>& args,
                            std::ostream& out, QueryContext& ctx) {
   if (args.empty()) throw UsageError("missing problem file");
   const std::string& path = args[0];
-  std::string schemeArg = "both";
-  std::string backendArg;
-  std::vector<la::Vector> checkPoint;
-  bool csv = false;
-  bool echo = false;
-
-  const std::size_t n = args.size();
-  for (std::size_t i = 1; i < n; ++i) {
-    if (args[i] == "--scheme" && i + 1 < n) {
-      schemeArg = args[++i];
-    } else if (args[i] == "--backend" && i + 1 < n) {
-      backendArg = args[++i];
-    } else if (args[i] == "--check" && i + 1 < n) {
-      try {
-        checkPoint.push_back(parseValueList(args[++i]));
-      } catch (const std::exception&) {
-        throw std::invalid_argument("bad --check value list");
-      }
-    } else if (args[i] == "--csv") {
-      csv = true;
-    } else if (args[i] == "--echo") {
-      echo = true;
-    } else {
-      throw UsageError("unrecognized argument '" + args[i] + "'");
-    }
-  }
-  if (schemeArg != "both" && schemeArg != "normalized" &&
-      schemeArg != "sensitivity") {
-    throw UsageError("bad --scheme value '" + schemeArg + "'");
-  }
+  RadiusArgs a;
+  parseQueryArgs(kRadiusFlags, std::span(args).subspan(1), &a, ctx);
 
   const std::shared_ptr<const radius::FepiaProblem> handle =
       loadProblemHandle(ctx, path);
   const radius::FepiaProblem& problem = *handle;
 
-  if (echo) {
+  if (a.echo) {
     io::writeProblem(out, problem);
     out << '\n';
   }
@@ -269,7 +402,7 @@ QueryResult runRadiusQuery(const std::vector<std::string>& args,
     kinds.addRow({p.name(), p.unit().str(), std::to_string(p.size()),
                   vals.str()});
   }
-  emitTable(out, kinds, csv);
+  emitTable(out, kinds, a.csv);
 
   // Per-kind radii (always legal, one kind at a time).
   report::Table perKind({"feature", "kind", "radius (kind units)"});
@@ -281,24 +414,24 @@ QueryResult runRadiusQuery(const std::vector<std::string>& args,
                       r.finite() ? report::num(r.radius, 8) : "inf"});
     }
   }
-  emitTable(out, perKind, csv);
+  emitTable(out, perKind, a.csv);
 
-  if (schemeArg == "both" || schemeArg == "normalized") {
-    printMerged(out, problem, radius::MergeScheme::NormalizedByOriginal, csv,
-                ctx.registry, backendArg);
+  if (a.scheme == "both" || a.scheme == "normalized") {
+    printMerged(out, problem, radius::MergeScheme::NormalizedByOriginal, a.csv,
+                ctx.registry, a.backend);
   }
-  if (schemeArg == "both" || schemeArg == "sensitivity") {
-    printMerged(out, problem, radius::MergeScheme::Sensitivity, csv,
-                ctx.registry, backendArg);
+  if (a.scheme == "both" || a.scheme == "sensitivity") {
+    printMerged(out, problem, radius::MergeScheme::Sensitivity, a.csv,
+                ctx.registry, a.backend);
   }
 
   QueryResult result;
-  if (!checkPoint.empty()) {
+  if (!a.check.empty()) {
     const radius::MergeScheme scheme =
-        schemeArg == "sensitivity" ? radius::MergeScheme::Sensitivity
+        a.scheme == "sensitivity" ? radius::MergeScheme::Sensitivity
                                    : radius::MergeScheme::NormalizedByOriginal;
     const radius::ToleranceCheck check =
-        problem.wouldTolerate(checkPoint, scheme);
+        problem.wouldTolerate(a.check, scheme);
     out << "operating point "
         << (check.tolerated ? "TOLERATED" : "NOT tolerated") << " under the "
         << radius::mergeSchemeName(scheme) << " scheme (worst margin "
@@ -310,58 +443,23 @@ QueryResult runRadiusQuery(const std::vector<std::string>& args,
 
 QueryResult runValidateQuery(const std::vector<std::string>& args,
                              std::ostream& out, QueryContext& ctx) {
-  std::string path;
-  bool hiperd = false;
-  bool des = false;
-  bool csv = false;
-  std::string schemeArg = "both";
-  std::string jsonPath;
-  std::string backendArg;
-  std::optional<std::size_t> samples;
-  std::optional<std::size_t> threads;
-  validate::EstimatorOptions opts;
-
-  const std::size_t n = args.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (args[i] == "--hiperd" && i + 1 < n) {
-      hiperd = true;
-      path = args[++i];
-    } else if (args[i] == "--des") {
-      des = true;
-    } else if (args[i] == "--csv") {
-      csv = true;
-    } else if (args[i] == "--scheme" && i + 1 < n) {
-      schemeArg = args[++i];
-    } else if (args[i] == "--backend" && i + 1 < n) {
-      backendArg = args[++i];
-    } else if (args[i] == "--samples" && i + 1 < n) {
-      samples = argSize("--samples", args[++i]);
-    } else if (args[i] == "--seed" && i + 1 < n) {
-      opts.seed = argUint("--seed", args[++i]);
-    } else if (args[i] == "--threads" && i + 1 < n) {
-      threads = argSize("--threads", args[++i]);
-    } else if (args[i] == "--json" && i + 1 < n) {
-      jsonPath = args[++i];
-    } else if (path.empty() && (args[i].empty() || args[i][0] != '-')) {
-      path = args[i];
-    } else {
-      throw UsageError("unrecognized argument '" + args[i] + "'");
-    }
-  }
-  if (path.empty() || (des && !hiperd)) {
+  ValidateArgs a;
+  const std::vector<std::string> operand =
+      parseQueryArgs(kValidateFlags, args, &a, ctx, 1);
+  const bool hiperd = !a.hiperd.empty();
+  if (operand.empty() == !hiperd || (a.des && !hiperd)) {
     throw UsageError("validate needs a problem file or --hiperd SYSTEM");
   }
-  if (schemeArg != "both" && schemeArg != "normalized" &&
-      schemeArg != "sensitivity") {
-    throw UsageError("bad --scheme value '" + schemeArg + "'");
-  }
-  if (samples.has_value()) opts.directions = *samples;
+  const std::string& path = hiperd ? a.hiperd : operand[0];
+  validate::EstimatorOptions opts;
+  opts.seed = a.seed;
+  if (a.samples.has_value()) opts.directions = *a.samples;
   opts.metrics = ctx.registry;
   ctx.manifest->tool = "fepia_cli validate";
   ctx.manifest->seed = opts.seed;
-  ctx.manifest->threads = threads.value_or(0);
+  ctx.manifest->threads = a.threads.value_or(0);
 
-  const PoolHandle pool = makePool(ctx, threads);
+  const PoolHandle pool = makePool(ctx, a.threads);
 
   // Live telemetry gauges: estimator probe counts as they accumulate,
   // plus pool occupancy when a pool exists.
@@ -388,7 +486,7 @@ QueryResult runValidateQuery(const std::vector<std::string>& args,
     rp.problem = &prob;
     rp.scheme = scheme;
     rb::RadiusRequest req;
-    req.backendOverride = backendArg.empty() ? "empirical" : backendArg;
+    req.backendOverride = a.backend.empty() ? "empirical" : a.backend;
     req.estimator = opts;
     req.metrics = ctx.registry;
     const rb::RadiusOutcome outcome = rb::solveRadius(rp, req, pool.pool);
@@ -409,9 +507,10 @@ QueryResult runValidateQuery(const std::vector<std::string>& args,
     const std::shared_ptr<const validate::SchemeValidation> v =
         validateScheme(mixed, radius::MergeScheme::NormalizedByOriginal);
     misses +=
-        emitValidation(out, "scheme: normalized", v->allRows(), csv, jsonRows);
+        emitValidation(out, "scheme: normalized", v->allRows(), a.csv,
+                       jsonRows);
 
-    if (des) {
+    if (a.des) {
       // Classify the joint region by simulation: the shared degraded-mode
       // machinery with no fault scenarios is exactly the DES cross-check
       // (map each normalized P-space probe back to an (execution times ⋆
@@ -421,9 +520,9 @@ QueryResult runValidateQuery(const std::vector<std::string>& args,
       rp.system = &ref;
       rp.desClassification = true;
       rb::RadiusRequest req;
-      req.backendOverride = backendArg;  // empty: scheduler picks degraded
+      req.backendOverride = a.backend;  // empty: scheduler picks degraded
       req.estimator = opts;
-      req.degraded.explicitDirections = samples.has_value();
+      req.degraded.explicitDirections = a.samples.has_value();
       req.metrics = ctx.registry;
       const rb::RadiusOutcome outcome = rb::solveRadius(rp, req, pool.pool);
       if (outcome.degraded == nullptr) {
@@ -439,22 +538,22 @@ QueryResult runValidateQuery(const std::vector<std::string>& args,
           "DES joint region (informational; queueing shrinks the region)",
           {validate::compare("simulated vs analytic rho", d.analyticRho,
                              d.degraded)},
-          csv, jsonRows);
+          a.csv, jsonRows);
     }
   } else {
     const std::shared_ptr<const radius::FepiaProblem> handle =
         loadProblemHandle(ctx, path);
     const radius::FepiaProblem& problem = *handle;
-    if (schemeArg == "both" || schemeArg == "normalized") {
+    if (a.scheme == "both" || a.scheme == "normalized") {
       const std::shared_ptr<const validate::SchemeValidation> v =
           validateScheme(problem, radius::MergeScheme::NormalizedByOriginal);
-      misses += emitValidation(out, "scheme: normalized", v->allRows(), csv,
+      misses += emitValidation(out, "scheme: normalized", v->allRows(), a.csv,
                                jsonRows);
     }
-    if (schemeArg == "both" || schemeArg == "sensitivity") {
+    if (a.scheme == "both" || a.scheme == "sensitivity") {
       const std::shared_ptr<const validate::SchemeValidation> v =
           validateScheme(problem, radius::MergeScheme::Sensitivity);
-      misses += emitValidation(out, "scheme: sensitivity", v->allRows(), csv,
+      misses += emitValidation(out, "scheme: sensitivity", v->allRows(), a.csv,
                                jsonRows);
     }
   }
@@ -462,11 +561,11 @@ QueryResult runValidateQuery(const std::vector<std::string>& args,
   if (pool.pool != nullptr) pool.pool->exportMetrics(*ctx.registry);
 
   QueryResult result;
-  if (!jsonPath.empty() || ctx.captureJson) {
+  if (!a.jsonPath.empty() || ctx.captureJson) {
     ctx.manifest->wallSeconds = ctx.wall->elapsedSeconds();
     std::ostringstream doc;
     validate::writeComparisonJson(doc, jsonRows, ctx.manifest);
-    finishJson(result, jsonPath, doc.str());
+    finishJson(result, a.jsonPath, doc.str());
   }
 
   if (misses == 0) {
@@ -480,97 +579,17 @@ QueryResult runValidateQuery(const std::vector<std::string>& args,
 
 QueryResult runFaultSimQuery(const std::vector<std::string>& args,
                              std::ostream& out, QueryContext& ctx) {
-  std::string path;
-  std::optional<std::size_t> samples;
-  std::optional<std::size_t> threads;
-  std::uint64_t seed = 0x5EEDD1CEull;
-  std::size_t scenarios = 1;
-  std::size_t generations = 200;
-  bool noFaults = false;
-  bool csv = false;
-  std::string jsonPath;
-  std::string backendArg;
-
-  fault::FaultPlan explicitPlan;
-  bool haveExplicit = false;
-  std::optional<double> detect;
-  std::optional<std::size_t> retries;
-
-  const std::size_t n = args.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (args[i] == "--hiperd" && i + 1 < n) {
-      path = args[++i];
-    } else if (args[i] == "--samples" && i + 1 < n) {
-      samples = argSize("--samples", args[++i]);
-    } else if (args[i] == "--seed" && i + 1 < n) {
-      seed = argUint("--seed", args[++i]);
-    } else if (args[i] == "--threads" && i + 1 < n) {
-      threads = argSize("--threads", args[++i]);
-    } else if (args[i] == "--scenarios" && i + 1 < n) {
-      scenarios = argSize("--scenarios", args[++i]);
-    } else if (args[i] == "--gens" && i + 1 < n) {
-      generations = argSize("--gens", args[++i]);
-    } else if (args[i] == "--crash" && i + 1 < n) {
-      const std::string& spec = args[++i];
-      const auto parts = splitColons(spec);
-      if (parts.size() != 2 && parts.size() != 3) {
-        badSpec("--crash", spec, "MACHINE:TIME[:BACKUP]");
-      }
-      fault::MachineCrash c;
-      c.machine = argSize("--crash", parts[0]);
-      c.atSeconds = argDouble("--crash", parts[1]);
-      if (parts.size() == 3) c.backup = argSize("--crash", parts[2]);
-      explicitPlan.crashes.push_back(c);
-      haveExplicit = true;
-    } else if (args[i] == "--slow" && i + 1 < n) {
-      const std::string& spec = args[++i];
-      const auto parts = splitColons(spec);
-      if (parts.size() != 5 || (parts[0] != "machine" && parts[0] != "link")) {
-        badSpec("--slow", spec, "machine|link:INDEX:FROM:TO:FACTOR");
-      }
-      fault::Slowdown s;
-      s.target = parts[0] == "machine" ? fault::Slowdown::Target::Machine
-                                       : fault::Slowdown::Target::Link;
-      s.index = argSize("--slow", parts[1]);
-      s.fromSeconds = argDouble("--slow", parts[2]);
-      s.toSeconds = argDouble("--slow", parts[3]);
-      s.factor = argDouble("--slow", parts[4]);
-      explicitPlan.slowdowns.push_back(s);
-      haveExplicit = true;
-    } else if (args[i] == "--loss" && i + 1 < n) {
-      const std::string& spec = args[++i];
-      const auto parts = splitColons(spec);
-      if (parts.size() != 2) badSpec("--loss", spec, "LINK:PROBABILITY");
-      fault::MessageLoss ml;
-      ml.link = argSize("--loss", parts[0]);
-      ml.probability = argDouble("--loss", parts[1]);
-      explicitPlan.losses.push_back(ml);
-      haveExplicit = true;
-    } else if (args[i] == "--detect" && i + 1 < n) {
-      detect = argDouble("--detect", args[++i]);
-    } else if (args[i] == "--retries" && i + 1 < n) {
-      retries = argSize("--retries", args[++i]);
-    } else if (args[i] == "--no-faults") {
-      noFaults = true;
-    } else if (args[i] == "--backend" && i + 1 < n) {
-      backendArg = args[++i];
-    } else if (args[i] == "--csv") {
-      csv = true;
-    } else if (args[i] == "--json" && i + 1 < n) {
-      jsonPath = args[++i];
-    } else {
-      throw UsageError("unrecognized argument '" + args[i] + "'");
-    }
-  }
+  FaultSimArgs a;
+  parseQueryArgs(kFaultSimFlags, args, &a, ctx);
 
   ctx.manifest->tool = "fepia_cli fault-sim";
-  ctx.manifest->seed = seed;
-  ctx.manifest->threads = threads.value_or(0);
+  ctx.manifest->seed = a.seed;
+  ctx.manifest->threads = a.threads.value_or(0);
 
   const std::shared_ptr<const hiperd::ReferenceSystem> refHandle =
-      path.empty() ? std::make_shared<const hiperd::ReferenceSystem>(
-                         hiperd::makeReferenceSystem())
-                   : loadSystemHandle(ctx, path);
+      a.hiperd.empty() ? std::make_shared<const hiperd::ReferenceSystem>(
+                             hiperd::makeReferenceSystem())
+                       : loadSystemHandle(ctx, a.hiperd);
   const hiperd::ReferenceSystem& ref = *refHandle;
 
   // Assemble the scenario list: explicit flags define one plan;
@@ -578,32 +597,32 @@ QueryResult runFaultSimQuery(const std::vector<std::string>& args,
   // derived from --seed. --no-faults runs the fault-free cross-check
   // (identical to `validate --des`).
   std::vector<fault::FaultPlan> plans;
-  if (!noFaults) {
-    if (haveExplicit) {
-      plans.push_back(explicitPlan);
+  if (!a.noFaults) {
+    if (a.explicitPlan) {
+      plans.push_back(a.plan);
     } else {
-      rng::SplitMix64 mixer(seed ^ 0xFA017ull);
+      rng::SplitMix64 mixer(a.seed ^ 0xFA017ull);
       fault::SamplerOptions sopts;
-      for (std::size_t s = 0; s < scenarios; ++s) {
+      for (std::size_t s = 0; s < a.scenarios; ++s) {
         plans.push_back(fault::samplePlan(ref.system, sopts, mixer.next()));
       }
     }
     for (fault::FaultPlan& plan : plans) {
-      if (detect.has_value()) plan.policy.detectionTimeoutSeconds = *detect;
-      if (retries.has_value()) plan.policy.maxRetries = *retries;
+      if (a.detect.has_value()) plan.policy.detectionTimeoutSeconds = *a.detect;
+      if (a.retries.has_value()) plan.policy.maxRetries = *a.retries;
       plan.validateAgainst(ref.system);
     }
   }
 
-  const PoolHandle pool = makePool(ctx, threads);
+  const PoolHandle pool = makePool(ctx, a.threads);
 
   validate::EstimatorOptions est;
-  est.seed = seed;
-  if (samples.has_value()) est.directions = *samples;
+  est.seed = a.seed;
+  if (a.samples.has_value()) est.directions = *a.samples;
   est.metrics = ctx.registry;
   fault::DegradedOptions dopts;
-  dopts.generations = generations;
-  dopts.explicitDirections = samples.has_value();
+  dopts.generations = a.generations;
+  dopts.explicitDirections = a.samples.has_value();
 
   // Live telemetry gauges: DES classification progress and the fault
   // retry/drop totals (the sampler derives rates from the series).
@@ -631,7 +650,7 @@ QueryResult runFaultSimQuery(const std::vector<std::string>& args,
   rp.scenarios = plans;
   rp.desClassification = true;
   rb::RadiusRequest req;
-  req.backendOverride = backendArg;
+  req.backendOverride = a.backend;
   req.estimator = est;
   req.degraded = dopts;
   req.metrics = ctx.registry;
@@ -667,7 +686,7 @@ QueryResult runFaultSimQuery(const std::vector<std::string>& args,
   counters.addRow({"backoff wait (s)", report::num(fc.backoffWaitSeconds, 6)});
   out << "nominal run (scenario 0 at the operating point): QoS "
       << (d.nominalSatisfies ? "satisfied" : "VIOLATED") << "\n";
-  emitTable(out, counters, csv);
+  emitTable(out, counters, a.csv);
 
   report::Table radii({"quantity", "value"});
   radii.addRow({"backend", outcome.backendName});
@@ -681,19 +700,19 @@ QueryResult runFaultSimQuery(const std::vector<std::string>& args,
   radii.addRow({"directions", std::to_string(d.degraded.directions)});
   radii.addRow({"boundary hits", std::to_string(d.degraded.boundaryHits)});
   radii.addRow({"classifications", std::to_string(d.degraded.classifications)});
-  emitTable(out, radii, csv);
+  emitTable(out, radii, a.csv);
 
   if (pool.pool != nullptr) pool.pool->exportMetrics(*ctx.registry);
 
   QueryResult result;
-  if (!jsonPath.empty() || ctx.captureJson) {
+  if (!a.jsonPath.empty() || ctx.captureJson) {
     ctx.manifest->wallSeconds = ctx.wall->elapsedSeconds();
     std::ostringstream js;
     obs::JsonWriter w(js);
     w.object(obs::JsonLayout::Lines);
     ctx.manifest->writeJson(w.key("manifest").valueStream());
-    w.object("config").count("seed", seed).count("threads", threads);
-    w.count("scenarios", plans.size()).count("generations", generations);
+    w.object("config").count("seed", a.seed).count("threads", a.threads);
+    w.count("scenarios", plans.size()).count("generations", a.generations);
     w.end().object("plan", obs::JsonLayout::Lines).array("crashes");
     const fault::FaultPlan none;
     const fault::FaultPlan& p0 = plans.empty() ? none : plans.front();
@@ -731,7 +750,7 @@ QueryResult runFaultSimQuery(const std::vector<std::string>& args,
     w.object("analytic").num("rho", d.analyticRho);
     w.str("critical_feature", d.criticalFeature).end().end();
     js << '\n';
-    finishJson(result, jsonPath, js.str());
+    finishJson(result, a.jsonPath, js.str());
   }
   result.exitCode = d.nominalSatisfies ? 0 : 2;
   return result;
@@ -743,125 +762,14 @@ QueryResult runSweepQuery(const std::vector<std::string>& args,
     throw UsageError("sweep needs a spec file operand");
   }
   const std::string& specPath = args[0];
-  std::optional<std::size_t> threads;
-  sweep::SweepOptions opts;
-  std::string responseAxis;
-  bool csv = false;
-  std::string jsonPath;
-  std::optional<std::string> serveTarget;
-  std::optional<std::string> workerTarget;
-  std::optional<double> leaseMs;
-  std::optional<double> drainTimeout;
-  std::string workerName;
-
-  const std::size_t n = args.size();
-  for (std::size_t i = 1; i < n; ++i) {
-    if (args[i] == "--threads" && i + 1 < n) {
-      threads = argSize("--threads", args[++i]);
-    } else if (args[i] == "--chunk" && i + 1 < n) {
-      opts.chunkOverride = argSize("--chunk", args[++i]);
-      if (opts.chunkOverride == 0) {
-        throw std::invalid_argument("bad value for --chunk: '0' (expected a "
-                                    "positive integer)");
-      }
-    } else if (args[i] == "--journal" && i + 1 < n) {
-      opts.journalPath = args[++i];
-    } else if (args[i] == "--resume") {
-      opts.resume = true;
-    } else if (args[i] == "--stop-after" && i + 1 < n) {
-      opts.stopAfterShards = argSize("--stop-after", args[++i]);
-      if (opts.stopAfterShards == 0) {
-        throw std::invalid_argument("bad value for --stop-after: '0' "
-                                    "(expected a positive integer)");
-      }
-    } else if (args[i] == "--no-cache") {
-      opts.cacheEnabled = false;
-    } else if (args[i] == "--backend" && i + 1 < n) {
-      opts.backendOverride = args[++i];
-    } else if (args[i] == "--response" && i + 1 < n) {
-      responseAxis = args[++i];
-    } else if (args[i] == "--progress") {
-      opts.progress = true;
-    } else if (args[i] == "--csv") {
-      csv = true;
-    } else if (args[i] == "--json" && i + 1 < n) {
-      jsonPath = args[++i];
-    } else if (args[i] == "--cache-dir" && i + 1 < n) {
-      opts.cacheDir = args[++i];
-    } else if (args[i] == "--serve" && i + 1 < n) {
-      serveTarget = args[++i];
-    } else if (args[i] == "--worker" && i + 1 < n) {
-      workerTarget = args[++i];
-    } else if (args[i] == "--lease-ms" && i + 1 < n) {
-      leaseMs = argDouble("--lease-ms", args[++i]);
-      if (*leaseMs <= 0.0) {
-        throw std::invalid_argument("bad value for --lease-ms: '" + args[i] +
-                                    "' (expected a positive duration)");
-      }
-    } else if (args[i] == "--drain-timeout" && i + 1 < n) {
-      drainTimeout = argDouble("--drain-timeout", args[++i]);
-    } else if (args[i] == "--worker-name" && i + 1 < n) {
-      workerName = args[++i];
-    } else {
-      throw UsageError("unrecognized argument '" + args[i] + "'");
-    }
-  }
-
-  if (serveTarget.has_value() && workerTarget.has_value()) {
-    throw UsageError("--serve and --worker are mutually exclusive");
-  }
-  if (serveTarget.has_value()) {
-    // The coordinator never computes: compute-side knobs belong on the
-    // workers, and refusing them beats silently ignoring them.
-    if (threads.has_value()) throw UsageError("--serve ignores --threads");
-    if (opts.stopAfterShards != 0) {
-      throw UsageError("--stop-after is not supported with --serve");
-    }
-    if (!opts.cacheEnabled) {
-      throw UsageError("--no-cache belongs on the workers, not --serve");
-    }
-    if (!opts.backendOverride.empty()) {
-      throw UsageError("--backend belongs on the workers, not --serve");
-    }
-    if (!opts.cacheDir.empty()) {
-      throw UsageError("--cache-dir belongs on the workers, not --serve");
-    }
-    if (opts.progress) {
-      throw UsageError("--progress is not supported with --serve");
-    }
-    if (!workerName.empty()) throw UsageError("--worker-name needs --worker");
-  } else if (workerTarget.has_value()) {
-    // A worker computes what it is told and prints a report; it owns no
-    // journal, no surface and no output tables.
-    if (threads.has_value()) throw UsageError("--worker ignores --threads");
-    if (opts.chunkOverride != 0) {
-      throw UsageError("--chunk is the coordinator's call, not --worker's");
-    }
-    if (!opts.journalPath.empty() || opts.resume) {
-      throw UsageError("--journal/--resume live on the coordinator");
-    }
-    if (opts.stopAfterShards != 0) {
-      throw UsageError("--stop-after is not supported with --worker");
-    }
-    if (!responseAxis.empty() || csv || !jsonPath.empty()) {
-      throw UsageError("--worker produces no surface output");
-    }
-    if (opts.progress) {
-      throw UsageError("--progress is not supported with --worker");
-    }
-    if (leaseMs.has_value() || drainTimeout.has_value()) {
-      throw UsageError("--lease-ms/--drain-timeout live on the coordinator");
-    }
-  } else if (leaseMs.has_value() || drainTimeout.has_value() ||
-             !workerName.empty()) {
-    throw UsageError(
-        "--lease-ms/--drain-timeout/--worker-name need --serve or --worker");
-  }
+  SweepArgs a;
+  parseQueryArgs(kSweepFlags, std::span(args).subspan(1), &a, ctx);
+  sweep::SweepOptions& opts = a.sweep;
 
   const sweep::SweepSpec spec = sweep::loadSweepSpec(specPath);
   ctx.manifest->tool = "fepia_cli sweep";
   ctx.manifest->seed = spec.seed;
-  ctx.manifest->threads = threads.value_or(0);
+  ctx.manifest->threads = a.threads.value_or(0);
 
   QueryResult result;
 
@@ -874,10 +782,10 @@ QueryResult runSweepQuery(const std::vector<std::string>& args,
       out << "sweep checkpointed after " << surface.computedShards
           << " shard(s): rerun with --resume to continue\n";
     } else {
-      emitTable(out, sweep::surfaceTable(spec, surface), csv);
-      if (!responseAxis.empty()) {
-        emitTable(out, sweep::axisResponseTable(spec, surface, responseAxis),
-                  csv);
+      emitTable(out, sweep::surfaceTable(spec, surface), a.csv);
+      if (!a.response.empty()) {
+        emitTable(out, sweep::axisResponseTable(spec, surface, a.response),
+                  a.csv);
       }
       const sweep::SurfaceSummary summary = sweep::summarize(surface);
       out << "analytic rho over " << summary.finitePoints
@@ -888,22 +796,22 @@ QueryResult runSweepQuery(const std::vector<std::string>& args,
             << report::num(summary.worstClosedFormDeviation, 6) << "\n";
       }
     }
-    if (!jsonPath.empty() || ctx.captureJson) {
+    if (!a.jsonPath.empty() || ctx.captureJson) {
       ctx.manifest->wallSeconds = ctx.wall->elapsedSeconds();
       std::ostringstream doc;
       sweep::writeSurfaceJson(doc, spec, surface, ctx.manifest);
-      finishJson(result, jsonPath, doc.str());
-      if (!jsonPath.empty()) out << "wrote " << jsonPath << "\n";
+      finishJson(result, a.jsonPath, doc.str());
+      if (!a.jsonPath.empty()) out << "wrote " << a.jsonPath << "\n";
     }
   };
 
-  if (workerTarget.has_value()) {
-    const auto [host, port] = parseHostPort("--worker", *workerTarget);
-    if (port == 0) badSpec("--worker", *workerTarget, "HOST:PORT");
+  if (a.worker.has_value()) {
+    const auto [host, port] = parseHostPort("--worker", *a.worker);
+    if (port == 0) badFlagValue("--worker", *a.worker, "HOST:PORT");
     SweepWorkerConfig wc;
     wc.host = host;
     wc.port = port;
-    wc.name = workerName;
+    wc.name = a.workerName;
     wc.cacheDir = opts.cacheDir;
     wc.backendOverride = opts.backendOverride;
     wc.cacheEnabled = opts.cacheEnabled;
@@ -922,16 +830,16 @@ QueryResult runSweepQuery(const std::vector<std::string>& args,
     return result;
   }
 
-  if (serveTarget.has_value()) {
-    const auto [host, port] = parseHostPort("--serve", *serveTarget);
+  if (a.serve.has_value()) {
+    const auto [host, port] = parseHostPort("--serve", *a.serve);
     DistSweepConfig dc;
     dc.bindAddress = host;
     dc.port = port;
     dc.chunkOverride = opts.chunkOverride;
-    if (leaseMs.has_value()) dc.leaseSeconds = *leaseMs / 1000.0;
+    if (a.leaseMs.has_value()) dc.leaseSeconds = *a.leaseMs / 1000.0;
     dc.journalPath = opts.journalPath;
     dc.resume = opts.resume;
-    if (drainTimeout.has_value()) dc.drainTimeoutSeconds = *drainTimeout;
+    if (a.drainTimeout.has_value()) dc.drainTimeoutSeconds = *a.drainTimeout;
     dc.metrics = ctx.registry;
     dc.telemetry = ctx.hub;
     dc.log = &out;
@@ -968,7 +876,7 @@ QueryResult runSweepQuery(const std::vector<std::string>& args,
   // across requests changes throughput only, never a surface byte.
   if (ctx.cache != nullptr) opts.sharedCache = &ctx.cache->sweepCache();
 
-  const PoolHandle pool = makePool(ctx, threads);
+  const PoolHandle pool = makePool(ctx, a.threads);
   const obs::SourceGuard poolGauges(
       pool.pool != nullptr ? ctx.hub : nullptr,
       [p = pool.pool](obs::Registry& reg) { p->liveGauges(reg); });
@@ -994,6 +902,22 @@ QueryResult runSweepQuery(const std::vector<std::string>& args,
   out << "\n\n";
   emitSurface(surface);
   return result;
+}
+
+namespace {
+constexpr Query kQueries[] = {
+    {"radius", kRadiusFlags, runRadiusQuery},
+    {"validate", kValidateFlags, runValidateQuery},
+    {"fault-sim", kFaultSimFlags, runFaultSimQuery},
+    {"sweep", kSweepFlags, runSweepQuery},
+};
+}  // namespace
+
+const Query* findQuery(std::string_view kind) {
+  for (const Query& q : kQueries) {
+    if (q.kind == kind) return &q;
+  }
+  return nullptr;
 }
 
 }  // namespace fepia::server

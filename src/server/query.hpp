@@ -11,16 +11,19 @@
 // would have produced plus, when a JSON report was requested (--json
 // FILE or QueryContext::captureJson), the exact bytes of that report.
 //
+// Each runner parses its tokens through its flag table (server/flags.hpp).
 // Error contract: malformed/unknown arguments raise UsageError (the CLI
-// maps it to its usage() text, the server to a typed bad_request);
-// every other failure propagates as an ordinary exception whose what()
-// is exactly the text the CLI prints after "error: ".
+// maps it to its usage() text, the server to a typed bad_request), a
+// bad or missing flag value its FlagValueError subclass (the CLI prints
+// it after "error: "); every other failure propagates as an ordinary
+// exception whose what() is exactly the text the CLI prints after
+// "error: ".
 #pragma once
 
-#include <cstdint>
 #include <iosfwd>
-#include <stdexcept>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/manifest.hpp"
@@ -29,6 +32,7 @@
 #include "parallel/thread_pool.hpp"
 #include "radius/fepia.hpp"
 #include "report/table.hpp"
+#include "server/flags.hpp"
 
 namespace fepia::obs {
 class Stopwatch;
@@ -37,13 +41,6 @@ class Stopwatch;
 namespace fepia::server {
 
 class SessionCache;
-
-/// Arguments the caller could not make sense of; carries a short reason
-/// but the CLI prints its usual usage() text instead.
-class UsageError : public std::invalid_argument {
- public:
-  using std::invalid_argument::invalid_argument;
-};
 
 /// Per-invocation state a runner needs. The CLI fills it from its
 /// process-wide observability globals; the server builds a fresh one
@@ -63,6 +60,10 @@ struct QueryContext {
   /// Capture the --json document bytes even when no --json FILE was
   /// given (the server always wants them in the response).
   bool captureJson = false;
+  /// The args came from a fepiad client: the flags that write files or
+  /// open sockets (--json, --journal, --cache-dir, --serve, --worker)
+  /// are refused.
+  bool remote = false;
 };
 
 struct QueryResult {
@@ -89,15 +90,22 @@ QueryResult runFaultSimQuery(const std::vector<std::string>& args,
 QueryResult runSweepQuery(const std::vector<std::string>& args,
                           std::ostream& out, QueryContext& ctx);
 
-// ---------------------------------------------------------------------
-// Shared helpers the CLI-only modes (search, profile, --hiperd) still
-// use directly.
+using QueryRunner = QueryResult (*)(const std::vector<std::string>&,
+                                    std::ostream&, QueryContext&);
 
-/// Checked flag-value parsing: a bad token raises std::invalid_argument
-/// naming the flag ("bad value for --seed: ...").
-double argDouble(const char* flag, const std::string& value);
-std::uint64_t argUint(const char* flag, const std::string& value);
-std::size_t argSize(const char* flag, const std::string& value);
+/// One query kind: its fepiad kind and CLI subcommand word (the CLI's
+/// radius mode has no word), its flags, and its runner.
+struct Query {
+  std::string_view kind;
+  std::span<const Flag> flags;
+  QueryRunner run;
+};
+
+/// The query of `kind` (radius, validate, fault-sim, sweep), or nullptr.
+const Query* findQuery(std::string_view kind);
+
+// ---------------------------------------------------------------------
+// Shared helpers the CLI-only modes (search, profile, --hiperd) use.
 
 /// Prints `table` (plain or CSV) followed by a blank line.
 void emitTable(std::ostream& out, const report::Table& table, bool csv);

@@ -11,7 +11,6 @@
 
 #include "obs/clock.hpp"
 #include "obs/manifest.hpp"
-#include "server/query.hpp"
 
 namespace fepia::server {
 namespace {
@@ -42,46 +41,34 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b);
 }
 
-/// `fepia_cli serve` flags and the config-file keys they set.
-constexpr std::pair<std::string_view, std::string_view> kServeFlags[] = {
-    {"--bind", "bind"},           {"--port", "port"},
-    {"--workers", "workers"},     {"--threads", "threads"},
-    {"--max-queue", "max_queue"}, {"--max-frame", "max_frame_bytes"},
-    {"--deadline-ms", "deadline_ms"}};
-
-/// The one setter behind both the config file and the flags. `key` is a
-/// config-file key; errors name `spelling`, what the user typed (the key
-/// itself or its flag).
-void applySetting(ServeConfig& cfg, std::string_view key,
-                  const std::string& value, const std::string& spelling) {
-  const auto bad = [&](const char* expected) {
-    return std::invalid_argument("bad value for " + spelling + ": '" + value +
-                                 "' (expected " + expected + ")");
-  };
-  const char* name = spelling.c_str();
-  if (key == "bind") {
-    cfg.bindAddress = value;
-  } else if (key == "port") {
-    const std::uint64_t p = argUint(name, value);
-    if (p > 65535) throw bad("0..65535");
-    cfg.port = static_cast<std::uint16_t>(p);
-  } else if (key == "workers") {
-    cfg.workers = argSize(name, value);
-    if (cfg.workers == 0) throw bad("a positive integer");
-  } else if (key == "threads") {
-    cfg.threads = argSize(name, value);
-  } else if (key == "max_queue") {
-    cfg.maxQueue = argSize(name, value);
-    if (cfg.maxQueue == 0) throw bad("a positive integer");
-  } else if (key == "max_frame_bytes") {
-    cfg.maxFrameBytes = argSize(name, value);
-    if (cfg.maxFrameBytes < 16) throw bad("at least 16");
-  } else if (key == "deadline_ms") {
-    cfg.defaultDeadlineMs = argUint(name, value);
-  } else {
-    throw std::invalid_argument("unknown config key '" + spelling + "'");
-  }
-}
+/// `fepia_cli serve` flags; the keyed ones are also config-file keys.
+using SA = ServeArgs;
+using SC = ServeConfig;
+constexpr Flag kServeFlagTable[] = {
+    field<&SA::config, &SC::port>("--port", "N").atMost(65535).keyed("port"),
+    field<&SA::config, &SC::bindAddress>("--bind", "ADDR").keyed("bind"),
+    field<&SA::config, &SC::workers>("--workers", "N")
+        .atLeast(1)
+        .atMost(kMaxThreads)
+        .keyed("workers"),
+    field<&SA::config, &SC::threads>("--threads", "T")
+        .atMost(kMaxThreads)
+        .keyed("threads"),
+    field<&SA::config, &SC::maxQueue>("--max-queue", "N")
+        .atLeast(1)
+        .keyed("max_queue"),
+    field<&SA::config, &SC::maxFrameBytes>("--max-frame", "BYTES")
+        .atLeast(16)
+        .keyed("max_frame_bytes"),
+    field<&SA::config, &SC::defaultDeadlineMs>("--deadline-ms", "MS")
+        .keyed("deadline_ms"),
+    Flag{"--config", FlagKind::Text, "FILE",
+         [](void* o, const FlagValue& v) {
+           ServeArgs& args = *static_cast<ServeArgs*>(o);
+           args.configPath = v.text;
+           parseServeConfigFile(args.configPath, args.config);
+         }},
+};
 
 /// Wraps each complete line written through it into one progress frame
 /// on the request's connection:
@@ -119,6 +106,7 @@ class ProgressBuf : public std::streambuf {
 }  // namespace
 
 void parseServeConfigText(const std::string& text, ServeConfig& cfg) {
+  ServeArgs args{cfg, {}};
   std::istringstream in(text);
   std::string rawLine;
   while (std::getline(in, rawLine)) {
@@ -130,20 +118,18 @@ void parseServeConfigText(const std::string& text, ServeConfig& cfg) {
                                   "' (expected key = value)");
     }
     const std::string key = trim(line.substr(0, eq));
-    applySetting(cfg, key, trim(line.substr(eq + 1)), key);
+    const auto row = std::find_if(
+        std::begin(kServeFlagTable), std::end(kServeFlagTable),
+        [&](const Flag& f) { return !f.key.empty() && f.key == key; });
+    if (row == std::end(kServeFlagTable)) {
+      throw std::invalid_argument("unknown config key '" + key + "'");
+    }
+    row->set(&args, readFlagValue(*row, key, trim(line.substr(eq + 1))));
   }
+  cfg = args.config;
 }
 
-bool applyServeFlag(ServeConfig& cfg, std::string_view flag,
-                    const std::string& value) {
-  for (const auto& [name, key] : kServeFlags) {
-    if (name == flag) {
-      applySetting(cfg, key, value, std::string(flag));
-      return true;
-    }
-  }
-  return false;
-}
+std::span<const Flag> serveFlags() { return kServeFlagTable; }
 
 void parseServeConfigFile(const std::string& path, ServeConfig& cfg) {
   std::ifstream in(path);
@@ -278,8 +264,8 @@ bool Server::route(const std::shared_ptr<Connection>& conn,
     requestStop();
     return false;
   }
-  if (kind != "radius" && kind != "validate" && kind != "fault-sim" &&
-      kind != "sweep" && kind != "ping") {
+  const Query* query = findQuery(kind);
+  if (query == nullptr && kind != "ping") {
     reject("bad_request", "unknown kind '" + kind + "'");
     return true;
   }
@@ -287,7 +273,7 @@ bool Server::route(const std::shared_ptr<Connection>& conn,
   Request req;
   req.conn = conn;
   req.idRaw = wire.id;
-  req.kind = kind;
+  req.query = query;
   if (const JsonValue* args = wire.doc.find("args")) {
     if (args->kind != JsonValue::Kind::Array) {
       reject("bad_request", "\"args\" must be an array");
@@ -386,7 +372,7 @@ void Server::handle(const Request& req) {
     ~InFlightGuard() { counter.fetch_sub(1, std::memory_order_relaxed); }
   } guard{inFlight_};
 
-  if (req.kind == "ping") {
+  if (req.query == nullptr) {  // ping
     if (req.sleepMs != 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(req.sleepMs));
     }
@@ -401,7 +387,7 @@ void Server::handle(const Request& req) {
   obs::Registry registry;
   std::vector<std::string> fakeArgs;
   fakeArgs.push_back("fepia_cli");
-  if (req.kind != "radius") fakeArgs.push_back(req.kind);
+  if (req.query->kind != "radius") fakeArgs.emplace_back(req.query->kind);
   for (const std::string& arg : req.args) fakeArgs.push_back(arg);
   std::vector<const char*> argvPtrs;
   argvPtrs.reserve(fakeArgs.size());
@@ -435,19 +421,12 @@ void Server::handle(const Request& req) {
   ctx.sharedPool = &pool_;
   ctx.cache = &cache_;
   ctx.captureJson = true;
+  ctx.remote = true;
 
   std::ostringstream out;
   QueryResult result;
   try {
-    if (req.kind == "radius") {
-      result = runRadiusQuery(req.args, out, ctx);
-    } else if (req.kind == "validate") {
-      result = runValidateQuery(req.args, out, ctx);
-    } else if (req.kind == "fault-sim") {
-      result = runFaultSimQuery(req.args, out, ctx);
-    } else {
-      result = runSweepQuery(req.args, out, ctx);
-    }
+    result = req.query->run(req.args, out, ctx);
   } catch (const UsageError& e) {
     return writeError(*req.conn, req.idRaw, "bad_request", e.what(),
                       &errors_);

@@ -38,13 +38,14 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "obs/telemetry.hpp"
 #include "parallel/thread_pool.hpp"
+#include "server/flags.hpp"
 #include "server/listener.hpp"
+#include "server/query.hpp"
 #include "server/session_cache.hpp"
 #include "server/wire.hpp"
 
@@ -67,21 +68,26 @@ struct ServeConfig {
 
 /// Applies `key = value` lines (# comments, blank lines ok) to `cfg`.
 /// Keys: bind, port, workers, threads, max_queue, max_frame_bytes,
-/// deadline_ms. Throws std::invalid_argument naming an unknown key or
-/// bad value (same spirit as the CLI's "bad value for --flag").
+/// deadline_ms, each set by its flag's row. Throws std::invalid_argument
+/// naming an unknown key, or FlagValueError naming the key of a bad
+/// value ("bad value for workers: '0' ...").
 void parseServeConfigText(const std::string& text, ServeConfig& cfg);
 
 /// parseServeConfigText over the contents of `path`; throws
 /// std::runtime_error("cannot open '<path>'") when unreadable.
 void parseServeConfigFile(const std::string& path, ServeConfig& cfg);
 
-/// Applies one `fepia_cli serve` flag to `cfg` through the same setter
-/// as its config-file key: --bind, --port, --workers, --threads,
-/// --max-queue, --max-frame (max_frame_bytes), --deadline-ms. Returns
-/// false when `flag` is not one of them; throws std::invalid_argument
-/// naming the flag on a bad value.
-bool applyServeFlag(ServeConfig& cfg, std::string_view flag,
-                    const std::string& value);
+/// What `fepia_cli serve` takes: the configuration, and the --config
+/// file it read (empty: none), which a reload reads again.
+struct ServeArgs {
+  ServeConfig config;
+  std::string configPath;
+};
+
+/// The `fepia_cli serve` flag table; it parses into a ServeArgs. The
+/// keyed rows are also the config-file keys, and --config FILE applies
+/// the file where it stands, so the last writer wins.
+std::span<const Flag> serveFlags();
 
 class Server {
  public:
@@ -136,7 +142,7 @@ class Server {
   struct Request {
     std::shared_ptr<Connection> conn;
     std::string idRaw = "null";  ///< request id re-serialized verbatim
-    std::string kind;
+    const Query* query = nullptr;  ///< null for ping
     std::vector<std::string> args;
     bool stream = false;
     std::uint64_t deadlineMs = 0;  ///< 0 = none

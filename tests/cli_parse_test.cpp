@@ -96,6 +96,45 @@ TEST(CliParse, MalformedSystemFileExitsOne) {
 TEST(CliParse, UnknownFlagPrintsUsage) {
   expectParseError("fault-sim --frobnicate", "usage:");
   expectParseError("search --frobnicate", "usage:");
+  // Operands and flags a mode does not take are refused, never dropped.
+  const std::string sys =
+      std::string(FEPIA_SOURCE_DIR) + "/examples/data/fusion_pipeline.hiperd";
+  const std::string prob =
+      std::string(FEPIA_SOURCE_DIR) + "/examples/data/streaming_stage.fepia";
+  expectParseError("--hiperd " + sys + " --frobnicate", "usage:");
+  expectParseError("--hiperd " + sys + " --backend nosuch", "usage:");
+  expectParseError("--hiperd " + sys + " --json " + tmpPath("h.json"),
+                   "usage:");
+  expectParseError("--hiperd " + sys + " extra --csv", "usage:");
+  expectParseError("validate " + prob + " --hiperd " + sys, "usage:");
+}
+
+TEST(CliParse, MissingFlagValueNamesTheFlag) {
+  expectParseError("validate /nonexistent.fepia --seed",
+                   "missing value for --seed");
+  expectParseError("search --het", "missing value for --het");
+  expectParseError("serve --port", "missing value for --port");
+  expectParseError("--trace", "missing value for --trace");
+}
+
+TEST(CliParse, SearchJsonDiffersOnlyInTheManifest) {
+  // The GA and local-search timings come from spans, not counters, so
+  // two runs with one seed write the same report apart from the manifest.
+  const auto report = [](const std::string& leaf) {
+    const std::string path = tmpPath(leaf);
+    EXPECT_EQ(exitCode("search --tasks 24 --machines 4 --generations 4 "
+                       "--population 8 --seed 3 --json " + path),
+              0);
+    std::istringstream in(slurp(path));
+    std::string kept;
+    for (std::string line; std::getline(in, line);) {
+      if (line.rfind("  \"manifest\"", 0) != 0) kept += line + '\n';
+    }
+    return kept;
+  };
+  const std::string first = report("search_a.json");
+  EXPECT_NE(first.find("\"counters\""), std::string::npos) << first;
+  EXPECT_EQ(first, report("search_b.json"));
 }
 
 TEST(CliParse, SweepModeRejectsBadInputsCleanly) {

@@ -314,11 +314,12 @@ TEST(ServerWire, ConfigParserRejectsBadInput) {
   // The `serve` flags share the setter; each error names the flag.
   const auto expectFlagReject = [](const std::string& flag,
                                    const std::string& value) {
-    server::ServeConfig cfg;
+    server::ServeArgs args;
     try {
-      (void)server::applyServeFlag(cfg, flag, value);
+      server::parseFlags(server::serveFlags(),
+                         std::vector<std::string>{flag, value}, &args);
       FAIL() << "accepted: " << flag << " " << value;
-    } catch (const std::invalid_argument& e) {
+    } catch (const server::FlagValueError& e) {
       EXPECT_NE(std::string(e.what()).find("bad value for " + flag + ": '" +
                                            value + "'"),
                 std::string::npos)
@@ -332,11 +333,22 @@ TEST(ServerWire, ConfigParserRejectsBadInput) {
   expectFlagReject("--deadline-ms", "soon");
   expectFlagReject("--threads", "-1");
 
+  // Thread and worker counts are capped: each starts an OS thread.
+  expectFlagReject("--threads", "1025");
+  expectFlagReject("--workers", "1025");
+  expectReject("threads = 1025\n", "threads");
+  expectReject("workers = 1025\n", "workers");
+
+  server::ServeArgs args;
+  const auto parse = [&args](std::vector<std::string> flags) {
+    server::parseFlags(server::serveFlags(), flags, &args);
+  };
+  EXPECT_THROW(parse({"--frobnicate", "1"}), server::UsageError);
+  EXPECT_THROW(parse({"max_frame_bytes", "64"}), server::UsageError);
+  parse({"--max-frame", "64", "--threads", "1024"});
+  EXPECT_EQ(args.config.maxFrameBytes, 64u);
+  EXPECT_EQ(args.config.threads, 1024u);
   server::ServeConfig cfg;
-  EXPECT_FALSE(server::applyServeFlag(cfg, "--frobnicate", "1"));
-  EXPECT_FALSE(server::applyServeFlag(cfg, "max_frame_bytes", "64"));
-  EXPECT_TRUE(server::applyServeFlag(cfg, "--max-frame", "64"));
-  EXPECT_EQ(cfg.maxFrameBytes, 64u);
   EXPECT_THROW(server::parseServeConfigFile("/nonexistent/fepiad.conf", cfg),
                std::runtime_error);
 }
@@ -462,6 +474,29 @@ TEST(ServerWire, BadRequestsKeepTheConnection) {
       {"{\"id\":9,\"kind\":\"ping\",\"sleep_ms\":-5}", "\"sleep_ms\""},
       {"{\"id\":10,\"kind\":\"ping\",\"sleep_ms\":1e999}", "\"sleep_ms\""},
       {"{\"id\":11,\"kind\":\"ping\",\"sleep_ms\":-1e999}", "\"sleep_ms\""},
+      // A client may not make the server write files or open sockets.
+      {"{\"id\":12,\"kind\":\"validate\",\"args\":[\"p.fepia\",\"--samples\","
+       "\"16\",\"--json\",\"evil.json\"]}",
+       "--json"},
+      {"{\"id\":13,\"kind\":\"fault-sim\",\"args\":[\"--json\",\"x.json\"]}",
+       "--json"},
+      {"{\"id\":14,\"kind\":\"sweep\",\"args\":[\"s.sweep\",\"--journal\","
+       "\"j.log\"]}",
+       "--journal"},
+      {"{\"id\":15,\"kind\":\"sweep\",\"args\":[\"s.sweep\",\"--cache-dir\","
+       "\"dir\"]}",
+       "--cache-dir"},
+      {"{\"id\":16,\"kind\":\"sweep\",\"args\":[\"s.sweep\",\"--serve\","
+       "\"127.0.0.1:0\"]}",
+       "--serve"},
+      {"{\"id\":17,\"kind\":\"sweep\",\"args\":[\"s.sweep\",\"--worker\","
+       "\"127.0.0.1:1\"]}",
+       "--worker"},
+      // Flag values are checked before any input is read.
+      {"{\"id\":18,\"kind\":\"fault-sim\",\"args\":[\"--samples\",\"abc\"]}",
+       "bad value for --samples"},
+      {"{\"id\":19,\"kind\":\"validate\",\"args\":[\"p.fepia\",\"--seed\"]}",
+       "missing value for --seed"},
   };
   for (const auto& c : cases) {
     ASSERT_TRUE(client.send(c.payload));
@@ -471,11 +506,11 @@ TEST(ServerWire, BadRequestsKeepTheConnection) {
     EXPECT_NE(r.message.find(c.expect), std::string::npos)
         << "message for " << c.payload << " was: " << r.message;
   }
-  // Twelve typed rejections later the connection still answers.
+  // Twenty typed rejections later the connection still answers.
   ASSERT_TRUE(client.send(pingRequest("alive")));
   EXPECT_TRUE(readReply(client).ok);
   srv.stop();
-  EXPECT_EQ(srv.stats().errors, 12u);
+  EXPECT_EQ(srv.stats().errors, 20u);
 }
 
 TEST(ServerWire, TruncatedPrefixNeverWedgesTheServer) {
