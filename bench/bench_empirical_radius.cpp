@@ -6,10 +6,10 @@
 // per second (samples/sec) and probe directions per second for the
 // legacy closure predicate (the pre-batching hot path: one virtual
 // feature evaluation per gathered point, plus a P-space unmap allocation
-// per sample) and for the batched SoA engine, in every classify mode
-// (scalar reference / batched double / batched float32-with-certified-
-// margin), serial and for thread pools of growing size, on the paper's
-// mixed-kind HiPer-D problem mapped to normalized P-space.
+// per sample) and for the batched SoA engine, in both classify modes
+// (scalar reference / batched), serial and for thread pools of growing
+// size, on the paper's mixed-kind HiPer-D problem mapped to normalized
+// P-space.
 //
 // Determinism contract on display: within each engine family every run
 // below returns the same radius bit-for-bit — thread counts and classify
@@ -80,15 +80,6 @@ struct Workload {
   }
 };
 
-const char* modeName(classify::Mode m) {
-  switch (m) {
-    case classify::Mode::Scalar: return "scalar";
-    case classify::Mode::Batched: return "batched";
-    case classify::Mode::BatchedF32: return "batched-f32";
-  }
-  return "?";
-}
-
 struct Run {
   std::string engine;       ///< "closure" or a classify mode name
   std::size_t threads = 0;  ///< 0 = serial (no pool)
@@ -113,7 +104,7 @@ Run timedClosureRun(const Workload& w, const validate::EstimatorOptions& opts,
 Run timedBatchedRun(const Workload& w, validate::EstimatorOptions opts,
                     classify::Mode mode, std::size_t threads) {
   Run r;
-  r.engine = modeName(mode);
+  r.engine = mode == classify::Mode::Scalar ? "scalar" : "batched";
   r.threads = threads;
   opts.classifyMode = mode;
   std::unique_ptr<parallel::ThreadPool> pool;
@@ -127,11 +118,10 @@ Run timedBatchedRun(const Workload& w, validate::EstimatorOptions opts,
 /// Raw kernel throughput: lanes classified per second on a fixed block
 /// of P-space points, march/bisection logic excluded. The "scalar" row
 /// is the pre-batching per-point path (gather + closure predicate); the
-/// batched rows run classify::BlockClassifier on the same lanes.
+/// batched row runs classify::BlockClassifier on the same lanes.
 struct KernelRates {
   double scalarPerSec = 0.0;
   double batchedPerSec = 0.0;
-  double batchedF32PerSec = 0.0;
   bool verdictsAgree = true;
 };
 
@@ -177,9 +167,8 @@ KernelRates rawKernelRates(const Workload& w, bool smoke) {
     } while (sw.elapsedSeconds() < minSeconds);
     rates.scalarPerSec = static_cast<double>(classified) / sw.elapsedSeconds();
   }
-  for (const classify::Mode mode :
-       {classify::Mode::Batched, classify::Mode::BatchedF32}) {
-    classify::BlockClassifier cls(w.pPhi, mode);
+  {
+    classify::BlockClassifier cls(w.pPhi, classify::Mode::Batched);
     std::vector<std::uint8_t> out(lanes);
     std::uint64_t classified = 0;
     const obs::Stopwatch sw;
@@ -187,9 +176,8 @@ KernelRates rawKernelRates(const Workload& w, bool smoke) {
       cls.classify(block, out);
       classified += lanes;
     } while (sw.elapsedSeconds() < minSeconds);
-    const double perSec = static_cast<double>(classified) / sw.elapsedSeconds();
-    (mode == classify::Mode::Batched ? rates.batchedPerSec
-                                     : rates.batchedF32PerSec) = perSec;
+    rates.batchedPerSec =
+        static_cast<double>(classified) / sw.elapsedSeconds();
     rates.verdictsAgree = rates.verdictsAgree && out == expected;
   }
   return rates;
@@ -294,8 +282,7 @@ int printExperiment() {
     runs.push_back(timedClosureRun(w, opts, t));
   }
   for (const classify::Mode mode :
-       {classify::Mode::Scalar, classify::Mode::Batched,
-        classify::Mode::BatchedF32}) {
+       {classify::Mode::Scalar, classify::Mode::Batched}) {
     runs.push_back(timedBatchedRun(w, opts, mode, 0));
     for (const std::size_t t : threadCounts) {
       runs.push_back(timedBatchedRun(w, opts, mode, t));
@@ -321,7 +308,7 @@ int printExperiment() {
 
   // Determinism: the closure family and the batched family each return
   // one radius bit-for-bit regardless of threads; the batched family is
-  // additionally mode-invariant (scalar reference == batched == f32).
+  // additionally mode-invariant (scalar reference == batched).
   bool closureIdentical = true;
   bool batchedMatchesScalar = true;
   const Run* firstBatched = nullptr;
@@ -349,10 +336,6 @@ int printExperiment() {
             << "  batched      " << report::num(rates.batchedPerSec, 4) << "  ("
             << report::num(rates.batchedPerSec / rates.scalarPerSec, 3)
             << "x)\n"
-            << "  batched-f32  " << report::num(rates.batchedF32PerSec, 4)
-            << "  ("
-            << report::num(rates.batchedF32PerSec / rates.scalarPerSec, 3)
-            << "x)\n"
             << "  verdicts agree with scalar predicate: "
             << (rates.verdictsAgree ? "yes" : "NO") << "\n\n";
 
@@ -379,7 +362,6 @@ int printExperiment() {
         doc.count("chunk_size", opts.chunkSize);
         doc.num("classify_scalar_per_sec", rates.scalarPerSec);
         doc.num("classify_batched_per_sec", rates.batchedPerSec);
-        doc.num("classify_batched_f32_per_sec", rates.batchedF32PerSec);
         doc.boolean("classify_kernel_verdicts_agree", rates.verdictsAgree);
         doc.boolean("radius_identical", identical);
         doc.boolean("batched_matches_scalar", batchedMatchesScalar);
@@ -401,9 +383,7 @@ int printExperiment() {
           doc.num("directions_per_sec", perSec(r.est.directions));
           doc.num("wall_seconds", r.seconds).num("radius", r.est.radius);
           if (r.engine != "closure") {
-            const auto& k = r.est.classifyStats;
-            doc.count("classify_lanes", k.lanes).count("f32_hits", k.f32Hits);
-            doc.count("double_fallbacks", k.doubleFallbacks);
+            doc.count("classify_lanes", r.est.classifyStats.lanes);
           }
           doc.end();
         }

@@ -1,6 +1,5 @@
 #include "classify/block_classifier.hpp"
 
-#include <cmath>
 #include <cstddef>
 #include <cstring>
 #include <stdexcept>
@@ -11,9 +10,6 @@
 namespace fepia::classify {
 
 namespace {
-
-// Unit roundoff of IEEE binary32.
-constexpr double kF32Ulp = 0x1.0p-24;
 
 // Two lanes of the fused linear pass, as a GCC vector extension. Each
 // operation on it is the lanewise IEEE operation, so every lane computes
@@ -61,23 +57,6 @@ BlockClassifier::BlockClassifier(const feature::FeatureSet& phi, Mode mode)
   }
   if (runs_.size() == 1 && runs_.front().rows.size() == phi_.size()) {
     wideCutover_ = kFusedLaneCutover;
-  }
-  if (mode_ != Mode::BatchedF32) return;
-  f32_.resize(phi_.size());
-  for (std::size_t f = 0; f < phi_.size(); ++f) {
-    const auto* lin =
-        dynamic_cast<const feature::LinearFeature*>(phi_[f].feature.get());
-    if (lin == nullptr) continue;  // non-linear features stay in double
-    F32Kernel& kern = f32_[f];
-    kern.valid = true;
-    const la::Vector& k = lin->coefficients();
-    kern.k.resize(k.size());
-    for (std::size_t j = 0; j < k.size(); ++j) {
-      kern.k[j] = static_cast<float>(k[j]);
-    }
-    kern.offset = static_cast<float>(lin->offset());
-    kern.marginFactor =
-        4.0 * static_cast<double>(k.size() + 4) * kF32Ulp;
   }
 }
 
@@ -144,7 +123,6 @@ void BlockClassifier::classifyBatched(const la::PointBlock& block,
     }
   }
   values_.resize(lanes);
-  xfFresh_ = false;
   std::size_t live = lanes;
   auto run = runs_.begin();
   for (std::size_t f = 0; f < phi_.size();) {
@@ -164,8 +142,6 @@ void BlockClassifier::classifyBatched(const la::PointBlock& block,
     }
     if (pure_[f] == 0) {
       evaluateFeatureNarrow(f, block, safeOut, live);
-    } else if (mode_ == Mode::BatchedF32 && f32_[f].valid) {
-      evaluateFeatureF32(f, block, safeOut, live);
     } else {
       phi_[f].feature->evaluateBlock(block, values_);
       applyVerdictsWide(f, safeOut, lanes, live);
@@ -302,90 +278,6 @@ void BlockClassifier::evaluateFeatureNarrow(std::size_t f,
     if (safeOut[l] == 0) continue;
     block.gatherPoint(l, gather_.span());
     switch (bf.bounds.classify(bf.feature->evaluate(gather_))) {
-      case feature::FeatureBounds::Containment::Inside:
-        break;
-      case feature::FeatureBounds::Containment::Outside:
-        safeOut[l] = 0;
-        --live;
-        break;
-      case feature::FeatureBounds::Containment::NonFinite:
-        throwNonFinite(f);
-    }
-  }
-}
-
-void BlockClassifier::evaluateFeatureF32(std::size_t f,
-                                         const la::PointBlock& block,
-                                         std::span<std::uint8_t> safeOut,
-                                         std::size_t& live) {
-  const F32Kernel& kern = f32_[f];
-  const std::size_t lanes = block.lanes();
-  const std::size_t n = kern.k.size();
-  // The f32 image depends only on the block, which never changes within
-  // one classify() call — convert it once for all f32 features.
-  if (!xfFresh_) {
-    xf_.resize(n * lanes);
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::span<const double> row = block.coordinate(j);
-      float* dst = xf_.data() + j * lanes;
-      for (std::size_t l = 0; l < lanes; ++l) {
-        dst[l] = static_cast<float>(row[l]);
-      }
-    }
-    xfFresh_ = true;
-  }
-  vf_.assign(lanes, 0.0F);
-  af_.assign(lanes, 0.0F);
-  for (std::size_t j = 0; j < n; ++j) {
-    const float kj = kern.k[j];
-    const float* row = xf_.data() + j * lanes;
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const float term = kj * row[l];
-      vf_[l] += term;
-      af_[l] += std::fabs(term);
-    }
-  }
-  const float absOffset = std::fabs(kern.offset);
-
-  // The margin m bounds |v32 - v64|; if the interval [v - m, v + m]
-  // clears a bound strictly, the double verdict is proven without
-  // computing it. Any non-finite f32 value is inconclusive (the double
-  // value may still be finite, or NaN — which must surface as the typed
-  // error), as is any lane the margin cannot separate from a bound.
-  const feature::FeatureBounds& bounds = phi_[f].bounds;
-  const double bmin = bounds.betaMin();
-  const double bmax = bounds.betaMax();
-  fallback_.clear();
-  std::uint64_t hits = 0;
-  for (std::size_t l = 0; l < lanes; ++l) {
-    if (safeOut[l] == 0) continue;
-    const auto v = static_cast<double>(vf_[l] + kern.offset);
-    const auto a = static_cast<double>(af_[l] + absOffset);
-    if (std::isfinite(v) && std::isfinite(a)) {
-      const double m = kern.marginFactor * a;
-      if (v - m > bmin && v + m < bmax) {  // proven inside
-        ++hits;
-        continue;
-      }
-      if (v + m < bmin || v - m > bmax) {  // proven outside
-        ++hits;
-        safeOut[l] = 0;
-        --live;
-        continue;
-      }
-    }
-    fallback_.push_back(l);
-  }
-  stats_.f32Hits += hits;
-
-  // Re-run the inconclusive lanes through the double path so their
-  // verdicts (and any NaN error) are exactly the double path's.
-  if (fallback_.empty()) return;
-  stats_.doubleFallbacks += fallback_.size();
-  if (gather_.size() != block.dimension()) gather_.resize(block.dimension());
-  for (const std::size_t l : fallback_) {
-    block.gatherPoint(l, gather_.span());
-    switch (bounds.classify(phi_[f].feature->evaluate(gather_))) {
       case feature::FeatureBounds::Containment::Inside:
         break;
       case feature::FeatureBounds::Containment::Outside:

@@ -43,13 +43,6 @@
 // to the scalar path, and once the live-lane count drops below the same
 // cutover, classification finishes scalar-style per live lane — same
 // verdicts, no wide work.
-//
-// The optional float32 fast-classify mode evaluates linear features in
-// single precision with a certified error margin. A lane is accepted in
-// f32 only when the margin proves the double verdict; every other lane
-// falls back to the double kernel. Verdicts therefore always equal the
-// double path's verdicts, which keeps radii bit-identical ("certified
-// equal") in f32 mode. It does not use the compiled linear runs.
 #pragma once
 
 #include <cstdint>
@@ -66,23 +59,16 @@ namespace fepia::classify {
 ///    the reference path.
 ///  - Batched: double-precision SoA kernels with masked verdicts; runs
 ///    of linear features go through one compiled sparse table.
-///  - BatchedF32: float32 pre-pass with a certified margin for linear
-///    features, double fallback for margin-inconclusive lanes and for
-///    non-linear features. Verdicts equal the double path's.
-enum class Mode { Scalar, Batched, BatchedF32 };
+enum class Mode { Scalar, Batched };
 
 /// Work counters of one classifier instance (see obs "classify.*").
 struct ClassifyStats {
-  std::uint64_t blocks = 0;           ///< classify() calls
-  std::uint64_t lanes = 0;            ///< points classified
-  std::uint64_t f32Hits = 0;          ///< live lane-features decided in f32
-  std::uint64_t doubleFallbacks = 0;  ///< live lane-features re-run in double
+  std::uint64_t blocks = 0;  ///< classify() calls
+  std::uint64_t lanes = 0;   ///< points classified
 
   void merge(const ClassifyStats& other) noexcept {
     blocks += other.blocks;
     lanes += other.lanes;
-    f32Hits += other.f32Hits;
-    doubleFallbacks += other.doubleFallbacks;
   }
 };
 
@@ -90,9 +76,8 @@ struct ClassifyStats {
 /// live lanes fall below it finishes scalar-style, unless the feature
 /// set is one compiled linear run (kFusedLaneCutover). Below it the
 /// per-feature SoA kernels lose to the scalar path: the quadratic kernel
-/// breaks even at about 8 lanes for n = 3 and 12 for n = 9, and on the
-/// HiPer-D joint region the f32 pre-pass is slower than scalar even at
-/// 16 lanes (SSE2 doubles, one pinned thread on a 4-vCPU x86-64 VM).
+/// breaks even at about 8 lanes for n = 3 and 12 for n = 9 (SSE2
+/// doubles, one pinned thread on a 4-vCPU x86-64 VM).
 /// Verdict equality across modes makes the dispatch unobservable in
 /// results. Exposed for tests.
 inline constexpr std::size_t kWideLaneCutover = 16;
@@ -178,10 +163,6 @@ class BlockClassifier {
   void evaluateFeatureNarrow(std::size_t f, const la::PointBlock& block,
                              std::span<std::uint8_t> safeOut,
                              std::size_t& live);
-  /// F32 pre-pass for linear feature `f`; margin-inconclusive live
-  /// lanes are re-classified through the double kernel.
-  void evaluateFeatureF32(std::size_t f, const la::PointBlock& block,
-                          std::span<std::uint8_t> safeOut, std::size_t& live);
   /// Runs features [fStart, end) scalar-style on each live lane —
   /// the finish once too few lanes remain for wide kernels to pay off.
   void finishScalarTail(std::size_t fStart, const la::PointBlock& block,
@@ -208,25 +189,6 @@ class BlockClassifier {
   la::Vector gather_;
   std::vector<double> values_;
   std::vector<const double*> coords_;  ///< coordinate rows of the block
-  std::vector<std::size_t> fallback_;  ///< live lanes needing double
-  std::vector<float> xf_;              ///< f32 SoA copy of the block
-  bool xfFresh_ = false;               ///< xf_ matches the current block
-  std::vector<float> vf_;              ///< f32 values per lane
-  std::vector<float> af_;              ///< f32 sum of |term| per lane
-
-  /// Certified f32 kernel of one linear feature (valid only for
-  /// feature::LinearFeature). marginFactor * af bounds |v32 - v64|:
-  /// with u = 2^-24, the conversion of k and x to f32 and the f32
-  /// product-sum accumulate a relative error below (n+3)·u on the sum
-  /// of |k_j·x_j| + |offset|; af underestimates that sum by at most a
-  /// few ulps. marginFactor = 4·(n+4)·u covers both with slack.
-  struct F32Kernel {
-    bool valid = false;
-    std::vector<float> k;
-    float offset = 0.0F;
-    double marginFactor = 0.0;
-  };
-  std::vector<F32Kernel> f32_;
 };
 
 }  // namespace fepia::classify

@@ -94,20 +94,15 @@ struct SweepCoordinator::Impl {
   DistSweepConfig cfg;
   obs::Stopwatch clock;  ///< the `now` source the lease table sees
 
-  // Shard/grid geometry, fixed after start().
-  std::size_t points = 0;
-  std::size_t chunk = 0;
-  std::size_t shards = 0;
-  std::size_t pendingPoints = 0;  ///< points this run must compute
   std::string specHashHex;
 
   // All mutable sweep state — lease table, result slots, journal —
-  // under one mutex. Commits are tiny next to shard compute times.
+  // under one mutex. Commits are tiny next to shard compute times. The
+  // ledger's geometry (points, chunk, shards) is fixed after start().
   std::mutex mutex;
   std::condition_variable cv;
   std::unique_ptr<sweep::LeaseTable> lease;
-  sweep::SweepSurface surface;
-  sweep::JournalWriter journal;
+  std::optional<sweep::ShardLedger> ledger;
   double lastProgressAt = 0.0;  ///< last commit or worker arrival
   bool stopping = false;        ///< set by teardown; held leases leave
 
@@ -135,11 +130,6 @@ struct SweepCoordinator::Impl {
     cfg.log->flush();
   }
   std::mutex logMutex;
-
-  [[nodiscard]] std::size_t shardCount(std::size_t s) const noexcept {
-    const std::size_t first = s * chunk;
-    return std::min(chunk, points - first);
-  }
 
   void mirrorLeaseCounters() {  // caller holds `mutex`
     const std::lock_guard<std::mutex> lock(statsMutex);
@@ -180,8 +170,9 @@ void SweepCoordinator::Impl::handleHello(Connection& conn,
     return writeError(conn, req.id, "bad_request",
                       "hello needs spec_hash, points, worker");
   }
+  const sweep::SweepSurface& geometry = ledger->surface();
   if (hash->string != specHashHex ||
-      pts->number != static_cast<double>(points)) {
+      pts->number != static_cast<double>(geometry.points)) {
     logLine("coordinator: refused worker '" + worker->string +
             "': spec mismatch (got " + hash->string + ", want " + specHashHex +
             ")");
@@ -203,9 +194,9 @@ void SweepCoordinator::Impl::handleHello(Connection& conn,
           obs::JsonFields()
               .str("kind", "welcome")
               .num("lease_ms", cfg.leaseSeconds * 1000.0)
-              .count("points", points)
-              .count("chunk", chunk)
-              .count("shards", shards));
+              .count("points", geometry.points)
+              .count("chunk", geometry.chunk)
+              .count("shards", geometry.shards));
 }
 
 void SweepCoordinator::Impl::handleLease(Connection& conn,
@@ -258,8 +249,8 @@ void SweepCoordinator::Impl::handleLease(Connection& conn,
           obs::JsonFields()
               .str("kind", "lease")
               .count("shard", s)
-              .count("first", s * chunk)
-              .count("count", shardCount(s))
+              .count("first", ledger->first(s))
+              .count("count", ledger->count(s))
               .count("generation", grant->generation)
               .boolean("stolen", grant->stolen));
 }
@@ -270,6 +261,7 @@ void SweepCoordinator::Impl::handleCommit(Connection& conn,
   if (helloName.empty()) {
     return writeError(conn, req.id, "bad_request", "commit before hello");
   }
+  const std::size_t shards = ledger->surface().shards;
   const std::optional<std::uint64_t> shard =
       toCount(req.doc.find("shard"), shards - 1);
   const JsonValue* rows = req.doc.find("results");
@@ -280,8 +272,8 @@ void SweepCoordinator::Impl::handleCommit(Connection& conn,
                           " and a results array");
   }
   const std::size_t s = *shard;
-  const std::size_t first = s * chunk;
-  const std::size_t count = shardCount(s);
+  const std::size_t first = ledger->first(s);
+  const std::size_t count = ledger->count(s);
   if (rows->array.size() != count) {
     return writeError(conn, req.id, "bad_request",
                       "shard " + std::to_string(s) + " expects " +
@@ -302,14 +294,7 @@ void SweepCoordinator::Impl::handleCommit(Connection& conn,
     const std::lock_guard<std::mutex> lock(mutex);
     fresh = lease->commit(s);
     if (fresh) {
-      std::copy(decoded.begin(), decoded.end(), surface.results.begin() +
-                                                    static_cast<long>(first));
-      std::fill(surface.computed.begin() + static_cast<long>(first),
-                surface.computed.begin() + static_cast<long>(first + count),
-                static_cast<std::uint8_t>(1));
-      if (journal.active()) {
-        journal.appendShard(s, first, surface.results.data() + first, count);
-      }
+      ledger->commit(s, decoded.data());
       lastProgressAt = clock.elapsedSeconds();
       cv.notify_all();
     }
@@ -325,7 +310,7 @@ void SweepCoordinator::Impl::handleCommit(Connection& conn,
     }
     logLine("coordinator: shard " + std::to_string(s) + " committed by '" +
             helloName + "' (" + std::to_string(done) + "/" +
-            std::to_string(pendingPoints) + " points)");
+            std::to_string(ledger->pendingPoints()) + " points)");
     if (cfg.telemetry != nullptr) {
       const double elapsed = clock.elapsedSeconds();
       const double rate =
@@ -333,7 +318,8 @@ void SweepCoordinator::Impl::handleCommit(Connection& conn,
       cfg.telemetry->emit("heartbeat", obs::JsonFields()
                                            .count("shard", s)
                                            .count("points_done", done)
-                                           .count("points_total", pendingPoints)
+                                           .count("points_total",
+                                                  ledger->pendingPoints())
                                            .num("points_per_sec", rate)
                                            .str("worker", helloName));
     }
@@ -347,6 +333,7 @@ void SweepCoordinator::Impl::handleCommit(Connection& conn,
 void SweepCoordinator::Impl::handleHeartbeat(Connection& conn,
                                              const WireRequest& req) {
   const JsonValue* worker = req.doc.find("worker");
+  const std::size_t shards = ledger->surface().shards;
   const std::optional<std::uint64_t> shard =
       toCount(req.doc.find("shard"), shards - 1);
   if (worker == nullptr || !worker->isString() || !shard.has_value()) {
@@ -442,33 +429,13 @@ SweepCoordinator::~SweepCoordinator() {
 
 bool SweepCoordinator::start(std::string* error) {
   Impl& im = *impl_;
-  if (im.cfg.resume && im.cfg.journalPath.empty()) {
-    throw std::invalid_argument(
-        "sweep coordinator: --resume requires a journal path");
-  }
-  im.surface = sweep::initialSurface(im.spec, im.cfg.chunkOverride,
-                                     im.cfg.resume, im.cfg.journalPath);
-  const sweep::SweepSurface& surface = im.surface;
-  im.points = surface.points;
-  im.chunk = surface.chunk;
-  im.shards = surface.shards;
+  const sweep::ShardLedger& ledger = im.ledger.emplace(
+      im.spec, im.cfg.chunkOverride, im.cfg.journalPath, im.cfg.resume);
   im.specHashHex = sweep::formatSpecHash(im.spec.hash());
-
-  std::vector<std::size_t> pending;
-  for (std::size_t s = 0; s < im.shards; ++s) {
-    if (!surface.computed[s * im.chunk]) {
-      pending.push_back(s);
-      im.pendingPoints += im.shardCount(s);
-    }
-  }
   // Steals start once the oldest lease is leaseSeconds / 2 old (the
   // LeaseTable default).
-  im.lease = std::make_unique<sweep::LeaseTable>(std::move(pending),
+  im.lease = std::make_unique<sweep::LeaseTable>(ledger.pending(),
                                                  im.cfg.leaseSeconds);
-  if (!im.cfg.journalPath.empty()) {
-    im.journal.open(im.cfg.journalPath, im.cfg.resume, im.spec.hash(),
-                    im.points, im.chunk);
-  }
 
   im.lastProgressAt = im.clock.elapsedSeconds();
   if (!im.listener.start(im.cfg.bindAddress, im.cfg.port, error)) {
@@ -483,7 +450,7 @@ bool SweepCoordinator::start(std::string* error) {
     reg.setGauge("sweep.dist_points_done",
                  static_cast<double>(imp->pointsDone));
     reg.setGauge("sweep.dist_points_total",
-                 static_cast<double>(imp->pendingPoints));
+                 static_cast<double>(imp->ledger->pendingPoints()));
     reg.setGauge("sweep.dist_shards_committed",
                  static_cast<double>(imp->commits));
     reg.setGauge("sweep.dist_reissues", static_cast<double>(imp->reissues));
@@ -496,10 +463,12 @@ bool SweepCoordinator::start(std::string* error) {
     }
   });
 
-  im.logLine("coordinator: serving " + std::to_string(im.shards -
-             surface.resumedShards) + " shard(s) of " +
-             std::to_string(im.shards) + " (" + std::to_string(im.points) +
-             " points, chunk " + std::to_string(im.chunk) + ")");
+  const sweep::SweepSurface& geometry = ledger.surface();
+  im.logLine("coordinator: serving " +
+             std::to_string(ledger.pending().size()) + " shard(s) of " +
+             std::to_string(geometry.shards) + " (" +
+             std::to_string(geometry.points) + " points, chunk " +
+             std::to_string(geometry.chunk) + ")");
   return true;
 }
 
@@ -513,7 +482,7 @@ sweep::SweepSurface SweepCoordinator::wait() {
         const double now = im.clock.elapsedSeconds();
         if (now - im.lastProgressAt > im.cfg.drainTimeoutSeconds) {
           const std::size_t committed = im.lease->committedCount();
-          const std::size_t total = im.shards - im.surface.resumedShards;
+          const std::size_t total = im.ledger->pending().size();
           lk.unlock();
           im.teardown();
           throw std::runtime_error(
@@ -535,20 +504,7 @@ sweep::SweepSurface SweepCoordinator::wait() {
   }
   im.teardown();
 
-  sweep::SweepSurface& surface = im.surface;
-  surface.complete = true;
-  surface.computedShards = im.shards - surface.resumedShards;
-  surface.cacheEnabled = true;
-  for (std::size_t id = 0; id < surface.points; ++id) {
-    if (surface.computed[id]) {
-      surface.classifications += surface.results[id].classifications;
-    }
-  }
-  surface.wallSeconds = im.clock.elapsedSeconds();
-  surface.pointsPerSec =
-      surface.wallSeconds > 0.0
-          ? static_cast<double>(im.pendingPoints) / surface.wallSeconds
-          : 0.0;
+  sweep::SweepSurface surface = im.ledger->finish(im.clock.elapsedSeconds());
 
   const Stats st = stats();
   im.logLine("coordinator: drained; " + std::to_string(st.commits) +
@@ -565,7 +521,7 @@ sweep::SweepSurface SweepCoordinator::wait() {
     reg.counters().bump("sweep.dist_workers", st.workersSeen);
     reg.setGauge("sweep.points_per_sec", surface.pointsPerSec);
   }
-  return std::move(surface);
+  return surface;
 }
 
 SweepCoordinator::Stats SweepCoordinator::stats() const {

@@ -310,7 +310,7 @@ constexpr Flag kSweepFlags[] = {
         .in(kLocalWorker)
         .onlyFromCli(),
     field<&SA::response>("--response", "AXIS").in(kLocalServe),
-    field<&SA::sweep, &SO::progress>("--progress"),
+    field<&SA::sweep, &SO::progress>("--progress").onlyFromCli(),
     field<&SA::sweep, &SO::backendOverride>("--backend", "NAME")
         .in(kLocalWorker),
     field<&SA::csv>("--csv").in(kLocalServe),
@@ -459,6 +459,9 @@ QueryResult runValidateQuery(const std::vector<std::string>& args,
   ctx.manifest->seed = opts.seed;
   ctx.manifest->threads = a.threads.value_or(0);
 
+  // Load before the pool starts its threads: a bad path fails first.
+  const auto refHandle = hiperd ? loadSystemHandle(ctx, path) : nullptr;
+  const auto handle = hiperd ? nullptr : loadProblemHandle(ctx, path);
   const PoolHandle pool = makePool(ctx, a.threads);
 
   // Live telemetry gauges: estimator probe counts as they accumulate,
@@ -499,8 +502,6 @@ QueryResult runValidateQuery(const std::vector<std::string>& args,
   };
 
   if (hiperd) {
-    const std::shared_ptr<const hiperd::ReferenceSystem> refHandle =
-        loadSystemHandle(ctx, path);
     const hiperd::ReferenceSystem& ref = *refHandle;
     const radius::FepiaProblem mixed =
         ref.system.executionMessageProblem(ref.qos);
@@ -541,8 +542,6 @@ QueryResult runValidateQuery(const std::vector<std::string>& args,
           a.csv, jsonRows);
     }
   } else {
-    const std::shared_ptr<const radius::FepiaProblem> handle =
-        loadProblemHandle(ctx, path);
     const radius::FepiaProblem& problem = *handle;
     if (a.scheme == "both" || a.scheme == "normalized") {
       const std::shared_ptr<const validate::SchemeValidation> v =

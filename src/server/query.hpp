@@ -60,9 +60,9 @@ struct QueryContext {
   /// Capture the --json document bytes even when no --json FILE was
   /// given (the server always wants them in the response).
   bool captureJson = false;
-  /// The args came from a fepiad client: the flags that write files or
-  /// open sockets (--json, --journal, --cache-dir, --serve, --worker)
-  /// are refused.
+  /// The args came from a fepiad client: the flags that write files,
+  /// open sockets or write to the server's stderr (--json, --journal,
+  /// --cache-dir, --serve, --worker, --progress) are refused.
   bool remote = false;
 };
 

@@ -425,66 +425,80 @@ class Evaluator {
 
 }  // namespace
 
-SweepSurface initialSurface(const SweepSpec& spec, std::size_t chunkOverride,
-                            bool resume, const std::string& journalPath) {
-  SweepSurface surface;
-  surface.points = spec.pointCount();
-  surface.chunk = std::max<std::size_t>(
-      chunkOverride > 0 ? chunkOverride : spec.chunk, 1);
-  surface.shards = (surface.points + surface.chunk - 1) / surface.chunk;
-  surface.results.assign(surface.points, PointResult{});
-  surface.computed.assign(surface.points, 0);
-  if (!resume) return surface;
-  const JournalContents replay = readJournal(
-      journalPath, spec.hash(), surface.points, surface.chunk, surface.shards);
-  for (std::size_t s = 0; s < surface.shards; ++s) {
-    if (!replay.shardDone[s]) continue;
-    const std::size_t first = s * surface.chunk;
-    const std::size_t last = std::min(first + surface.chunk, surface.points);
-    for (std::size_t id = first; id < last; ++id) {
-      surface.results[id] = replay.results[id];
-      surface.computed[id] = 1;
-    }
-  }
-  surface.resumedShards = replay.doneShards;
-  return surface;
-}
-
-SweepSurface runSweep(const SweepSpec& spec, const SweepOptions& opts,
-                      parallel::ThreadPool* pool) {
-  if (opts.resume && opts.journalPath.empty()) {
+ShardLedger::ShardLedger(const SweepSpec& spec, std::size_t chunkOverride,
+                         const std::string& journalPath, bool resume,
+                         std::size_t maxShards) {
+  if (resume && journalPath.empty()) {
     throw std::invalid_argument("sweep: --resume requires a journal");
   }
-  if (opts.stopAfterShards > 0 && opts.journalPath.empty()) {
+  if (maxShards > 0 && journalPath.empty()) {
     throw std::invalid_argument(
         "sweep: stopping early requires a journal (the partial work would "
         "be lost)");
   }
+  surface_.points = spec.pointCount();
+  surface_.chunk = std::max<std::size_t>(
+      chunkOverride > 0 ? chunkOverride : spec.chunk, 1);
+  surface_.shards = (surface_.points + surface_.chunk - 1) / surface_.chunk;
+  surface_.results.assign(surface_.points, PointResult{});
+  surface_.computed.assign(surface_.points, 0);
+  if (resume) {
+    const JournalContents replay =
+        readJournal(journalPath, spec.hash(), surface_.points, surface_.chunk,
+                    surface_.shards);
+    for (std::size_t s = 0; s < surface_.shards; ++s) {
+      if (replay.shardDone[s]) store(s, replay.results.data() + first(s));
+    }
+    surface_.resumedShards = replay.doneShards;
+  }
+  if (!journalPath.empty()) {
+    journal_.open(journalPath, /*append=*/resume, spec.hash(),
+                  surface_.points, surface_.chunk);
+  }
+  for (std::size_t s = 0; s < surface_.shards; ++s) {
+    if (surface_.computed[first(s)] != 0) continue;
+    if (maxShards > 0 && pending_.size() == maxShards) {
+      truncated_ = true;
+      break;
+    }
+    pending_.push_back(s);
+    pendingPoints_ += count(s);
+  }
+}
 
-  SweepSurface surface =
-      initialSurface(spec, opts.chunkOverride, opts.resume, opts.journalPath);
+void ShardLedger::store(std::size_t s, const PointResult* results) {
+  const auto at = static_cast<std::ptrdiff_t>(first(s));
+  std::copy_n(results, count(s), surface_.results.begin() + at);
+  std::fill_n(surface_.computed.begin() + at, count(s), std::uint8_t{1});
+}
 
-  JournalWriter writer;
+void ShardLedger::commit(std::size_t s, const PointResult* results) {
+  store(s, results);
+  journal_.appendShard(s, first(s), results, count(s));
+}
+
+SweepSurface ShardLedger::finish(double wallSeconds) {
+  surface_.computedShards = pending_.size();
+  surface_.complete = !truncated_;
+  for (std::size_t id = 0; id < surface_.points; ++id) {
+    if (surface_.computed[id] != 0) {
+      surface_.classifications += surface_.results[id].classifications;
+    }
+  }
+  surface_.wallSeconds = wallSeconds;
+  surface_.pointsPerSec =
+      wallSeconds > 0.0 ? static_cast<double>(pendingPoints_) / wallSeconds
+                        : 0.0;
+  return std::move(surface_);
+}
+
+SweepSurface runSweep(const SweepSpec& spec, const SweepOptions& opts,
+                      parallel::ThreadPool* pool) {
+  ShardLedger ledger(spec, opts.chunkOverride, opts.journalPath, opts.resume,
+                     opts.stopAfterShards);
+  const std::vector<std::size_t>& pending = ledger.pending();
+  const std::size_t pendingPoints = ledger.pendingPoints();
   std::mutex journalMutex;
-  if (!opts.journalPath.empty()) {
-    writer.open(opts.journalPath, /*append=*/opts.resume, spec.hash(),
-                surface.points, surface.chunk);
-  }
-
-  std::vector<std::size_t> pending;
-  for (std::size_t s = 0; s < surface.shards; ++s) {
-    if (!surface.computed[s * surface.chunk]) pending.push_back(s);
-  }
-  const std::size_t totalPending = pending.size();
-  if (opts.stopAfterShards > 0 && pending.size() > opts.stopAfterShards) {
-    pending.resize(opts.stopAfterShards);
-  }
-
-  std::size_t pendingPoints = 0;
-  for (const std::size_t s : pending) {
-    const std::size_t first = s * surface.chunk;
-    pendingPoints += std::min(first + surface.chunk, surface.points) - first;
-  }
 
   // A caller-supplied shared cache (a resident server's warm cache)
   // substitutes for the per-run one; entries are content-keyed, so only
@@ -552,11 +566,9 @@ SweepSurface runSweep(const SweepSpec& spec, const SweepOptions& opts,
     FEPIA_SPAN("sweep.shard");
     const obs::Stopwatch shardSw;
     const std::size_t s = pending[i];
-    const std::size_t first = s * surface.chunk;
-    const std::size_t last = std::min(first + surface.chunk, surface.points);
-    for (std::size_t id = first; id < last; ++id) {
-      surface.results[id] = evaluator.evaluate(id);
-      surface.computed[id] = 1;
+    std::vector<PointResult> rows(ledger.count(s));
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      rows[k] = evaluator.evaluate(ledger.first(s) + k);
       if (hub != nullptr) {
         live.pointsDone.fetch_add(1, std::memory_order_relaxed);
         if (watchdogOn) hub->noteProgress(watchdogId);
@@ -564,7 +576,7 @@ SweepSurface runSweep(const SweepSpec& spec, const SweepOptions& opts,
     }
     const double shardWall = shardSw.elapsedSeconds();
     const std::lock_guard<std::mutex> lock(journalMutex);
-    writer.appendShard(s, first, surface.results.data() + first, last - first);
+    ledger.commit(s, rows.data());
     if (hub == nullptr && !opts.progress) return;
     live.shardsDone.fetch_add(1, std::memory_order_relaxed);
 
@@ -628,9 +640,7 @@ SweepSurface runSweep(const SweepSpec& spec, const SweepOptions& opts,
   }
   if (watchdogOn) hub->removeWatchdog(watchdogId);
 
-  surface.wallSeconds = sw.elapsedSeconds();
-  surface.computedShards = pending.size();
-  surface.complete = pending.size() == totalPending;
+  SweepSurface surface = ledger.finish(sw.elapsedSeconds());
   surface.cacheEnabled = cache.enabled();
   surface.cacheHits = cache.hits() - cacheHits0;
   surface.cacheMisses = cache.misses() - cacheMisses0;
@@ -638,20 +648,9 @@ SweepSurface runSweep(const SweepSpec& spec, const SweepOptions& opts,
     surface.persistentHits = persistent->hits();
     surface.persistentMisses = persistent->misses();
   }
-  for (std::size_t id = 0; id < surface.points; ++id) {
-    if (surface.computed[id]) {
-      surface.classifications += surface.results[id].classifications;
-    }
-  }
-  const std::size_t computedPoints = pendingPoints;
-  surface.pointsPerSec = surface.wallSeconds > 0.0
-                             ? static_cast<double>(computedPoints) /
-                                   surface.wallSeconds
-                             : 0.0;
-
   if (opts.metrics != nullptr) {
     obs::Registry& reg = *opts.metrics;
-    reg.counters().bump("sweep.points_computed", computedPoints);
+    reg.counters().bump("sweep.points_computed", pendingPoints);
     reg.counters().bump("sweep.shards_computed", surface.computedShards);
     reg.counters().bump("sweep.shards_resumed", surface.resumedShards);
     reg.counters().bump("sweep.cache_hits", surface.cacheHits);

@@ -21,12 +21,14 @@
 // values are bit-identical and the cache is invisible in the results.
 //
 // With a journal path set, every completed shard is appended and flushed
-// (sweep::JournalWriter); `resume` replays done shards and only computes
-// the rest. `stopAfterShards` bounds how many shards one call computes —
-// the CLI's --stop-after, which the tests and CI use to interrupt a
-// sweep at a well-defined point and prove resume byte-identity.
+// (sweep::ShardLedger, which the distributed coordinator shares);
+// `resume` replays done shards and only computes the rest.
+// `stopAfterShards` bounds how many shards one call computes — the
+// CLI's --stop-after, which the tests and CI use to interrupt a sweep at
+// a well-defined point and prove resume byte-identity.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -35,6 +37,7 @@
 #include "obs/telemetry.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sweep/cache.hpp"
+#include "sweep/journal.hpp"
 #include "sweep/result.hpp"
 #include "sweep/spec.hpp"
 
@@ -125,15 +128,50 @@ struct SweepSurface {
   double pointsPerSec = 0.0;         ///< computed points / wall
 };
 
-/// The starting surface of `spec` in shards of `chunkOverride` points
-/// (0: the spec's chunk): every slot empty, except that with `resume`
-/// the shards committed in the journal at `journalPath` are replayed in
-/// (readJournal's header checks apply). A shard is done exactly when
-/// its first point is computed.
-[[nodiscard]] SweepSurface initialSurface(const SweepSpec& spec,
-                                          std::size_t chunkOverride,
-                                          bool resume,
-                                          const std::string& journalPath);
+/// One run's shard bookkeeping, shared by runSweep and the distributed
+/// coordinator: the surface, the shards the run owes and the checkpoint
+/// journal. A shard is done exactly when its first point is computed.
+/// Not thread-safe; callers serialize commit().
+class ShardLedger {
+ public:
+  /// `spec`'s surface in shards of `chunkOverride` points (0: the spec's
+  /// chunk), owing its undone shards, at most `maxShards` (0: all). With
+  /// `resume` the journal's committed shards are replayed first
+  /// (readJournal's checks apply); a nonempty `journalPath` then records
+  /// every commit. Throws std::invalid_argument on `resume` or
+  /// `maxShards` without a journal: the partial work would be lost.
+  ShardLedger(const SweepSpec& spec, std::size_t chunkOverride,
+              const std::string& journalPath, bool resume,
+              std::size_t maxShards = 0);
+
+  [[nodiscard]] const SweepSurface& surface() const { return surface_; }
+  /// The owed shards, ascending, and their point total.
+  [[nodiscard]] const std::vector<std::size_t>& pending() const {
+    return pending_;
+  }
+  [[nodiscard]] std::size_t pendingPoints() const { return pendingPoints_; }
+  /// Shard s covers the points [first(s), first(s) + count(s)).
+  [[nodiscard]] std::size_t first(std::size_t s) const {
+    return s * surface_.chunk;
+  }
+  [[nodiscard]] std::size_t count(std::size_t s) const {
+    return std::min(surface_.chunk, surface_.points - first(s));
+  }
+  /// Stores shard s's count(s) results and journals them, flushed.
+  void commit(std::size_t s, const PointResult* results);
+  /// The final reduction, once every owed shard is committed; moves the
+  /// surface out.
+  [[nodiscard]] SweepSurface finish(double wallSeconds);
+
+ private:
+  void store(std::size_t s, const PointResult* results);
+
+  SweepSurface surface_;
+  std::vector<std::size_t> pending_;
+  std::size_t pendingPoints_ = 0;
+  bool truncated_ = false;  ///< maxShards left shards unowed
+  JournalWriter journal_;
+};
 
 /// Evaluates `spec` under `opts`. Deterministic: for a fixed spec the
 /// surface is bit-identical at any thread count, with or without the

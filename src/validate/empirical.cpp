@@ -702,9 +702,6 @@ class FeatureRun {
       auto& counters = job_.opts.metrics->counters();
       counters.bump("classify.blocks", est.classifyStats.blocks);
       counters.bump("classify.lanes", est.classifyStats.lanes);
-      counters.bump("classify.f32_hits", est.classifyStats.f32Hits);
-      counters.bump("classify.double_fallbacks",
-                    est.classifyStats.doubleFallbacks);
     }
     return std::move(est);
   }

@@ -118,11 +118,11 @@ struct EstimatorOptions {
   /// Confidence level for the radius interval.
   double confidence = 0.95;
   /// Classification kernel for the FeatureSet overload: Batched (the
-  /// SoA engine, default), BatchedF32 (certified float32 pre-pass), or
-  /// Scalar (point-at-a-time reference). Every mode produces the same
-  /// classification verdicts, so radii, distances and counts are
-  /// bit-identical across modes; only throughput differs. Ignored by
-  /// the predicate overloads (the predicate is the kernel there).
+  /// SoA engine, default) or Scalar (point-at-a-time reference). Both
+  /// produce the same classification verdicts, so radii, distances and
+  /// counts are bit-identical across modes; only throughput differs.
+  /// Ignored by the predicate overloads (the predicate is the kernel
+  /// there).
   classify::Mode classifyMode = classify::Mode::Batched;
   /// Optional metrics sink. When set, the estimator records
   /// "validate.directions" / "validate.classifications" /
@@ -171,9 +171,9 @@ struct EmpiricalEstimate {
   /// predicate sees classifications + speculativeProbes + 1 lanes in
   /// all.
   std::size_t speculativeProbes = 0;
-  /// Kernel work counters of the FeatureSet overload (blocks, lanes,
-  /// f32 hits, double fallbacks), merged over all chunk classifiers in
-  /// chunk order. Zero for the predicate overloads.
+  /// Kernel work counters of the FeatureSet overload (blocks, lanes),
+  /// merged over all chunk classifiers in chunk order. Zero for the
+  /// predicate overloads.
   classify::ClassifyStats classifyStats{};
   /// Summary over the finite (boundary-hitting) directional distances.
   stats::Summary distanceSummary{};

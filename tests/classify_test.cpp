@@ -138,8 +138,7 @@ TEST(BlockClassifier, AllModesMatchScalarVerdictForVerdict) {
       expected[l] = phi.allWithinBounds(gatherLane(block, l)) ? 1 : 0;
     }
     for (const classify::Mode mode :
-         {classify::Mode::Scalar, classify::Mode::Batched,
-          classify::Mode::BatchedF32}) {
+         {classify::Mode::Scalar, classify::Mode::Batched}) {
       classify::BlockClassifier cls(phi, mode);
       std::vector<std::uint8_t> got(block.lanes(), 2);
       cls.classify(block, got);
@@ -147,33 +146,6 @@ TEST(BlockClassifier, AllModesMatchScalarVerdictForVerdict) {
                                << " round " << round;
     }
   }
-}
-
-TEST(BlockClassifier, F32MarginFallsBackOnBoundaryValues) {
-  // k·x lands exactly on the bound: the f32 margin cannot certify either
-  // side, so the lane must be re-classified in double — and agree with
-  // the scalar verdict (inclusive bounds: on-the-bound is inside). The
-  // block is at least kWideLaneCutover wide so the f32 kernel actually
-  // engages (narrower blocks dispatch to the scalar path).
-  feature::FeatureSet phi;
-  phi.add(std::make_shared<feature::LinearFeature>("lin", la::Vector{1.0}),
-          feature::FeatureBounds::upper(1.0));
-  const std::size_t lanes = classify::kWideLaneCutover;
-  la::PointBlock block(1, lanes);
-  std::vector<std::uint8_t> expected(lanes);
-  block.coordinate(0)[0] = 1.0;  // exactly on the bound -> double fallback
-  expected[0] = 1;
-  for (std::size_t l = 1; l < lanes; ++l) {
-    const bool inside = l % 2 == 1;
-    block.coordinate(0)[l] = inside ? 0.25 : 2.0;  // far from the bound
-    expected[l] = inside ? 1 : 0;
-  }
-  classify::BlockClassifier cls(phi, classify::Mode::BatchedF32);
-  std::vector<std::uint8_t> got(lanes);
-  cls.classify(block, got);
-  EXPECT_EQ(got, expected);
-  EXPECT_EQ(cls.stats().doubleFallbacks, 1u);
-  EXPECT_EQ(cls.stats().f32Hits, lanes - 1);
 }
 
 TEST(BlockClassifier, ShortCircuitSkipsLaterFeaturesOnRejectedLanes) {
@@ -214,8 +186,7 @@ TEST(BlockClassifier, ShortCircuitSkipsLaterFeaturesOnRejectedLanes) {
     tailExpected[l] = rejected ? 0 : 1;
   }
   for (const classify::Mode mode :
-       {classify::Mode::Scalar, classify::Mode::Batched,
-        classify::Mode::BatchedF32}) {
+       {classify::Mode::Scalar, classify::Mode::Batched}) {
     classify::BlockClassifier cls(phi, mode);
     std::vector<std::uint8_t> got(lanes);
     ASSERT_NO_THROW(cls.classify(block, got)) << static_cast<int>(mode);
@@ -236,8 +207,7 @@ TEST(BlockClassifier, ShortCircuitSkipsLaterFeaturesOnRejectedLanes) {
                  }),
              feature::FeatureBounds::upper(1.0));
   for (const classify::Mode mode :
-       {classify::Mode::Scalar, classify::Mode::Batched,
-        classify::Mode::BatchedF32}) {
+       {classify::Mode::Scalar, classify::Mode::Batched}) {
     classify::BlockClassifier cls(nanSet, mode);
     std::vector<std::uint8_t> got(1);
     EXPECT_THROW(cls.classify(bad, got), feature::NonFiniteFeatureError)
@@ -256,8 +226,7 @@ TEST(BlockClassifier, WideKernelRaisesTypedErrorOnLiveNaN) {
   la::PointBlock block(2, classify::kWideLaneCutover);
   block.coordinate(1)[0] = std::numeric_limits<double>::infinity();
   for (const classify::Mode mode :
-       {classify::Mode::Scalar, classify::Mode::Batched,
-        classify::Mode::BatchedF32}) {
+       {classify::Mode::Scalar, classify::Mode::Batched}) {
     classify::BlockClassifier cls(phi, mode);
     std::vector<std::uint8_t> got(block.lanes());
     EXPECT_THROW(cls.classify(block, got), feature::NonFiniteFeatureError)
@@ -295,8 +264,6 @@ void expectSameStats(const classify::ClassifyStats& a,
                      const classify::ClassifyStats& b) {
   EXPECT_EQ(a.blocks, b.blocks);
   EXPECT_EQ(a.lanes, b.lanes);
-  EXPECT_EQ(a.f32Hits, b.f32Hits);
-  EXPECT_EQ(a.doubleFallbacks, b.doubleFallbacks);
 }
 
 }  // namespace
@@ -320,8 +287,7 @@ TEST(BlockClassifier, PointPathEqualsOneLaneBlockInEveryMode) {
   const feature::FeatureSet empty;
 
   for (const classify::Mode mode :
-       {classify::Mode::Scalar, classify::Mode::Batched,
-        classify::Mode::BatchedF32}) {
+       {classify::Mode::Scalar, classify::Mode::Batched}) {
     SCOPED_TRACE(static_cast<int>(mode));
     rng::Xoshiro256StarStar g(0x9017ull);
     classify::BlockClassifier point(phi, mode);

@@ -5,7 +5,10 @@
 // from a fepiad client; and each spelling appears in the usage text and
 // under docs/. The parsers run in process and fail before any input is
 // read, any thread started or any socket opened.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
@@ -18,6 +21,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "cli_flags.hpp"
@@ -207,6 +211,31 @@ TEST(Flags, ThreadCountsAreCapped) {
   EXPECT_EQ(search.threads, 1024u);
 }
 
+TEST(Flags, ValidateReadsItsInputBeforeStartingThreads) {
+  // The input is a FIFO, so the query blocks in its open until this
+  // thread opens the write end: the threads that exist then are all the
+  // query started before reading its input.
+  const std::string fifo = fepia::testing::tmpPath("problem.fifo");
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  const auto threads = [] {
+    const std::filesystem::directory_iterator tasks("/proc/self/task");
+    return std::distance(begin(tasks), end(tasks));
+  };
+  const auto before = threads();
+  std::string what;
+  std::thread query([&] {
+    what = errorOf<std::runtime_error>(queryParser("validate", {fifo}),
+                                       {"--threads", "8"});
+  });
+  const int fd = ::open(fifo.c_str(), O_WRONLY);
+  ASSERT_GE(fd, 0);
+  EXPECT_EQ(threads(), before + 1);  // the query's own thread only
+  EXPECT_EQ(::write(fd, "bogus\n", 6), 6);
+  ::close(fd);
+  query.join();
+  EXPECT_NE(what.find("line 1"), std::string::npos) << what;
+}
+
 TEST(Flags, SweepFlagsAreRefusedOutsideTheirRoles) {
   const Parse sweep = queryParser("sweep", {"/nonexistent.sweep"});
   const std::span<const server::Flag> rows = server::findQuery("sweep")->flags;
@@ -251,8 +280,9 @@ TEST(Flags, FepiadRefusesTheFlagsThatWriteFilesOrOpenSockets) {
   }
   EXPECT_EQ(refused, (std::vector<std::string>{
                          "validate --json", "fault-sim --json",
-                         "sweep --journal", "sweep --cache-dir", "sweep --json",
-                         "sweep --serve", "sweep --worker"}));
+                         "sweep --journal", "sweep --cache-dir",
+                         "sweep --progress", "sweep --json", "sweep --serve",
+                         "sweep --worker"}));
 }
 
 TEST(Flags, EverySpellingIsInTheUsageTextAndTheDocs) {

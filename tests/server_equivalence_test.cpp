@@ -4,8 +4,9 @@
 // document (modulo the run manifest and cache/timing lines, which
 // legitimately differ run to run), same exit code — for all four query
 // kinds. Also pins that a warm repeat of a sweep serves the same bytes
-// out of the shared cache, and that streamed sweeps deliver progress
-// frames without changing the final payload. The CLI binary path is
+// out of the shared cache, that streamed sweeps deliver progress
+// frames without changing the final payload, and that concurrent
+// clients read the bytes a lone client reads. The CLI binary path is
 // injected by CMake via FEPIA_CLI_PATH.
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -104,18 +106,21 @@ struct Reply {
   int progressFrames = 0;
 };
 
-/// One request/response exchange against a live server, draining any
-/// interleaved progress frames before the final response.
-Reply ask(std::uint16_t port, const std::string& kind,
-          const std::vector<std::string>& args, bool stream = false) {
-  Reply reply;
+/// A loopback connection that gives up on a reply after 120 s.
+int connectClient(std::uint16_t port) {
   const int fd = server::connectLoopback(port);
   EXPECT_GE(fd, 0);
-  if (fd < 0) return reply;
   timeval tv{};
   tv.tv_sec = 120;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  if (fd >= 0) ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  return fd;
+}
 
+/// One request/response exchange on an open connection, draining any
+/// interleaved progress frames before the final response.
+Reply exchange(int fd, const std::string& kind,
+               const std::vector<std::string>& args, bool stream = false) {
+  Reply reply;
   std::ostringstream req;
   req << "{\"id\":1,\"kind\":\"" << kind << "\",\"args\":[";
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -158,6 +163,15 @@ Reply ask(std::uint16_t port, const std::string& kind,
     }
     break;
   }
+  return reply;
+}
+
+/// exchange() on a connection of its own.
+Reply ask(std::uint16_t port, const std::string& kind,
+          const std::vector<std::string>& args, bool stream = false) {
+  const int fd = connectClient(port);
+  if (fd < 0) return Reply{};
+  Reply reply = exchange(fd, kind, args, stream);
   ::close(fd);
   return reply;
 }
@@ -342,4 +356,50 @@ TEST_F(ServerEquivalence, WarmProblemCacheDoesNotChangeRadiusBytes) {
   ASSERT_TRUE(second.ok);
   EXPECT_EQ(second.output, first.output);
   EXPECT_GT(srv_->cache().stats().problemHits, hitsBefore);
+}
+
+TEST_F(ServerEquivalence, ConcurrentClientsGetTheSingleClientBytes) {
+  // Several clients, each on its own connection, share the workers, the
+  // compute pool and the warm caches; each must still read exactly the
+  // reply a lone client reads.
+  const std::vector<std::string> radius = {problemPath_};
+  const std::vector<std::string> validate = {problemPath_, "--samples", "32",
+                                             "--seed", "7"};
+  const Reply radiusRef = ask(srv_->port(), "radius", radius);
+  const Reply validateRef = ask(srv_->port(), "validate", validate);
+  ASSERT_TRUE(radiusRef.ok);
+  ASSERT_TRUE(validateRef.ok);
+  const std::uint64_t errorsBefore = srv_->stats().errors;
+
+  // Per client: sixteen radius requests with one validate among them.
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kRequests = 17;
+  constexpr std::size_t kValidateAt = kRequests / 2;
+  std::vector<std::vector<Reply>> replies(kClients);
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      const int fd = connectClient(srv_->port());
+      if (fd < 0) return;
+      for (std::size_t i = 0; i < kRequests; ++i) {
+        replies[c].push_back(i == kValidateAt
+                                 ? exchange(fd, "validate", validate)
+                                 : exchange(fd, "radius", radius));
+      }
+      ::close(fd);
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  for (std::size_t c = 0; c < kClients; ++c) {
+    SCOPED_TRACE("client " + std::to_string(c));
+    ASSERT_EQ(replies[c].size(), kRequests);
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      const Reply& ref = i == kValidateAt ? validateRef : radiusRef;
+      EXPECT_TRUE(replies[c][i].ok) << i;
+      EXPECT_EQ(replies[c][i].exit, ref.exit) << i;
+      EXPECT_EQ(replies[c][i].output, ref.output) << i;
+    }
+  }
+  EXPECT_EQ(srv_->stats().errors, errorsBefore);
 }

@@ -492,6 +492,10 @@ TEST(ServerWire, BadRequestsKeepTheConnection) {
       {"{\"id\":17,\"kind\":\"sweep\",\"args\":[\"s.sweep\",\"--worker\","
        "\"127.0.0.1:1\"]}",
        "--worker"},
+      // Nor write to the daemon's stderr: progress reaches a client
+      // through "stream": true.
+      {"{\"id\":20,\"kind\":\"sweep\",\"args\":[\"s.sweep\",\"--progress\"]}",
+       "--progress"},
       // Flag values are checked before any input is read.
       {"{\"id\":18,\"kind\":\"fault-sim\",\"args\":[\"--samples\",\"abc\"]}",
        "bad value for --samples"},
@@ -506,11 +510,11 @@ TEST(ServerWire, BadRequestsKeepTheConnection) {
     EXPECT_NE(r.message.find(c.expect), std::string::npos)
         << "message for " << c.payload << " was: " << r.message;
   }
-  // Twenty typed rejections later the connection still answers.
+  // Twenty-one typed rejections later the connection still answers.
   ASSERT_TRUE(client.send(pingRequest("alive")));
   EXPECT_TRUE(readReply(client).ok);
   srv.stop();
-  EXPECT_EQ(srv.stats().errors, 20u);
+  EXPECT_EQ(srv.stats().errors, 21u);
 }
 
 TEST(ServerWire, TruncatedPrefixNeverWedgesTheServer) {

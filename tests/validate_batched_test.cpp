@@ -1,5 +1,5 @@
 // Property suite for the batched classification path of the empirical
-// estimator: every kernel mode (Scalar / Batched / BatchedF32), every
+// estimator: every kernel mode (Scalar / Batched), every
 // overload (FeatureSet, SafePredicate, BlockSafePredicate), and every
 // thread count must produce bit-identical estimates on seed-
 // deterministic random instances — the estimator's determinism contract
@@ -90,8 +90,7 @@ TEST(BatchedClassify, AllModesMatchScalarPredicateAcrossThreadsAndChunks) {
         ASSERT_GT(ref.classifications, 0u);
 
         for (const classify::Mode mode :
-             {classify::Mode::Scalar, classify::Mode::Batched,
-              classify::Mode::BatchedF32}) {
+             {classify::Mode::Scalar, classify::Mode::Batched}) {
           opts.classifyMode = mode;
           const std::string tag = "seed=" + std::to_string(seed) +
                                   " dim=" + std::to_string(dim) +

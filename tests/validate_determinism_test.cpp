@@ -159,8 +159,6 @@ void expectSameKernelWork(const validate::EmpiricalEstimate& a,
                           const validate::EmpiricalEstimate& b) {
   EXPECT_EQ(a.classifyStats.blocks, b.classifyStats.blocks);
   EXPECT_EQ(a.classifyStats.lanes, b.classifyStats.lanes);
-  EXPECT_EQ(a.classifyStats.f32Hits, b.classifyStats.f32Hits);
-  EXPECT_EQ(a.classifyStats.doubleFallbacks, b.classifyStats.doubleFallbacks);
 }
 
 }  // namespace

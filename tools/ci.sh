@@ -428,24 +428,6 @@ if not d["cache_identity"]:
 print("bench_sweep smoke OK")
 EOF
 
-    echo "=== [$cfg] bench_server smoke ==="
-    server_json=build/BENCH_server_smoke.json
-    FEPIA_BENCH_SMOKE=1 FEPIA_BENCH_JSON="$server_json" \
-      ./build/bench/bench_server
-    python3 tools/check_bench_json.py "$server_json" \
-      tools/schemas/bench_server.schema.json
-    python3 - "$server_json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    d = json.load(f)
-if d["failures"]:
-    sys.exit(f"bench_server: {d['failures']} request(s) failed under load")
-if not d["warm_faster_than_cold"]:
-    sys.exit("bench_server: warm sweep repeat was not faster than the cold "
-             f"run (speedup {d['warm_speedup']:.2f}x) — resident cache broken")
-print("bench_server smoke OK")
-EOF
-
     # fepiad end-to-end smoke: boot `fepia_cli serve` on an ephemeral
     # port, scrape the port from its machine-parseable banner, then run
     # one scripted client session over the wire protocol — happy-path
