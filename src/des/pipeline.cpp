@@ -182,7 +182,7 @@ bool PipelineKernel::run(const la::Vector& execSeconds,
   const Wiring& w = *wiring_;
   const std::size_t gens = opts.generations;
   const std::size_t warmup = warmupOf(opts);
-  const FaultInjector* const faults = opts.faults;
+  const FaultModel* const faults = opts.faults;
 
   queue_.clear();
   machines_.assign(w.machines, Server{});
@@ -417,7 +417,7 @@ void PipelineKernel::observe(const PipelineOptions& opts, double period,
       worstSlope * static_cast<double>(gens) <= opts.driftTolerance * period;
 }
 
-void PipelineKernel::addDowntime(const FaultInjector* faults) {
+void PipelineKernel::addDowntime(const FaultModel* faults) {
   if (faults == nullptr) return;
   // Machine-seconds of downtime within the simulated horizon.
   for (std::size_t m = 0; m < wiring_->machines; ++m) {

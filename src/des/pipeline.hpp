@@ -8,9 +8,9 @@
 // the pipeline sustains the input rate (stable queues) — the empirical
 // ground truth against which the analytic robustness radius is checked.
 //
-// Fault injection: PipelineOptions::faults points at a FaultInjector
-// (implemented by fault::PlanInjector from a fault::FaultPlan). When
-// set, the simulation additionally models discrete perturbation kinds —
+// Fault injection: PipelineOptions::faults points at a FaultModel (built
+// by fault::PlanInjector from a fault::FaultPlan). When set, the
+// simulation additionally models discrete perturbation kinds —
 // machine crashes survived by failover to a backup after a detection
 // timeout, transient compute/transfer slowdowns, and message loss
 // retried with capped exponential backoff — and reports the degradation
@@ -19,10 +19,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
-#include "des/event_heap.hpp"
+#include "des/event_queue.hpp"
+#include "des/fault_model.hpp"
 #include "hiperd/system.hpp"
 #include "la/vector.hpp"
 
@@ -49,49 +49,6 @@ struct FaultCounters {
     return failovers || lostMessages || retries || droppedMessages ||
            unrecoveredJobs;
   }
-};
-
-/// Fault-injection hooks consulted by simulatePipeline. Implementations
-/// must be deterministic pure functions of their arguments (the
-/// simulation replays bit-identically from the same inputs); the stock
-/// implementation is fault::PlanInjector. All hooks describe a fault
-/// *plan*, fixed before the run — the simulation never feeds back into
-/// the injector.
-class FaultInjector {
- public:
-  virtual ~FaultInjector() = default;
-
-  /// Time at which `machine` crashes (never recovers); +inf = never.
-  [[nodiscard]] virtual double crashTime(std::size_t machine) const = 0;
-  /// Failover target for work stranded on crashed `machine`; nullopt =
-  /// no backup configured (the job is unrecoverable).
-  [[nodiscard]] virtual std::optional<std::size_t> backupFor(
-      std::size_t machine) const = 0;
-  /// Failure-detection timeout: a machine's crash becomes known (and
-  /// failover possible) this many seconds after it happens. Jobs
-  /// stranded earlier wait until detection; once the failure is known,
-  /// later dispatches reroute to the backup without extra delay.
-  [[nodiscard]] virtual double detectionTimeout() const = 0;
-
-  /// Multiplier on the service time of a compute job *starting* on
-  /// `machine` at time `t` (transient slowdown windows; 1 = nominal).
-  [[nodiscard]] virtual double computeFactor(std::size_t machine,
-                                             double t) const = 0;
-  /// Multiplier on the service time of a transfer starting on `link`.
-  [[nodiscard]] virtual double transferFactor(std::size_t link,
-                                              double t) const = 0;
-
-  /// True when transfer attempt `attempt` (0-based) of message `k` in
-  /// generation `g` is lost in flight. Must depend only on (k, g,
-  /// attempt) so the draw is independent of event interleaving.
-  [[nodiscard]] virtual bool messageLost(std::size_t k, std::size_t g,
-                                         std::size_t attempt) const = 0;
-  /// Backoff before retransmission number `attempt + 1` (capped
-  /// exponential in the stock implementation).
-  [[nodiscard]] virtual double retryBackoff(std::size_t attempt) const = 0;
-  /// Retransmissions allowed per message-generation before it is
-  /// dropped for good.
-  [[nodiscard]] virtual std::size_t maxRetries() const = 0;
 };
 
 /// Result of a pipeline simulation.
@@ -146,9 +103,9 @@ struct PipelineOptions {
   /// time variability on top of the (e ⋆ m) operating point.
   double serviceJitterCov = 0.0;
   std::uint64_t jitterSeed = 0x1234ABCDull;
-  /// Fault-injection hooks; null (the default) runs the exact fault-free
-  /// code path. Not owned; must outlive the call.
-  const FaultInjector* faults = nullptr;
+  /// Fault-injection tables; null (the default) runs the exact
+  /// fault-free code path. Not owned; must outlive the call.
+  const FaultModel* faults = nullptr;
 };
 
 /// Result of a verdict-only run (PipelineKernel::verdict).
@@ -174,12 +131,12 @@ struct PipelineVerdict {
 ///
 /// The event loop is a typed-event kernel. Each event is a small POD
 /// (time, seq, kind, app or message, generation, machine or attempt)
-/// in a reused (time, seq) heap, dispatched by a switch. Emission g+1
-/// is queued when emission g fires, under the seq reserved for it, so
-/// the queue holds only in-flight work. Seqs and event times are those
-/// of a scheduler that queued all emissions first (seqs 0..gens-1) and
-/// numbered every later event in scheduling order, so every result is
-/// deterministic and fixed by its inputs.
+/// in a reused queue sorted by (time, seq), dispatched by a switch.
+/// Emission g+1 is queued when emission g fires, under the seq reserved
+/// for it, so the queue holds only in-flight work. Seqs and event times
+/// are those of a scheduler that queued all emissions first (seqs
+/// 0..gens-1) and numbered every later event in scheduling order, so
+/// every result is deterministic and fixed by its inputs.
 class PipelineKernel {
  public:
   explicit PipelineKernel(const hiperd::System& sys);
@@ -233,11 +190,11 @@ class PipelineKernel {
                PipelineResult& res);
   /// Adds the machine downtime within the last run's horizon to the
   /// fault counters.
-  void addDowntime(const FaultInjector* faults);
+  void addDowntime(const FaultModel* faults);
 
   std::shared_ptr<const Wiring> wiring_;
   // Per-run state, reused by the next run.
-  EventHeap<Event> queue_;
+  EventQueue<Event> queue_;
   std::vector<Server> machines_;
   std::vector<Server> links_;
   std::vector<std::uint32_t> arrived_; ///< [app * gens + g] inputs in

@@ -57,7 +57,7 @@ DegradedEstimate estimateDegradedRadius(const hiperd::ReferenceSystem& ref,
                             ? nullptr
                             : std::make_unique<PlanInjector>(plan, ref.system));
   }
-  const auto injectorFor = [&](std::size_t direction) -> const des::FaultInjector* {
+  const auto injectorFor = [&](std::size_t direction) -> const des::FaultModel* {
     if (injectors.empty()) return nullptr;
     return injectors[direction % injectors.size()].get();
   };

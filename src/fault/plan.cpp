@@ -1,6 +1,5 @@
 #include "fault/plan.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -66,9 +65,10 @@ void FaultPlan::validateAgainst(const hiperd::System& sys) const {
   if (policy.maxBackoffSeconds < 0.0) fail("backoff cap must be >= 0");
 }
 
-PlanInjector::PlanInjector(const FaultPlan& plan, const hiperd::System& sys)
-    : policy_(plan.policy), lossSeed_(plan.lossSeed) {
+PlanInjector::PlanInjector(const FaultPlan& plan, const hiperd::System& sys) {
   plan.validateAgainst(sys);
+  policy_ = plan.policy;
+  lossSeed_ = plan.lossSeed;
   crashAt_.assign(sys.machineCount(), kNever);
   backup_.assign(sys.machineCount(), std::nullopt);
   machineWindows_.assign(sys.machineCount(), {});
@@ -100,65 +100,6 @@ PlanInjector::PlanInjector(const FaultPlan& plan, const hiperd::System& sys)
     }
   }
 }
-
-double PlanInjector::crashTime(std::size_t machine) const {
-  return crashAt_[machine];
-}
-
-std::optional<std::size_t> PlanInjector::backupFor(std::size_t machine) const {
-  return backup_[machine];
-}
-
-double PlanInjector::detectionTimeout() const {
-  return policy_.detectionTimeoutSeconds;
-}
-
-double PlanInjector::computeFactor(std::size_t machine, double t) const {
-  double f = 1.0;
-  for (const Window& w : machineWindows_[machine]) {
-    if (t >= w.from && t < w.to) f *= w.factor;
-  }
-  return f;
-}
-
-double PlanInjector::transferFactor(std::size_t link, double t) const {
-  double f = 1.0;
-  for (const Window& w : linkWindows_[link]) {
-    if (t >= w.from && t < w.to) f *= w.factor;
-  }
-  return f;
-}
-
-bool PlanInjector::messageLost(std::size_t k, std::size_t g,
-                               std::size_t attempt) const {
-  const double p = lossProb_[k];
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  // Stateless hash of (seed, k, g, attempt): the draw is a pure function
-  // of the transfer's identity, independent of event interleaving, so
-  // fault-injected runs stay bit-identical at any thread count.
-  rng::SplitMix64 mix(lossSeed_ ^
-                      (0x9E3779B97F4A7C15ull * (static_cast<std::uint64_t>(k) + 1)));
-  std::uint64_t h = mix.next();
-  rng::SplitMix64 mix2(h ^
-                       (0xBF58476D1CE4E5B9ull * (static_cast<std::uint64_t>(g) + 1)));
-  h = mix2.next();
-  rng::SplitMix64 mix3(
-      h ^ (0x94D049BB133111EBull * (static_cast<std::uint64_t>(attempt) + 1)));
-  h = mix3.next();
-  return toUnit(h) < p;
-}
-
-double PlanInjector::retryBackoff(std::size_t attempt) const {
-  double b = policy_.initialBackoffSeconds;
-  for (std::size_t i = 0; i < attempt; ++i) {
-    b *= policy_.backoffFactor;
-    if (b >= policy_.maxBackoffSeconds) break;
-  }
-  return std::min(b, policy_.maxBackoffSeconds);
-}
-
-std::size_t PlanInjector::maxRetries() const { return policy_.maxRetries; }
 
 FaultPlan samplePlan(const hiperd::System& sys, const SamplerOptions& opts,
                      std::uint64_t seed) {

@@ -6,7 +6,7 @@
 // kind a general approach must cover. A FaultPlan is a deterministic
 // description of such discrete perturbations — machine crashes, bounded
 // slowdown windows, message loss — that des::simulatePipeline injects
-// via the des::FaultInjector hooks while the graceful-degradation
+// through a des::FaultModel while the graceful-degradation
 // machinery (failover to a backup after a detection timeout, capped
 // exponential retry backoff) tries to keep QoS intact.
 //
@@ -58,18 +58,7 @@ struct MessageLoss {
 };
 
 /// Degradation-handling knobs shared by every fault in a plan.
-struct RetryPolicy {
-  /// Delay between a job hitting a crashed machine and its re-dispatch
-  /// to the backup.
-  double detectionTimeoutSeconds = 0.05;
-  /// Backoff before retransmission n is initial * factor^n, capped.
-  double initialBackoffSeconds = 0.01;
-  double backoffFactor = 2.0;
-  double maxBackoffSeconds = 0.5;
-  /// Retransmissions allowed per message-generation before the transfer
-  /// is dropped for good.
-  std::size_t maxRetries = 8;
-};
+using RetryPolicy = des::RetryPolicy;
 
 /// A complete fault scenario for one simulation run.
 struct FaultPlan {
@@ -101,38 +90,14 @@ struct FaultPlan {
   void validateAgainst(const hiperd::System& sys) const;
 };
 
-/// des::FaultInjector implementation over a FaultPlan. Holds references
-/// to neither the plan nor the system after construction; cheap O(1)
-/// hooks (loss probability and crash data are precomputed per entity).
-class PlanInjector final : public des::FaultInjector {
+/// A FaultPlan compiled into the des::FaultModel tables the pipeline
+/// kernel reads. Holds references to neither the plan nor the system
+/// after construction; crash data and loss probabilities are resolved
+/// per machine and per message up front.
+class PlanInjector final : public des::FaultModel {
  public:
   /// Validates the plan against `sys` (throws std::invalid_argument).
   PlanInjector(const FaultPlan& plan, const hiperd::System& sys);
-
-  [[nodiscard]] double crashTime(std::size_t machine) const override;
-  [[nodiscard]] std::optional<std::size_t> backupFor(
-      std::size_t machine) const override;
-  [[nodiscard]] double detectionTimeout() const override;
-  [[nodiscard]] double computeFactor(std::size_t machine,
-                                     double t) const override;
-  [[nodiscard]] double transferFactor(std::size_t link,
-                                      double t) const override;
-  [[nodiscard]] bool messageLost(std::size_t k, std::size_t g,
-                                 std::size_t attempt) const override;
-  [[nodiscard]] double retryBackoff(std::size_t attempt) const override;
-  [[nodiscard]] std::size_t maxRetries() const override;
-
- private:
-  struct Window {
-    double from, to, factor;
-  };
-  std::vector<double> crashAt_;                       ///< per machine; +inf = never
-  std::vector<std::optional<std::size_t>> backup_;    ///< per machine
-  std::vector<std::vector<Window>> machineWindows_;   ///< per machine
-  std::vector<std::vector<Window>> linkWindows_;      ///< per link
-  std::vector<double> lossProb_;                      ///< per message
-  RetryPolicy policy_;
-  std::uint64_t lossSeed_ = 0;
 };
 
 /// Knobs for samplePlan.

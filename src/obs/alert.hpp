@@ -6,8 +6,8 @@
 // reports *crossings*, not levels: a rule fires once when its condition
 // becomes true and re-arms when the condition clears, so a stream of
 // periodic samples produces one event per excursion instead of one per
-// sample. This is the seed of the streaming robustness monitor's
-// threshold-crossing alerts (ROADMAP item 5c); the TelemetryHub runs an
+// sample. A streaming robustness monitor (parked in ROADMAP.md) would
+// build its threshold-crossing alerts on it; the TelemetryHub runs an
 // engine over every sample and emits the crossings as alert events.
 #pragma once
 

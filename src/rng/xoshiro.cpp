@@ -10,13 +10,6 @@ using Poly = std::array<std::uint64_t, 4>;
 
 }  // namespace
 
-std::uint64_t SplitMix64::next() noexcept {
-  std::uint64_t z = (state_ += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
 Xoshiro256StarStar::Xoshiro256StarStar(std::uint64_t seed) noexcept {
   SplitMix64 sm(seed);
   for (auto& w : s_) w = sm.next();

@@ -21,8 +21,14 @@ class SplitMix64 {
  public:
   explicit SplitMix64(std::uint64_t seed) noexcept : state_(seed) {}
 
-  /// Next 64-bit value.
-  std::uint64_t next() noexcept;
+  /// Next 64-bit value. Inline: the DES fault model's loss draw mixes
+  /// three of them per transfer attempt.
+  std::uint64_t next() noexcept {
+    std::uint64_t z = (state_ += 0x9E3779B97F4A7C15ull);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+  }
 
  private:
   std::uint64_t state_;

@@ -1,22 +1,25 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <queue>
 #include <stdexcept>
 #include <vector>
 
-#include "des/event_heap.hpp"
+#include "des/event_queue.hpp"
 #include "des/pipeline.hpp"
 #include "fault/plan.hpp"
 #include "hiperd/factory.hpp"
+#include "rng/xoshiro.hpp"
 
 namespace des = fepia::des;
 namespace fault = fepia::fault;
 namespace hiperd = fepia::hiperd;
 namespace la = fepia::la;
 
-// The DES's event-ordering contract, held by des::EventHeap: events
+// The DES's event-ordering contract, held by des::EventQueue: events
 // surface in nondecreasing time, and events at equal times in the order
 // they were scheduled (their seq), so the pipeline kernel's same-instant
 // bursts around a crash are deterministic by construction.
@@ -31,13 +34,13 @@ struct TestEvent {
 /// Schedules events the way the pipeline kernel does: each takes the
 /// next seq.
 struct Schedule {
-  des::EventHeap<TestEvent> heap;
+  des::EventQueue<TestEvent> queue;
   std::uint64_t nextSeq = 0;
 
-  void at(double time, int id) { heap.push({time, nextSeq++, id}); }
+  void at(double time, int id) { queue.push({time, nextSeq++, id}); }
   std::vector<int> drain() {
     std::vector<int> ids;
-    while (!heap.empty()) ids.push_back(heap.pop().id);
+    while (!queue.empty()) ids.push_back(queue.pop().id);
     return ids;
   }
 };
@@ -49,7 +52,7 @@ TEST(DesSimulator, EventsFireInTimeOrder) {
   s.at(2.0, 2);
   s.at(1.0, 1);
   s.at(3.0, 3);
-  EXPECT_EQ(s.heap.size(), 3u);
+  EXPECT_EQ(s.queue.size(), 3u);
   EXPECT_EQ(s.drain(), (std::vector<int>{1, 2, 3}));
 }
 
@@ -64,7 +67,7 @@ TEST(DesSimulator, ManySameTimeEventsExecuteInSchedulingOrder) {
   // Regression for the equal-timestamp ordering contract: a burst of
   // same-instant events (the shape fault injection produces around a
   // crash) must fire exactly in scheduling order, not in any
-  // heap-internal order. Interleaved earlier/later events must not
+  // queue-internal order. Interleaved earlier/later events must not
   // disturb the FIFO ordering of the tied group.
   Schedule s;
   constexpr int kN = 64;
@@ -88,7 +91,7 @@ TEST(DesSimulator, SameTimeEventsScheduledFromHandlersFifoToo) {
   Schedule s;
   s.at(1.0, 0);
   s.at(1.0, 1);
-  const TestEvent first = s.heap.pop();
+  const TestEvent first = s.queue.pop();
   EXPECT_EQ(first.id, 0);
   s.at(first.time, 2);
   EXPECT_EQ(s.drain(), (std::vector<int>{1, 2}));
@@ -100,13 +103,69 @@ TEST(DesSimulator, NestedScheduling) {
   Schedule s;
   s.at(1.0, 1);
   s.at(2.0, 3);
-  const TestEvent first = s.heap.pop();
+  const TestEvent first = s.queue.pop();
   s.at(first.time + 0.5, 2);
-  const TestEvent nested = s.heap.pop();
+  const TestEvent nested = s.queue.pop();
   EXPECT_EQ(nested.id, 2);
   EXPECT_DOUBLE_EQ(nested.time, 1.5);
   EXPECT_EQ(s.drain(), (std::vector<int>{3}));
-  EXPECT_TRUE(s.heap.empty());
+  EXPECT_TRUE(s.queue.empty());
+}
+
+TEST(DesSimulator, InterleavedPushesAndPopsMatchAReferenceHeap) {
+  // Differential check against std::priority_queue on (time, seq):
+  // pushes land in the middle of a partly drained queue, equal-time
+  // bursts tie on time alone, and the queue grows past 1000 events
+  // before it drains.
+  struct Later {
+    bool operator()(const TestEvent& a, const TestEvent& b) const {
+      return a.time > b.time || (a.time == b.time && a.seq > b.seq);
+    }
+  };
+  std::priority_queue<TestEvent, std::vector<TestEvent>, Later> reference;
+  Schedule s;
+  fepia::rng::Xoshiro256StarStar gen(0xE7E27ull);
+  double now = 0.0;
+  int nextId = 0;
+  std::size_t highWater = 0, pops = 0;
+  const auto popBoth = [&] {
+    const TestEvent want = reference.top();
+    reference.pop();
+    const TestEvent got = s.queue.pop();
+    ASSERT_EQ(got.seq, want.seq) << "pop " << pops;
+    ASSERT_EQ(got.time, want.time);
+    ASSERT_EQ(got.id, want.id);
+    now = got.time;
+    ++pops;
+  };
+  constexpr int kSteps = 8000;
+  for (int step = 0; step < kSteps; ++step) {
+    const std::uint64_t r = gen();
+    // Pushes outweigh pops in the first half and pops in the second.
+    const std::uint64_t pushPercent = step < kSteps / 2 ? 60 : 35;
+    if (s.queue.empty() || r % 100 < pushPercent) {
+      // Times on a 0.25 grid from now on, so many events tie exactly;
+      // one push in four is a burst of up to six at one instant.
+      const double t = now + 0.25 * static_cast<double>((r >> 8) % 8);
+      const std::uint64_t burst = (r >> 16) % 4 == 0 ? 1 + (r >> 20) % 6 : 1;
+      for (std::uint64_t b = 0; b < burst; ++b) {
+        reference.push({t, s.nextSeq, nextId});
+        s.at(t, nextId++);
+      }
+    } else {
+      popBoth();
+      if (HasFatalFailure()) return;
+    }
+    ASSERT_EQ(s.queue.size(), reference.size());
+    highWater = std::max(highWater, s.queue.size());
+  }
+  while (!reference.empty()) {
+    popBoth();
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_TRUE(s.queue.empty());
+  EXPECT_GT(highWater, 1000u);
+  EXPECT_EQ(pops, static_cast<std::size_t>(nextId));
 }
 
 TEST(DesPipeline, ReferenceSystemAtAssumedLoadsIsStable) {

@@ -1,6 +1,7 @@
 // Fault-plan model and fault-injected pipeline semantics: plan
-// validation, injector hooks, crash -> failover, slowdown windows,
-// message loss -> retry/drop, and the degradation counters.
+// validation, the hooks of the compiled des::FaultModel, crash ->
+// failover, slowdown windows, message loss -> retry/drop, and the
+// degradation counters.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -21,7 +22,7 @@ namespace {
 hiperd::ReferenceSystem ref() { return hiperd::makeReferenceSystem(); }
 
 des::PipelineResult simulate(const hiperd::ReferenceSystem& r,
-                             const des::FaultInjector* injector,
+                             const des::FaultModel* injector,
                              std::size_t gens = 200) {
   des::PipelineOptions opts;
   opts.generations = gens;
